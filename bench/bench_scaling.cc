@@ -14,21 +14,6 @@
  *    the tile count (scale = tiles / 16, the paper's 4x4 system being
  *    scale 1), over --weak-list.
  *
- *  - parallel scaling: one (protocol, benchmark) cell at weak scale
- *    (--par-protocol/--par-bench, defaulting to the first of each
- *    grid list), re-run under the mesh-domain parallel kernel at each
- *    thread count of --par-threads.  Results are byte-identical to
- *    the serial kernel by construction (the determinism law pinned by
- *    test_parallel_kernel), so the only new columns are wall-clock:
- *    events/sec per thread count and the speedup over the 1-thread
- *    row of the same mesh.  --par32-threads N appends a single 32x32
- *    weak-scaling point at N domains — the first mesh size where a
- *    serial sweep cell stops being interactive.  (The reference
- *    regeneration uses FFT: its input grows mildly enough with the
- *    tile count to keep a 16x16/32x32 weak cell inside the
- *    profiler's 2^29-instances-per-arena id space, which LU's does
- *    not.)
- *
  *  - sharer scan: the MESI directory's invalidation walk in
  *    isolation — the old bit-by-bit loop over the 256-wide sharer
  *    vector vs the SharerMask 64-bit word scan (ctz), on
@@ -54,8 +39,6 @@
 #include "common/topology.hh"
 #include "metrics/run_result_schema.hh"
 #include "profile/energy.hh"
-#include "sim/domain.hh"
-#include "system/kernel_threads.hh"
 #include "system/runner.hh"
 
 using namespace wastesim;
@@ -89,14 +72,6 @@ struct ScaleRow
     double energyNetworkFrac = 0; //!< network share of the estimate
 
     double eventsPerSec() const { return events / seconds; }
-};
-
-/** A ScaleRow produced under the parallel kernel. */
-struct ParRow
-{
-    ScaleRow base;
-    unsigned threads = 1;
-    double speedup = 0; //!< vs the 1-thread row of the same mesh
 };
 
 /**
@@ -141,23 +116,6 @@ runCell(const Topology &topo, unsigned scale, ProtocolName proto,
                 total > 0 ? ms.value("energy.network") / total : 0;
         }
     }
-    return row;
-}
-
-/**
- * One weak-scaling cell under the mesh-domain parallel kernel.  The
- * thread count is process-global state outside SimParams (it cannot
- * change the result), so the row carries it explicitly.
- */
-ParRow
-runParCell(const Topology &topo, unsigned scale, ProtocolName proto,
-           BenchmarkName bench, unsigned reps, unsigned threads)
-{
-    setCellThreads(threads);
-    ParRow row;
-    row.base = runCell(topo, scale, proto, bench, reps);
-    row.threads = threads;
-    setCellThreads(1);
     return row;
 }
 
@@ -285,49 +243,6 @@ printRowsJson(const std::vector<ScaleRow> &rows)
 }
 
 void
-printParRowsJson(const std::vector<ParRow> &rows)
-{
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const ScaleRow &r = rows[i].base;
-        std::printf(
-            "    {\"mesh\": \"%s\", \"tiles\": %u, \"scale\": %u, "
-            "\"protocol\": \"%s\", \"benchmark\": \"%s\", "
-            "\"threads\": %u, \"speedup\": %.2f, "
-            "\"seconds\": %.4f, \"events\": %llu, "
-            "\"events_per_sec\": %.0f, \"cycles\": %llu, "
-            "\"traffic_flit_hops\": %.0f, \"l1_waste_frac\": %.4f, "
-            "\"mem_waste_frac\": %.4f, \"max_link_flits\": %llu, "
-            "\"energy_uj\": %.2f, \"energy_network_frac\": %.4f}%s\n",
-            r.mesh.c_str(), r.tiles, r.scale, r.protocol.c_str(),
-            r.benchmark.c_str(), rows[i].threads, rows[i].speedup,
-            r.seconds, static_cast<unsigned long long>(r.events),
-            r.eventsPerSec(),
-            static_cast<unsigned long long>(r.cycles), r.traffic,
-            r.l1WasteFrac, r.memWasteFrac,
-            static_cast<unsigned long long>(r.maxLinkFlits),
-            r.energyUj, r.energyNetworkFrac,
-            i + 1 < rows.size() ? "," : "");
-    }
-}
-
-void
-printParRowsHuman(const std::vector<ParRow> &rows)
-{
-    std::printf("parallel scaling (weak-scale inputs)\n");
-    std::printf("%-8s %-6s %-10s %-12s %8s %10s %14s %8s\n", "mesh",
-                "scale", "protocol", "bench", "threads", "seconds",
-                "events/sec", "speedup");
-    for (const ParRow &p : rows)
-        std::printf("%-8s %-6u %-10s %-12s %8u %10.3f %14.0f "
-                    "%7.2fx\n",
-                    p.base.mesh.c_str(), p.base.scale,
-                    p.base.protocol.c_str(), p.base.benchmark.c_str(),
-                    p.threads, p.base.seconds, p.base.eventsPerSec(),
-                    p.speedup);
-    std::printf("\n");
-}
-
-void
 printRowsHuman(const char *mode, const std::vector<ScaleRow> &rows)
 {
     std::printf("%s scaling\n", mode);
@@ -353,13 +268,6 @@ main(int argc, char **argv)
     bool json = false;
     std::string mesh_list = "2x2,4x4,8x8,16x16";
     std::string weak_list = "4x4,8x8";
-    std::string par_list = "8x8,16x16";
-    std::string par_threads = "1,2,4,8";
-    unsigned par32_threads = 0;
-    ProtocolName par_proto{};
-    BenchmarkName par_bench{};
-    bool have_par_proto = false;
-    bool have_par_bench = false;
     unsigned reps = 1;
     unsigned mcs = 0;
     std::uint64_t scan_iters = 2'000'000;
@@ -375,28 +283,6 @@ main(int argc, char **argv)
             mesh_list = argv[++i];
         else if (a == "--weak-list" && i + 1 < argc)
             weak_list = argv[++i];
-        else if (a == "--par-list" && i + 1 < argc)
-            par_list = argv[++i];
-        else if (a == "--par-threads" && i + 1 < argc)
-            par_threads = argv[++i];
-        else if (a == "--par32-threads" && i + 1 < argc)
-            par32_threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (a == "--par-protocol" && i + 1 < argc) {
-            if (!protocolFromName(argv[++i], par_proto)) {
-                std::fprintf(stderr, "unknown protocol '%s'\n",
-                             argv[i]);
-                return 2;
-            }
-            have_par_proto = true;
-        } else if (a == "--par-bench" && i + 1 < argc) {
-            if (!benchmarkFromName(argv[++i], par_bench)) {
-                std::fprintf(stderr, "unknown benchmark '%s'\n",
-                             argv[i]);
-                return 2;
-            }
-            have_par_bench = true;
-        }
         else if (a == "--reps" && i + 1 < argc)
             reps = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 10));
@@ -432,9 +318,6 @@ main(int argc, char **argv)
                 stderr,
                 "usage: %s [--json] [--mesh-list W1xH1,...]\n"
                 "       [--weak-list W1xH1,... | --weak-list none]\n"
-                "       [--par-list W1xH1,... | --par-list none]\n"
-                "       [--par-threads N,N,...] [--par32-threads N]\n"
-                "       [--par-protocol P] [--par-bench B]\n"
                 "       [--bench B ...] [--protocol P ...] [--reps N]\n"
                 "       [--mcs N] [--mc-tiles T,T,...]\n"
                 "       [--scan-iters N]\n",
@@ -471,71 +354,6 @@ main(int argc, char **argv)
             for (ProtocolName p : protocols)
                 weak.push_back(runCell(t, weakScaleFor(t), p, b, reps));
 
-    // Parallel kernel: one protocol/benchmark at weak scale, one row
-    // per (mesh, thread count).  Thread counts the kernel would clamp
-    // anyway (more domains than mesh rows, or above its 8-domain cap)
-    // are skipped rather than duplicated.
-    if (!have_par_proto)
-        par_proto = protocols[0];
-    if (!have_par_bench)
-        par_bench = benches[0];
-    std::vector<unsigned> parCounts;
-    for (const char *p = par_threads.c_str(); *p;) {
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(p, &end, 10);
-        if (end == p || n == 0) {
-            std::fprintf(stderr, "--par-threads: bad list '%s'\n",
-                         par_threads.c_str());
-            return 2;
-        }
-        parCounts.push_back(static_cast<unsigned>(n));
-        p = *end == ',' ? end + 1 : end;
-    }
-    const std::vector<Topology> parTopos =
-        par_list == "none"
-            ? std::vector<Topology>{}
-            : parseMeshList("--par-list", par_list, mcs, mc_tiles);
-
-    std::vector<ParRow> par;
-    for (const Topology &t : parTopos) {
-        unsigned prev = 0;
-        double serialSecs = 0;
-        for (unsigned n : parCounts) {
-            const unsigned eff =
-                std::min({n, t.meshY(), maxEventDomains});
-            if (eff == prev)
-                continue;
-            prev = eff;
-            ParRow row = runParCell(t, weakScaleFor(t), par_proto,
-                                    par_bench, reps, eff);
-            if (eff == 1)
-                serialSecs = row.base.seconds;
-            if (serialSecs > 0)
-                row.speedup = serialSecs / row.base.seconds;
-            par.push_back(std::move(row));
-        }
-    }
-    if (par32_threads > 0 && 32 * 32 > maxTiles) {
-        // The sharer vector (and every per-tile mask) is maxTiles
-        // wide; a 32x32 run needs that limit lifted first.  Refuse
-        // loudly instead of letting Topology fatal mid-benchmark.
-        std::fprintf(stderr,
-                     "--par32-threads: 32x32 = 1024 tiles exceeds the "
-                     "%u-tile sharer vector limit; skipping\n",
-                     maxTiles);
-        par32_threads = 0;
-    }
-    if (par32_threads > 0) {
-        // First 32x32 weak-scaling point: parallel-only (no 1-thread
-        // baseline — the serial run is what this kernel retires).
-        const Topology t32 = mc_tiles.empty()
-            ? Topology(32, 32, mcs)
-            : Topology(32, 32, mc_tiles);
-        par.push_back(runParCell(
-            t32, weakScaleFor(t32), par_proto, par_bench, reps,
-            std::min({par32_threads, t32.meshY(), maxEventDomains})));
-    }
-
     std::vector<ScanRow> scans;
     for (const Topology &t : strongTopos)
         scans.push_back(runSharerScan(t, scan_iters));
@@ -545,8 +363,6 @@ main(int argc, char **argv)
         printRowsJson(strong);
         std::printf("  ],\n  \"weak\": [\n");
         printRowsJson(weak);
-        std::printf("  ],\n  \"parallel\": [\n");
-        printParRowsJson(par);
         std::printf("  ],\n  \"sharer_scan\": [\n");
         for (std::size_t i = 0; i < scans.size(); ++i) {
             const ScanRow &s = scans[i];
@@ -565,8 +381,6 @@ main(int argc, char **argv)
     printRowsHuman("strong", strong);
     if (!weak.empty())
         printRowsHuman("weak", weak);
-    if (!par.empty())
-        printParRowsHuman(par);
     std::printf("sharer scan (per invalidation walk)\n");
     std::printf("%-8s %8s %12s %12s %9s\n", "mesh", "sharers",
                 "bitwalk ns", "wordscan ns", "speedup");

@@ -11,16 +11,6 @@ namespace wastesim
 void
 Barrier::arrive(CoreId c, std::function<void()> released)
 {
-    if (router_) {
-        router_(c, std::move(released));
-        return;
-    }
-    arriveDirect(c, std::move(released));
-}
-
-void
-Barrier::arriveDirect(CoreId c, std::function<void()> released)
-{
     (void)c;
     SimObserver *o = simObserver();
     if (waiters_.empty() && o)

@@ -28,29 +28,14 @@ class Barrier
      */
     void arrive(CoreId c, std::function<void()> released);
 
-    /**
-     * The parallel kernel interposes on arrivals: mid-window they are
-     * staged with their canonical key and replayed in key order at a
-     * synchronization point (via arriveDirect), so the release fires
-     * at the same canonical position as in a serial run.
-     */
-    using Router = std::function<void(CoreId, std::function<void()>)>;
-    void setRouter(Router r) { router_ = std::move(r); }
-
-    /** Apply an arrival, bypassing the router (router/sync use). */
-    void arriveDirect(CoreId c, std::function<void()> released);
-
     unsigned waiting() const { return static_cast<unsigned>(
         waiters_.size()); }
-
-    unsigned parties() const { return parties_; }
 
     /** Completed barrier episodes (timeline phase index). */
     unsigned phase() const { return phase_; }
 
   private:
     unsigned parties_;
-    Router router_;
     std::vector<std::function<void()>> waiters_;
     unsigned phase_ = 0;
     /** Tick the first party arrived at the current episode. */

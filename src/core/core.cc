@@ -15,8 +15,8 @@ Core::Core(CoreId id, EventQueue &eq, L1Cache &l1, Barrier &barrier,
 void
 Core::start()
 {
-    // Root the event chain at this core's tile so the canonical key
-    // of the first event is the same under any domain partitioning.
+    // Root the event chain at this core's tile: the first event's
+    // canonical key names the core that scheduled it.
     eq_.setContextTile(static_cast<std::uint16_t>(id_));
     eq_.schedule(0, [this] { next(); });
 }
@@ -94,8 +94,7 @@ Core::next()
                 // The release runs synchronously inside the filling
                 // arrival's event; rebind the scheduling context to
                 // this core's tile so the next-op event's canonical
-                // key does not depend on which core arrived last (or,
-                // in parallel runs, on which queue this core uses).
+                // key does not depend on which core arrived last.
                 eq_.setContextTile(static_cast<std::uint16_t>(id_));
                 const BarrierInfo &bi = hooks_.barrierInfo(idx);
                 l1_.barrierRelease(bi.selfInvalidate);

@@ -146,13 +146,7 @@ MemoryController::finishRead(const Message &req, Tick arrive,
             if (!send.test(w))
                 continue;
             const Addr word_num = wordNumber(c.line) + w;
-            // The presence oracle reaches into the home L2 slice,
-            // which another domain may own mid-window; parallel runs
-            // resolve presence from the profiler's shadow map at the
-            // op's canonical position instead.
-            oc.memRef[w] = prof_.parallelMode()
-                ? prof_.createShadowed(word_num)
-                : prof_.create(word_num, presentInL2_(c.line, w));
+            oc.memRef[w] = prof_.create(word_num, presentInL2_(c.line, w));
             ++wordsSent_;
         }
         out.push_back(std::move(oc));

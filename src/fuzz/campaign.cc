@@ -17,7 +17,6 @@
 #include "common/crc32.hh"
 #include "common/log.hh"
 #include "fuzz/minimizer.hh"
-#include "system/kernel_threads.hh"
 #include "system/supervisor.hh"
 
 namespace wastesim
@@ -188,7 +187,7 @@ checkScenario(const Scenario &s, Tick max_ticks, bool check_replay,
     const SimParams params = s.simParams();
 
     std::unique_ptr<Workload> wl = s.makeWorkload();
-    System sys(s.protocol, *wl, params, cellThreads());
+    System sys(s.protocol, *wl, params);
     const RunResult first = sys.run(max_ticks);
     checkSystemInvariants(sys, *wl, first, rep);
     checkResultInvariants(first, rep);
@@ -198,12 +197,9 @@ checkScenario(const Scenario &s, Tick max_ticks, bool check_replay,
     if (check_replay) {
         // Full rebuild — workload generation included — so the
         // determinism law covers the whole pipeline, not just the
-        // kernel.  The replay always runs the serial kernel: under
-        // --threads-per-cell > 1 this law IS the parallel-vs-serial
-        // byte-identity guarantee (and the pinned corpus CRCs stay
-        // serial-kernel values either way).
+        // kernel.
         std::unique_ptr<Workload> wl2 = s.makeWorkload();
-        System sys2(s.protocol, *wl2, params, 1);
+        System sys2(s.protocol, *wl2, params);
         const RunResult second = sys2.run(max_ticks);
         compareResults(first, second, rep);
     }
@@ -290,10 +286,6 @@ FuzzCampaign::runIsolated(std::uint64_t index, const std::string &line)
                                      "--max-ticks", max_ticks_str};
     if (!opts_.checkReplay)
         args.push_back("--no-replay");
-    if (cellThreads() > 1) {
-        args.push_back("--threads-per-cell");
-        args.push_back(std::to_string(cellThreads()));
-    }
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());

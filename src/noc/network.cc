@@ -13,168 +13,50 @@
 namespace wastesim
 {
 
-unsigned
-Network::currentDomain()
-{
-    return wastesim::currentDomain();
-}
-
-void
-Network::setCurrentDomain(unsigned d)
-{
-    wastesim::setCurrentDomain(d);
-}
-
 Network::Network(EventQueue &eq, TrafficRecorder &traffic,
                  Tick link_latency, Topology topo)
-    : Network(DomainLayout{1, std::vector<std::uint16_t>(
-                                  topo.numTiles(), 0)},
-              {&eq}, {&traffic}, link_latency, topo)
+    : eq_(eq), traffic_(traffic), linkLatency_(link_latency),
+      topo_(std::move(topo)), mesh_(topo_),
+      handlers_(topo_.numFlatIds(), nullptr),
+      linkFlits_(static_cast<std::size_t>(topo_.numTiles()) *
+                     topo_.numTiles(),
+                 0)
 {
-}
-
-Network::Network(const DomainLayout &layout,
-                 std::vector<EventQueue *> eqs,
-                 std::vector<TrafficRecorder *> traffic,
-                 Tick link_latency, Topology topo)
-    : layout_(layout), linkLatency_(link_latency), topo_(topo),
-      mesh_(topo)
-{
-    panic_if(eqs.size() != layout_.count ||
-                 traffic.size() != layout_.count,
-             "network wiring does not match the domain layout");
-    handlers_.resize(topo_.numFlatIds(), nullptr);
-    const std::size_t tiles = topo_.numTiles();
-    ctxs_.resize(layout_.count);
-    for (unsigned d = 0; d < layout_.count; ++d) {
-        ctxs_[d].eq = eqs[d];
-        ctxs_[d].traffic = traffic[d];
-        ctxs_[d].linkFlits.assign(tiles * tiles, 0);
-    }
-    outbox_.resize(static_cast<std::size_t>(layout_.count) *
-                   layout_.count);
-}
-
-std::uint64_t
-Network::messagesSent() const
-{
-    std::uint64_t n = 0;
-    for (const Ctx &c : ctxs_)
-        n += c.msgsSent;
-    return n;
-}
-
-double
-Network::rawFlitHops() const
-{
-    double r = 0;
-    for (const Ctx &c : ctxs_)
-        r += c.traffic->rawFlitHops();
-    return r;
-}
-
-std::uint64_t
-Network::linkFlits(NodeId a, NodeId b) const
-{
-    const std::size_t i =
-        static_cast<std::size_t>(a) * topo_.numTiles() + b;
-    std::uint64_t n = 0;
-    for (const Ctx &c : ctxs_)
-        n += c.linkFlits[i];
-    return n;
 }
 
 std::uint64_t
 Network::maxLinkFlits() const
 {
-    // Per-link sum across domains first, then the maximum: a link's
-    // load is the same physical quantity no matter which domain's
-    // senders charged it.
-    std::uint64_t best = 0;
-    const std::size_t n = ctxs_[0].linkFlits.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t v = 0;
-        for (const Ctx &c : ctxs_)
-            v += c.linkFlits[i];
-        best = std::max(best, v);
-    }
-    return best;
+    return linkFlits_.empty()
+        ? 0
+        : *std::max_element(linkFlits_.begin(), linkFlits_.end());
 }
 
 std::uint64_t
 Network::totalLinkFlits() const
 {
-    std::uint64_t n = 0;
-    for (const Ctx &c : ctxs_)
-        n += std::accumulate(c.linkFlits.begin(), c.linkFlits.end(),
-                             std::uint64_t{0});
-    return n;
-}
-
-std::uint64_t
-Network::flitHopsCharged() const
-{
-    std::uint64_t n = 0;
-    for (const Ctx &c : ctxs_)
-        n += c.flitHopsCharged;
-    return n;
-}
-
-std::size_t
-Network::msgPoolSlots() const
-{
-    std::size_t n = 0;
-    for (const Ctx &c : ctxs_)
-        n += c.pool.size();
-    return n;
-}
-
-std::size_t
-Network::msgPoolFreeSlots() const
-{
-    std::size_t n = 0;
-    for (const Ctx &c : ctxs_)
-        n += c.free.size();
-    return n;
-}
-
-std::vector<std::uint64_t>
-Network::linkFlitsSnapshot() const
-{
-    std::vector<std::uint64_t> out = ctxs_[0].linkFlits;
-    for (std::size_t d = 1; d < ctxs_.size(); ++d)
-        for (std::size_t i = 0; i < out.size(); ++i)
-            out[i] += ctxs_[d].linkFlits[i];
-    return out;
-}
-
-std::size_t
-Network::stagedCount() const
-{
-    std::size_t n = 0;
-    for (const auto &box : outbox_)
-        n += box.size();
-    return n;
+    return std::accumulate(linkFlits_.begin(), linkFlits_.end(),
+                           std::uint64_t{0});
 }
 
 std::uint32_t
-Network::poolAcquire(Ctx &c, Message &&msg)
+Network::poolAcquire(Message &&msg)
 {
-    if (!c.free.empty()) {
-        const std::uint32_t idx = c.free.back();
-        c.free.pop_back();
-        c.pool[idx] = std::move(msg);
+    if (!msgFree_.empty()) {
+        const std::uint32_t idx = msgFree_.back();
+        msgFree_.pop_back();
+        msgPool_[idx] = std::move(msg);
         return idx;
     }
-    c.pool.push_back(std::move(msg));
-    return static_cast<std::uint32_t>(c.pool.size() - 1);
+    msgPool_.push_back(std::move(msg));
+    return static_cast<std::uint32_t>(msgPool_.size() - 1);
 }
 
 Message
-Network::poolRelease(Ctx &c, std::uint32_t idx)
+Network::poolRelease(std::uint32_t idx)
 {
-    Message m = std::move(c.pool[idx]);
-    c.free.push_back(idx);
+    Message m = std::move(msgPool_[idx]);
+    msgFree_.push_back(idx);
     return m;
 }
 
@@ -188,52 +70,21 @@ Network::handlerFor(const Message &msg) const
 }
 
 void
-Network::scheduleDelivery(unsigned dom, const EventKey &key,
-                          std::uint16_t dst_tile, std::uint32_t idx)
+Network::deliverAt(Tick when, Message &&msg)
 {
-    MessageHandler *h = handlerFor(ctxs_[dom].pool[idx]);
-    ctxs_[dom].eq->scheduleKeyed(key, dst_tile, [this, dom, h, idx] {
-        h->handle(poolRelease(ctxs_[dom], idx));
+    const std::uint16_t dst_tile = msg.dst.tile(topo_);
+    MessageHandler *h = handlerFor(msg);
+    const std::uint32_t idx = poolAcquire(std::move(msg));
+    eq_.scheduleFor(when, dst_tile, [this, h, idx] {
+        h->handle(poolRelease(idx));
     });
-}
-
-void
-Network::injectStaged(unsigned dst)
-{
-    gather_.clear();
-    for (unsigned s = 0; s < layout_.count; ++s) {
-        auto &box = outbox_[static_cast<std::size_t>(s) *
-                                layout_.count + dst];
-        for (Staged &st : box)
-            gather_.push_back(std::move(st));
-        box.clear();
-    }
-    if (gather_.empty())
-        return;
-    // Keys are globally unique (distinct source tiles, per-queue
-    // monotone sequences), so this order is canonical regardless of
-    // which outbox each message came from.
-    std::sort(gather_.begin(), gather_.end(),
-              [](const Staged &a, const Staged &b) {
-                  return a.key < b.key;
-              });
-    for (Staged &st : gather_) {
-        const std::uint32_t idx =
-            poolAcquire(ctxs_[dst], std::move(st.msg));
-        scheduleDelivery(dst, st.key, st.dstTile, idx);
-    }
-    gather_.clear();
 }
 
 void
 Network::send(Message msg)
 {
-    const unsigned dom = currentDomain();
-    Ctx &c = ctxs_[dom];
-    EventQueue &eq = *c.eq;
-
-    msg.sentAt = eq.now();
-    ++c.msgsSent;
+    msg.sentAt = eq_.now();
+    ++msgsSent_;
 
     const unsigned words = msg.words();
     const unsigned data_flits = msg.dataFlits();
@@ -251,7 +102,7 @@ Network::send(Message msg)
         NodeId prev = walk.current();
         while (walk.advance()) {
             const NodeId cur = walk.current();
-            c.linkFlits[static_cast<std::size_t>(prev) * tiles + cur] +=
+            linkFlits_[static_cast<std::size_t>(prev) * tiles + cur] +=
                 total_flits;
             prev = cur;
             ++hops;
@@ -263,17 +114,17 @@ Network::send(Message msg)
         // messages, so totalLinkFlits() undercounts flitHopsCharged().
         if (!(plantBugEnabled() && hops >= 2))
 #endif
-            c.linkFlits[static_cast<std::size_t>(prev) * tiles + prev] +=
+            linkFlits_[static_cast<std::size_t>(prev) * tiles + prev] +=
                 total_flits;
         msg.hops = hops + 1;
     }
 
-    c.flitHopsCharged +=
+    flitHopsCharged_ +=
         static_cast<std::uint64_t>(total_flits) * msg.hops;
-    c.traffic->addRaw(static_cast<double>(total_flits) * msg.hops);
+    traffic_.addRaw(static_cast<double>(total_flits) * msg.hops);
 
     // Control flit.
-    c.traffic->control(msg.cls, msg.ctl, 1.0, msg.hops);
+    traffic_.control(msg.cls, msg.ctl, 1.0, msg.hops);
 
     // Unfilled fraction of the last data flit is charged to the
     // control portion (Section 5.2).
@@ -281,15 +132,15 @@ Network::send(Message msg)
         const double unfilled =
             data_flits - words / static_cast<double>(wordsPerFlit);
         if (unfilled > 0)
-            c.traffic->control(msg.cls, msg.ctl, unfilled, msg.hops);
+            traffic_.control(msg.cls, msg.ctl, unfilled, msg.hops);
     }
 
     // Raw (non-cache-word) payloads are pure control-side traffic.
     if (msg.rawWords > 0) {
-        c.traffic->control(msg.cls, msg.ctl,
-                           msg.rawWords /
-                               static_cast<double>(wordsPerFlit),
-                           msg.hops);
+        traffic_.control(msg.cls, msg.ctl,
+                         msg.rawWords /
+                             static_cast<double>(wordsPerFlit),
+                         msg.hops);
     }
 
     // Writeback payloads resolve Used/Waste by dirty bits right now.
@@ -300,10 +151,10 @@ Network::send(Message msg)
             clean += (ch.mask - ch.dirty).count();
         }
         const bool to_mem = msg.dst.kind == Endpoint::Kind::MC;
-        c.traffic->wbData(to_mem, dirty, clean, msg.hops);
+        traffic_.wbData(to_mem, dirty, clean, msg.hops);
     }
 
-    DPRINTF(Noc, eq, "%s %u->%u line %llx hops %u flits %u",
+    DPRINTF(Noc, eq_, "%s %u->%u line %llx hops %u flits %u",
             msgKindName(msg.kind), msg.src.tile(topo_),
             msg.dst.tile(topo_), static_cast<unsigned long long>(msg.line),
             msg.hops, total_flits);
@@ -311,60 +162,20 @@ Network::send(Message msg)
     // Head flit arrives after the link latency of each hop; the tail
     // follows one cycle per additional flit (wormhole serialization).
     const Tick delay = linkLatency_ * msg.hops + (total_flits - 1);
-    const std::uint16_t dst_tile = msg.dst.tile(topo_);
-    const unsigned dst_dom = layout_.of(dst_tile);
-
-    if (dst_dom == dom) {
-        MessageHandler *h = handlerFor(msg);
-        const std::uint32_t idx = poolAcquire(c, std::move(msg));
-        eq.scheduleFor(eq.now() + delay, dst_tile,
-                       [this, dom, h, idx] {
-                           h->handle(poolRelease(ctxs_[dom], idx));
-                       });
-        return;
-    }
-
-    // Cross-domain: the key is fixed now, in the sender's canonical
-    // context, so delivery order cannot depend on when the message is
-    // physically moved between queues.
-    const EventKey key{eq.now() + delay, eq.now(), eq.contextTile(),
-                       eq.allocSeq()};
-    if (crossMode_ == CrossMode::Direct) {
-        const std::uint32_t idx =
-            poolAcquire(ctxs_[dst_dom], std::move(msg));
-        scheduleDelivery(dst_dom, key, dst_tile, idx);
-    } else {
-        outbox_[static_cast<std::size_t>(dom) * layout_.count +
-                dst_dom]
-            .push_back(Staged{key, dst_tile, std::move(msg)});
-    }
+    deliverAt(eq_.now() + delay, std::move(msg));
 }
 
 void
 Network::sendAfter(Tick delay, Message msg)
 {
-    const unsigned dom = currentDomain();
-    Ctx &c = ctxs_[dom];
-    const std::uint32_t idx = poolAcquire(c, std::move(msg));
-    c.eq->schedule(delay, [this, dom, idx] {
-        send(poolRelease(ctxs_[dom], idx));
-    });
+    const std::uint32_t idx = poolAcquire(std::move(msg));
+    eq_.schedule(delay, [this, idx] { send(poolRelease(idx)); });
 }
 
 void
 Network::deliverAfter(Tick delay, Message msg)
 {
-    const unsigned dom = currentDomain();
-    Ctx &c = ctxs_[dom];
-    const std::uint16_t dst_tile = msg.dst.tile(topo_);
-    panic_if(layout_.of(dst_tile) != dom,
-             "deliverAfter() must stay within the receiver's domain");
-    MessageHandler *h = handlerFor(msg);
-    const std::uint32_t idx = poolAcquire(c, std::move(msg));
-    c.eq->scheduleFor(c.eq->now() + delay, dst_tile,
-                      [this, dom, h, idx] {
-                          h->handle(poolRelease(ctxs_[dom], idx));
-                      });
+    deliverAt(eq_.now() + delay, std::move(msg));
 }
 
 } // namespace wastesim

@@ -9,16 +9,6 @@
  * latency; writeback payloads are also attributed at send time.
  * Load/store payload attribution is left to the receiving controller,
  * which banks per-word flit-hops against profiler instances.
- *
- * Under the parallel kernel every domain gets a private accounting
- * context (traffic recorder, link-flit matrix, message pool, staging
- * outboxes) selected through a thread-local domain index, so domain
- * threads never share a counter.  A cross-domain send is charged in
- * the sender's context and the message is staged; at the next window
- * synchronization the driver injects staged messages into the
- * destination queues in canonical key order (the key is assigned by
- * the source queue at send time).  During merged serial execution the
- * network schedules cross-domain deliveries directly instead.
  */
 
 #ifndef WASTESIM_NOC_NETWORK_HH
@@ -32,7 +22,6 @@
 #include "noc/mesh.hh"
 #include "profile/traffic.hh"
 #include "protocol/message.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 
 namespace wastesim
@@ -42,22 +31,8 @@ namespace wastesim
 class Network
 {
   public:
-    /** How cross-domain deliveries are scheduled. */
-    enum class CrossMode
-    {
-        Staged, //!< park in the outbox; the driver injects at syncs
-        Direct, //!< schedule into the destination queue immediately
-    };
-
-    /** Serial (single-domain) network: the historical constructor. */
     Network(EventQueue &eq, TrafficRecorder &traffic,
             Tick link_latency = 3, Topology topo = Topology{});
-
-    /** Multi-domain network: one queue and recorder per domain. */
-    Network(const DomainLayout &layout,
-            std::vector<EventQueue *> eqs,
-            std::vector<TrafficRecorder *> traffic,
-            Tick link_latency, Topology topo);
 
     /** Register the handler for endpoint @p ep. */
     void
@@ -88,23 +63,6 @@ class Network
      */
     void deliverAfter(Tick delay, Message msg);
 
-    /** The active thread's domain (0 in serial runs). */
-    static unsigned currentDomain();
-    /** Bind this thread to accounting domain @p d. */
-    static void setCurrentDomain(unsigned d);
-
-    /** Select how cross-domain deliveries are scheduled. */
-    void setCrossMode(CrossMode m) { crossMode_ = m; }
-
-    /**
-     * Inject every staged message destined for domain @p dst into its
-     * queue, in canonical key order.  Single-threaded (sync points).
-     */
-    void injectStaged(unsigned dst);
-
-    /** Messages currently parked in staging outboxes. */
-    std::size_t stagedCount() const;
-
     /** Per-word data flit-hop share for a delivered message. */
     static double
     perWordFlitHops(const Message &msg)
@@ -112,18 +70,11 @@ class Network
         return msg.hops / static_cast<double>(wordsPerFlit);
     }
 
-    /** Messages sent so far (all domains). */
-    std::uint64_t messagesSent() const;
-
-    /** Messages sent by domain @p d (epoch snapshots). */
-    std::uint64_t
-    messagesSentDomain(unsigned d) const
-    {
-        return ctxs_[d].msgsSent;
-    }
+    /** Messages sent so far. */
+    std::uint64_t messagesSent() const { return msgsSent_; }
 
     /** Total flit-hops injected (conservation reference). */
-    double rawFlitHops() const;
+    double rawFlitHops() const { return traffic_.rawFlitHops(); }
 
     Tick linkLatency() const { return linkLatency_; }
 
@@ -135,7 +86,13 @@ class Network
      * Flits that crossed the directed link from tile @p a to adjacent
      * tile @p b (XY routing); @p a == @p b gives the ejection link.
      */
-    std::uint64_t linkFlits(NodeId a, NodeId b) const;
+    std::uint64_t
+    linkFlits(NodeId a, NodeId b) const
+    {
+        return linkFlits_[static_cast<std::size_t>(a) *
+                              topo_.numTiles() +
+                          b];
+    }
 
     /** Most-loaded link (hotspot detection). */
     std::uint64_t maxLinkFlits() const;
@@ -150,68 +107,49 @@ class Network
      * conservation invariant compares it against totalLinkFlits(),
      * which must account for exactly the same flits.
      */
-    std::uint64_t flitHopsCharged() const;
+    std::uint64_t flitHopsCharged() const { return flitHopsCharged_; }
 
-    /** Message-pool occupancy, summed over domains (steady-state
-     *  invariant: after a run drains, every slot is free-listed). */
-    std::size_t msgPoolSlots() const;
-    std::size_t msgPoolFreeSlots() const;
+    /** Message-pool occupancy (steady-state invariant: after a run
+     *  drains, every slot is back on the free list). */
+    std::size_t msgPoolSlots() const { return msgPool_.size(); }
+    std::size_t msgPoolFreeSlots() const { return msgFree_.size(); }
 
-    /** Directed link-flit matrix summed over domains (src * numTiles
-     *  + dst); snapshot source for the per-window heatmap dump. */
-    std::vector<std::uint64_t> linkFlitsSnapshot() const;
+    /** The directed link-flit matrix (src * numTiles + dst); snapshot
+     *  source for the per-window heatmap dump. */
+    const std::vector<std::uint64_t> &
+    linkFlitsSnapshot() const
+    {
+        return linkFlits_;
+    }
 
   private:
-    /** One domain's accounting state. */
-    struct Ctx
-    {
-        EventQueue *eq = nullptr;
-        TrafficRecorder *traffic = nullptr;
-        std::uint64_t msgsSent = 0;
-        std::uint64_t flitHopsCharged = 0;
-        /** Directed per-link flit counters, indexed a*numTiles+b. */
-        std::vector<std::uint64_t> linkFlits;
-        /** In-flight message pool: slots recycled through a free
-         *  list so steady-state sends perform no allocation. */
-        std::vector<Message> pool;
-        std::vector<std::uint32_t> free;
-    };
+    /** Park @p msg in the free-list-recycled pool. @return its slot. */
+    std::uint32_t poolAcquire(Message &&msg);
 
-    /** One staged cross-domain delivery. */
-    struct Staged
-    {
-        EventKey key;
-        std::uint16_t dstTile;
-        Message msg;
-    };
+    /** Move the message out of @p idx and recycle the slot. */
+    Message poolRelease(std::uint32_t idx);
 
-    Ctx &ctx() { return ctxs_[currentDomain()]; }
-
-    /** Park @p msg in @p c's pool. @return its slot. */
-    std::uint32_t poolAcquire(Ctx &c, Message &&msg);
-
-    /** Move the message out of @p c's slot @p idx and recycle it. */
-    Message poolRelease(Ctx &c, std::uint32_t idx);
-
-    /** Schedule delivery of pooled message @p idx of domain @p dom's
-     *  ctx into that domain's queue under @p key. */
-    void scheduleDelivery(unsigned dom, const EventKey &key,
-                          std::uint16_t dst_tile, std::uint32_t idx);
+    /** Schedule delivery of @p msg to its handler at @p when. */
+    void deliverAt(Tick when, Message &&msg);
 
     /** Handler registered for @p msg's destination (panics if none). */
     MessageHandler *handlerFor(const Message &msg) const;
 
-    DomainLayout layout_;
+    EventQueue &eq_;
+    TrafficRecorder &traffic_;
     Tick linkLatency_;
     Topology topo_;
     Mesh mesh_;
-    CrossMode crossMode_ = CrossMode::Direct;
+    std::uint64_t msgsSent_ = 0;
+    std::uint64_t flitHopsCharged_ = 0;
     std::vector<MessageHandler *> handlers_;
-    std::vector<Ctx> ctxs_;
-    /** outbox_[src * domains + dst]: staged cross-domain sends. */
-    std::vector<std::vector<Staged>> outbox_;
-    /** Injection scratch (reused across syncs). */
-    std::vector<Staged> gather_;
+    /** Directed per-link flit counters, indexed a*numTiles+b. */
+    std::vector<std::uint64_t> linkFlits_;
+
+    /** In-flight message pool: slots recycled through a free list so
+     *  steady-state sends perform no allocation. */
+    std::vector<Message> msgPool_;
+    std::vector<std::uint32_t> msgFree_;
 };
 
 } // namespace wastesim

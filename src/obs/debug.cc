@@ -94,15 +94,9 @@ setFlags(const std::string &csv, std::string *err)
 namespace
 {
 
-thread_local std::string *tlsBuf = nullptr;
-
 void
 emit(const std::string &line)
 {
-    if (tlsBuf) {
-        *tlsBuf += line;
-        return;
-    }
     if (sink) {
         sink(line);
         return;
@@ -127,12 +121,6 @@ vformat(const char *fmt, va_list ap)
 }
 
 } // namespace
-
-void
-setThreadBuffer(std::string *buf)
-{
-    tlsBuf = buf;
-}
 
 void
 print(const Flag &f, Tick now, const char *fmt, ...)

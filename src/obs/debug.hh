@@ -80,15 +80,6 @@ inWindow(Tick now)
  */
 extern std::function<void(const std::string &)> sink;
 
-/**
- * Route this thread's trace lines into @p buf instead of the sink
- * (nullptr restores direct emission).  The parallel kernel gives each
- * domain thread a private buffer during a round and replays the
- * buffers in domain order at the next synchronization point, so
- * concurrent rounds never interleave partial lines.
- */
-void setThreadBuffer(std::string *buf);
-
 /** Emit one trace line for @p f at sim time @p now (window-gated). */
 void print(const Flag &f, Tick now, const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));

@@ -1,7 +1,6 @@
 #include "profile/mem_profiler.hh"
 
 #include "common/log.hh"
-#include "sim/domain.hh"
 
 namespace wastesim
 {
@@ -9,65 +8,32 @@ namespace wastesim
 InstId
 MemProfiler::create(Addr word_num, bool present_in_l2)
 {
-    panic_if(par_, "serial create() in a parallel run");
-    auto &arena = arenas_[0];
-    panic_if(arena.size() >= slotMask, "instance id space exhausted");
-    InstId id = static_cast<InstId>(arena.size());
-    arena.push_back(Rec{WasteCat::Unclassified, 0, word_num,
+    panic_if(recs_.size() >= maxInstances, "instance id space exhausted");
+    const InstId id = static_cast<InstId>(recs_.size());
+    recs_.push_back(Rec{WasteCat::Unclassified, 0, word_num,
                         invalidInst, invalidInst});
     if (present_in_l2) {
         // Fig. 4.3: memory sends (A, I) while A is present in the L2.
-        arena[id].cat = WasteCat::Fetch;
+        recs_[id].cat = WasteCat::Fetch;
     }
     // Push onto the word's live-instance list.
     InstId &head =
         byAddr_.getOrDefault(word_num / wordsPerLine)
             .head[word_num % wordsPerLine];
     if (head != invalidInst) {
-        rec(id).nextSame = head;
-        rec(head).prevSame = id;
+        recs_[id].nextSame = head;
+        recs_[head].prevSame = id;
     }
     head = id;
     return id;
 }
 
-InstId
-MemProfiler::createShadowed(Addr word_num)
-{
-    panic_if(!par_, "createShadowed() outside a parallel run");
-    const unsigned d = currentDomain();
-    auto &arena = arenas_[d];
-    panic_if(arena.size() >= slotMask, "instance id space exhausted");
-    const InstId id = (static_cast<InstId>(d) << domainShift) |
-                      static_cast<InstId>(arena.size());
-    arena.push_back(Rec{WasteCat::Unclassified, 0, word_num,
-                        invalidInst, invalidInst});
-    if (direct_)
-        createApply(id, word_num);
-    else
-        jput(Op::Create, id, word_num);
-    return id;
-}
-
 void
-MemProfiler::createApply(InstId id, Addr word_num)
+MemProfiler::dropRef(InstId id, bool invalidated)
 {
-    if (shadowPresent(word_num))
-        rec(id).cat = WasteCat::Fetch;
-    InstId &head =
-        byAddr_.getOrDefault(word_num / wordsPerLine)
-            .head[word_num % wordsPerLine];
-    if (head != invalidInst) {
-        rec(id).nextSame = head;
-        rec(head).prevSame = id;
-    }
-    head = id;
-}
-
-void
-MemProfiler::dropApply(InstId id, bool invalidated)
-{
-    Rec &r = rec(id);
+    if (id == invalidInst)
+        return;
+    Rec &r = recs_[id];
     panic_if(r.refs == 0, "dropRef on instance with zero refs");
     if (--r.refs == 0) {
         if (r.cat == WasteCat::Unclassified)
@@ -75,9 +41,9 @@ MemProfiler::dropApply(InstId id, bool invalidated)
                                 : WasteCat::Evict;
         // Unlink from the word's live-instance list.
         if (r.nextSame != invalidInst)
-            rec(r.nextSame).prevSame = r.prevSame;
+            recs_[r.nextSame].prevSame = r.prevSame;
         if (r.prevSame != invalidInst) {
-            rec(r.prevSame).nextSame = r.nextSame;
+            recs_[r.prevSame].nextSame = r.nextSame;
         } else if (LineHeads *lh =
                        byAddr_.find(r.wordNum / wordsPerLine)) {
             InstId &head = lh->head[r.wordNum % wordsPerLine];
@@ -88,137 +54,14 @@ MemProfiler::dropApply(InstId id, bool invalidated)
     }
 }
 
-void
-MemProfiler::storeApply(Addr word_num)
-{
-    const LineHeads *lh = byAddr_.find(word_num / wordsPerLine);
-    if (!lh)
-        return;
-    for (InstId id = lh->head[word_num % wordsPerLine];
-         id != invalidInst; id = rec(id).nextSame)
-        classify(id, WasteCat::Write);
-}
-
-void
-MemProfiler::markEpoch()
-{
-    // Parallel runs hit the epoch inside a merged serial episode (it
-    // directly follows a global barrier), so every arena is at its
-    // canonical size and this snapshot equals the serial one.
-    panic_if(journaling(), "markEpoch() outside merged execution");
-    for (std::size_t d = 0; d < arenas_.size(); ++d)
-        epochIdx_[d] = arenas_[d].size();
-    excessAtEpoch_ = excess_;
-}
-
-void
-MemProfiler::setParallel(std::vector<EventQueue *> eqs)
-{
-    panic_if(eqs.size() < 2 || eqs.size() > maxDomains,
-             "parallel profiler supports 2..%u domains", maxDomains);
-    panic_if(!arenas_[0].empty(), "setParallel() after instances exist");
-    par_ = true;
-    eqs_ = std::move(eqs);
-    arenas_.assign(eqs_.size(), {});
-    epochIdx_.assign(eqs_.size(), 0);
-    journals_.resize(eqs_.size());
-}
-
-void
-MemProfiler::setDirect(bool on)
-{
-    if (on && !direct_)
-        flushJournals();
-    direct_ = on;
-}
-
-void
-MemProfiler::jput(Op op, InstId id, Addr addr)
-{
-    const unsigned d = currentDomain();
-    journals_[d].push_back(
-        JEntry{eqs_[d]->currentKey(), op, id, addr});
-}
-
-void
-MemProfiler::apply(const JEntry &e)
-{
-    switch (e.op) {
-      case Op::Create:
-        createApply(e.id, e.addr);
-        break;
-      case Op::AddRef:
-        ++rec(e.id).refs;
-        break;
-      case Op::DropEvict:
-        dropApply(e.id, false);
-        break;
-      case Op::DropInval:
-        dropApply(e.id, true);
-        break;
-      case Op::Used:
-        classify(e.id, WasteCat::Used);
-        break;
-      case Op::Store:
-        storeApply(e.addr);
-        break;
-      case Op::Excess:
-        excess_ += e.id;
-        break;
-      case Op::PresSet:
-        shadow_.getOrDefault(e.addr).set(e.id);
-        break;
-      case Op::PresClear:
-        if (WordMask *m = shadow_.find(e.addr))
-            m->clear(e.id);
-        break;
-      case Op::PresClearLine:
-        if (WordMask *m = shadow_.find(e.addr))
-            *m = WordMask::none();
-        break;
-    }
-}
-
-void
-MemProfiler::flushJournals()
-{
-    if (!par_)
-        return;
-    // K-way merge by canonical key.  Each journal is key-sorted by
-    // construction (a domain appends in its execution order), and a
-    // key can appear in only one journal (an event executes in
-    // exactly one domain), so ops of one event stay contiguous and
-    // the merged order is the serial kernel's apply order.
-    const std::size_t n = journals_.size();
-    std::array<std::size_t, maxDomains> pos{};
-    for (;;) {
-        std::size_t best = n;
-        for (std::size_t d = 0; d < n; ++d) {
-            if (pos[d] >= journals_[d].size())
-                continue;
-            if (best == n ||
-                journals_[d][pos[d]].key < journals_[best][pos[best]].key)
-                best = d;
-        }
-        if (best == n)
-            break;
-        apply(journals_[best][pos[best]++]);
-    }
-    for (auto &j : journals_)
-        j.clear();
-}
-
 WasteCounts
 MemProfiler::finalize()
 {
     panic_if(finalized_, "MemProfiler finalized twice");
-    for (const auto &j : journals_)
-        panic_if(!j.empty(), "finalize() with unflushed journals");
     finalized_ = true;
-    for (auto &arena : arenas_)
-        for (auto &r : arena)
-            if (r.cat == WasteCat::Unclassified)
-                r.cat = WasteCat::Unevicted;
+    for (auto &r : recs_)
+        if (r.cat == WasteCat::Unclassified)
+            r.cat = WasteCat::Unevicted;
     return counts();
 }
 
@@ -226,26 +69,14 @@ WasteCounts
 MemProfiler::counts() const
 {
     WasteCounts c;
-    for (std::size_t d = 0; d < arenas_.size(); ++d) {
-        const auto &arena = arenas_[d];
-        for (std::size_t i = epochIdx_[d]; i < arena.size(); ++i) {
-            const Rec &r = arena[i];
-            WasteCat cat = r.cat == WasteCat::Unclassified
-                ? WasteCat::Unevicted : r.cat;
-            c[cat] += 1.0;
-        }
+    for (std::size_t i = epochStart_; i < recs_.size(); ++i) {
+        const Rec &r = recs_[i];
+        WasteCat cat = r.cat == WasteCat::Unclassified
+            ? WasteCat::Unevicted : r.cat;
+        c[cat] += 1.0;
     }
     c[WasteCat::Excess] += excess_ - excessAtEpoch_;
     return c;
-}
-
-std::size_t
-MemProfiler::numInstances() const
-{
-    std::size_t n = 0;
-    for (const auto &arena : arenas_)
-        n += arena.size();
-    return n;
 }
 
 } // namespace wastesim

@@ -17,21 +17,10 @@
  *  - copies still on-chip at the end of the run               -> Unevicted
  *  - read from DRAM but filtered at the MC (L2 Flex)          -> Excess
  *
- * The profiler is chip-global, which makes it the one piece of state
- * every domain of the parallel kernel touches.  Under multi-domain
- * execution each mutator therefore appends a journal entry stamped
- * with the executing event's canonical key instead of mutating the
- * record table; journals are merged and applied in key order at the
- * window synchronization points, which reproduces the serial kernel's
- * exact apply order.  Instance ids stay immediately available — each
- * domain allocates records from a private arena and the id carries a
- * 3-bit domain tag, so an id created inside a window can travel in a
- * message and be referenced by another domain's journal.  The MC's
- * was-it-present-in-L2 question is answered at apply time from a
- * shadow word-presence map maintained by journal entries the L2
- * slices emit at every validWords mutation (the oracle itself cannot
- * be consulted across domains mid-window).  During merged serial
- * episodes (and everywhere in single-domain runs) ops apply directly.
+ * Instance records are never recycled, so the arena grows with every
+ * word ever sent on-chip.  Ids are capped at maxInstances: a cell
+ * large enough to exceed it fails fast with a message instead of
+ * growing toward an out-of-memory kill.
  */
 
 #ifndef WASTESIM_PROFILE_MEM_PROFILER_HH
@@ -45,7 +34,6 @@
 #include "common/types.hh"
 #include "common/word_mask.hh"
 #include "profile/waste.hh"
-#include "sim/event_queue.hh"
 
 namespace wastesim
 {
@@ -54,8 +42,13 @@ namespace wastesim
 class MemProfiler
 {
   public:
+    /** Instance-id cap (about 12 GiB of records): create() panics
+     *  instead of growing the arena past it. */
+    static constexpr std::size_t maxInstances =
+        (std::size_t{1} << 29) - 1;
+
     /**
-     * The MC sends a freshly fetched word on-chip (serial path).
+     * The MC sends a freshly fetched word on-chip.
      *
      * @param word_num       global word number
      * @param present_in_l2  was the address already present in the
@@ -65,25 +58,13 @@ class MemProfiler
      */
     InstId create(Addr word_num, bool present_in_l2);
 
-    /**
-     * Parallel-mode create: the id (tagged with the executing
-     * domain) is handed out immediately; the Fetch-vs-fresh
-     * classification is resolved against the shadow presence map at
-     * the op's canonical position.
-     */
-    InstId createShadowed(Addr word_num);
-
     /** A cache installed a copy of instance @p id. */
     void
     addRef(InstId id)
     {
         if (id == invalidInst)
             return;
-        if (journaling()) {
-            jput(Op::AddRef, id, 0);
-            return;
-        }
-        ++rec(id).refs;
+        ++recs_[id].refs;
     }
 
     /**
@@ -92,17 +73,7 @@ class MemProfiler
      * @param invalidated true if the copy died to an invalidation,
      *                    false for an eviction/replacement
      */
-    void
-    dropRef(InstId id, bool invalidated)
-    {
-        if (id == invalidInst)
-            return;
-        if (journaling()) {
-            jput(invalidated ? Op::DropInval : Op::DropEvict, id, 0);
-            return;
-        }
-        dropApply(id, invalidated);
-    }
+    void dropRef(InstId id, bool invalidated);
 
     /** A core read a copy of instance @p id. */
     void
@@ -110,10 +81,6 @@ class MemProfiler
     {
         if (id == invalidInst)
             return;
-        if (journaling()) {
-            jput(Op::Used, id, 0);
-            return;
-        }
         classify(id, WasteCat::Used);
     }
 
@@ -124,86 +91,24 @@ class MemProfiler
     void
     storeAddr(Addr word_num)
     {
-        if (journaling()) {
-            jput(Op::Store, 0, word_num);
+        const LineHeads *lh = byAddr_.find(word_num / wordsPerLine);
+        if (!lh)
             return;
-        }
-        storeApply(word_num);
+        for (InstId id = lh->head[word_num % wordsPerLine];
+             id != invalidInst; id = recs_[id].nextSame)
+            classify(id, WasteCat::Write);
     }
 
     /** @p nwords were read from DRAM and dropped at the MC. */
-    void
-    excess(unsigned nwords)
-    {
-        if (journaling()) {
-            jput(Op::Excess, nwords, 0);
-            return;
-        }
-        excess_ += nwords;
-    }
+    void excess(unsigned nwords) { excess_ += nwords; }
 
     /** Begin the measurement window (warm-up excluded). */
-    void markEpoch();
-
-    // --- shadow presence hooks (L2/directory validWords mirror) ----
-    //
-    // No-ops in serial runs, where the MC queries the slice directly.
-
-    /** Word @p widx of line address @p la became valid in its home
-     *  slice. */
     void
-    presentSet(Addr la, unsigned widx)
+    markEpoch()
     {
-        if (!par_)
-            return;
-        if (journaling())
-            jput(Op::PresSet, widx, la / bytesPerLine);
-        else
-            shadow_.getOrDefault(la / bytesPerLine).set(widx);
+        epochStart_ = recs_.size();
+        excessAtEpoch_ = excess_;
     }
-
-    /** Word @p widx of line address @p la became invalid in its home
-     *  slice. */
-    void
-    presentClear(Addr la, unsigned widx)
-    {
-        if (!par_)
-            return;
-        if (journaling())
-            jput(Op::PresClear, widx, la / bytesPerLine);
-        else if (WordMask *m = shadow_.find(la / bytesPerLine))
-            m->clear(widx);
-    }
-
-    /** Line address @p la was invalidated in its home slice. */
-    void
-    presentClearLine(Addr la)
-    {
-        if (!par_)
-            return;
-        if (journaling())
-            jput(Op::PresClearLine, 0, la / bytesPerLine);
-        else if (WordMask *m = shadow_.find(la / bytesPerLine))
-            *m = WordMask::none();
-    }
-
-    // --- parallel-kernel control (System) --------------------------
-
-    /** Enable multi-domain operation: one journal per queue.  The
-     *  queues provide the canonical key of the executing event. */
-    void setParallel(std::vector<EventQueue *> eqs);
-
-    /** True when ops must go through createShadowed()/the shadow. */
-    bool parallelMode() const { return par_; }
-
-    /** Merged serial episodes apply ops directly (the coordinator
-     *  already executes in canonical order); pending journals are
-     *  flushed on entry. */
-    void setDirect(bool on);
-
-    /** Merge all domain journals and apply in canonical key order.
-     *  Call only at single-threaded synchronization points. */
-    void flushJournals();
 
     /** Close the run; returns word counts by category (incl. Excess). */
     WasteCounts finalize();
@@ -212,18 +117,12 @@ class MemProfiler
     WasteCounts counts() const;
 
     /** Number of instances created (words sent on-chip). */
-    std::size_t numInstances() const;
+    std::size_t numInstances() const { return recs_.size(); }
 
     /** On-chip copies of instance @p id (testing hook). */
-    unsigned refs(InstId id) const { return crec(id).refs; }
+    unsigned refs(InstId id) const { return recs_[id].refs; }
 
   private:
-    /** Instance ids carry the creating domain in their top bits so
-     *  every domain can allocate without coordination. */
-    static constexpr unsigned domainShift = 29;
-    static constexpr InstId slotMask = (InstId{1} << domainShift) - 1;
-    static constexpr unsigned maxDomains = 8;
-
     struct Rec
     {
         WasteCat cat = WasteCat::Unclassified;
@@ -235,62 +134,12 @@ class MemProfiler
         InstId nextSame = invalidInst;
     };
 
-    enum class Op : std::uint8_t
-    {
-        Create,
-        AddRef,
-        DropEvict,
-        DropInval,
-        Used,
-        Store,
-        Excess,        //!< id = word count
-        PresSet,       //!< id = word index, addr = line
-        PresClear,     //!< id = word index, addr = line
-        PresClearLine, //!< addr = line
-    };
-
-    struct JEntry
-    {
-        EventKey key;
-        Op op;
-        InstId id;
-        Addr addr;
-    };
-
-    Rec &
-    rec(InstId id)
-    {
-        return arenas_[id >> domainShift][id & slotMask];
-    }
-
-    const Rec &
-    crec(InstId id) const
-    {
-        return arenas_[id >> domainShift][id & slotMask];
-    }
-
     void
     classify(InstId id, WasteCat cat)
     {
-        Rec &r = rec(id);
+        Rec &r = recs_[id];
         if (r.cat == WasteCat::Unclassified)
             r.cat = cat;
-    }
-
-    bool journaling() const { return par_ && !direct_; }
-
-    void jput(Op op, InstId id, Addr addr);
-
-    void createApply(InstId id, Addr word_num);
-    void dropApply(InstId id, bool invalidated);
-    void storeApply(Addr word_num);
-    void apply(const JEntry &e);
-
-    bool
-    shadowPresent(Addr word_num) const
-    {
-        const WordMask *m = shadow_.find(word_num / wordsPerLine);
-        return m && m->test(word_num % wordsPerLine);
     }
 
     /** Per-word live-instance list heads for one cache line (one
@@ -301,22 +150,13 @@ class MemProfiler
         std::array<InstId, wordsPerLine> head;
     };
 
-    /** Instance records; arena 0 doubles as the serial table. */
-    std::vector<std::vector<Rec>> arenas_ =
-        std::vector<std::vector<Rec>>(1);
-    std::vector<std::size_t> epochIdx_ = std::vector<std::size_t>(1, 0);
+    std::vector<Rec> recs_;
+    std::size_t epochStart_ = 0;
     /** line number -> per-word instance list heads. */
     FlatMap<LineHeads> byAddr_;
     double excess_ = 0;
     double excessAtEpoch_ = 0;
     bool finalized_ = false;
-
-    bool par_ = false;
-    bool direct_ = false;
-    std::vector<EventQueue *> eqs_;
-    std::vector<std::vector<JEntry>> journals_;
-    /** Mirror of every home slice's validWords (parallel only). */
-    FlatMap<WordMask> shadow_;
 };
 
 } // namespace wastesim

@@ -288,7 +288,6 @@ DenovoL2::handleMemData(Message &msg)
             }
             if (!cl->validWords.test(w)) {
                 cl->validWords.set(w);
-                memProf_.presentSet(la, w);
                 cl->memRef[w] = chunk.memRef[w];
                 memProf_.addRef(chunk.memRef[w]);
             }
@@ -342,7 +341,6 @@ DenovoL2::applyRegistration(CacheLine &cl, CoreId req, WordMask mask)
                 cl.memRef[w] = invalidInst;
             }
             cl.validWords.clear(w);
-            memProf_.presentClear(cl.line, w);
             cl.dirtyWords.clear(w);
         }
         cl.regOwner[w] = req;
@@ -462,7 +460,6 @@ DenovoL2::handleWb(Message &msg)
             syncBloom(*cl);
             if (cl->validWords.empty() && cl->dirtyWords.empty() &&
                 cl->registeredMask().empty() && !cl->busy) {
-                memProf_.presentClearLine(la);
                 array_.invalidate(*cl);
             }
         }
@@ -479,7 +476,6 @@ DenovoL2::handleWb(Message &msg)
                     continue;
                 prof_.arriveUntracked(wordNumber(la) + w);
                 cl->validWords.set(w);
-                memProf_.presentSet(la, w);
                 cl->dirtyWords.set(w);
                 cl->memRef[w] = invalidInst;
             }
@@ -551,7 +547,6 @@ DenovoL2::handleWb(Message &msg)
                 prof_.arriveUntracked(wn);
             }
             cl->validWords.set(w);
-            memProf_.presentSet(la, w);
             cl->dirtyWords.set(w);
             cl->regOwner[w] = invalidNode;
         }
@@ -662,7 +657,6 @@ DenovoL2::finishVictim(Addr victim_line)
     }
     if (cl->inBloom)
         bloom_.remove(victim_line);
-    memProf_.presentClearLine(victim_line);
     array_.invalidate(*cl);
 }
 

@@ -100,7 +100,6 @@ MesiDir::installWords(const Message &msg, CacheLine &cl,
                     memProf_.dropRef(cl.memRef[w], false);
                 }
                 cl.validWords.set(w);
-                memProf_.presentSet(cl.line, w);
                 cl.memRef[w] = chunk.memRef[w];
                 memProf_.addRef(chunk.memRef[w]);
             }
@@ -460,7 +459,6 @@ MesiDir::finishVictim(Addr victim_line)
         if (cl->memRef[w] != invalidInst)
             memProf_.dropRef(cl->memRef[w], false);
     }
-    memProf_.presentClearLine(victim_line);
     array_.invalidate(*cl);
 }
 

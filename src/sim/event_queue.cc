@@ -30,8 +30,7 @@ EventQueue::recycle(std::uint32_t idx)
 }
 
 std::uint32_t
-EventQueue::prepareEntry(Tick when, Tick sched_tick, std::uint16_t src,
-                         std::uint64_t seq, std::uint16_t tile)
+EventQueue::prepareEntry(Tick when, std::uint16_t tile)
 {
     panic_if(when < now_, "scheduling event in the past (%llu < %llu)",
              static_cast<unsigned long long>(when),
@@ -40,58 +39,22 @@ EventQueue::prepareEntry(Tick when, Tick sched_tick, std::uint16_t src,
     const std::uint32_t idx = allocEntry();
     Entry &e = pool_[idx];
     e.when = when;
-    e.schedTick = sched_tick;
-    e.seq = seq;
-    e.src = src;
+    e.schedTick = now_;
+    e.seq = nextSeq_++;
+    e.src = curTile_;
     e.tile = tile;
     e.next = nil;
     return idx;
 }
 
 void
-EventQueue::requeueDrain()
-{
-    // A schedule landed below the open drain's tick.  That is only
-    // possible between parallel rounds: a round can stop with a drain
-    // suspended above now_, and the next sync may legally inject
-    // staged cross-domain keys earlier than the suspended tick.  The
-    // drain fast path assumes nothing is pending below it, so push the
-    // un-executed drain entries back into their wheel slot and close
-    // the drain; selection falls back to pure key order and the slot
-    // re-sorts when its tick becomes current again.
-    const std::size_t slot = drainTick_ & wheelMask;
-    Bucket &b = wheel_[slot];
-    for (std::size_t i = drainPos_; i < drainVec_.size(); ++i) {
-        const std::uint32_t idx = drainVec_[i].idx;
-        pool_[idx].next = nil;
-        if (b.head == nil) {
-            b.head = b.tail = idx;
-            occupied_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
-        } else {
-            pool_[b.tail].next = idx;
-            b.tail = idx;
-        }
-        ++wheelPending_;
-    }
-    if (wheelPending_ > 0 && drainTick_ < wheelHint_)
-        wheelHint_ = drainTick_;
-    drainActive_ = false;
-    drainVec_.clear();
-    drainPos_ = 0;
-}
-
-void
 EventQueue::commitEntry(std::uint32_t idx, Tick when)
 {
-    if (drainActive_ && when < drainTick_)
-        requeueDrain();
     if (drainActive_ && when == drainTick_) {
         // Same-tick schedule while that tick is draining: insert at
         // the canonical position, clamped to "next" so an event never
         // lands behind the drain cursor (it cannot execute before its
-        // own creator).  The clamp depends only on canonical
-        // execution state, so every partitioning resolves it the same
-        // way.
+        // own creator).
         const Entry &e = pool_[idx];
         const DrainRef r{e.schedTick, e.seq, idx, e.src};
         auto it = std::lower_bound(drainVec_.begin() + drainPos_,
@@ -171,15 +134,16 @@ EventQueue::openDrain(std::uint32_t slot, Tick when)
 }
 
 int
-EventQueue::selectNext(std::uint32_t &idx_out, bool &from_overflow,
-                       Tick &when_out)
+EventQueue::selectNext(Tick limit, std::uint32_t &idx_out,
+                       bool &from_overflow)
 {
     for (;;) {
         if (drainActive_) {
             if (drainPos_ < drainVec_.size()) {
+                if (drainTick_ > limit)
+                    return 2;
                 idx_out = drainVec_[drainPos_].idx;
                 from_overflow = false;
-                when_out = drainTick_;
                 return 0;
             }
             drainActive_ = false;
@@ -199,13 +163,14 @@ EventQueue::selectNext(std::uint32_t &idx_out, bool &from_overflow,
         // earlier schedTick than any wheel entry: overflow first is
         // canonical order.
         if (ov_when <= wheel_when) {
-            if (ov_when == ~Tick(0))
-                return 1;
+            if (ov_when > limit)
+                return 2;
             idx_out = overflow_.front().idx;
             from_overflow = true;
-            when_out = ov_when;
             return 0;
         }
+        if (wheel_when > limit)
+            return 2;
         openDrain(slot, wheel_when);
     }
 }
@@ -217,7 +182,6 @@ EventQueue::execute(std::uint32_t idx)
     panic_if(e.when < now_, "executing event in the past (%llu < %llu)",
              static_cast<unsigned long long>(e.when),
              static_cast<unsigned long long>(now_));
-    curKey_ = EventKey{e.when, e.schedTick, e.src, e.seq};
     curTile_ = e.tile;
     now_ = e.when;
     // Move the callback out and recycle the record before invoking:
@@ -235,12 +199,9 @@ EventQueue::stepBounded(Tick limit)
 {
     std::uint32_t idx;
     bool from_overflow;
-    Tick when;
-    const int r = selectNext(idx, from_overflow, when);
+    const int r = selectNext(limit, idx, from_overflow);
     if (r != 0)
         return r;
-    if (when > limit)
-        return 2;
 
     if (from_overflow) {
         std::pop_heap(overflow_.begin(), overflow_.end(),
@@ -251,19 +212,6 @@ EventQueue::stepBounded(Tick limit)
     }
     execute(idx);
     return 0;
-}
-
-bool
-EventQueue::nextKey(EventKey &out)
-{
-    std::uint32_t idx;
-    bool from_overflow;
-    Tick when;
-    if (selectNext(idx, from_overflow, when) != 0)
-        return false;
-    const Entry &e = pool_[idx];
-    out = EventKey{e.when, e.schedTick, e.src, e.seq};
-    return true;
 }
 
 bool
@@ -283,23 +231,6 @@ EventQueue::run(Tick limit)
             return true;
           case 2:
             now_ = limit;
-            return false;
-        }
-    }
-}
-
-bool
-EventQueue::runWindow(Tick bound, const bool *stop)
-{
-    for (;;) {
-        switch (stepBounded(bound - 1)) {
-          case 0:
-            if (stop && *stop)
-                return false;
-            break;
-          case 1:
-            return true;
-          case 2:
             return false;
         }
     }
@@ -341,7 +272,6 @@ EventQueue::reset()
     executed_ = 0;
     wheelHint_ = 0;
     curTile_ = 0;
-    curKey_ = EventKey{};
 }
 
 std::size_t

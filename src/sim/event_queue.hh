@@ -8,15 +8,10 @@
  *
  * where `schedTick` is the tick the event was scheduled at, `srcTile`
  * is the tile whose component was executing when it was scheduled,
- * and `srcSeq` is that source queue's monotone scheduling counter.
- * The key is independent of how the mesh is partitioned into event
- * queues: a single-queue (serial) run and a multi-queue (parallel
- * domain) run of the same simulation execute the exact same event
- * interleaving, which is what makes the parallel kernel's results
- * provably byte-identical to the serial kernel's for every domain
- * count.  (Two events scheduled by the same tile compare by seq from
- * the same queue — a tile executes in exactly one domain — so per
- * queue counters never need to be comparable across queues.)
+ * and `srcSeq` is the queue's monotone scheduling counter.  Same-tick
+ * events therefore run grouped by the tile that scheduled them rather
+ * than in plain scheduling order; every golden result (sweep cache,
+ * report snapshots, fuzz corpus CRCs) was generated under this order.
  *
  * The kernel is allocation-free in steady state.  Event records live
  * in a free-list-recycled arena and are indexed, never pointed to, so
@@ -53,28 +48,7 @@
 namespace wastesim
 {
 
-/** Canonical, partition-independent event ordering key. */
-struct EventKey
-{
-    Tick when = 0;          //!< execution tick
-    Tick schedTick = 0;     //!< tick the event was scheduled at
-    std::uint16_t src = 0;  //!< tile executing when it was scheduled
-    std::uint64_t seq = 0;  //!< source queue scheduling counter
-
-    friend bool
-    operator<(const EventKey &a, const EventKey &b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.schedTick != b.schedTick)
-            return a.schedTick < b.schedTick;
-        if (a.src != b.src)
-            return a.src < b.src;
-        return a.seq < b.seq;
-    }
-};
-
-/** The event-driven simulation kernel (one per mesh domain). */
+/** The event-driven simulation kernel. */
 class EventQueue
 {
   public:
@@ -112,31 +86,10 @@ class EventQueue
     void
     scheduleFor(Tick when, std::uint16_t tile, F &&cb)
     {
-        const std::uint32_t idx =
-            prepareEntry(when, now_, curTile_, nextSeq_++, tile);
+        const std::uint32_t idx = prepareEntry(when, tile);
         pool_[idx].cb = std::forward<F>(cb);
         commitEntry(idx, when);
     }
-
-    /**
-     * Schedule with an explicit canonical key: cross-domain staged
-     * deliveries carry the key assigned by the *source* queue at send
-     * time (see allocSeq()) so they land in the destination queue at
-     * their canonical position.
-     */
-    template <typename F>
-    void
-    scheduleKeyed(const EventKey &key, std::uint16_t tile, F &&cb)
-    {
-        const std::uint32_t idx =
-            prepareEntry(key.when, key.schedTick, key.src, key.seq, tile);
-        pool_[idx].cb = std::forward<F>(cb);
-        commitEntry(idx, key.when);
-    }
-
-    /** Reserve a scheduling sequence number (staged sends draw their
-     *  key's seq from the source queue without filing an entry). */
-    std::uint64_t allocSeq() { return nextSeq_++; }
 
     /** Tile context for events scheduled outside any event (root
      *  events such as core starts). */
@@ -144,25 +97,6 @@ class EventQueue
 
     /** Tile of the currently executing event. */
     std::uint16_t contextTile() const { return curTile_; }
-
-    /** Canonical key of the currently executing event (journal
-     *  stamping). */
-    const EventKey &currentKey() const { return curKey_; }
-
-    /**
-     * Peek the canonical key of the earliest pending event without
-     * executing it.  @return false when the queue is empty.
-     */
-    bool nextKey(EventKey &out);
-
-    /** Advance time without executing (barrier releases observed from
-     *  another domain's event; never moves backwards). */
-    void
-    setNow(Tick t)
-    {
-        if (t > now_)
-            now_ = t;
-    }
 
     /** Number of pending events. */
     std::size_t pending() const { return pending_; }
@@ -181,16 +115,6 @@ class EventQueue
      * @return true if the queue drained, false if the limit was hit.
      */
     bool run(Tick limit = ~Tick(0));
-
-    /**
-     * Parallel-round execution: run every event with when < @p bound,
-     * stopping early (after the current event) once @p *stop turns
-     * true.  Does not advance now_ to the bound — between rounds the
-     * clock rests on the last executed event.
-     *
-     * @return true if the queue drained entirely.
-     */
-    bool runWindow(Tick bound, const bool *stop);
 
     /** Execute at most one event. @return false if queue empty. */
     bool step();
@@ -278,9 +202,7 @@ class EventQueue
     void recycle(std::uint32_t idx);
 
     /** Validate @p when, pull a record, stamp key + context tile. */
-    std::uint32_t prepareEntry(Tick when, Tick sched_tick,
-                               std::uint16_t src, std::uint64_t seq,
-                               std::uint16_t tile);
+    std::uint32_t prepareEntry(Tick when, std::uint16_t tile);
 
     /** File the prepared record into the wheel or the overflow heap. */
     void commitEntry(std::uint32_t idx, Tick when);
@@ -292,19 +214,18 @@ class EventQueue
     /** Pull bucket @p slot's chain into drainVec_, sorted by key. */
     void openDrain(std::uint32_t slot, Tick when);
 
-    /** Push un-executed drain entries back into their wheel slot and
-     *  close the drain (a schedule landed below the drain tick). */
-    void requeueDrain();
-
-    /** Execute the arena record @p idx (stamps now_/curKey_). */
+    /** Execute the arena record @p idx (stamps now_/curTile_). */
     void execute(std::uint32_t idx);
 
     /**
-     * Locate the earliest pending event.  Opens the drain vector when
-     * the wheel is next.  @return 0 found (out set), 1 queue empty.
+     * Locate the earliest pending event if its tick is <= @p limit.
+     * Opens the drain vector when the wheel is next; a drain is only
+     * opened for a tick about to execute, so nothing can later be
+     * scheduled below it.  @return 0 found (out set), 1 queue empty,
+     * 2 earliest event beyond @p limit.
      */
-    int selectNext(std::uint32_t &idx_out, bool &from_overflow,
-                   Tick &when_out);
+    int selectNext(Tick limit, std::uint32_t &idx_out,
+                   bool &from_overflow);
 
     /** Execute the earliest event if its tick is <= @p limit.
      *  @return 0 executed, 1 queue empty, 2 event beyond limit. */
@@ -320,7 +241,6 @@ class EventQueue
     Tick wheelHint_ = 0;
 
     std::uint16_t curTile_ = 0;
-    EventKey curKey_{};
 
     /** Drain state for the tick currently executing from the wheel. */
     bool drainActive_ = false;

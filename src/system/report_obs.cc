@@ -70,13 +70,6 @@ walkRates(const JsonValue &v, const std::string &chain,
                 label += m->str;
             }
         }
-        // Parallel-kernel rows repeat a (protocol, benchmark, mesh)
-        // cell at several thread counts; fold the count into the
-        // label so they don't collapse to one keep-last entry.
-        const JsonValue *thr = v.find("threads");
-        if (thr && thr->isNumber() && !label.empty())
-            label += "/t" + std::to_string(
-                static_cast<long long>(thr->number));
         if (label.empty())
             label = chain.empty() ? "root" : chain;
         upsertRate(out, label, eps->number);

@@ -10,7 +10,6 @@
 
 #include "common/log.hh"
 #include "metrics/run_result_schema.hh"
-#include "system/kernel_threads.hh"
 #include "system/sweep_engine.hh"
 
 namespace wastesim
@@ -61,7 +60,7 @@ readRunResult(std::istream &is, RunResult &r)
 RunResult
 runOne(ProtocolName protocol, const Workload &wl, SimParams params)
 {
-    System sys(protocol, wl, params, cellThreads());
+    System sys(protocol, wl, params);
     return sys.run();
 }
 

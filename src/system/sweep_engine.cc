@@ -17,7 +17,6 @@
 #include "common/log.hh"
 #include "obs/debug.hh"
 #include "obs/timeline.hh"
-#include "system/kernel_threads.hh"
 
 namespace wastesim
 {
@@ -625,7 +624,6 @@ SweepEngine::run(CellCache &cache)
     if (progressMs_ != 0) {
         monitor = std::thread([&] {
             std::unique_lock<std::mutex> lk(progressMutex);
-            std::uint64_t prev_live = liveKernelEvents();
             while (!sweepDone) {
                 progressCv.wait_for(
                     lk, std::chrono::milliseconds(progressMs_));
@@ -633,15 +631,8 @@ SweepEngine::run(CellCache &cache)
                     break;
                 const double elapsed_us = now_us();
                 const double elapsed_s = elapsed_us / 1e6;
-                // Live events: in-flight parallel kernels publish
-                // per-domain executed totals at every window sync, so
-                // long cells count toward the rate while they run
-                // instead of appearing as a stall until completion.
-                const std::uint64_t live = liveKernelEvents();
-                const double eps = elapsed_s > 0
-                    ? (eventsDone + live) / elapsed_s : 0;
-                const bool live_advanced = live != prev_live;
-                prev_live = live;
+                const double eps =
+                    elapsed_s > 0 ? eventsDone / elapsed_s : 0;
                 std::string eta = "n/a";
                 if (completedCells > 0) {
                     // Completed cells per wall second already folds in
@@ -667,11 +658,6 @@ SweepEngine::run(CellCache &cache)
                     const double median_us = d[mid];
                     for (InFlight &f : inFlight) {
                         if (!f.active || f.warned)
-                            continue;
-                        // A parallel kernel that advanced its live
-                        // counter since the last heartbeat is making
-                        // progress — a big cell, not a stall.
-                        if (live_advanced)
                             continue;
                         const double run_us = elapsed_us - f.startUs;
                         if (run_us > 4 * median_us) {

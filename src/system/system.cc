@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <memory>
 
 #include "common/log.hh"
-#include "obs/debug.hh"
 #include "obs/observer.hh"
-#include "sim/parallel.hh"
-#include "system/kernel_threads.hh"
 
 namespace wastesim
 {
@@ -37,38 +33,23 @@ System::System(ProtocolName protocol, const Workload &workload,
                SimParams params, unsigned threads)
     : protocolName_(protocol), cfg_(ProtocolConfig::make(protocol)),
       params_(std::move(params)), workload_(workload),
-      layout_(DomainLayout::rowBands(params_.topo, threads)),
       barrier_(params_.topo.numTiles())
 {
     const Topology &topo = params_.topo;
     const unsigned tiles = topo.numTiles();
-    const unsigned D = layout_.count;
 
+    fatal_if(threads != 1,
+             "System: %u event-kernel threads requested; the kernel "
+             "is serial (threads must be 1)",
+             threads);
     fatal_if(workload_.numCores() != tiles,
              "workload '%s' drives %u cores but the active topology "
              "%s has %u tiles",
              workload_.name().c_str(), workload_.numCores(),
              topo.describe().c_str(), tiles);
 
-    for (unsigned d = 0; d < D; ++d) {
-        eqs_.push_back(std::make_unique<EventQueue>());
-        traffics_.push_back(std::make_unique<TrafficRecorder>());
-    }
-    std::vector<EventQueue *> qs;
-    std::vector<TrafficRecorder *> ts;
-    for (unsigned d = 0; d < D; ++d) {
-        qs.push_back(eqs_[d].get());
-        ts.push_back(traffics_[d].get());
-    }
-    net_ = std::make_unique<Network>(layout_, qs, ts,
+    net_ = std::make_unique<Network>(eq_, traffic_,
                                      params_.linkLatency, topo);
-    if (layout_.parallel())
-        memProf_.setParallel(qs);
-
-    // Queue owning each tile's components.
-    auto eqOf = [this](NodeId tile) -> EventQueue & {
-        return *eqs_[layout_.of(tile)];
-    };
 
     l1Profs_.reserve(tiles);
     l2Profs_.reserve(tiles);
@@ -82,35 +63,31 @@ System::System(ProtocolName protocol, const Workload &workload,
     if (cfg_.isMesi()) {
         for (unsigned i = 0; i < tiles; ++i) {
             mesiDirs_.push_back(std::make_unique<MesiDir>(
-                i, cfg_, params_, eqOf(i), *net_, l2Profs_[i],
-                memProf_));
+                i, cfg_, params_, eq_, *net_, l2Profs_[i], memProf_));
             net_->attach(l2Ep(i), mesiDirs_.back().get());
         }
         for (unsigned i = 0; i < tiles; ++i) {
             mesiL1s_.push_back(std::make_unique<MesiL1>(
-                i, cfg_, params_, eqOf(i), *net_, l1Profs_[i],
-                memProf_));
+                i, cfg_, params_, eq_, *net_, l1Profs_[i], memProf_));
             net_->attach(l1Ep(i), mesiL1s_.back().get());
             l1Ifaces_[i] = mesiL1s_.back().get();
         }
     } else {
         for (unsigned i = 0; i < tiles; ++i) {
             dnL2s_.push_back(std::make_unique<DenovoL2>(
-                i, cfg_, params_, eqOf(i), *net_, l2Profs_[i],
-                memProf_));
+                i, cfg_, params_, eq_, *net_, l2Profs_[i], memProf_));
             net_->attach(l2Ep(i), dnL2s_.back().get());
         }
         for (unsigned i = 0; i < tiles; ++i) {
             dnL1s_.push_back(std::make_unique<DenovoL1>(
-                i, cfg_, params_, eqOf(i), *net_, l1Profs_[i],
-                memProf_, workload_.regions()));
+                i, cfg_, params_, eq_, *net_, l1Profs_[i], memProf_,
+                workload_.regions()));
             net_->attach(l1Ep(i), dnL1s_.back().get());
             l1Ifaces_[i] = dnL1s_.back().get();
         }
     }
 
-    // Memory system: each controller (and its DRAM channel) lives on
-    // the domain of its host tile.
+    // Memory system.
     auto present = [this](Addr line, unsigned w) {
         const NodeId s = params_.topo.homeSlice(line);
         if (cfg_.isMesi())
@@ -121,46 +98,27 @@ System::System(ProtocolName protocol, const Workload &workload,
         DramMap map;
         map.timing = params_.dram;
         map.numChannels = topo.numMemCtrls();
-        EventQueue &mc_eq = eqOf(topo.memCtrlTile(c));
-        drams_.push_back(std::make_unique<DramChannel>(mc_eq, map, c));
+        drams_.push_back(std::make_unique<DramChannel>(eq_, map, c));
         mcs_.push_back(std::make_unique<MemoryController>(
-            c, mc_eq, *net_, *drams_.back(), memProf_, present));
+            c, eq_, *net_, *drams_.back(), memProf_, present));
         net_->attach(mcEp(c), mcs_.back().get());
     }
-
-    // Per-domain run bookkeeping.
-    lastDoneAt_.assign(D, 0);
-    coresDoneD_.assign(D, 0);
-    activeCores_.assign(D, 0);
-    waitingCores_.assign(D, 0);
-    stagedArrivals_.resize(D);
-    debugBuf_.resize(D);
-    domainStopTick_.assign(D, ~Tick(0));
-    stopFlags_ = std::make_unique<bool[]>(D);
-    for (unsigned d = 0; d < D; ++d)
-        stopFlags_[d] = false;
 
     // Cores.
     for (CoreId c = 0; c < tiles; ++c) {
         Core::Hooks hooks;
         hooks.onEpoch = [this] { onEpoch(); };
-        hooks.onDone = [this](CoreId id) {
-            const unsigned d = layout_.of(id);
-            ++coresDoneD_[d];
-            --activeCores_[d];
-            lastDoneAt_[d] = eqs_[d]->now();
+        hooks.onDone = [this](CoreId) {
+            ++coresDone_;
+            lastDone_ = eq_.now();
         };
         hooks.barrierInfo = [this](unsigned idx) -> const BarrierInfo & {
             return workload_.barriers().at(idx);
         };
-        ++activeCores_[layout_.of(c)];
         cores_.push_back(std::make_unique<Core>(
-            c, eqOf(c), *l1Ifaces_[c], barrier_, workload_.traces()[c],
+            c, eq_, *l1Ifaces_[c], barrier_, workload_.traces()[c],
             std::move(hooks)));
     }
-
-    if (layout_.parallel())
-        setupParallel();
 }
 
 System::~System()
@@ -172,234 +130,8 @@ System::~System()
 bool
 System::coresDone() const
 {
-    unsigned done = 0;
-    for (unsigned d : coresDoneD_)
-        done += d;
-    return done == params_.topo.numTiles();
+    return coresDone_ == params_.topo.numTiles();
 }
-
-// --- parallel-kernel plumbing ------------------------------------------
-
-void
-System::setupParallel()
-{
-    // Rounds run with cross-domain sends staged (merged episodes flip
-    // to Direct and back); the serial kernel stays on the Direct
-    // default, where every send is same-domain anyway.
-    net_->setCrossMode(Network::CrossMode::Staged);
-
-    // Barrier arrivals are routed: mid-window they are staged with
-    // their canonical key (the arriving event's key) and the domain's
-    // round is stopped once its last active core is waiting; sync
-    // points and merged execution replay them in key order through
-    // arriveDirect, so releases fire at exactly the serial position.
-    barrier_.setRouter([this](CoreId c, std::function<void()> rel) {
-        const unsigned d = layout_.of(c);
-        --activeCores_[d];
-        ++waitingCores_[d];
-        auto wrapped = wrapRelease(c, std::move(rel));
-        if (mergedActive_) {
-            pendingReleaseTick_ = eqs_[d]->now();
-            barrier_.arriveDirect(c, std::move(wrapped));
-            return;
-        }
-        stagedArrivals_[d].push_back(
-            {eqs_[d]->currentKey(), c, std::move(wrapped)});
-        if (activeCores_[d] == 0)
-            stopFlags_[d] = true;
-    });
-}
-
-std::function<void()>
-System::wrapRelease(CoreId c, std::function<void()> released)
-{
-    const unsigned d = layout_.of(c);
-    return [this, d, released = std::move(released)] {
-        ++activeCores_[d];
-        --waitingCores_[d];
-        lastReleaseTick_ = pendingReleaseTick_;
-        // The release executes inside the filling arrival's event,
-        // which may belong to another domain's queue: rebind the
-        // accounting domain and bring this domain's clock up to the
-        // release tick before the core's callback schedules anything.
-        setCurrentDomain(d);
-        eqs_[d]->setNow(pendingReleaseTick_);
-        released();
-    };
-}
-
-void
-System::enterDomain(unsigned d)
-{
-    setCurrentDomain(d);
-    debug::setThreadBuffer(&debugBuf_[d]);
-}
-
-void
-System::leaveDomain(unsigned d)
-{
-    (void)d;
-    debug::setThreadBuffer(nullptr);
-    setCurrentDomain(0);
-}
-
-const bool *
-System::stopFlag(unsigned d) const
-{
-    return &stopFlags_[d];
-}
-
-void
-System::flushDebugBuffers()
-{
-    // Trace lines buffered by concurrent rounds are replayed in
-    // domain order at each sync: per-domain streams stay internally
-    // ordered, but interleaving across domains is by domain, not key.
-    for (auto &buf : debugBuf_) {
-        if (buf.empty())
-            continue;
-        if (debug::sink)
-            debug::sink(buf);
-        else
-            std::fputs(buf.c_str(), stderr);
-        buf.clear();
-    }
-}
-
-void
-System::atSync(Tick frontier)
-{
-    const unsigned D = layout_.count;
-    for (unsigned d = 0; d < D; ++d)
-        stopFlags_[d] = false;
-    for (unsigned d = 0; d < D; ++d)
-        net_->injectStaged(d);
-    memProf_.flushJournals();
-    flushDebugBuffers();
-
-    for (auto &v : stagedArrivals_) {
-        for (auto &a : v)
-            pendingArrivals_.push_back(std::move(a));
-        v.clear();
-    }
-    if (!pendingArrivals_.empty()) {
-        std::sort(pendingArrivals_.begin() + pendingHead_,
-                  pendingArrivals_.end(),
-                  [](const StagedArrival &a, const StagedArrival &b) {
-                      return a.key < b.key;
-                  });
-        if (!needMerged()) {
-            // No domain is fully waiting, so these arrivals cannot
-            // fill the barrier (a fill needs every core waiting):
-            // apply them now, in key order, and resume rounds.
-            for (std::size_t i = pendingHead_;
-                 i < pendingArrivals_.size(); ++i) {
-                barrier_.arriveDirect(
-                    pendingArrivals_[i].core,
-                    std::move(pendingArrivals_[i].released));
-            }
-            pendingArrivals_.clear();
-            pendingHead_ = 0;
-        }
-    }
-
-    if (obs_ && obs_->cfg.sampleWindow != 0 &&
-        frontier >= nextSampleAt_) {
-        obs_->sampler.sample(frontier);
-        obs_->heatmapWindow(frontier);
-        nextSampleAt_ = frontier + obs_->cfg.sampleWindow;
-    }
-
-    // Publish per-domain progress for the sweep heartbeat.
-    std::uint64_t executed = 0;
-    for (const auto &q : eqs_)
-        executed += q->executed();
-    addLiveKernelEvents(static_cast<std::int64_t>(executed) -
-                        static_cast<std::int64_t>(liveReported_));
-    liveReported_ = executed;
-}
-
-bool
-System::needMerged() const
-{
-    for (unsigned d = 0; d < layout_.count; ++d) {
-        if (waitingCores_[d] > 0 && activeCores_[d] == 0)
-            return true;
-    }
-    return false;
-}
-
-void
-System::runMerged()
-{
-    const unsigned D = layout_.count;
-    mergedActive_ = true;
-    memProf_.setDirect(true);
-    net_->setCrossMode(Network::CrossMode::Direct);
-    for (unsigned d = 0; d < D; ++d) {
-        domainStopTick_[d] =
-            (waitingCores_[d] > 0 && activeCores_[d] == 0)
-                ? eqs_[d]->now()
-                : ~Tick(0);
-    }
-
-    // Execute all queues' events in global canonical key order, with
-    // the staged barrier arrivals participating as pseudo-events at
-    // their keys, until the episode resolves.  The episode extends
-    // one tick past the release so the epoch marker (scheduled right
-    // after a barrier) executes merged, at its exact serial position.
-    for (;;) {
-        unsigned best = D;
-        EventKey bk{};
-        for (unsigned d = 0; d < D; ++d) {
-            EventKey k;
-            if (eqs_[d]->nextKey(k) && (best == D || k < bk)) {
-                bk = k;
-                best = d;
-            }
-        }
-        const bool have_arr = pendingHead_ < pendingArrivals_.size();
-        if (!needMerged() && !have_arr &&
-            (best == D || bk.when > lastReleaseTick_ + 1)) {
-            break;
-        }
-        if (have_arr &&
-            (best == D || pendingArrivals_[pendingHead_].key < bk)) {
-            StagedArrival &a = pendingArrivals_[pendingHead_++];
-            pendingReleaseTick_ = a.key.when;
-            barrier_.arriveDirect(a.core, std::move(a.released));
-            continue;
-        }
-        if (best == D)
-            break; // drained (or deadlocked): the driver decides
-        setCurrentDomain(best);
-        eqs_[best]->step();
-    }
-    if (pendingHead_ == pendingArrivals_.size()) {
-        pendingArrivals_.clear();
-        pendingHead_ = 0;
-    }
-
-    setCurrentDomain(0);
-    net_->setCrossMode(Network::CrossMode::Staged);
-    memProf_.setDirect(false);
-    mergedActive_ = false;
-
-    if (obs_ && obs_->wantTimeline()) {
-        for (unsigned d = 0; d < D; ++d) {
-            if (domainStopTick_[d] == ~Tick(0))
-                continue;
-            const Tick start = domainStopTick_[d];
-            const Tick end = std::max(lastReleaseTick_, start);
-            obs_->timeline.complete(
-                "stalled", "merged episode",
-                static_cast<double>(start),
-                static_cast<double>(end - start), 0, 3000 + d);
-        }
-    }
-}
-
-// --- epoch --------------------------------------------------------------
 
 void
 System::onEpoch()
@@ -407,17 +139,9 @@ System::onEpoch()
     if (epochMarked_)
         return;
     epochMarked_ = true;
-    // In a parallel run the epoch marker must execute at its exact
-    // canonical position with all queues coherent; the benchmarks
-    // place it right after a global barrier, so it always lands in
-    // the merged episode the barrier resolution opened.
-    panic_if(layout_.parallel() && !mergedActive_,
-             "epoch marker outside merged execution (epochs must "
-             "follow a global barrier)");
-    epochStart_ = eqs_[currentDomain()]->now();
+    epochStart_ = eq_.now();
 
-    for (auto &t : traffics_)
-        t->markEpoch();
+    traffic_.markEpoch();
     memProf_.markEpoch();
     for (auto &p : l1Profs_)
         p.markEpoch();
@@ -458,9 +182,8 @@ System::run(Tick max_ticks)
     // runs and the simulation path is exactly the unobserved one.
     std::unique_ptr<SimObserver> obs_owner;
     if (obsConfig().active())
-        obs_owner = std::make_unique<SimObserver>(obsConfig(), *eqs_[0]);
+        obs_owner = std::make_unique<SimObserver>(obsConfig(), eq_);
     SimObserver *obs = obs_owner.get();
-    obs_ = obs;
     ScopedSimObserver scoped(obs);
     if (obs)
         registerObservables(*obs);
@@ -469,54 +192,28 @@ System::run(Tick max_ticks)
         c->start();
 
     bool drained;
-    if (layout_.parallel()) {
-        if (obs && obs->cfg.sampleWindow != 0) {
-            obs->sampler.setWindowTicks(obs->cfg.sampleWindow);
-            obs->sampler.begin(0);
-            obs->heatmapBegin(0);
-            nextSampleAt_ = obs->cfg.sampleWindow;
-        }
-        std::vector<EventQueue *> qs;
-        for (auto &q : eqs_)
-            qs.push_back(q.get());
-        WindowDriver driver(qs, params_.linkLatency, *this);
-        drained = driver.run(max_ticks);
-        rounds_ = driver.rounds();
-        mergedEpisodes_ = driver.mergedEpisodes();
-        // Withdraw this run's live-progress contribution: the caller
-        // now accounts its events as completed-cell work.
-        addLiveKernelEvents(-static_cast<std::int64_t>(liveReported_));
-        liveReported_ = 0;
-        if (obs && obs->cfg.sampleWindow != 0) {
-            Tick end = 0;
-            for (auto &q : eqs_)
-                end = std::max(end, q->now());
-            obs->sampler.sample(end);
-            obs->heatmapWindow(end);
-        }
-    } else if (obs && obs->cfg.sampleWindow != 0) {
+    if (obs && obs->cfg.sampleWindow != 0) {
         // Run the kernel window by window.  EventQueue::run(limit) is
         // exact-to-the-tick and nothing external schedules between
         // calls, so chaining runs is behaviorally identical to one
         // call — the event stream, and therefore every result, is
         // unchanged by sampling.
-        EventQueue &eq = *eqs_[0];
         const Tick w = obs->cfg.sampleWindow;
         obs->sampler.setWindowTicks(w);
-        obs->sampler.begin(eq.now());
-        obs->heatmapBegin(eq.now());
+        obs->sampler.begin(eq_.now());
+        obs->heatmapBegin(eq_.now());
         Tick window_end = w;
         for (;;) {
             const Tick stop = std::min(window_end, max_ticks);
-            drained = eq.run(stop);
-            obs->sampler.sample(eq.now());
-            obs->heatmapWindow(eq.now());
+            drained = eq_.run(stop);
+            obs->sampler.sample(eq_.now());
+            obs->heatmapWindow(eq_.now());
             if (drained || stop >= max_ticks)
                 break;
             window_end += w;
         }
     } else {
-        drained = eqs_[0]->run(max_ticks);
+        drained = eq_.run(max_ticks);
     }
     fatal_if(!drained, "simulation exceeded %llu ticks",
              static_cast<unsigned long long>(max_ticks));
@@ -536,35 +233,20 @@ System::run(Tick max_ticks)
     r.protocol = protocolName(protocolName_);
     r.benchmark = workload_.name();
 
-    // Per-domain recorders merge by memberwise sum: every bucket is a
-    // sum of quarter-flit charges (wordsPerFlit divides each one), so
-    // double addition is exact and order-free — the merged stats are
-    // byte-identical to the serial recorder's.
-    TrafficStats traffic{};
-    double raw_flit_hops = 0;
-    for (const auto &t : traffics_) {
-        traffic += t->stats();
-        raw_flit_hops += t->rawFlitHops();
-    }
-
     for (auto &p : l1Profs_)
-        r.l1Waste += p.finalize(traffic);
+        r.l1Waste += p.finalize(traffic_.stats());
     for (auto &p : l2Profs_)
-        r.l2Waste += p.finalize(traffic);
+        r.l2Waste += p.finalize(traffic_.stats());
     r.memWaste = memProf_.finalize();
-    r.traffic = traffic;
-    r.rawFlitHops = raw_flit_hops;
+    r.traffic = traffic_.stats();
+    r.rawFlitHops = traffic_.rawFlitHops();
 
     for (const auto &c : cores_)
         r.time += c->time();
-    Tick last_done = 0;
-    for (Tick t : lastDoneAt_)
-        last_done = std::max(last_done, t);
-    r.cycles = last_done - epochStart_;
+    r.cycles = lastDone_ - epochStart_;
 
     r.messages = net_->messagesSent() - msgsAtEpoch_;
-    for (const auto &q : eqs_)
-        r.eventsExecuted += q->executed();
+    r.eventsExecuted = eq_.executed();
     for (const auto &d : drams_) {
         r.dramReads += d->reads();
         r.dramWrites += d->writes();
@@ -657,7 +339,6 @@ System::run(Tick max_ticks)
                 obs->heatmapCsv());
         }
     }
-    obs_ = nullptr;
     return r;
 }
 
@@ -675,12 +356,6 @@ System::registerObservables(SimObserver &o)
                 "dram ch " + std::to_string(c));
         }
         o.timeline.threadName(0, 2000, "barrier");
-        if (layout_.parallel()) {
-            for (unsigned d = 0; d < layout_.count; ++d) {
-                o.timeline.threadName(0, 3000 + d,
-                                      "domain " + std::to_string(d));
-            }
-        }
     }
 
     if (!o.cfg.heatmapOut.empty()) {
@@ -701,23 +376,15 @@ System::registerObservables(SimObserver &o)
     s.add("noc.messages", cnt, MetricKind::U64, true, [net] {
         return static_cast<double>(net->messagesSent());
     });
-    s.add("queue.pending", "events", MetricKind::U64, false, [this] {
-        std::size_t v = 0;
-        for (const auto &q : eqs_)
-            v += q->pending();
-        return static_cast<double>(v);
+    EventQueue *eq = &eq_;
+    s.add("queue.pending", "events", MetricKind::U64, false, [eq] {
+        return static_cast<double>(eq->pending());
     });
-    s.add("queue.overflow", "events", MetricKind::U64, false, [this] {
-        std::size_t v = 0;
-        for (const auto &q : eqs_)
-            v += q->overflowSize();
-        return static_cast<double>(v);
+    s.add("queue.overflow", "events", MetricKind::U64, false, [eq] {
+        return static_cast<double>(eq->overflowSize());
     });
-    s.add("queue.executed", "events", MetricKind::U64, true, [this] {
-        std::uint64_t v = 0;
-        for (const auto &q : eqs_)
-            v += q->executed();
-        return static_cast<double>(v);
+    s.add("queue.executed", "events", MetricKind::U64, true, [eq] {
+        return static_cast<double>(eq->executed());
     });
 
     for (std::size_t c = 0; c < drams_.size(); ++c) {
@@ -860,10 +527,8 @@ System::probe() const
     }
     p.msgPoolSlots = net_->msgPoolSlots();
     p.msgPoolFree = net_->msgPoolFreeSlots();
-    for (const auto &q : eqs_) {
-        p.eqPending += q->pending();
-        p.eqOverflow += q->overflowSize();
-    }
+    p.eqPending = eq_.pending();
+    p.eqOverflow = eq_.overflowSize();
     p.linkFlitsTotal = net_->totalLinkFlits();
     p.flitHopsCharged = net_->flitHopsCharged();
     return p;

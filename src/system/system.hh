@@ -4,16 +4,6 @@
  * corner memory controllers with DRAM channels, the mesh network, the
  * waste profilers and the traffic recorder — assembled for one of the
  * nine protocol configurations and one workload.
- *
- * A System can run its event kernel on several threads: the mesh is
- * split into row-band domains (DomainLayout), each owning a private
- * EventQueue, traffic recorder and network accounting context, and the
- * WindowDriver executes conservative lookahead windows bounded by the
- * per-hop link latency.  Every event carries a canonical key that is
- * independent of the partitioning, cross-domain messages are injected
- * in key order at window boundaries, and the chip-global profiler and
- * barrier resolve through key-ordered journals — so a parallel run
- * produces byte-identical RunResults to the single-threaded kernel.
  */
 
 #ifndef WASTESIM_SYSTEM_SYSTEM_HH
@@ -35,9 +25,7 @@
 #include "protocol/denovo/denovo_l2.hh"
 #include "protocol/mesi/mesi_dir.hh"
 #include "protocol/mesi/mesi_l1.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel.hh"
 #include "system/config.hh"
 #include "workload/workload.hh"
 
@@ -100,8 +88,7 @@ struct RunResult
  * checker: demand-request totals to balance against the workload's
  * trace op counts, pool/queue occupancy for the alloc-free
  * steady-state law, and the network's two independently maintained
- * flit-hop totals for per-link conservation.  In parallel runs every
- * field is summed over the domains.
+ * flit-hop totals for per-link conservation.
  */
 struct SystemProbe
 {
@@ -116,15 +103,12 @@ struct SystemProbe
 };
 
 /** One protocol x workload simulation instance. */
-class System : private ParallelHooks
+class System
 {
   public:
     /**
-     * @param threads event-kernel threads for this run; clamped to
-     *        the mesh row count (and 8).  1 = the serial kernel.
-     *        Deliberately NOT part of SimParams: the domain count
-     *        must never reach a cell fingerprint or cache key,
-     *        because it does not change results.
+     * @param threads must be 1 (the kernel is serial); kept so
+     *        existing four-argument callers still compile.
      */
     System(ProtocolName protocol, const Workload &workload,
            SimParams params = SimParams{}, unsigned threads = 1);
@@ -138,7 +122,7 @@ class System : private ParallelHooks
     RunResult run(Tick max_ticks = 2'000'000'000ULL);
 
     // --- testing hooks ---
-    EventQueue &eventQueue() { return *eqs_[0]; }
+    EventQueue &eventQueue() { return eq_; }
     Network &network() { return *net_; }
     MemProfiler &memProfiler() { return memProf_; }
     L1Cache &l1(CoreId c) { return *l1Ifaces_[c]; }
@@ -154,15 +138,6 @@ class System : private ParallelHooks
     const ProtocolConfig &config() const { return cfg_; }
     bool coresDone() const;
 
-    /** The run's domain decomposition (count 1 in serial runs). */
-    const DomainLayout &domains() const { return layout_; }
-
-    /** Window-synchronization rounds of the last run (0 serial). */
-    std::uint64_t syncRounds() const { return rounds_; }
-
-    /** Merged serial episodes of the last run (barrier resolution). */
-    std::uint64_t mergedEpisodes() const { return mergedEpisodes_; }
-
     /** Coherence invariant check (property tests): at most one MESI
      *  owner per line; a DeNovo word registered to at most one L1. */
     void checkInvariants() const;
@@ -176,32 +151,13 @@ class System : private ParallelHooks
     /** Register counters/gauges and thread names on @p o. */
     void registerObservables(class SimObserver &o);
 
-    // --- ParallelHooks (multi-domain runs only) --------------------
-    void enterDomain(unsigned d) override;
-    void leaveDomain(unsigned d) override;
-    const bool *stopFlag(unsigned d) const override;
-    void atSync(Tick frontier) override;
-    bool needMerged() const override;
-    void runMerged() override;
-
-    /** Install the barrier router and per-domain counters. */
-    void setupParallel();
-
-    /** Wrap a core's release callback with domain rebinding. */
-    std::function<void()> wrapRelease(CoreId c,
-                                      std::function<void()> released);
-
-    /** Drain per-domain trace buffers to the sink in domain order. */
-    void flushDebugBuffers();
-
     ProtocolName protocolName_;
     ProtocolConfig cfg_;
     SimParams params_;
     const Workload &workload_;
 
-    DomainLayout layout_;
-    std::vector<std::unique_ptr<EventQueue>> eqs_;
-    std::vector<std::unique_ptr<TrafficRecorder>> traffics_;
+    EventQueue eq_;
+    TrafficRecorder traffic_;
     std::unique_ptr<Network> net_;
     MemProfiler memProf_;
     std::vector<WordProfiler> l1Profs_;
@@ -222,40 +178,12 @@ class System : private ParallelHooks
 
     bool epochMarked_ = false;
     Tick epochStart_ = 0;
+    Tick lastDone_ = 0;
+    unsigned coresDone_ = 0;
     std::uint64_t dramReadsAtEpoch_ = 0, dramWritesAtEpoch_ = 0;
     std::vector<std::uint64_t> dramChanReadsAtEpoch_;
     std::vector<std::uint64_t> dramChanWritesAtEpoch_;
     std::uint64_t msgsAtEpoch_ = 0;
-
-    // Per-domain run state (size = domain count; index 0 in serial).
-    std::vector<Tick> lastDoneAt_;
-    std::vector<unsigned> coresDoneD_;
-
-    // --- parallel-kernel state -------------------------------------
-    /** One barrier arrival intercepted mid-window. */
-    struct StagedArrival
-    {
-        EventKey key;
-        CoreId core;
-        std::function<void()> released;
-    };
-
-    std::unique_ptr<bool[]> stopFlags_;
-    std::vector<unsigned> activeCores_;  //!< not waiting, not done
-    std::vector<unsigned> waitingCores_;
-    std::vector<std::vector<StagedArrival>> stagedArrivals_;
-    std::vector<StagedArrival> pendingArrivals_; //!< key-sorted
-    std::size_t pendingHead_ = 0;
-    Tick pendingReleaseTick_ = 0;
-    Tick lastReleaseTick_ = 0;
-    bool mergedActive_ = false;
-    std::uint64_t rounds_ = 0;
-    std::uint64_t mergedEpisodes_ = 0;
-    std::vector<std::string> debugBuf_;
-    std::vector<Tick> domainStopTick_;
-    class SimObserver *obs_ = nullptr;
-    Tick nextSampleAt_ = 0;
-    std::uint64_t liveReported_ = 0;
 };
 
 } // namespace wastesim

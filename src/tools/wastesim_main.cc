@@ -56,7 +56,6 @@
 #include "obs/jsonv.hh"
 #include "obs/observer.hh"
 #include "obs/sampler.hh"
-#include "system/kernel_threads.hh"
 #include "system/report.hh"
 #include "system/report_obs.hh"
 #include "system/runner.hh"
@@ -183,14 +182,6 @@ usage(const char *prog)
         "the memory-controller count (default: one per corner);\n"
         "--mc-tiles T,T,... places controllers on explicit tiles\n"
         "(edge vs center vs diagonal placement studies)\n"
-        "\n"
-        "parallel kernel: --threads-per-cell N (replay, synth, sweep,\n"
-        "report, cell, fuzz, fuzzone) runs each simulation's event\n"
-        "kernel on N threads by splitting the mesh into row-band\n"
-        "domains under conservative lookahead windows; results are\n"
-        "byte-identical to the serial kernel, so it composes freely\n"
-        "with --jobs (threads x jobs should not exceed the machine)\n"
-        "and with --supervise, which forwards it to cell workers\n"
         "\n"
         "observability (every command): --debug-flags F,F,... enables\n"
         "sim-time tracing (flags: mesi denovo noc dram queue sweep\n"
@@ -493,24 +484,6 @@ struct ObsCli
     }
 };
 
-/**
- * Shared --threads-per-cell parsing for every command that simulates.
- * The domain count is process-global (kernel_threads.hh) rather than
- * a SimParams field, because it must never reach a cell fingerprint
- * or cache key: a parallel run produces byte-identical results.
- */
-bool
-tryParseThreads(const std::string &a, Args &args)
-{
-    if (a != "--threads-per-cell")
-        return false;
-    const unsigned n = args.u32value(a);
-    fatal_if(n < 1 || n > 64,
-             "--threads-per-cell needs a value in [1, 64]");
-    setCellThreads(n);
-    return true;
-}
-
 /** Sweep-cache path resolution shared by sweep and report:
  *  --cache FILE beats $WASTESIM_CACHE beats the default. */
 std::string
@@ -640,8 +613,7 @@ cmdReplay(Args args)
             topo.mcTiles = parseTileList(a, args.value(a));
         else if (a == "--full-size")
             params = SimParams{};
-        else if (tryParseThreads(a, args)) {
-        } else if (obs.tryParse(a, args)) {
+        else if (obs.tryParse(a, args)) {
         } else
             fatal("replay: unknown option '%s'", a.c_str());
     }
@@ -767,7 +739,6 @@ cmdSynth(Args args)
         else if (a == "--full-size") {
             params = SimParams{};
             full_size = true;
-        } else if (tryParseThreads(a, args)) {
         } else if (obs.tryParse(a, args)) {
         } else
             fatal("synth: unknown option '%s'", a.c_str());
@@ -976,8 +947,7 @@ cmdCell(Args args)
             faultSeed = args.uvalue(a);
         else if (a == "--fault-attempt")
             faultAttempt = args.u32value(a);
-        else if (tryParseThreads(a, args)) {
-        } else if (obs.tryParse(a, args)) {
+        else if (obs.tryParse(a, args)) {
         } else
             fatal("cell: unknown option '%s'", a.c_str());
     }
@@ -1125,8 +1095,7 @@ cmdSweep(Args args)
             faultSpecStr = args.value(a);
         else if (a == "--fault-seed")
             faultSeed = args.uvalue(a);
-        else if (tryParseThreads(a, args)) {
-        } else if (obs.tryParse(a, args)) {
+        else if (obs.tryParse(a, args)) {
         } else
             fatal("sweep: unknown option '%s'", a.c_str());
     }
@@ -1203,11 +1172,6 @@ cmdSweep(Args args)
         cfg.workerParamArgs = {"--scale", std::to_string(scale)};
         if (full_size)
             cfg.workerParamArgs.push_back("--full-size");
-        if (cellThreads() > 1) {
-            cfg.workerParamArgs.push_back("--threads-per-cell");
-            cfg.workerParamArgs.push_back(
-                std::to_string(cellThreads()));
-        }
         SweepSupervisor sup(spec, cfg);
         sweeps = sup.run(cache);
         cellsTotal = sup.cellsTotal();
@@ -1345,7 +1309,6 @@ cmdReport(Args args)
                      "report: --tolerance needs a fraction in "
                      "[0, 1), got '%s'",
                      v.c_str());
-        } else if (tryParseThreads(a, args)) {
         } else if (obs.tryParse(a, args)) {
         } else
             fatal("report: unknown option '%s'", a.c_str());
@@ -1686,8 +1649,7 @@ cmdFuzz(Args args)
             opts.deadlineMs = args.u32value(a);
         else if (a == "--minimize-tests")
             opts.minimizeMaxTests = args.u32value(a);
-        else if (tryParseThreads(a, args)) {
-        } else if (obs.tryParse(a, args)) {
+        else if (obs.tryParse(a, args)) {
         } else
             fatal("fuzz: unknown option '%s'", a.c_str());
     }
@@ -1733,8 +1695,7 @@ cmdFuzzone(Args args)
             maxTicks = args.uvalue(a);
         else if (a == "--no-replay")
             checkReplay = false;
-        else if (tryParseThreads(a, args)) {
-        } else if (obs.tryParse(a, args)) {
+        else if (obs.tryParse(a, args)) {
         } else
             fatal("fuzzone: unknown option '%s'", a.c_str());
     }

@@ -64,14 +64,17 @@ TEST(EventQueue, ZeroDelayRunsAtSameTick)
 TEST(EventQueue, RunLimitStops)
 {
     EventQueue eq;
-    bool late = false;
-    eq.schedule(100, [&] { late = true; });
+    std::vector<Tick> ran;
+    eq.schedule(100, [&] { ran.push_back(eq.now()); });
     EXPECT_FALSE(eq.run(50));
-    EXPECT_FALSE(late);
+    EXPECT_TRUE(ran.empty());
     EXPECT_EQ(eq.now(), 50u);
     EXPECT_EQ(eq.pending(), 1u);
+    // Scheduling between the limit and the pending tick after a stop
+    // is legal, and the new event runs first.
+    eq.schedule(10, [&] { ran.push_back(eq.now()); });
     EXPECT_TRUE(eq.run());
-    EXPECT_TRUE(late);
+    EXPECT_EQ(ran, (std::vector<Tick>{60, 100}));
 }
 
 TEST(EventQueue, StepExecutesOne)

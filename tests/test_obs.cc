@@ -43,6 +43,44 @@ class ObsStateGuard
     }
 };
 
+/** Removes a test's observation output files on scope exit, so a
+ *  failing EXPECT can never leave them in the working directory. */
+class ObsFilesGuard
+{
+  public:
+    explicit ObsFilesGuard(std::vector<std::string> paths)
+        : paths_(std::move(paths))
+    {
+        removeAll();
+    }
+    ~ObsFilesGuard() { removeAll(); }
+    const std::vector<std::string> &paths() const { return paths_; }
+
+  private:
+    void
+    removeAll() const
+    {
+        for (const std::string &p : paths_)
+            std::remove(p.c_str());
+    }
+
+    std::vector<std::string> paths_;
+};
+
+/** Every file @p pattern expands to over @p protos x @p benches. */
+std::vector<std::string>
+expandAll(const std::string &pattern,
+          const std::vector<ProtocolName> &protos,
+          const std::vector<BenchmarkName> &benches)
+{
+    std::vector<std::string> out;
+    for (ProtocolName p : protos)
+        for (BenchmarkName b : benches)
+            out.push_back(
+                expandObsPath(pattern, protocolName(p), benchmarkName(b)));
+    return out;
+}
+
 /** A .now() source for DPRINTF without an EventQueue. */
 struct FakeClock
 {
@@ -305,19 +343,18 @@ TEST(Observer, ObservedRunSerializesIdenticallyToUnobserved)
     obsConfig().sampleWindow = 500;
     obsConfig().timelineOut = "obs_test_tl_%p_%b.json";
     obsConfig().heatmapOut = "obs_test_hm_%p_%b.csv";
+    std::vector<std::string> outputs = expandAll(
+        obsConfig().timelineOut, spec.protocols, spec.benches);
+    for (std::string &f : expandAll(obsConfig().heatmapOut,
+                                    spec.protocols, spec.benches))
+        outputs.push_back(std::move(f));
+    const ObsFilesGuard files(std::move(outputs));
     const std::string observed = computeAll();
     EXPECT_EQ(plain, observed)
         << "windowed sampling changed simulation results";
-    for (ProtocolName p : spec.protocols) {
-        for (const char *pat :
-             {"obs_test_tl_%p_%b.json", "obs_test_hm_%p_%b.csv"}) {
-            const std::string f = expandObsPath(
-                pat, protocolName(p),
-                benchmarkName(BenchmarkName::LU));
-            EXPECT_EQ(std::remove(f.c_str()), 0)
-                << f << " was not written";
-        }
-    }
+    for (const std::string &f : files.paths())
+        EXPECT_FALSE(testutil::fileBytes(f).empty())
+            << f << " was not written";
 
     // Tracing enabled (to a swallowing sink) must not perturb either.
     ASSERT_TRUE(debug::setFlags("all"));
@@ -374,21 +411,17 @@ TEST(Observer, SamplerOutputIsDeterministicAcrossJobs)
     obsConfig().sampleOut = "obs_jobs_%p_%b.json";
 
     auto sampleAll = [&](unsigned jobs) {
+        const ObsFilesGuard files(expandAll(obsConfig().sampleOut,
+                                            spec.protocols, spec.benches));
         setSweepJobs(jobs);
         CellCache cache; // fresh: every cell recomputed (and sampled)
         SweepEngine eng(spec);
         eng.run(cache);
         setSweepJobs(0);
         std::vector<std::string> out;
-        for (ProtocolName p : spec.protocols) {
-            for (BenchmarkName b : spec.benches) {
-                const std::string f =
-                    expandObsPath(obsConfig().sampleOut,
-                                  protocolName(p), benchmarkName(b));
-                out.push_back(testutil::fileBytes(f));
-                EXPECT_FALSE(out.back().empty()) << f;
-                std::remove(f.c_str());
-            }
+        for (const std::string &f : files.paths()) {
+            out.push_back(testutil::fileBytes(f));
+            EXPECT_FALSE(out.back().empty()) << f;
         }
         return out;
     };

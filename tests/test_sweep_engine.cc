@@ -4,9 +4,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "system/sweep_engine.hh"
@@ -245,7 +248,8 @@ TEST(SweepEngine, IncrementalCacheComputesOnlyMissingCells)
     SweepSpec spec = smallSpec();
     spec.topologies = {Topology(2, 2)};
 
-    int computed = 0;
+    // Workers call the compute function concurrently.
+    std::atomic<int> computed{0};
     auto counting = [&](const SweepSpec &s, const SweepCell &c) {
         ++computed;
         return fakeCell(s, c);
@@ -256,7 +260,7 @@ TEST(SweepEngine, IncrementalCacheComputesOnlyMissingCells)
         SweepEngine eng(spec);
         eng.setCompute(counting);
         eng.run(cache);
-        EXPECT_EQ(computed, 6);
+        EXPECT_EQ(computed.load(), 6);
         EXPECT_EQ(eng.cellsHit(), 0u);
     }
 
@@ -265,7 +269,7 @@ TEST(SweepEngine, IncrementalCacheComputesOnlyMissingCells)
         SweepEngine eng(spec);
         eng.setCompute(counting);
         const auto sweeps = eng.run(cache);
-        EXPECT_EQ(computed, 6);
+        EXPECT_EQ(computed.load(), 6);
         EXPECT_EQ(eng.cellsHit(), 6u);
         EXPECT_EQ(sweeps.at(0).results[1][1].cycles,
                   fakeCell(spec, spec.cellAt(3)).cycles);
@@ -278,7 +282,7 @@ TEST(SweepEngine, IncrementalCacheComputesOnlyMissingCells)
         SweepEngine eng(spec);
         eng.setCompute(counting);
         const auto sweeps = eng.run(cache);
-        EXPECT_EQ(computed, 12);
+        EXPECT_EQ(computed.load(), 12);
         EXPECT_EQ(eng.cellsHit(), 6u);
         EXPECT_EQ(eng.cellsComputed(), 6u);
         ASSERT_EQ(sweeps.size(), 2u);
@@ -332,7 +336,7 @@ TEST(SweepEngine, AutosaveResumesAKilledRun)
 
     // "Kill" a run after half the grid: shard 0/2 stands in for a
     // process that died mid-sweep with its autosaved partial cache.
-    std::size_t firstRun = 0;
+    std::atomic<std::size_t> firstRun{0};
     {
         CellCache cache;
         SweepEngine eng(spec);
@@ -344,13 +348,13 @@ TEST(SweepEngine, AutosaveResumesAKilledRun)
         eng.setAutosave(tmp.path());
         eng.run(cache);
     }
-    EXPECT_EQ(firstRun, spec.numCells() / 2);
+    EXPECT_EQ(firstRun.load(), spec.numCells() / 2);
 
     // The restarted (unsharded) run loads the partial file and only
     // computes the cells the killed run never finished.
     CellCache resumed;
     ASSERT_TRUE(resumed.load(tmp.path()));
-    std::size_t secondRun = 0;
+    std::atomic<std::size_t> secondRun{0};
     SweepEngine eng(spec);
     eng.setCompute([&](const SweepSpec &s, const SweepCell &c) {
         ++secondRun;
@@ -359,7 +363,7 @@ TEST(SweepEngine, AutosaveResumesAKilledRun)
     eng.setAutosave(tmp.path());
     eng.run(resumed);
     EXPECT_EQ(eng.cellsHit(), spec.numCells() / 2);
-    EXPECT_EQ(secondRun, spec.numCells() - firstRun);
+    EXPECT_EQ(secondRun.load(), spec.numCells() - firstRun.load());
 
     // The resumed file equals a never-interrupted run's cache.
     CellCache whole;
@@ -387,6 +391,43 @@ TEST(CellCache, SaveAtomicLeavesNoTempFile)
     std::ifstream staging(tmp.path() + ".tmp." +
                           std::to_string(::getpid()));
     EXPECT_FALSE(staging.good());
+}
+
+TEST(SweepEngine, StallDetectorWarnsOnceNamingTheSlowCell)
+{
+    // One worker runs the cells in order: five fast ones set the
+    // median, then the last sleeps far past 4x it.  The 10 ms
+    // heartbeat must flag exactly that cell, exactly once.
+    SweepSpec spec = smallSpec();
+    spec.topologies = {Topology(2, 2)};
+    const SweepCell slow = spec.cellAt(spec.numCells() - 1);
+    const std::string slow_key = spec.cellKey(slow);
+
+    setSweepJobs(1);
+    SweepEngine eng(spec);
+    eng.setProgress(10);
+    eng.setCompute([&](const SweepSpec &s, const SweepCell &c) {
+        const bool is_slow = s.cellKey(c) == slow_key;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(is_slow ? 800 : 30));
+        return fakeCell(s, c);
+    });
+    CellCache cache;
+    testing::internal::CaptureStderr();
+    eng.run(cache);
+    const std::string err = testing::internal::GetCapturedStderr();
+    setSweepJobs(0);
+    EXPECT_EQ(eng.cellsComputed(), spec.numCells());
+
+    std::size_t warnings = 0;
+    for (std::size_t pos = err.find("possible stall");
+         pos != std::string::npos;
+         pos = err.find("possible stall", pos + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
+    EXPECT_NE(err.find("sweep cell '" + slow_key + "' running"),
+              std::string::npos)
+        << err;
 }
 
 TEST(SweepEngine, RealCellsMatchRunOne)
