@@ -1,23 +1,15 @@
 #include "fuzz/campaign.hh"
 
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
-#include <thread>
 
 #include "common/crc32.hh"
 #include "common/log.hh"
 #include "fuzz/minimizer.hh"
-#include "system/supervisor.hh"
 
 namespace wastesim
 {
@@ -102,57 +94,6 @@ parseFuzzPayload(const std::string &payload, FuzzOutcome &o,
     return true;
 }
 
-bool
-writeFuzzOutput(const std::string &path, const FuzzOutcome &o,
-                std::string *err)
-{
-    const std::string payload = formatFuzzPayload(o);
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        if (err)
-            *err = "cannot open '" + path + "'";
-        return false;
-    }
-    os << fuzzOutputMagic << ' ' << crcHex(payload) << ' '
-       << payload.size() << '\n'
-       << payload;
-    os.flush();
-    return static_cast<bool>(os);
-}
-
-bool
-readFuzzOutput(const std::string &path, FuzzOutcome &o,
-               std::string *err)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        if (err)
-            *err = "missing output file";
-        return false;
-    }
-    std::string magic, crc_hex;
-    std::size_t len = 0;
-    if (!(is >> magic >> crc_hex >> len) || magic != fuzzOutputMagic) {
-        if (err)
-            *err = "bad output header";
-        return false;
-    }
-    is.get(); // the newline after the header
-    std::string payload(len, '\0');
-    is.read(payload.data(), static_cast<std::streamsize>(len));
-    if (static_cast<std::size_t>(is.gcount()) != len) {
-        if (err)
-            *err = "truncated output payload";
-        return false;
-    }
-    if (crcHex(payload) != crc_hex) {
-        if (err)
-            *err = "output checksum mismatch";
-        return false;
-    }
-    return parseFuzzPayload(payload, o, err);
-}
-
 std::string
 sanitizeName(const std::string &s)
 {
@@ -226,167 +167,76 @@ fuzzWorkerMain(const std::string &line, const std::string &out_path,
         o.invariant = rep.violations.front().invariant;
         o.detail = rep.describe();
     }
-    if (!writeFuzzOutput(out_path, o, &err)) {
-        std::fprintf(stderr, "fuzzone: %s\n", err.c_str());
+    const std::string bytes =
+        formatHandoff(fuzzOutputMagic, formatFuzzPayload(o));
+    if (!writeHandoff(out_path, bytes)) {
+        std::fprintf(stderr, "fuzzone: cannot write '%s'\n",
+                     out_path.c_str());
         return 2;
     }
     return rep.ok() ? 0 : 1;
 }
 
-FuzzCampaign::FuzzCampaign(FuzzOptions opts) : opts_(std::move(opts))
+FuzzCampaign::FuzzCampaign(FuzzOptions opts)
+    : opts_(std::move(opts)),
+      pool_(1, opts_.program, fuzzOutputMagic)
 {
 }
 
-FuzzOutcome
-FuzzCampaign::runInProcess(std::uint64_t index, const std::string &line)
+bool
+FuzzCampaign::runScenario(std::uint64_t index, const std::string &line,
+                          FuzzOutcome &o)
 {
-    FuzzOutcome o;
+    o = FuzzOutcome{};
     o.index = index;
     o.line = line;
-    Scenario s;
-    std::string err;
-    if (!Scenario::parse(line, s, &err)) {
-        o.verdict = FuzzVerdict::Crash;
-        o.detail = "bad scenario line: " + err;
-        return o;
-    }
-    const InvariantReport rep = checkScenario(
-        s, opts_.maxTicks, opts_.checkReplay, &o.resultCrc);
-    if (!rep.ok()) {
-        o.verdict = FuzzVerdict::Violation;
-        o.invariant = rep.violations.front().invariant;
-        o.detail = rep.describe();
-    }
-    return o;
-}
+    if (pool_.stopIfForced())
+        return false;
 
-FuzzOutcome
-FuzzCampaign::runIsolated(std::uint64_t index, const std::string &line)
-{
-    FuzzOutcome o;
-    o.index = index;
-    o.line = line;
-
-    char out_path[128];
-    std::snprintf(out_path, sizeof(out_path),
-                  "/tmp/wastesim_fuzz_%d_%llu.out",
-                  static_cast<int>(getpid()),
-                  static_cast<unsigned long long>(index));
-    std::remove(out_path);
-
-    const std::string prog =
-        opts_.program.empty() ? "/proc/self/exe" : opts_.program;
-    char max_ticks_str[32];
-    std::snprintf(max_ticks_str, sizeof(max_ticks_str), "%llu",
-                  static_cast<unsigned long long>(opts_.maxTicks));
-
-    std::vector<std::string> args = {prog,         "fuzzone",
-                                     "--scenario", line,
-                                     "--out",      out_path,
-                                     "--max-ticks", max_ticks_str};
+    std::vector<std::string> args = {
+        "fuzzone", "--scenario", line, "--out", pool_.outPath(0),
+        "--max-ticks", std::to_string(opts_.maxTicks)};
     if (!opts_.checkReplay)
         args.push_back("--no-replay");
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
+    pool_.spawn(0, args);
 
-    const pid_t pid = fork();
-    if (pid < 0) {
-        o.verdict = FuzzVerdict::Crash;
-        o.detail = std::string("fork failed: ") + std::strerror(errno);
-        return o;
-    }
-    if (pid == 0) {
-        execv(prog.c_str(), argv.data());
-        std::fprintf(stderr, "exec %s failed: %s\n", prog.c_str(),
-                     std::strerror(errno));
-        _exit(127);
-    }
-
-    // Poll with a hard deadline: a hung scenario is reaped and
-    // reported, never allowed to wedge the campaign.
-    const auto start = std::chrono::steady_clock::now();
-    int status = 0;
-    bool killed = false;
-    for (;;) {
-        const pid_t r = waitpid(pid, &status, WNOHANG);
-        if (r == pid)
-            break;
-        if (r < 0 && errno != EINTR) {
-            o.verdict = FuzzVerdict::Crash;
-            o.detail =
-                std::string("waitpid failed: ") + std::strerror(errno);
-            return o;
-        }
-        const auto elapsed_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (opts_.deadlineMs != 0 && !killed &&
-            elapsed_ms > opts_.deadlineMs) {
-            kill(pid, SIGKILL);
-            killed = true;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-
-    if (killed) {
-        o.verdict = FuzzVerdict::Crash;
-        o.detail = "deadline exceeded (" +
-                   std::to_string(opts_.deadlineMs) + " ms), killed";
-        std::remove(out_path);
-        return o;
-    }
-
-    const bool clean_exit =
-        WIFEXITED(status) &&
-        (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 1);
-    if (!clean_exit) {
-        o.verdict = FuzzVerdict::Crash;
-        o.detail = describeWaitStatus(status);
-        std::remove(out_path);
-        return o;
-    }
+    // A hung scenario is reaped at the deadline and reported, never
+    // allowed to wedge the campaign.
+    WorkerExit e;
+    const double deadline = opts_.deadlineMs != 0
+                                ? opts_.deadlineMs
+                                : std::numeric_limits<double>::infinity();
+    if (!pool_.wait(0, deadline, e))
+        return false;
 
     FuzzOutcome parsed;
     std::string err;
-    if (!readFuzzOutput(out_path, parsed, &err) ||
-        parsed.line != line) {
-        o.verdict = FuzzVerdict::Crash;
+    o.verdict = FuzzVerdict::Crash;
+    if (e.deadlineKilled) // no run time, so a hang reports stable bytes
+        o.detail = "deadline exceeded (" +
+                   std::to_string(opts_.deadlineMs) + " ms), killed";
+    else if (!e.exitedWith(0) && !e.exitedWith(1))
+        o.detail = e.reason;
+    else if (!e.outputOk)
+        o.detail = "corrupt worker output: " + e.outputError;
+    else if (!parseFuzzPayload(e.payload, parsed, &err) ||
+             parsed.line != line)
         o.detail = "corrupt worker output: " +
                    (err.empty() ? "scenario mismatch" : err);
-        std::remove(out_path);
-        return o;
+    else {
+        parsed.index = index;
+        o = std::move(parsed);
     }
-    std::remove(out_path);
-
-    o.verdict = parsed.verdict;
-    o.invariant = parsed.invariant;
-    o.detail = parsed.detail;
-    o.resultCrc = parsed.resultCrc;
-    return o;
-}
-
-FuzzOutcome
-FuzzCampaign::runScenario(std::uint64_t index, const Scenario &s)
-{
-    const std::string line = s.encode();
-    return opts_.isolate ? runIsolated(index, line)
-                         : runInProcess(index, line);
+    return true;
 }
 
 void
 FuzzCampaign::minimizeOutcome(FuzzOutcome &o, const Scenario &s)
 {
-    if (o.verdict == FuzzVerdict::Crash && !opts_.isolate)
-        return; // can't safely reproduce a crash in-process
-
     const ReproducePredicate pred = [&](const Scenario &cand) {
-        const std::string line = cand.encode();
-        FuzzOutcome co = opts_.isolate
-                             ? runIsolated(o.index, line)
-                             : runInProcess(o.index, line);
+        FuzzOutcome co;
+        if (!runScenario(o.index, cand.encode(), co))
+            return false;
         if (o.verdict == FuzzVerdict::Crash)
             return co.verdict == FuzzVerdict::Crash;
         return co.verdict == FuzzVerdict::Violation &&
@@ -429,7 +279,11 @@ FuzzCampaign::run()
         }
 
         const Scenario s = gen.at(i);
-        FuzzOutcome o = runScenario(i, s);
+        FuzzOutcome o;
+        if (!runScenario(i, s.encode(), o)) {
+            rep.interrupted = true;
+            break;
+        }
         if (o.verdict != FuzzVerdict::Pass && opts_.minimize)
             minimizeOutcome(o, s);
 

@@ -1,11 +1,13 @@
 /**
  * @file
  * Fuzz campaign driver: draw N seeded scenarios, run each under the
- * invariant checker — by default in a crash-isolated child process,
- * the PR 7 supervisor pattern scaled down to one worker per scenario
- * — and produce a deterministic report.  A crashing or hanging
- * scenario is captured (exit/signal/deadline recorded against its
- * one-line reproducer) instead of killing the campaign.
+ * invariant checker in a crash-isolated `wastesim fuzzone` child — a
+ * one-slot WorkerPool (system/worker_pool.hh), so scenarios stay
+ * serial and the report order is fixed — and produce a deterministic
+ * report.  A crashing or hanging scenario is captured
+ * (exit/signal/deadline recorded against its one-line reproducer)
+ * instead of killing the campaign.  `wastesim fuzzone --scenario
+ * LINE` re-checks one reproducer in-process for debugging.
  *
  * Failing scenarios can be delta-minimized on the spot and emitted
  * into a regression corpus directory, where the ctest harness replays
@@ -21,6 +23,7 @@
 
 #include "fuzz/invariants.hh"
 #include "fuzz/scenario.hh"
+#include "system/worker_pool.hh"
 
 namespace wastesim
 {
@@ -33,11 +36,10 @@ struct FuzzOptions
     double timeBudgetSec = 0;  //!< stop drawing after this; 0 = off
     bool minimize = false;     //!< delta-minimize failing scenarios
     std::string corpusDir;     //!< emit minimized anomalies here
-    bool isolate = true;       //!< child process per scenario
     unsigned deadlineMs = 120000; //!< per-scenario child deadline
     bool checkReplay = true;   //!< run twice, compare byte-identity
     Tick maxTicks = 500'000'000ULL;
-    /** Worker binary for isolation; empty re-execs /proc/self/exe. */
+    /** Worker binary; empty re-execs /proc/self/exe. */
     std::string program;
     unsigned minimizeMaxTests = 64;
 };
@@ -110,14 +112,14 @@ class FuzzCampaign
     FuzzReport run();
 
   private:
-    FuzzOutcome runScenario(std::uint64_t index, const Scenario &s);
-    FuzzOutcome runIsolated(std::uint64_t index,
-                            const std::string &line);
-    FuzzOutcome runInProcess(std::uint64_t index,
-                             const std::string &line);
+    /** Check @p line in a worker; false when a second drain signal
+     *  stopped it (@p o is then not a verdict). */
+    bool runScenario(std::uint64_t index, const std::string &line,
+                     FuzzOutcome &o);
     void minimizeOutcome(FuzzOutcome &o, const Scenario &s);
 
     FuzzOptions opts_;
+    WorkerPool pool_;
 };
 
 // --- regression corpus -------------------------------------------------

@@ -71,8 +71,8 @@ const std::vector<DerivedMetric> &runResultDerivedMetrics();
 
 /**
  * Cell-block format version of the current sweep caches
- * (wastesim-cells-v1 and the legacy wastesim-sweep-v3 container both
- * carry version-1 blocks).
+ * (wastesim-cells-v1 and -v2 both carry version-1 blocks, as do the
+ * `wastesim cell` worker hand-off files).
  */
 constexpr unsigned runResultBlockVersion = 1;
 

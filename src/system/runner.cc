@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -14,13 +13,6 @@
 
 namespace wastesim
 {
-
-namespace
-{
-
-constexpr const char *cacheMagic = "wastesim-sweep-v3";
-
-} // namespace
 
 std::string
 sweepConfigTag(unsigned scale, const SimParams &p)
@@ -197,66 +189,6 @@ runFullSweep(unsigned scale, SimParams params)
     return runSweep(benches, protocols, scale, params);
 }
 
-bool
-saveSweep(const Sweep &s, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    os << cacheMagic << '\n';
-    os << (s.configTag.empty() ? "-" : s.configTag) << '\n';
-    os << s.benchNames.size() << ' ' << s.protoNames.size() << '\n';
-    os.precision(17);
-    for (const auto &b : s.benchNames)
-        os << b << '\n';
-    for (const auto &p : s.protoNames)
-        os << p << '\n';
-    for (const auto &row : s.results)
-        for (const auto &r : row)
-            writeRunResult(os, r);
-    return static_cast<bool>(os);
-}
-
-bool
-loadSweep(Sweep &s, const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        return false;
-    std::string magic;
-    std::getline(is, magic);
-    if (magic != cacheMagic)
-        return false;
-    std::string tag;
-    std::getline(is, tag);
-    std::size_t nb = 0, np = 0;
-    is >> nb >> np;
-    is.ignore();
-    // Corrupt counts must fail the load, not drive the allocations
-    // below; real grids are at most benchmarks x protocols sized.
-    if (!is || nb > 1024 || np > 1024)
-        return false;
-    s = Sweep{};
-    if (tag != "-")
-        s.configTag = tag;
-    for (std::size_t i = 0; i < nb; ++i) {
-        std::string line;
-        std::getline(is, line);
-        s.benchNames.push_back(line);
-    }
-    for (std::size_t i = 0; i < np; ++i) {
-        std::string line;
-        std::getline(is, line);
-        s.protoNames.push_back(line);
-    }
-    s.results.assign(nb, std::vector<RunResult>(np));
-    for (std::size_t b = 0; b < nb; ++b)
-        for (std::size_t p = 0; p < np; ++p)
-            if (!readRunResult(is, s.results[b][p]))
-                return false;
-    return true;
-}
-
 Sweep
 cachedFullSweep(unsigned scale, SimParams params,
                 std::function<Sweep(unsigned, SimParams)> compute)
@@ -291,7 +223,6 @@ cachedFullSweep(unsigned scale, SimParams params,
             all_hit = cache.has(spec.cellKey(spec.cellAt(i)));
         if (!all_hit) {
             Sweep s = compute(scale, params);
-            s.configTag = sweepConfigTag(scale, params);
             if (s.results.size() == spec.benches.size() &&
                 !s.results.empty() &&
                 s.results[0].size() == spec.protocols.size()) {

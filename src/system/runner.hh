@@ -34,13 +34,6 @@ struct Sweep
      */
     std::vector<std::vector<std::string>> holes;
 
-    /**
-     * Fingerprint of the configuration that produced the sweep
-     * (scale + SimParams); cachedFullSweep uses it to reject cache
-     * files computed under a different configuration.
-     */
-    std::string configTag;
-
     /** True when cell (b, p) is an annotated hole. */
     bool
     holeAt(std::size_t b, std::size_t p) const
@@ -128,12 +121,6 @@ Sweep runSweep(const std::vector<BenchmarkName> &benches,
 
 /** All six benchmarks, all nine protocols. */
 Sweep runFullSweep(unsigned scale = 1, SimParams params = SimParams{});
-
-/** Serialize a sweep (text format) for the bench result cache. */
-bool saveSweep(const Sweep &s, const std::string &path);
-
-/** Load a sweep saved by saveSweep(). */
-bool loadSweep(Sweep &s, const std::string &path);
 
 /**
  * The full sweep, cached on disk: the first figure bench of a session

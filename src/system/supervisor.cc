@@ -1,34 +1,24 @@
 #include "system/supervisor.hh"
 
-#include <csignal>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <thread>
 
-#include "common/crc32.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "obs/debug.hh"
 #include "obs/timeline.hh"
+#include "system/worker_pool.hh"
 
 namespace wastesim
 {
 
 namespace
 {
-
-constexpr const char *workerOutputMagic = "wastesim-cell-v1";
 
 std::uint64_t
 fnv1a64(const std::string &s)
@@ -51,50 +41,7 @@ mixSeed(std::uint64_t seed, const std::string &cell_id,
             0xbf58476d1ce4e5b9ULL);
 }
 
-std::string
-waitReason(int status)
-{
-    char buf[64];
-    if (WIFEXITED(status)) {
-        std::snprintf(buf, sizeof(buf), "exit %d",
-                      WEXITSTATUS(status));
-    } else if (WIFSIGNALED(status)) {
-        const int sig = WTERMSIG(status);
-        std::snprintf(buf, sizeof(buf), "signal %d (%s)", sig,
-                      strsignal(sig));
-    } else {
-        std::snprintf(buf, sizeof(buf), "wait status 0x%x", status);
-    }
-    return buf;
-}
-
-volatile std::sig_atomic_t g_drainRequests = 0;
-
-void
-drainHandler(int)
-{
-    if (g_drainRequests < 127)
-        ++g_drainRequests;
-}
-
 } // namespace
-
-void
-installDrainHandlers()
-{
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = drainHandler;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-int
-drainRequestCount()
-{
-    return g_drainRequests;
-}
 
 // --- FaultSpec --------------------------------------------------------------
 
@@ -105,12 +52,6 @@ FaultSpec::describe() const
     std::snprintf(buf, sizeof(buf), "crash:%g,hang:%g,corrupt:%g",
                   crash, hang, corrupt);
     return buf;
-}
-
-std::string
-describeWaitStatus(int status)
-{
-    return waitReason(status);
 }
 
 bool
@@ -213,17 +154,11 @@ faultDraw(const FaultSpec &faults, std::uint64_t seed,
 std::string
 formatWorkerOutput(const std::string &cell_id, const RunResult &r)
 {
-    std::string payload = cell_id + "\n";
-    {
-        std::ostringstream os;
-        os.precision(17);
-        writeRunResult(os, r);
-        payload += os.str();
-    }
-    char head[64];
-    std::snprintf(head, sizeof(head), "%s %08x %zu\n",
-                  workerOutputMagic, crc32(payload), payload.size());
-    return head + payload;
+    std::ostringstream os;
+    os.precision(17);
+    os << cell_id << '\n';
+    writeRunResult(os, r);
+    return formatHandoff(cellOutputMagic, os.str());
 }
 
 void
@@ -244,7 +179,7 @@ corruptWorkerOutput(std::string &file_bytes, std::uint64_t seed,
 }
 
 bool
-parseWorkerOutput(const std::string &path,
+parseWorkerOutput(const std::string &payload,
                   const std::string &expect_cell_id, RunResult &out,
                   std::string *err)
 {
@@ -253,35 +188,6 @@ parseWorkerOutput(const std::string &path,
             *err = why;
         return false;
     };
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return fail("missing output file");
-    std::string head;
-    std::getline(is, head);
-    std::string magic;
-    std::uint32_t want_crc = 0;
-    std::size_t nbytes = 0;
-    {
-        std::istringstream hs(head);
-        hs >> magic >> std::hex >> want_crc >> std::dec >> nbytes;
-        if (!hs || magic != workerOutputMagic || nbytes == 0 ||
-            nbytes > (1u << 22))
-            return fail("malformed output header '" + head + "'");
-    }
-    std::string payload(nbytes, '\0');
-    is.read(payload.data(), static_cast<std::streamsize>(nbytes));
-    if (static_cast<std::size_t>(is.gcount()) != nbytes)
-        return fail("truncated output (" +
-                    std::to_string(is.gcount()) + " of " +
-                    std::to_string(nbytes) + " bytes)");
-    const std::uint32_t got_crc = crc32(payload);
-    if (got_crc != want_crc) {
-        char buf[80];
-        std::snprintf(buf, sizeof(buf),
-                      "checksum mismatch (stored %08x, computed %08x)",
-                      want_crc, got_crc);
-        return fail(buf);
-    }
     const std::size_t nl = payload.find('\n');
     if (nl == std::string::npos)
         return fail("output payload has no cell key line");
@@ -308,42 +214,12 @@ SweepSupervisor::SweepSupervisor(SweepSpec spec, SupervisorConfig cfg)
     fatal_if(cfg_.numShards == 0 || cfg_.shard >= cfg_.numShards,
              "supervisor: shard %u/%u is not a valid slice",
              cfg_.shard, cfg_.numShards);
-    if (cfg_.program.empty()) {
-        // Re-exec ourselves: the worker binary is this binary.
-        char buf[4096];
-        const ssize_t n =
-            ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-        fatal_if(n <= 0,
-                 "supervisor: cannot resolve /proc/self/exe; pass an "
-                 "explicit worker program");
-        buf[n] = '\0';
-        cfg_.program = buf;
-    }
 }
 
 std::vector<Sweep>
 SweepSupervisor::run(CellCache &cache)
 {
     using clock = std::chrono::steady_clock;
-    const std::size_t num_benches = spec_.benches.size();
-    const std::size_t num_protos = spec_.protocols.size();
-    const std::size_t num_topos = spec_.topologies.size();
-
-    std::vector<Sweep> sweeps(num_topos);
-    for (std::size_t t = 0; t < num_topos; ++t) {
-        Sweep &s = sweeps[t];
-        for (BenchmarkName b : spec_.benches)
-            s.benchNames.emplace_back(benchmarkName(b));
-        for (ProtocolName p : spec_.protocols)
-            s.protoNames.emplace_back(protocolName(p));
-        s.results.assign(num_benches,
-                         std::vector<RunResult>(num_protos));
-        s.holes.assign(num_benches,
-                       std::vector<std::string>(num_protos));
-        s.configTag = sweepConfigTag(
-            spec_.scale, spec_.paramsFor(static_cast<unsigned>(t)));
-    }
-
     const bool want_timeline = !cfg_.timelinePath.empty();
     Timeline timeline;
     const auto t0 = clock::now();
@@ -366,41 +242,25 @@ SweepSupervisor::run(CellCache &cache)
     // Serve hits and honor quarantine records, exactly like the
     // threaded engine; only the misses go to worker processes.
     std::vector<std::size_t> owned;
-    {
-        const std::size_t n = spec_.numCells();
-        for (std::size_t i = cfg_.shard; i < n; i += cfg_.numShards)
-            owned.push_back(i);
-    }
-    statTotal_ = owned.size();
-    statHit_ = statComputed_ = statQuarantined_ = 0;
-    statRetries_ = statKills_ = 0;
-    interrupted_ = false;
-
-    std::vector<std::size_t> pending;
-    for (std::size_t flat : owned) {
-        const SweepCell c = spec_.cellAt(flat);
-        const std::string key = spec_.cellKey(c);
-        RunResult &slot =
-            sweeps[c.topoIdx].results[c.benchIdx][c.protoIdx];
-        CellFailure cf;
-        if (cache.get(key, slot)) {
-            ++statHit_;
+    for (std::size_t i = cfg_.shard; i < spec_.numCells();
+         i += cfg_.numShards)
+        owned.push_back(i);
+    SweepPlan plan = planSweep(
+        spec_, cache, owned, cfg_.retryQuarantined,
+        [&](const SweepCell &c, bool hit) {
             if (want_timeline)
-                timeline.instant("sweep", "hit " + cell_label(c),
+                timeline.instant("sweep",
+                                 (hit ? "hit " : "quarantined ") +
+                                     cell_label(c),
                                  now_us(), 1, 999);
-        } else if (!cfg_.retryQuarantined &&
-                   cache.isQuarantined(key, &cf)) {
-            ++statQuarantined_;
-            sweeps[c.topoIdx].holes[c.benchIdx][c.protoIdx] =
-                cf.reason;
-            warn("cell '%s' is quarantined (%u attempts; %s); "
-                 "rendering it as a hole — retry-quarantined "
-                 "recomputes it",
-                 key.c_str(), cf.attempts, cf.reason.c_str());
-        } else {
-            pending.push_back(flat);
-        }
-    }
+        });
+    std::vector<Sweep> sweeps = std::move(plan.sweeps);
+    const std::vector<std::size_t> pending = std::move(plan.pending);
+    statTotal_ = owned.size();
+    statHit_ = plan.hits;
+    statQuarantined_ = plan.quarantined;
+    statComputed_ = statRetries_ = statKills_ = 0;
+    interrupted_ = false;
     DPRINTF_NT(Supervisor,
                "%zu cells: %zu cached, %zu quarantined, %zu to run "
                "on %u workers",
@@ -417,37 +277,23 @@ SweepSupervisor::run(CellCache &cache)
         return sweeps;
     }
 
-    // Biggest meshes first, same rationale as the engine.
-    std::stable_sort(pending.begin(), pending.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return spec_.topologies[spec_.cellAt(a)
-                                                     .topoIdx]
-                                    .numTiles() >
-                                spec_.topologies[spec_.cellAt(b)
-                                                     .topoIdx]
-                                    .numTiles();
-                     });
-
     struct Task
     {
         std::size_t flat = 0;
         unsigned attempt = 0; //!< 0-based attempt index
     };
-    struct Slot
+    struct Running
     {
-        bool busy = false;
-        pid_t pid = -1;
         Task task;
-        clock::time_point start;
-        std::string outPath;
-        std::string killReason;
+        double startUs = 0;
     };
 
     std::deque<Task> ready;
     for (std::size_t flat : pending)
         ready.push_back(Task{flat, 0});
     std::deque<std::pair<clock::time_point, Task>> delayed;
-    std::vector<Slot> slots(cfg_.workers);
+    WorkerPool pool(cfg_.workers, cfg_.program, cellOutputMagic);
+    std::vector<Running> running(cfg_.workers);
     std::vector<double> durationsMs;
     std::size_t remainingCells = pending.size();
     bool autosaveWarned = false;
@@ -477,7 +323,7 @@ SweepSupervisor::run(CellCache &cache)
 
     // The per-cell hard deadline: explicit wins; otherwise adapt to
     // 4x the median completed cell once three cells finished — the
-    // PR 6 stall warning threshold, promoted to a kill.
+    // stall warning threshold, promoted to a kill.
     auto deadlineMsNow = [&]() -> double {
         if (cfg_.deadlineMs > 0)
             return cfg_.deadlineMs;
@@ -490,15 +336,9 @@ SweepSupervisor::run(CellCache &cache)
                                 cfg_.minAdaptiveDeadlineMs);
     };
 
-    auto spawn = [&](Slot &slot, unsigned slot_idx, const Task &t) {
+    auto spawn = [&](unsigned slot, const Task &t) {
         const SweepCell c = spec_.cellAt(t.flat);
         const Topology &topo = spec_.topologies[c.topoIdx];
-        slot.outPath = ".wastesim_cell." +
-                       std::to_string(::getpid()) + "." +
-                       std::to_string(t.flat) + "." +
-                       std::to_string(t.attempt) + ".tmp";
-        std::remove(slot.outPath.c_str());
-
         std::string tiles;
         for (NodeId n : topo.memCtrlTiles()) {
             if (!tiles.empty())
@@ -506,7 +346,6 @@ SweepSupervisor::run(CellCache &cache)
             tiles += std::to_string(n);
         }
         std::vector<std::string> args{
-            cfg_.program,
             "cell",
             "--mesh",
             std::to_string(topo.meshX()) + "x" +
@@ -518,7 +357,7 @@ SweepSupervisor::run(CellCache &cache)
             "--protocol",
             protocolName(spec_.protocols[c.protoIdx]),
             "--out",
-            slot.outPath,
+            pool.outPath(slot),
         };
         args.insert(args.end(), cfg_.workerParamArgs.begin(),
                     cfg_.workerParamArgs.end());
@@ -530,32 +369,13 @@ SweepSupervisor::run(CellCache &cache)
             args.push_back("--fault-attempt");
             args.push_back(std::to_string(t.attempt));
         }
-        std::vector<char *> argv;
-        argv.reserve(args.size() + 1);
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        argv.push_back(nullptr);
-
-        const pid_t pid = ::fork();
-        fatal_if(pid < 0, "supervisor: fork failed: %s",
-                 std::strerror(errno));
-        if (pid == 0) {
-            ::execv(argv[0], argv.data());
-            std::fprintf(stderr,
-                         "supervisor worker: cannot exec %s: %s\n",
-                         argv[0], std::strerror(errno));
-            ::_exit(127);
-        }
-        slot.busy = true;
-        slot.pid = pid;
-        slot.task = t;
-        slot.start = clock::now();
-        slot.killReason.clear();
-        inform("worker %u: running %s (attempt %u, pid %d)", slot_idx,
+        const pid_t pid = pool.spawn(slot, args);
+        running[slot] = Running{t, now_us()};
+        inform("worker %u: running %s (attempt %u, pid %d)", slot,
                cell_label(c).c_str(), t.attempt + 1,
                static_cast<int>(pid));
         DPRINTF_NT(Supervisor, "spawn pid %d slot %u attempt %u: %s",
-                   static_cast<int>(pid), slot_idx, t.attempt + 1,
+                   static_cast<int>(pid), slot, t.attempt + 1,
                    cell_label(c).c_str());
     };
 
@@ -619,22 +439,13 @@ SweepSupervisor::run(CellCache &cache)
 
     auto lastBeat = clock::now();
     while (remainingCells > 0) {
-        const int drain = drainRequestCount();
-        if (drain >= 2) {
-            // Second signal: stop now.  SIGKILL every worker and reap
-            // so no zombies outlive us; completed cells are on disk.
-            for (Slot &s : slots) {
-                if (!s.busy)
-                    continue;
-                ::kill(s.pid, SIGKILL);
-                int status = 0;
-                ::waitpid(s.pid, &status, 0);
-                std::remove(s.outPath.c_str());
-                s.busy = false;
-            }
+        // Second signal: every worker is killed and reaped; completed
+        // cells are on disk.
+        if (pool.stopIfForced()) {
             interrupted_ = true;
             break;
         }
+        const int drain = drainRequestCount();
 
         const auto now = clock::now();
         while (!delayed.empty() && delayed.front().first <= now) {
@@ -642,16 +453,13 @@ SweepSupervisor::run(CellCache &cache)
             delayed.pop_front();
         }
 
-        unsigned busy = 0;
-        for (unsigned i = 0; i < slots.size(); ++i) {
-            Slot &s = slots[i];
-            if (!s.busy && drain == 0 && !ready.empty()) {
-                spawn(s, i, ready.front());
+        for (unsigned i = 0; i < pool.size(); ++i) {
+            if (!pool.busy(i) && drain == 0 && !ready.empty()) {
+                spawn(i, ready.front());
                 ready.pop_front();
             }
-            if (s.busy)
-                ++busy;
         }
+        const unsigned busy = pool.numBusy();
         if (busy == 0) {
             if (drain > 0) {
                 // Drained: nothing in flight, nothing may start.
@@ -665,60 +473,26 @@ SweepSupervisor::run(CellCache &cache)
             }
         }
 
-        bool reaped = false;
-        for (unsigned i = 0; i < slots.size(); ++i) {
-            Slot &s = slots[i];
-            if (!s.busy)
-                continue;
-            int status = 0;
-            const pid_t got = ::waitpid(s.pid, &status, WNOHANG);
-            if (got == 0) {
-                // Still running: enforce the deadline.
-                const double run_ms =
-                    std::chrono::duration<double, std::milli>(
-                        clock::now() - s.start)
-                        .count();
-                const double limit = deadlineMsNow();
-                if (run_ms > limit && s.killReason.empty()) {
-                    char buf[96];
-                    std::snprintf(buf, sizeof(buf),
-                                  "deadline exceeded (ran %.1f s, "
-                                  "limit %.1f s)",
-                                  run_ms / 1e3, limit / 1e3);
-                    s.killReason = buf;
-                    ++statKills_;
-                    warn("cell '%s' %s: killing pid %d",
-                         spec_.cellKey(spec_.cellAt(s.task.flat))
-                             .c_str(),
-                         buf, static_cast<int>(s.pid));
-                    ::kill(s.pid, SIGKILL);
-                }
-                continue;
+        const std::vector<WorkerExit> exits = pool.poll(deadlineMsNow());
+        for (const WorkerExit &e : exits) {
+            const Running &w = running[e.slot];
+            const std::string key = spec_.cellKey(spec_.cellAt(w.task.flat));
+            if (e.deadlineKilled) {
+                ++statKills_;
+                warn("cell '%s' %s: killed its worker", key.c_str(),
+                     e.reason.c_str());
             }
-            if (got != s.pid)
-                continue;
-            reaped = true;
-            s.busy = false;
-            const double start_us =
-                std::chrono::duration<double, std::micro>(s.start -
-                                                          t0)
-                    .count();
-            if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-                RunResult r;
-                std::string err;
-                const std::string key =
-                    spec_.cellKey(spec_.cellAt(s.task.flat));
-                if (parseWorkerOutput(s.outPath, key, r, &err))
-                    onSuccess(s.task, r, start_us, i);
-                else
-                    onFailure(s.task, "corrupt output: " + err, i);
-            } else {
-                onFailure(s.task,
-                          s.killReason.empty() ? waitReason(status)
-                                               : s.killReason,
-                          i);
-            }
-            std::remove(s.outPath.c_str());
+            RunResult r;
+            std::string err;
+            if (!e.exitedWith(0))
+                onFailure(w.task, e.reason, e.slot);
+            else if (!e.outputOk)
+                onFailure(w.task, "corrupt output: " + e.outputError,
+                          e.slot);
+            else if (!parseWorkerOutput(e.payload, key, r, &err))
+                onFailure(w.task, "corrupt output: " + err, e.slot);
+            else
+                onSuccess(w.task, r, w.startUs, e.slot);
         }
 
         if (cfg_.progressMs != 0 &&
@@ -735,7 +509,7 @@ SweepSupervisor::run(CellCache &cache)
                          busy, statRetries_, statKills_);
         }
 
-        if (!reaped)
+        if (exits.empty())
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(15));
     }

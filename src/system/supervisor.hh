@@ -1,20 +1,22 @@
 /**
  * @file
- * Fault-tolerant sweep supervisor: a multi-process worker pool where
- * each worker is a re-exec'd `wastesim cell` child computing one grid
- * cell at a time.
+ * Fault-tolerant sweep supervisor: runs a SweepSpec on a WorkerPool
+ * (worker_pool.hh) whose workers are re-exec'd `wastesim cell`
+ * children computing one grid cell at a time.
  *
  * The threaded SweepEngine shares one address space, so a SIGSEGV,
  * OOM kill or abort() in any single cell takes down the whole sweep
  * and every in-flight result with it.  The supervisor trades a few
- * milliseconds of exec overhead per cell for crash isolation:
+ * milliseconds of exec overhead per cell for crash isolation.  The
+ * pool spawns, deadline-kills and reaps the workers and verifies
+ * their checksummed hand-off files; the supervisor keeps the policy:
  *
  *  - **Crash isolation**: a dying worker loses exactly one cell; the
- *    supervisor reaps it, logs the wait status, and reschedules.
- *  - **Hard deadlines**: the PR 6 stall detector promoted from
- *    warning to kill — a cell exceeding the explicit
- *    `--cell-deadline-ms`, or 4x the median completed-cell time once
- *    enough samples exist, is SIGKILLed and treated as a failure.
+ *    supervisor logs the wait status and reschedules.
+ *  - **Hard deadlines**: the stall detector promoted from warning to
+ *    kill — a cell exceeding the explicit `--cell-deadline-ms`, or 4x
+ *    the median completed-cell time once enough samples exist, is
+ *    SIGKILLed and treated as a failure.
  *  - **Retry with backoff**: failed cells are retried up to
  *    maxRetries times with exponential backoff plus deterministic
  *    jitter (seeded per cell/attempt, so reruns behave identically).
@@ -22,13 +24,13 @@
  *    recorded in the CellCache with its attempt count and last
  *    failure reason; reports render it as an annotated hole instead
  *    of erroring, and only `--retry-quarantined` re-runs it.
- *  - **Checksummed hand-off**: workers write their result with a
- *    CRC-32 header and echo their cell key, so a corrupt or
- *    mismatched output file is detected and counts as a failure —
- *    never silently cached.
+ *  - **Checksummed hand-off**: workers echo their cell key inside the
+ *    CRC-covered payload, so a corrupt or mismatched output file is
+ *    detected and counts as a failure — never silently cached.
  *  - **Graceful drain**: the first SIGINT/SIGTERM stops spawning and
- *    lets in-flight workers finish (their cells autosave as usual);
- *    a second signal kills the remaining workers immediately.
+ *    lets in-flight workers finish (their cells autosave as usual;
+ *    workers ignore the terminal's SIGINT); a second signal kills the
+ *    remaining workers immediately.
  *
  * A seeded fault-injection harness (FaultSpec) exercises every one of
  * these paths deterministically: workers draw their fate from
@@ -45,6 +47,7 @@
 #include <vector>
 
 #include "system/sweep_engine.hh"
+#include "system/worker_pool.hh"
 
 namespace wastesim
 {
@@ -90,16 +93,18 @@ enum class FaultKind
 FaultKind faultDraw(const FaultSpec &faults, std::uint64_t seed,
                     const std::string &cell_id, unsigned attempt);
 
+/** Hand-off magic of `wastesim cell` output files. */
+constexpr const char *cellOutputMagic = "wastesim-cell-v1";
+
 /**
- * The worker hand-off file `wastesim cell --out` writes:
+ * The hand-off file `wastesim cell --out` writes (formatHandoff()
+ * with cellOutputMagic) around this payload:
  *
- *   wastesim-cell-v1 <crc32 hex> <payload bytes>\n
  *   <cell key>\n
  *   <RunResult block>
  *
- * The CRC covers the payload (key line + block).  The echoed key lets
- * the parent verify the child simulated the configuration it was
- * asked for; parseWorkerOutput() rejects mismatches and damage.
+ * The echoed key lets the parent verify the child simulated the
+ * configuration it was asked for.
  */
 std::string formatWorkerOutput(const std::string &cell_id,
                                const RunResult &r);
@@ -110,9 +115,9 @@ std::string formatWorkerOutput(const std::string &cell_id,
 void corruptWorkerOutput(std::string &file_bytes, std::uint64_t seed,
                          unsigned attempt);
 
-/** Parse and verify a worker output file; on failure @p err explains
- *  (missing, truncated, checksum mismatch, wrong cell, bad block). */
-bool parseWorkerOutput(const std::string &path,
+/** Parse a verified hand-off payload; on failure @p err explains
+ *  (wrong cell, bad result block). */
+bool parseWorkerOutput(const std::string &payload,
                        const std::string &expect_cell_id,
                        RunResult &out, std::string *err);
 
@@ -183,19 +188,6 @@ class SweepSupervisor
     std::size_t statKills_ = 0;
     bool interrupted_ = false;
 };
-
-/**
- * Cooperative SIGINT/SIGTERM drain, shared by the supervisor and the
- * threaded engine path: installDrainHandlers() routes both signals to
- * a counter; drainRequestCount() reads it (0 = run, 1 = drain —
- * finish in-flight work, start nothing new, >= 2 = stop now).
- */
-void installDrainHandlers();
-int drainRequestCount();
-
-/** Human-readable waitpid() status ("exit 3", "signal 11 (...)");
- *  shared with the fuzz campaign's crashed-scenario reporting. */
-std::string describeWaitStatus(int status);
 
 } // namespace wastesim
 

@@ -473,27 +473,68 @@ SweepEngine::shardCellIndices() const
     return idx;
 }
 
-std::vector<Sweep>
-SweepEngine::run(CellCache &cache)
+SweepPlan
+planSweep(const SweepSpec &spec, const CellCache &cache,
+          const std::vector<std::size_t> &owned, bool retry_quarantined,
+          const std::function<void(const SweepCell &, bool)> &on_served)
 {
-    const std::size_t num_topos = spec_.topologies.size();
-    const std::size_t num_benches = spec_.benches.size();
-    const std::size_t num_protos = spec_.protocols.size();
+    const std::size_t num_benches = spec.benches.size();
+    const std::size_t num_protos = spec.protocols.size();
 
-    std::vector<Sweep> sweeps(num_topos);
-    for (std::size_t t = 0; t < num_topos; ++t) {
-        Sweep &s = sweeps[t];
-        for (BenchmarkName b : spec_.benches)
+    SweepPlan plan;
+    plan.sweeps.resize(spec.topologies.size());
+    for (Sweep &s : plan.sweeps) {
+        for (BenchmarkName b : spec.benches)
             s.benchNames.emplace_back(benchmarkName(b));
-        for (ProtocolName p : spec_.protocols)
+        for (ProtocolName p : spec.protocols)
             s.protoNames.emplace_back(protocolName(p));
         s.results.assign(num_benches,
                          std::vector<RunResult>(num_protos));
         s.holes.assign(num_benches,
                        std::vector<std::string>(num_protos));
-        s.configTag = sweepConfigTag(
-            spec_.scale, spec_.paramsFor(static_cast<unsigned>(t)));
     }
+
+    for (std::size_t flat : owned) {
+        const SweepCell c = spec.cellAt(flat);
+        const std::string key = spec.cellKey(c);
+        Sweep &s = plan.sweeps[c.topoIdx];
+        CellFailure cf;
+        if (cache.get(key, s.results[c.benchIdx][c.protoIdx])) {
+            ++plan.hits;
+            on_served(c, true);
+        } else if (!retry_quarantined && cache.isQuarantined(key, &cf)) {
+            // A poisoned cell stays a hole: re-running a known-bad
+            // simulation on every report would wedge the pipeline.
+            ++plan.quarantined;
+            s.holes[c.benchIdx][c.protoIdx] = cf.reason;
+            warn("cell '%s' is quarantined (%u attempts; %s); "
+                 "rendering it as a hole — retry-quarantined "
+                 "recomputes it",
+                 key.c_str(), cf.attempts, cf.reason.c_str());
+            on_served(c, false);
+        } else {
+            plan.pending.push_back(flat);
+        }
+    }
+
+    // Biggest meshes first: a 16x16 cell can cost orders of magnitude
+    // more than a 2x2 one, so it must not start last.  Stable order
+    // (tile count, then flat index) keeps the queue deterministic.
+    auto tiles = [&](std::size_t flat) {
+        return spec.topologies[spec.cellAt(flat).topoIdx].numTiles();
+    };
+    std::stable_sort(plan.pending.begin(), plan.pending.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return tiles(a) > tiles(b);
+                     });
+    return plan;
+}
+
+std::vector<Sweep>
+SweepEngine::run(CellCache &cache)
+{
+    const std::size_t num_topos = spec_.topologies.size();
+    const std::size_t num_benches = spec_.benches.size();
 
     // Wall-clock observation (lifecycle timeline + progress monitor).
     const bool want_timeline = !timelinePath_.empty();
@@ -519,43 +560,22 @@ SweepEngine::run(CellCache &cache)
 
     // Serve hits, skip quarantined cells, queue the rest.
     const std::vector<std::size_t> owned = shardCellIndices();
-    statTotal_ = owned.size();
-    statHit_ = statComputed_ = statQuarantined_ = 0;
-    interrupted_ = false;
-
-    std::vector<std::size_t> pending;
-    for (std::size_t flat : owned) {
-        const SweepCell c = spec_.cellAt(flat);
-        const std::string key = spec_.cellKey(c);
-        RunResult &slot =
-            sweeps[c.topoIdx].results[c.benchIdx][c.protoIdx];
-        CellFailure cf;
-        if (cache.get(key, slot)) {
-            ++statHit_;
-            if (want_timeline) {
-                timeline.instant("sweep", "hit " + cell_label(c),
-                                 now_us(), 1, 999);
-            }
-        } else if (!retryQuarantined_ &&
-                   cache.isQuarantined(key, &cf)) {
-            // A poisoned cell stays a hole: re-running a known-bad
-            // simulation on every report would wedge the pipeline.
-            ++statQuarantined_;
-            sweeps[c.topoIdx].holes[c.benchIdx][c.protoIdx] =
-                cf.reason;
-            warn("cell '%s' is quarantined (%u attempts; %s); "
-                 "rendering it as a hole — retry-quarantined "
-                 "recomputes it",
-                 key.c_str(), cf.attempts, cf.reason.c_str());
-            if (want_timeline) {
+    SweepPlan plan = planSweep(
+        spec_, cache, owned, retryQuarantined_,
+        [&](const SweepCell &c, bool hit) {
+            if (want_timeline)
                 timeline.instant("sweep",
-                                 "quarantined " + cell_label(c),
+                                 (hit ? "hit " : "quarantined ") +
+                                     cell_label(c),
                                  now_us(), 1, 999);
-            }
-        } else {
-            pending.push_back(flat);
-        }
-    }
+        });
+    std::vector<Sweep> sweeps = std::move(plan.sweeps);
+    const std::vector<std::size_t> pending = std::move(plan.pending);
+    statTotal_ = owned.size();
+    statHit_ = plan.hits;
+    statQuarantined_ = plan.quarantined;
+    statComputed_ = 0;
+    interrupted_ = false;
     DPRINTF_NT(Sweep,
                "shard %u/%u: %zu cells, %zu cached, %zu quarantined, "
                "%zu to run",
@@ -565,20 +585,6 @@ SweepEngine::run(CellCache &cache)
         save_timeline();
         return sweeps;
     }
-
-    // Biggest meshes first: a 16x16 cell can cost orders of magnitude
-    // more than a 2x2 one, so it must not start last.  Stable order
-    // (tile count, then flat index) keeps the queue deterministic.
-    std::stable_sort(pending.begin(), pending.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         const unsigned ta =
-                             spec_.topologies[spec_.cellAt(a).topoIdx]
-                                 .numTiles();
-                         const unsigned tb =
-                             spec_.topologies[spec_.cellAt(b).topoIdx]
-                                 .numTiles();
-                         return ta > tb;
-                     });
 
     // Workloads are materialized once per (topology, benchmark) and
     // released as soon as their last pending cell completes, bounding

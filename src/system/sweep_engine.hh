@@ -231,6 +231,29 @@ class CellCache
     std::map<std::string, CellFailure> quarantine_;
 };
 
+/** What a sweep run starts from (planSweep()). */
+struct SweepPlan
+{
+    /** One figure-ordered Sweep per topology: hits filled in,
+     *  quarantined cells annotated as holes. */
+    std::vector<Sweep> sweeps;
+    /** Flat indices left to compute, biggest meshes first. */
+    std::vector<std::size_t> pending;
+    std::size_t hits = 0;
+    std::size_t quarantined = 0;
+};
+
+/**
+ * The start shared by SweepEngine and SweepSupervisor: serve the
+ * @p owned cells' cache hits, honor quarantine records (unless
+ * @p retry_quarantined) and queue the rest.  @p on_served sees
+ * every hit (true) or quarantined (false) cell.
+ */
+SweepPlan planSweep(
+    const SweepSpec &spec, const CellCache &cache,
+    const std::vector<std::size_t> &owned, bool retry_quarantined,
+    const std::function<void(const SweepCell &, bool)> &on_served);
+
 /**
  * Runs (a shard of) a SweepSpec against a CellCache: cached cells are
  * served, missing cells are computed on a worker pool and inserted.

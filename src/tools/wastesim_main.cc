@@ -157,8 +157,8 @@ usage(const char *prog)
         "          `sweep --supervise` worker processes\n"
         "  fuzz    [--seed N] [--runs N] [--time-budget SEC]\n"
         "          [--minimize] [--corpus DIR] [--report FILE]\n"
-        "          [--no-isolate] [--no-replay] [--max-ticks N]\n"
-        "          [--deadline-ms N] [--minimize-tests N]\n"
+        "          [--no-replay] [--max-ticks N] [--deadline-ms N]\n"
+        "          [--minimize-tests N]\n"
         "          draw N seeded random-but-valid scenarios (mesh,\n"
         "          MC placement, protocol, DRAM timings, synthetic\n"
         "          workload mix) and run each under the runtime\n"
@@ -174,7 +174,8 @@ usage(const char *prog)
         "  fuzzone --scenario LINE --out FILE [--max-ticks N]\n"
         "          [--no-replay]\n"
         "          check one encoded scenario and write a checksummed\n"
-        "          verdict file; used internally by `fuzz` workers\n"
+        "          verdict file; the worker half of `fuzz`, and the\n"
+        "          in-process way to debug one reported scenario\n"
         "  info    --trace FILE\n"
         "          describe a trace file\n"
         "\n"
@@ -323,18 +324,6 @@ defaultProtocols()
     return {allProtocols, allProtocols + numProtocols};
 }
 
-/** Parse a comma-separated tile-id list ("0,5,10,15"); fatal on
- *  malformed input. */
-std::vector<NodeId>
-parseTileList(const std::string &flag, const std::string &v)
-{
-    std::vector<NodeId> tiles;
-    fatal_if(!Topology::parseTileList(v, tiles),
-             "%s needs comma-separated tile ids below %u, got '%s'",
-             flag.c_str(), maxTiles, v.c_str());
-    return tiles;
-}
-
 /**
  * Deferred --mesh / --mcs / --mc-tiles parsing: flags are collected
  * while walking the argument list and applied once at the end, so
@@ -347,12 +336,29 @@ struct TopoArgs
     unsigned mcs = 0;               //!< 0 = default placement
     std::vector<NodeId> mcTiles;    //!< explicit placement (--mc-tiles)
 
-    void
-    parseMesh(const std::string &flag, const std::string &v)
+    /** Consume @p a if it is a topology flag. */
+    bool
+    tryParse(const std::string &a, Args &args)
     {
-        fatal_if(!Topology::parseMesh(v, meshX, meshY),
-                 "%s needs a WxH mesh spec (e.g. 4x4), got '%s'",
-                 flag.c_str(), v.c_str());
+        if (a == "--mesh") {
+            const std::string v = args.value(a);
+            fatal_if(!Topology::parseMesh(v, meshX, meshY),
+                     "%s needs a WxH mesh spec (e.g. 4x4), got '%s'",
+                     a.c_str(), v.c_str());
+        } else if (a == "--mcs") {
+            mcs = args.u32value(a);
+        } else if (a == "--mc-tiles") {
+            const std::string v = args.value(a);
+            std::vector<NodeId> tiles;
+            fatal_if(!Topology::parseTileList(v, tiles),
+                     "%s needs comma-separated tile ids below %u, got "
+                     "'%s'",
+                     a.c_str(), maxTiles, v.c_str());
+            mcTiles = std::move(tiles);
+        } else {
+            return false;
+        }
+        return true;
     }
 
     /** True when any topology flag was given. */
@@ -484,6 +490,16 @@ struct ObsCli
     }
 };
 
+/** The --jobs flag of sweep and report: sizes the simulation thread
+ *  pool, overriding $WASTESIM_JOBS. */
+void
+setJobs(const char *cmd, unsigned jobs)
+{
+    fatal_if(jobs < 1 || jobs > 1024,
+             "%s: --jobs needs a value in [1, 1024]", cmd);
+    setSweepJobs(jobs);
+}
+
 /** Sweep-cache path resolution shared by sweep and report:
  *  --cache FILE beats $WASTESIM_CACHE beats the default. */
 std::string
@@ -560,15 +576,9 @@ cmdRecord(Args args)
             bench_name = args.value(a);
         else if (a == "--scale")
             scale = args.u32value(a);
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
         else if (a == "--out" || a == "-o")
             out = args.value(a);
-        else if (obs.tryParse(a, args)) {
+        else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
         } else
             fatal("record: unknown option '%s'", a.c_str());
     }
@@ -605,15 +615,9 @@ cmdReplay(Args args)
             trace_path = args.value(a);
         else if (a == "--protocol")
             parseProtocol(args.value(a), protocols);
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
         else if (a == "--full-size")
             params = SimParams{};
-        else if (obs.tryParse(a, args)) {
+        else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
         } else
             fatal("replay: unknown option '%s'", a.c_str());
     }
@@ -726,12 +730,6 @@ cmdSynth(Args args)
             tune(args.u32value(a), &SynthParams::workCycles);
         else if (a == "--bypass")
             tune(true, &SynthParams::bypassShared);
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
         else if (a == "--out" || a == "-o")
             out = args.value(a);
         else if (a == "--protocol")
@@ -739,7 +737,7 @@ cmdSynth(Args args)
         else if (a == "--full-size") {
             params = SimParams{};
             full_size = true;
-        } else if (obs.tryParse(a, args)) {
+        } else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
         } else
             fatal("synth: unknown option '%s'", a.c_str());
     }
@@ -931,12 +929,6 @@ cmdCell(Args args)
             proto_name = args.value(a);
         else if (a == "--scale")
             scale = args.u32value(a);
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
         else if (a == "--full-size")
             params = SimParams{};
         else if (a == "--out" || a == "-o")
@@ -947,7 +939,7 @@ cmdCell(Args args)
             faultSeed = args.uvalue(a);
         else if (a == "--fault-attempt")
             faultAttempt = args.u32value(a);
-        else if (obs.tryParse(a, args)) {
+        else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
         } else
             fatal("cell: unknown option '%s'", a.c_str());
     }
@@ -1004,12 +996,8 @@ cmdCell(Args args)
     if (fate == FaultKind::Corrupt)
         corruptWorkerOutput(bytes, faultSeed, faultAttempt);
 
-    std::FILE *f = std::fopen(out.c_str(), "wb");
-    fatal_if(!f, "cell: cannot write '%s'", out.c_str());
-    const bool ok =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    std::fclose(f);
-    fatal_if(!ok, "cell: short write to '%s'", out.c_str());
+    fatal_if(!writeHandoff(out, bytes), "cell: cannot write '%s'",
+             out.c_str());
     return 0;
 }
 
@@ -1038,14 +1026,8 @@ cmdSweep(Args args)
             reports.push_back(args.value(a));
         else if (a == "--format")
             fmt = parseFormat(a, args.value(a));
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
         else if (a == "--mesh-list")
             meshListSpec = args.value(a);
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
         else if (a == "--shard") {
             const std::string v = args.value(a);
             const std::size_t slash = v.find('/');
@@ -1068,12 +1050,9 @@ cmdSweep(Args args)
             numShards = static_cast<unsigned>(n);
         } else if (a == "--cache")
             cachePath = args.value(a);
-        else if (a == "--jobs") {
-            const unsigned jobs = args.u32value(a);
-            fatal_if(jobs < 1 || jobs > 1024,
-                     "sweep: --jobs needs a value in [1, 1024]");
-            setSweepJobs(jobs);
-        } else if (a == "--full-size") {
+        else if (a == "--jobs")
+            setJobs("sweep", args.u32value(a));
+        else if (a == "--full-size") {
             params = SimParams{};
             full_size = true;
         } else if (a == "--progress")
@@ -1095,7 +1074,7 @@ cmdSweep(Args args)
             faultSpecStr = args.value(a);
         else if (a == "--fault-seed")
             faultSeed = args.uvalue(a);
-        else if (obs.tryParse(a, args)) {
+        else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
         } else
             fatal("sweep: unknown option '%s'", a.c_str());
     }
@@ -1273,22 +1252,13 @@ cmdReport(Args args)
             reports.push_back(args.value(a));
         else if (a == "--format")
             fmt = parseFormat(a, args.value(a));
-        else if (a == "--mesh")
-            topo.parseMesh(a, args.value(a));
         else if (a == "--mesh-list")
             meshListSpec = args.value(a);
-        else if (a == "--mcs")
-            topo.mcs = args.u32value(a);
-        else if (a == "--mc-tiles")
-            topo.mcTiles = parseTileList(a, args.value(a));
         else if (a == "--cache")
             cachePath = args.value(a);
-        else if (a == "--jobs") {
-            const unsigned jobs = args.u32value(a);
-            fatal_if(jobs < 1 || jobs > 1024,
-                     "report: --jobs needs a value in [1, 1024]");
-            setSweepJobs(jobs);
-        } else if (a == "--full-size")
+        else if (a == "--jobs")
+            setJobs("report", args.u32value(a));
+        else if (a == "--full-size")
             params = SimParams{};
         else if (a == "--schema")
             schema = true;
@@ -1309,7 +1279,7 @@ cmdReport(Args args)
                      "report: --tolerance needs a fraction in "
                      "[0, 1), got '%s'",
                      v.c_str());
-        } else if (obs.tryParse(a, args)) {
+        } else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
         } else
             fatal("report: unknown option '%s'", a.c_str());
     }
@@ -1639,8 +1609,6 @@ cmdFuzz(Args args)
             opts.corpusDir = args.value(a);
         else if (a == "--report")
             reportPath = args.value(a);
-        else if (a == "--no-isolate")
-            opts.isolate = false;
         else if (a == "--no-replay")
             opts.checkReplay = false;
         else if (a == "--max-ticks")

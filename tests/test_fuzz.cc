@@ -1,7 +1,7 @@
 /** Unit tests: the seeded scenario fuzzer (src/fuzz/) — generator
  *  determinism, the one-line codec, the invariant checker, the
- *  delta-debugging minimizer and the campaign driver (in-process and
- *  with crash-isolated CLI workers). */
+ *  delta-debugging minimizer and the campaign driver (crash-isolated
+ *  CLI workers, checked against the in-process checker). */
 
 #include <gtest/gtest.h>
 
@@ -257,7 +257,7 @@ TEST(Campaign, InProcessCampaignIsDeterministicAndClean)
     FuzzOptions opts;
     opts.seed = 1234;
     opts.runs = 6;
-    opts.isolate = false;
+    opts.program = WASTESIM_BINARY_DIR "/wastesim";
     const FuzzReport a = FuzzCampaign(opts).run();
     const FuzzReport b = FuzzCampaign(opts).run();
     EXPECT_EQ(a.outcomes.size(), 6u);
@@ -274,12 +274,21 @@ TEST(Campaign, IsolatedWorkersProduceTheSameVerdictsAsInProcess)
     opts.runs = 4;
     opts.program = WASTESIM_BINARY_DIR "/wastesim";
     const FuzzReport iso = FuzzCampaign(opts).run();
-    opts.isolate = false;
-    const FuzzReport inp = FuzzCampaign(opts).run();
-    // Worker hand-off must not perturb anything: same scenarios, same
-    // verdicts, same result fingerprints.
-    EXPECT_EQ(iso.toText(), inp.toText());
     EXPECT_TRUE(iso.clean()) << iso.toText();
+    ASSERT_EQ(iso.outcomes.size(), 4u);
+    // Worker hand-off must not perturb anything: each worker's
+    // verdict and result fingerprint equal the in-process checker's.
+    const ScenarioGen gen(opts.seed);
+    for (const FuzzOutcome &o : iso.outcomes) {
+        const Scenario s = gen.at(o.index);
+        EXPECT_EQ(o.line, s.encode());
+        std::string crc;
+        const InvariantReport rep =
+            checkScenario(s, opts.maxTicks, opts.checkReplay, &crc);
+        EXPECT_EQ(o.verdict, rep.ok() ? FuzzVerdict::Pass
+                                      : FuzzVerdict::Violation);
+        EXPECT_EQ(o.resultCrc, crc) << o.line;
+    }
 }
 
 TEST(Campaign, CrashingWorkerIsCapturedNotFatal)
@@ -309,7 +318,7 @@ TEST(Campaign, TimeBudgetStopsDrawingEarly)
     opts.seed = 5;
     opts.runs = 1000000;       // would run forever
     opts.timeBudgetSec = 0.2;
-    opts.isolate = false;
+    opts.program = WASTESIM_BINARY_DIR "/wastesim";
     const FuzzReport rep = FuzzCampaign(opts).run();
     EXPECT_TRUE(rep.timeBudgetHit);
     EXPECT_LT(rep.outcomes.size(), 1000000u);

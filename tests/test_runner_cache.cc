@@ -1,4 +1,5 @@
-/** Unit tests: sweep serialization and the on-disk sweep cache. */
+/** Unit tests: the on-disk sweep cache behind cachedFullSweep and the
+ *  threaded runSweep pool. */
 
 #include <gtest/gtest.h>
 
@@ -111,32 +112,6 @@ expectSweepsEqual(const Sweep &a, const Sweep &b)
 
 } // namespace
 
-TEST(SweepCache, SaveLoadRoundTrip)
-{
-    const Sweep s = fakeSweep(3.0);
-    TempPath tmp("sweep_roundtrip.cache");
-    ASSERT_TRUE(saveSweep(s, tmp.path()));
-
-    Sweep loaded;
-    ASSERT_TRUE(loadSweep(loaded, tmp.path()));
-    expectSweepsEqual(s, loaded);
-}
-
-TEST(SweepCache, LoadRejectsMissingAndCorrupt)
-{
-    Sweep s;
-    EXPECT_FALSE(loadSweep(s, "no_such_sweep.cache"));
-
-    TempPath tmp("sweep_corrupt.cache");
-    {
-        std::FILE *f = std::fopen(tmp.path().c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs("wrong-magic\n1 1\n", f);
-        std::fclose(f);
-    }
-    EXPECT_FALSE(loadSweep(s, tmp.path()));
-}
-
 TEST(SweepCache, CachedFullSweepUsesCacheOnHit)
 {
     TempPath tmp("sweep_hit.cache");
@@ -246,12 +221,14 @@ TEST(SweepCache, StaleCacheShapeTriggersRecompute)
     EnvVar cache("WASTESIM_CACHE", tmp.path().c_str());
     EnvVar no_cache("WASTESIM_NO_CACHE", nullptr);
 
-    // A valid file whose grid is not the full 9x6 paper grid.
-    Sweep small;
-    small.benchNames = {"LU"};
-    small.protoNames = {"MESI"};
-    small.results.assign(1, std::vector<RunResult>(1));
-    ASSERT_TRUE(saveSweep(small, tmp.path()));
+    // A legacy whole-sweep (v3) file holding a 1x1 grid, not the
+    // full 9x6 paper grid: the per-cell cache must not serve it.
+    {
+        std::FILE *f = std::fopen(tmp.path().c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs("wastesim-sweep-v3\n-\n1 1\nLU\nMESI\n", f);
+        std::fclose(f);
+    }
 
     int computed = 0;
     auto compute = [&](unsigned, SimParams) {

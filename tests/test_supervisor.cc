@@ -206,10 +206,17 @@ TEST(WorkerOutput, RoundTripsAndDetectsEveryKindOfDamage)
     const std::string good = formatWorkerOutput(id, ref);
 
     TempPath tmp("worker_output.tmp");
-    writeBytes(tmp.path(), good);
     RunResult r;
     std::string err;
-    ASSERT_TRUE(parseWorkerOutput(tmp.path(), id, r, &err)) << err;
+    // The supervisor's read path: the pool's verified hand-off, then
+    // the cell payload.
+    auto load = [&](const std::string &path, const std::string &want) {
+        std::string payload;
+        return readHandoff(path, cellOutputMagic, payload, &err) &&
+               parseWorkerOutput(payload, want, r, &err);
+    };
+    writeBytes(tmp.path(), good);
+    ASSERT_TRUE(load(tmp.path(), id)) << err;
     EXPECT_EQ(resultBlock(r), resultBlock(ref));
 
     // Corruption: the CRC catches any payload flip.
@@ -217,25 +224,24 @@ TEST(WorkerOutput, RoundTripsAndDetectsEveryKindOfDamage)
     corruptWorkerOutput(bad, 42, 0);
     EXPECT_NE(bad, good);
     writeBytes(tmp.path(), bad);
-    EXPECT_FALSE(parseWorkerOutput(tmp.path(), id, r, &err));
+    EXPECT_FALSE(load(tmp.path(), id));
     EXPECT_NE(err.find("checksum mismatch"), std::string::npos);
 
     // Truncation.
     writeBytes(tmp.path(), good.substr(0, good.size() / 2));
-    EXPECT_FALSE(parseWorkerOutput(tmp.path(), id, r, &err));
+    EXPECT_FALSE(load(tmp.path(), id));
     EXPECT_NE(err.find("truncated"), std::string::npos);
 
     // A result for the wrong cell must be rejected even though its
     // checksum is valid — this is the parent/child drift guard.
     writeBytes(tmp.path(), good);
-    EXPECT_FALSE(parseWorkerOutput(tmp.path(), "some-other-cell", r,
-                                   &err));
+    EXPECT_FALSE(load(tmp.path(), "some-other-cell"));
     EXPECT_NE(err.find("expected"), std::string::npos);
 
     // Missing file and garbage header.
-    EXPECT_FALSE(parseWorkerOutput("no_such_output.tmp", id, r, &err));
+    EXPECT_FALSE(load("no_such_output.tmp", id));
     writeBytes(tmp.path(), "not a worker output\n");
-    EXPECT_FALSE(parseWorkerOutput(tmp.path(), id, r, &err));
+    EXPECT_FALSE(load(tmp.path(), id));
 }
 
 TEST(CellCache, QuarantineRecordsSurviveSaveLoadAndMerge)
