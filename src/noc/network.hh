@@ -63,13 +63,6 @@ class Network
      */
     void deliverAfter(Tick delay, Message msg);
 
-    /** Per-word data flit-hop share for a delivered message. */
-    static double
-    perWordFlitHops(const Message &msg)
-    {
-        return msg.hops / static_cast<double>(wordsPerFlit);
-    }
-
     /** Messages sent so far. */
     std::uint64_t messagesSent() const { return msgsSent_; }
 

@@ -8,21 +8,27 @@ namespace wastesim
 InstId
 MemProfiler::create(Addr word_num, bool present_in_l2)
 {
-    panic_if(recs_.size() >= maxInstances, "instance id space exhausted");
-    const InstId id = static_cast<InstId>(recs_.size());
-    recs_.push_back(Rec{WasteCat::Unclassified, 0, word_num,
-                        invalidInst, invalidInst});
+    panic_if(nextId_ >= invalidInst, "instance id space exhausted");
+    const InstId id = static_cast<InstId>(nextId_++);
+    if ((id & (chunkRecs - 1)) == 0)
+        chunks_.push_back(std::make_unique<Chunk>());
+    Rec &r = rec(id);
+    r.wordNum = word_num;
+    r.open = true;
     if (present_in_l2) {
         // Fig. 4.3: memory sends (A, I) while A is present in the L2.
-        recs_[id].cat = WasteCat::Fetch;
+        // The copies about to be installed keep the record open.
+        r.cat = WasteCat::Fetch;
+        if (id >= epochStart_)
+            ++tally_[static_cast<unsigned>(WasteCat::Fetch)];
     }
-    // Push onto the word's live-instance list.
+    // Push onto the word's open-instance list.
     InstId &head =
         byAddr_.getOrDefault(word_num / wordsPerLine)
             .head[word_num % wordsPerLine];
     if (head != invalidInst) {
-        recs_[id].nextSame = head;
-        recs_[head].prevSame = id;
+        r.nextSame = head;
+        rec(head).prevSame = id;
     }
     head = id;
     return id;
@@ -33,25 +39,63 @@ MemProfiler::dropRef(InstId id, bool invalidated)
 {
     if (id == invalidInst)
         return;
-    Rec &r = recs_[id];
-    panic_if(r.refs == 0, "dropRef on instance with zero refs");
-    if (--r.refs == 0) {
-        if (r.cat == WasteCat::Unclassified)
-            r.cat = invalidated ? WasteCat::Invalidate
-                                : WasteCat::Evict;
-        // Unlink from the word's live-instance list.
-        if (r.nextSame != invalidInst)
-            recs_[r.nextSame].prevSame = r.prevSame;
-        if (r.prevSame != invalidInst) {
-            recs_[r.prevSame].nextSame = r.nextSame;
-        } else if (LineHeads *lh =
-                       byAddr_.find(r.wordNum / wordsPerLine)) {
-            InstId &head = lh->head[r.wordNum % wordsPerLine];
-            if (head == id)
-                head = r.nextSame;
-        }
-        r.prevSame = r.nextSame = invalidInst;
+    Rec *r = openRec(id);
+    if (!r) {
+        // A copy re-installed after the instance closed.
+        unsigned *copies = reinstalled_.find(id);
+        panic_if(!copies, "dropRef on instance with zero refs");
+        if (--*copies == 0)
+            reinstalled_.erase(id);
+        return;
     }
+    panic_if(r->refs == 0, "dropRef on instance with zero refs");
+    if (--r->refs == 0) {
+        if (r->cat == WasteCat::Unclassified)
+            classify(id, *r, invalidated ? WasteCat::Invalidate
+                                         : WasteCat::Evict);
+        else
+            close(id, *r);
+    }
+}
+
+void
+MemProfiler::storeAddr(Addr word_num)
+{
+    const LineHeads *lh = byAddr_.find(word_num / wordsPerLine);
+    if (!lh)
+        return;
+    for (InstId id = lh->head[word_num % wordsPerLine];
+         id != invalidInst;) {
+        Rec &r = rec(id);
+        const InstId next = r.nextSame; // classify() may close r
+        classify(id, r, WasteCat::Write);
+        id = next;
+    }
+}
+
+void
+MemProfiler::close(InstId id, Rec &r)
+{
+    if (r.nextSame != invalidInst)
+        rec(r.nextSame).prevSame = r.prevSame;
+    if (r.prevSame != invalidInst)
+        rec(r.prevSame).nextSame = r.nextSame;
+    else
+        byAddr_.find(r.wordNum / wordsPerLine)
+            ->head[r.wordNum % wordsPerLine] = r.nextSame;
+    r.open = false;
+    if (--chunks_[id >> chunkBits]->live == 0)
+        chunks_[id >> chunkBits].reset();
+}
+
+unsigned
+MemProfiler::refs(InstId id) const
+{
+    const Chunk *c = chunks_[id >> chunkBits].get();
+    if (c && c->recs[id & (chunkRecs - 1)].open)
+        return c->recs[id & (chunkRecs - 1)].refs;
+    const unsigned *copies = reinstalled_.find(id);
+    return copies ? *copies : 0;
 }
 
 WasteCounts
@@ -59,9 +103,6 @@ MemProfiler::finalize()
 {
     panic_if(finalized_, "MemProfiler finalized twice");
     finalized_ = true;
-    for (auto &r : recs_)
-        if (r.cat == WasteCat::Unclassified)
-            r.cat = WasteCat::Unevicted;
     return counts();
 }
 
@@ -69,12 +110,14 @@ WasteCounts
 MemProfiler::counts() const
 {
     WasteCounts c;
-    for (std::size_t i = epochStart_; i < recs_.size(); ++i) {
-        const Rec &r = recs_[i];
-        WasteCat cat = r.cat == WasteCat::Unclassified
-            ? WasteCat::Unevicted : r.cat;
-        c[cat] += 1.0;
+    std::uint64_t classified = 0;
+    for (unsigned i = 0; i < numWasteCats; ++i) {
+        c.byCat[i] = static_cast<double>(tally_[i]);
+        classified += tally_[i];
     }
+    // Every window instance not yet classified is still on chip.
+    c[WasteCat::Unevicted] +=
+        static_cast<double>(nextId_ - epochStart_ - classified);
     c[WasteCat::Excess] += excess_ - excessAtEpoch_;
     return c;
 }

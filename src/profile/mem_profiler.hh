@@ -17,10 +17,16 @@
  *  - copies still on-chip at the end of the run               -> Unevicted
  *  - read from DRAM but filtered at the MC (L2 Flex)          -> Excess
  *
- * Instance records are never recycled, so the arena grows with every
- * word ever sent on-chip.  Ids are capped at maxInstances: a cell
- * large enough to exceed it fails fast with a message instead of
- * growing toward an out-of-memory kill.
+ * An instance is tallied into its category when it is classified, and
+ * its record is released once it is classified and no cache holds a
+ * copy.  Records sit in fixed-size chunks indexed by id; a chunk is
+ * freed when its last record closes, so memory follows the instances
+ * still live on chip, not the words ever sent.  Ids are handed out
+ * monotonically and never reused: an id travels without a reference
+ * (the MESI L1 evict buffer keeps a line's ids after dropping its
+ * refs and hands them to the L2), so a closed instance can be
+ * installed again.  Such copies are counted in a small side table;
+ * they cannot change the instance's category.
  */
 
 #ifndef WASTESIM_PROFILE_MEM_PROFILER_HH
@@ -28,11 +34,11 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/flat_map.hh"
 #include "common/types.hh"
-#include "common/word_mask.hh"
 #include "profile/waste.hh"
 
 namespace wastesim
@@ -42,11 +48,6 @@ namespace wastesim
 class MemProfiler
 {
   public:
-    /** Instance-id cap (about 12 GiB of records): create() panics
-     *  instead of growing the arena past it. */
-    static constexpr std::size_t maxInstances =
-        (std::size_t{1} << 29) - 1;
-
     /**
      * The MC sends a freshly fetched word on-chip.
      *
@@ -64,7 +65,10 @@ class MemProfiler
     {
         if (id == invalidInst)
             return;
-        ++recs_[id].refs;
+        if (Rec *r = openRec(id))
+            ++r->refs;
+        else
+            ++reinstalled_.getOrDefault(id);
     }
 
     /**
@@ -81,23 +85,15 @@ class MemProfiler
     {
         if (id == invalidInst)
             return;
-        classify(id, WasteCat::Used);
+        if (Rec *r = openRec(id))
+            classify(id, *r, WasteCat::Used);
     }
 
     /**
      * An L1 issued a write to @p word_num: all open instances of the
      * address become Write waste.
      */
-    void
-    storeAddr(Addr word_num)
-    {
-        const LineHeads *lh = byAddr_.find(word_num / wordsPerLine);
-        if (!lh)
-            return;
-        for (InstId id = lh->head[word_num % wordsPerLine];
-             id != invalidInst; id = recs_[id].nextSame)
-            classify(id, WasteCat::Write);
-    }
+    void storeAddr(Addr word_num);
 
     /** @p nwords were read from DRAM and dropped at the MC. */
     void excess(unsigned nwords) { excess_ += nwords; }
@@ -106,7 +102,8 @@ class MemProfiler
     void
     markEpoch()
     {
-        epochStart_ = recs_.size();
+        epochStart_ = nextId_;
+        tally_ = {};
         excessAtEpoch_ = excess_;
     }
 
@@ -117,32 +114,69 @@ class MemProfiler
     WasteCounts counts() const;
 
     /** Number of instances created (words sent on-chip). */
-    std::size_t numInstances() const { return recs_.size(); }
+    std::size_t numInstances() const { return nextId_; }
 
     /** On-chip copies of instance @p id (testing hook). */
-    unsigned refs(InstId id) const { return recs_[id].refs; }
+    unsigned refs(InstId id) const;
 
   private:
     struct Rec
     {
-        WasteCat cat = WasteCat::Unclassified;
-        unsigned refs = 0;
         Addr wordNum = 0;
-        /** Intrusive doubly-linked list of live instances of the same
+        /** Intrusive doubly-linked list of open instances of the same
          *  word, anchored in byAddr_ — no per-word heap vector. */
         InstId prevSame = invalidInst;
         InstId nextSame = invalidInst;
+        unsigned refs = 0;
+        WasteCat cat = WasteCat::Unclassified;
+        bool open = false;
     };
 
-    void
-    classify(InstId id, WasteCat cat)
+    static constexpr unsigned chunkBits = 10;
+    static constexpr std::size_t chunkRecs = std::size_t{1} << chunkBits;
+
+    /** Records for ids [k * chunkRecs, (k + 1) * chunkRecs). */
+    struct Chunk
     {
-        Rec &r = recs_[id];
-        if (r.cat == WasteCat::Unclassified)
-            r.cat = cat;
+        std::array<Rec, chunkRecs> recs;
+        /** Records not yet closed, counting ids not yet handed out. */
+        std::size_t live = chunkRecs;
+    };
+
+    Rec &
+    rec(InstId id)
+    {
+        return chunks_[id >> chunkBits]->recs[id & (chunkRecs - 1)];
     }
 
-    /** Per-word live-instance list heads for one cache line (one
+    /** The record of instance @p id, or nullptr once it closed. */
+    Rec *
+    openRec(InstId id)
+    {
+        Chunk *c = chunks_[id >> chunkBits].get();
+        if (!c)
+            return nullptr;
+        Rec &r = c->recs[id & (chunkRecs - 1)];
+        return r.open ? &r : nullptr;
+    }
+
+    /** Classify @p r (instance @p id) once; close it if no copy lives. */
+    void
+    classify(InstId id, Rec &r, WasteCat cat)
+    {
+        if (r.cat != WasteCat::Unclassified)
+            return;
+        r.cat = cat;
+        if (id >= epochStart_)
+            ++tally_[static_cast<unsigned>(cat)];
+        if (r.refs == 0)
+            close(id, r);
+    }
+
+    /** Unlink a classified, copy-less record and release it. */
+    void close(InstId id, Rec &r);
+
+    /** Per-word open-instance list heads for one cache line (one
      *  probe covers a whole line's worth of creates/drops). */
     struct LineHeads
     {
@@ -150,8 +184,13 @@ class MemProfiler
         std::array<InstId, wordsPerLine> head;
     };
 
-    std::vector<Rec> recs_;
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::size_t nextId_ = 0;
     std::size_t epochStart_ = 0;
+    /** Classified instances created in the window, by category. */
+    std::array<std::uint64_t, numWasteCats> tally_{};
+    /** Closed instance id -> cache copies installed since it closed. */
+    FlatMap<unsigned> reinstalled_;
     /** line number -> per-word instance list heads. */
     FlatMap<LineHeads> byAddr_;
     double excess_ = 0;

@@ -5,73 +5,65 @@
 namespace wastesim
 {
 
-InstId
-WordProfiler::arrive(Addr word_num, TrafficClass cls)
+void
+WordProfiler::openInstance(LineSlot &ls, unsigned w, TrafficClass cls,
+                           unsigned hops)
 {
-    panic_if(recs_.size() >= invalidInst, "instance id space exhausted");
-    InstId id = static_cast<InstId>(recs_.size());
-    recs_.push_back(Rec{WasteCat::Unclassified, cls, 0});
+    const std::uint16_t bit = static_cast<std::uint16_t>(1u << w);
+    const bool ld = cls == TrafficClass::Load;
+    ls.mask |= bit;
+    ls.open |= bit;
+    ls.load = ld ? ls.load | bit : ls.load & ~bit;
+    ls.epoch = epochMarked_ ? ls.epoch | bit : ls.epoch & ~bit;
+    ls.hops[w] = static_cast<std::uint8_t>(hops);
+    ++tally_[static_cast<unsigned>(WasteCat::Unclassified)];
+    quarters_[ld][false] += hops;
+}
 
+void
+WordProfiler::arrive(Addr word_num, TrafficClass cls, unsigned hops)
+{
     LineSlot &ls = present_.getOrDefault(lineKey(word_num));
     const unsigned w = widx(word_num);
     if (ls.mask & (1u << w)) {
         // Word already present: the arriving copy is Fetch waste
         // (Fig. 4.1/4.2, "word present in cache? yes -> Fetch").
-        recs_[id].cat = WasteCat::Fetch;
-        return id;
+        ++tally_[static_cast<unsigned>(WasteCat::Fetch)];
+        quarters_[cls == TrafficClass::Load][false] += hops;
+        return;
     }
-    ls.mask |= 1u << w;
-    ls.inst[w] = id;
-    return id;
+    openInstance(ls, w, cls, hops);
 }
 
 void
 WordProfiler::arriveUntracked(Addr word_num)
 {
-    LineSlot &ls = present_.getOrDefault(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    if (!(ls.mask & (1u << w))) {
-        ls.mask |= 1u << w;
-        ls.inst[w] = invalidInst;
-    }
+    present_.getOrDefault(lineKey(word_num)).mask |=
+        static_cast<std::uint16_t>(1u << widx(word_num));
 }
 
-InstId
-WordProfiler::arriveReplace(Addr word_num, TrafficClass cls)
+void
+WordProfiler::arriveReplace(Addr word_num, TrafficClass cls,
+                            unsigned hops)
 {
     LineSlot &ls = present_.getOrDefault(lineKey(word_num));
     const unsigned w = widx(word_num);
-    if (ls.mask & (1u << w)) {
-        classify(ls.inst[w], WasteCat::Write);
-        ls.mask &= static_cast<std::uint16_t>(~(1u << w));
-    }
-
-    panic_if(recs_.size() >= invalidInst, "instance id space exhausted");
-    InstId id = static_cast<InstId>(recs_.size());
-    recs_.push_back(Rec{WasteCat::Unclassified, cls, 0});
-    ls.mask |= 1u << w;
-    ls.inst[w] = id;
-    return id;
+    classify(ls, w, WasteCat::Write);
+    openInstance(ls, w, cls, hops);
 }
 
 void
 WordProfiler::writeKill(Addr word_num)
 {
-    LineSlot *ls = present_.find(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    if (!ls || !(ls->mask & (1u << w)))
-        return;
-    classify(ls->inst[w], WasteCat::Write);
-    ls->mask &= static_cast<std::uint16_t>(~(1u << w));
+    if (LineSlot *ls = present_.find(lineKey(word_num)))
+        remove(*ls, widx(word_num), WasteCat::Write);
 }
 
 void
 WordProfiler::respUsed(Addr word_num)
 {
-    LineSlot *ls = present_.find(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    if (ls && (ls->mask & (1u << w)))
-        classify(ls->inst[w], WasteCat::Used);
+    if (LineSlot *ls = present_.find(lineKey(word_num)))
+        classify(*ls, widx(word_num), WasteCat::Used);
 }
 
 void
@@ -79,36 +71,33 @@ WordProfiler::overwrite(Addr word_num)
 {
     LineSlot &ls = present_.getOrDefault(lineKey(word_num));
     const unsigned w = widx(word_num);
-    if (ls.mask & (1u << w)) {
-        classify(ls.inst[w], WasteCat::Write);
-    } else {
-        ls.mask |= 1u << w;
-        ls.inst[w] = invalidInst;
-    }
+    classify(ls, w, WasteCat::Write);
+    ls.mask |= static_cast<std::uint16_t>(1u << w);
 }
 
 void
 WordProfiler::evict(Addr word_num)
 {
-    LineSlot *ls = present_.find(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    if (!ls || !(ls->mask & (1u << w)))
-        return;
-    classify(ls->inst[w], WasteCat::Evict);
-    ls->mask &= static_cast<std::uint16_t>(~(1u << w));
+    if (LineSlot *ls = present_.find(lineKey(word_num)))
+        remove(*ls, widx(word_num), WasteCat::Evict);
 }
 
 void
 WordProfiler::invalidate(Addr word_num)
 {
-    LineSlot *ls = present_.find(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    if (!ls || !(ls->mask & (1u << w)))
-        return;
-    classify(ls->inst[w], level_ == Level::L1
-                                     ? WasteCat::Invalidate
-                                     : WasteCat::Evict);
-    ls->mask &= static_cast<std::uint16_t>(~(1u << w));
+    if (LineSlot *ls = present_.find(lineKey(word_num)))
+        remove(*ls, widx(word_num),
+               level_ == Level::L1 ? WasteCat::Invalidate
+                                   : WasteCat::Evict);
+}
+
+void
+WordProfiler::markEpoch()
+{
+    panic_if(epochMarked_, "WordProfiler epoch marked twice");
+    epochMarked_ = true;
+    tally_ = {};
+    quarters_ = {};
 }
 
 WasteCounts
@@ -117,27 +106,25 @@ WordProfiler::finalize(TrafficStats &traffic)
     panic_if(finalized_, "WordProfiler finalized twice");
     finalized_ = true;
 
-    for (auto &r : recs_)
-        if (r.cat == WasteCat::Unclassified)
-            r.cat = WasteCat::Unevicted;
+    auto &open = tally_[static_cast<unsigned>(WasteCat::Unclassified)];
+    tally_[static_cast<unsigned>(WasteCat::Unevicted)] += open;
+    open = 0;
 
-    const bool to_l1 = level_ == Level::L1;
-    for (std::size_t i = epochStart_; i < recs_.size(); ++i) {
-        const Rec &r = recs_[i];
-        if (r.flitHops == 0)
-            continue;
-        const bool used = r.cat == WasteCat::Used;
-        if (r.cls == TrafficClass::Load) {
-            double &bucket = to_l1
-                ? (used ? traffic.ldRespL1Used : traffic.ldRespL1Waste)
-                : (used ? traffic.ldRespL2Used : traffic.ldRespL2Waste);
-            bucket += r.flitHops;
-        } else {
-            double &bucket = to_l1
-                ? (used ? traffic.stRespL1Used : traffic.stRespL1Waste)
-                : (used ? traffic.stRespL2Used : traffic.stRespL2Waste);
-            bucket += r.flitHops;
-        }
+    // A quarter flit-hop is exact in a double, so adding the integer
+    // sums gives the same bits as adding instance by instance.
+    const auto fh = [](std::uint64_t q) {
+        return static_cast<double>(q) / wordsPerFlit;
+    };
+    if (level_ == Level::L1) {
+        traffic.ldRespL1Used += fh(quarters_[1][1]);
+        traffic.ldRespL1Waste += fh(quarters_[1][0]);
+        traffic.stRespL1Used += fh(quarters_[0][1]);
+        traffic.stRespL1Waste += fh(quarters_[0][0]);
+    } else {
+        traffic.ldRespL2Used += fh(quarters_[1][1]);
+        traffic.ldRespL2Waste += fh(quarters_[1][0]);
+        traffic.stRespL2Used += fh(quarters_[0][1]);
+        traffic.stRespL2Waste += fh(quarters_[0][0]);
     }
     return counts();
 }
@@ -146,8 +133,8 @@ WasteCounts
 WordProfiler::counts() const
 {
     WasteCounts c;
-    for (std::size_t i = epochStart_; i < recs_.size(); ++i)
-        c[recs_[i].cat] += 1.0;
+    for (unsigned i = 0; i < numWasteCats; ++i)
+        c.byCat[i] = static_cast<double>(tally_[i]);
     return c;
 }
 

@@ -3,8 +3,8 @@
  * Per-cache word-instance profiler implementing the L1 and L2 waste
  * FSMs of Figs. 4.1 and 4.2.
  *
- * Every word delivered into a cache by a data message creates an
- * *instance record*.  The record is classified exactly once:
+ * Every word delivered into a cache by a data message is a word
+ * *instance*.  The instance is classified exactly once:
  *
  *  - arrival while the word is already present     -> Fetch
  *  - first read (L1) / returned in a response (L2) -> Used
@@ -13,9 +13,16 @@
  *  - evicted before use                            -> Evict
  *  - still unclassified at end of simulation       -> Unevicted
  *
- * The record also banks the fractional data flit-hops that carried the
- * word, so the Used/Waste split of Figs. 5.1b/5.1c can be resolved
- * post-hoc from the final classification.
+ * The instance also banks the data flit-hops that carried it, so the
+ * Used/Waste split of Figs. 5.1b/5.1c follows its classification.
+ *
+ * No per-instance record outlives its classification: an instance is
+ * tallied into per-category counters the moment it is classified, and
+ * the only instance that can still be open is a word's resident copy,
+ * whose state lives in its cache line's LineSlot.  Memory is therefore
+ * bounded by the lines the cache holds, not by the words it has ever
+ * received.  Banked traffic is an integer count of quarter flit-hops
+ * (one word's share of a data flit), so sums are exact in any order.
  */
 
 #ifndef WASTESIM_PROFILE_WORD_PROFILER_HH
@@ -23,10 +30,10 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/flat_map.hh"
 #include "common/log.hh"
+#include "common/topology.hh"
 #include "common/types.hh"
 #include "profile/waste.hh"
 
@@ -47,9 +54,12 @@ class WordProfiler
      *
      * @param word_num global word number (address / 4)
      * @param cls      traffic class of the delivering message
-     * @return the instance id to bank traffic against
+     * @param hops     route length of the delivering message
+     *                 (Message::hops, at most maxHops); the word banks
+     *                 its per-word share, hops / wordsPerFlit data
+     *                 flit-hops
      */
-    InstId arrive(Addr word_num, TrafficClass cls);
+    void arrive(Addr word_num, TrafficClass cls, unsigned hops);
 
     /**
      * A word becomes present without a profiled fetch: store-allocated
@@ -68,11 +78,11 @@ class WordProfiler
         panic_if(!ls || !(ls->mask & (1u << w)),
                  "L1 load hit on word %llu the profiler believes absent",
                  static_cast<unsigned long long>(word_num));
-        classify(ls->inst[w], WasteCat::Used);
+        classify(*ls, w, WasteCat::Used);
     }
 
     /**
-     * The core writes the word (L1).  An open record is classified
+     * The core writes the word (L1).  An open instance is classified
      * Write (overwritten before use); an absent word becomes present
      * untracked (write-validate allocation).
      */
@@ -81,13 +91,10 @@ class WordProfiler
     {
         LineSlot &ls = present_.getOrDefault(lineKey(word_num));
         const unsigned w = widx(word_num);
-        if (ls.mask & (1u << w)) {
-            classify(ls.inst[w], WasteCat::Write);
-        } else {
-            // Write-validate allocation: present, untracked.
-            ls.mask |= 1u << w;
-            ls.inst[w] = invalidInst;
-        }
+        if (ls.mask & (1u << w))
+            classify(ls, w, WasteCat::Write);
+        else
+            ls.mask |= 1u << w; // write-validate: present, untracked
     }
 
     /**
@@ -99,21 +106,22 @@ class WordProfiler
 
     /**
      * Newer data for a tracked word arrives (e.g. an owner's dirty
-     * copy reaching the L2): the old open record becomes Write waste
-     * and a fresh open record takes over as the resident instance.
+     * copy reaching the L2): the old open instance becomes Write waste
+     * and the arriving one takes over as the resident instance.
      */
-    InstId arriveReplace(Addr word_num, TrafficClass cls);
+    void arriveReplace(Addr word_num, TrafficClass cls, unsigned hops);
 
     /**
      * A remote write kills the resident copy (DeNovo registration
-     * stealing the word): open record becomes Write waste, presence
-     * ends.
+     * stealing the word): an open instance becomes Write waste,
+     * presence ends.
      */
     void writeKill(Addr word_num);
 
     /**
-     * An L1 writeback overwrites this word at the L2 — an open record
-     * becomes Write waste.  The word stays (or becomes) present.
+     * An L1 writeback overwrites this word at the L2 — an open
+     * instance becomes Write waste.  The word stays (or becomes)
+     * present.
      */
     void overwrite(Addr word_num);
 
@@ -131,63 +139,75 @@ class WordProfiler
         return ls && (ls->mask & (1u << widx(word_num)));
     }
 
-    /** Bank @p flit_hops of data traffic against instance @p id. */
-    void
-    addTraffic(InstId id, double flit_hops)
-    {
-        panic_if(id == invalidInst || id >= recs_.size(),
-                 "traffic banked against invalid instance");
-        recs_[id].flitHops += flit_hops;
-    }
-
     /**
-     * Begin the measurement window: records created earlier (cache
-     * warm-up) are excluded from counts and traffic resolution.
+     * Begin the measurement window (at most once per run): instances
+     * that arrived earlier (cache warm-up) are excluded from counts
+     * and traffic resolution.
      */
-    void markEpoch() { epochStart_ = recs_.size(); }
+    void markEpoch();
 
     /**
-     * Close out the run: open records become Unevicted.  Returns word
-     * counts by category and adds this cache's resolved data flit-hops
-     * into @p traffic (dest = ToL1 or ToL2 by level).
+     * Close out the run: open instances become Unevicted.  Returns
+     * word counts by category and adds this cache's resolved data
+     * flit-hops into @p traffic (dest = ToL1 or ToL2 by level).
      */
     WasteCounts finalize(TrafficStats &traffic);
 
     /** Word counts by category so far (without finalizing). */
     WasteCounts counts() const;
 
-    /** Number of instance records created. */
-    std::size_t numRecords() const { return recs_.size(); }
+    /** Longest route (Message::hops) on the largest mesh. */
+    static constexpr unsigned maxHops = 2 * (Topology::maxDim - 1) + 1;
+    static_assert(maxHops <= UINT8_MAX, "hops must fit a LineSlot byte");
 
   private:
-    struct Rec
-    {
-        WasteCat cat = WasteCat::Unclassified;
-        TrafficClass cls = TrafficClass::Load;
-        double flitHops = 0;
-    };
-
     /**
-     * Presence state of one cache line's words: a present mask plus
-     * the resident instance per word (invalidInst = present but
-     * untracked).  Grouping by line means a fill/evict/load burst
-     * over a line costs one hash probe, not sixteen, and the 32-bit
-     * InstId keeps a LineSlot at two cache lines.
+     * Presence state of one cache line's words.  A present word with
+     * its open bit clear is untracked or already classified; an open
+     * word is the resident, still unclassified instance, which carries
+     * its traffic class (load bit), whether it counts toward this
+     * run's window (epoch bit) and its route length in hops.  Grouping
+     * by line means a fill/evict/load burst over a line costs one hash
+     * probe, not sixteen.
      */
     struct LineSlot
     {
         std::uint16_t mask = 0;
-        std::array<InstId, wordsPerLine> inst;
+        std::uint16_t open = 0;
+        std::uint16_t load = 0;
+        std::uint16_t epoch = 0;
+        std::array<std::uint8_t, wordsPerLine> hops;
     };
 
-    /** Classify record @p id as @p cat if still open. */
+    /** Make word @p w of @p ls present with a new open instance. */
+    void openInstance(LineSlot &ls, unsigned w, TrafficClass cls,
+                      unsigned hops);
+
+    /** Classify word @p w's resident instance as @p cat if open. */
     void
-    classify(InstId id, WasteCat cat)
+    classify(LineSlot &ls, unsigned w, WasteCat cat)
     {
-        if (id != invalidInst &&
-            recs_[id].cat == WasteCat::Unclassified) {
-            recs_[id].cat = cat;
+        const std::uint16_t bit = static_cast<std::uint16_t>(1u << w);
+        if (!(ls.open & bit))
+            return;
+        ls.open &= static_cast<std::uint16_t>(~bit);
+        if (((ls.epoch & bit) != 0) != epochMarked_)
+            return; // arrived before the measurement window
+        --tally_[static_cast<unsigned>(WasteCat::Unclassified)];
+        ++tally_[static_cast<unsigned>(cat)];
+        if (cat == WasteCat::Used) {
+            const bool ld = ls.load & bit;
+            quarters_[ld][false] -= ls.hops[w];
+            quarters_[ld][true] += ls.hops[w];
         }
+    }
+
+    /** Classify word @p w if open, then end its presence. */
+    void
+    remove(LineSlot &ls, unsigned w, WasteCat cat)
+    {
+        classify(ls, w, cat);
+        ls.mask &= static_cast<std::uint16_t>(~(1u << w));
     }
 
     static Addr lineKey(Addr word_num) { return word_num / wordsPerLine; }
@@ -197,11 +217,20 @@ class WordProfiler
     }
 
     Level level_;
-    std::size_t epochStart_ = 0;
-    std::vector<Rec> recs_;
+    bool epochMarked_ = false;
+    bool finalized_ = false;
+    /**
+     * Instances in the window by category; open instances count as
+     * Unclassified until finalize() turns them into Unevicted.
+     */
+    std::array<std::uint64_t, numWasteCats> tally_{};
+    /**
+     * Quarter flit-hops of in-window instances, by [load class][Used].
+     * An open instance banks as waste until it is classified Used.
+     */
+    std::array<std::array<std::uint64_t, 2>, 2> quarters_{};
     /** line number -> per-word presence/instance state. */
     FlatMap<LineSlot> present_;
-    bool finalized_ = false;
 };
 
 } // namespace wastesim

@@ -424,7 +424,6 @@ DenovoL1::barrierRelease(const std::vector<RegionId> &inv_regions)
 void
 DenovoL1::installResponse(Message &msg)
 {
-    const double per_word = Network::perWordFlitHops(msg);
     for (auto &chunk : msg.chunks) {
         if (chunk.mask.empty())
             continue;
@@ -437,8 +436,7 @@ DenovoL1::installResponse(Message &msg)
             // Every carried word is profiled (conservation); a word
             // we wrote meanwhile is present, so the arrival records
             // as Fetch waste and is not installed.
-            const InstId inst = prof_.arrive(wn, msg.cls);
-            prof_.addTraffic(inst, per_word);
+            prof_.arrive(wn, msg.cls, msg.hops);
             if (!cl.regWords.test(w) && !cl.validWords.test(w)) {
                 cl.validWords.set(w);
                 cl.memRef[w] = chunk.memRef[w];

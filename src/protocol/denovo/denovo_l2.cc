@@ -267,7 +267,6 @@ DenovoL2::startMemFetch(Addr line_addr, WordMask missing, CoreId requester,
 void
 DenovoL2::handleMemData(Message &msg)
 {
-    const double per_word = Network::perWordFlitHops(msg);
     for (auto &chunk : msg.chunks) {
         const Addr la = chunk.line;
         CacheLine *cl = array_.find(la);
@@ -278,8 +277,7 @@ DenovoL2::handleMemData(Message &msg)
             if (!chunk.mask.test(w))
                 continue;
             const Addr wn = wordNumber(la) + w;
-            const InstId inst = prof_.arrive(wn, msg.cls);
-            prof_.addTraffic(inst, per_word);
+            prof_.arrive(wn, msg.cls, msg.hops);
             // A registration that raced the fetch wins: the memory
             // data is dead on arrival (Write waste), not installed.
             if (cl->regOwner[w] != invalidNode) {

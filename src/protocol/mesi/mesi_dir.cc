@@ -65,7 +65,6 @@ void
 MesiDir::installWords(const Message &msg, CacheLine &cl,
                       bool track_arrivals)
 {
-    const double per_word = Network::perWordFlitHops(msg);
     for (const auto &chunk : msg.chunks) {
         panic_if(chunk.line != cl.line, "chunk for wrong line");
         for (unsigned w = 0; w < wordsPerLine; ++w) {
@@ -74,18 +73,16 @@ MesiDir::installWords(const Message &msg, CacheLine &cl,
             const Addr wn = wordNumber(chunk.line) + w;
             const bool newer = chunk.dirty.test(w);
             if (track_arrivals) {
-                InstId inst;
                 if (newer) {
                     // A dirty copy supersedes what the L2 holds.
                     if (cl.memRef[w] != invalidInst) {
                         memProf_.dropRef(cl.memRef[w], false);
                         cl.memRef[w] = invalidInst;
                     }
-                    inst = prof_.arriveReplace(wn, msg.cls);
+                    prof_.arriveReplace(wn, msg.cls, msg.hops);
                 } else {
-                    inst = prof_.arrive(wn, msg.cls);
+                    prof_.arrive(wn, msg.cls, msg.hops);
                 }
-                prof_.addTraffic(inst, per_word);
             } else if (newer) {
                 // Writeback data: profiled by dirty bits, not records.
                 prof_.overwrite(wn);

@@ -256,15 +256,13 @@ MesiL1::installData(Message &msg, Mshr &m)
     // outstanding (synthetic hot-set streams), a later install in the
     // same set must not evict a line whose MSHR still awaits acks.
     cl.busy = true;
-    const double per_word = Network::perWordFlitHops(msg);
     for (auto &chunk : msg.chunks) {
         panic_if(chunk.line != msg.line, "MESI data spans lines");
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!chunk.mask.test(w))
                 continue;
             const Addr wn = wordNumber(chunk.line) + w;
-            const InstId inst = prof_.arrive(wn, msg.cls);
-            prof_.addTraffic(inst, per_word);
+            prof_.arrive(wn, msg.cls, msg.hops);
             cl.validWords.set(w);
             cl.memRef[w] = chunk.memRef[w];
             memProf_.addRef(chunk.memRef[w]);

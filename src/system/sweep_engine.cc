@@ -37,6 +37,18 @@ serializeResult(const RunResult &r)
     return os.str();
 }
 
+/** This process's resident set in MB, from /proc/self/statm (0 when
+ *  it cannot be read). */
+double
+residentMb()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages = 0, resident = 0;
+    if (!(statm >> pages >> resident))
+        return 0;
+    return resident * static_cast<double>(sysconf(_SC_PAGESIZE)) / 1e6;
+}
+
 /** One-line form of a quarantine reason (the record is line-framed). */
 std::string
 sanitizeReason(std::string reason)
@@ -652,9 +664,9 @@ SweepEngine::run(CellCache &cache)
                 }
                 std::fprintf(stderr,
                              "sweep: %zu/%zu cells done, %.3g "
-                             "events/sec, eta %s\n",
+                             "events/sec, rss %.0f MB, eta %s\n",
                              statHit_ + completedCells, statTotal_,
-                             eps, eta.c_str());
+                             eps, residentMb(), eta.c_str());
 
                 if (cellDurationsUs.size() >= 3) {
                     std::vector<double> d = cellDurationsUs;

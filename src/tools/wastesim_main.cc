@@ -116,7 +116,7 @@ usage(const char *prog)
         "          grid slice and writes a partial cache for `merge`;\n"
         "          --jobs N sizes the simulation thread pool,\n"
         "          overriding $WASTESIM_JOBS; --progress prints a\n"
-        "          heartbeat with ETA and flags stalled cells; in a\n"
+        "          heartbeat with RSS, ETA; flags stalled cells; in a\n"
         "          sweep --timeline traces wall-clock cell\n"
         "          lifecycles, not sim time; --supervise N computes\n"
         "          cells on N crash-isolated worker processes with\n"

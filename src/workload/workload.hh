@@ -26,7 +26,11 @@
 namespace wastesim
 {
 
-/** One trace operation. */
+/**
+ * One trace operation.  Fields are laid out widest first so an Op
+ * packs into 16 bytes (traces hold every op of a run in memory); the
+ * constructor keeps the natural `Op{type, addr, arg}` spelling.
+ */
 struct Op
 {
     enum class Type : unsigned char
@@ -38,10 +42,18 @@ struct Op
         Epoch       //!< start of the measurement window
     };
 
-    Type type;
+    Op() = default;
+    constexpr Op(Type t, Addr a, std::uint32_t n)
+        : addr(a), arg(n), type(t)
+    {
+    }
+
     Addr addr = 0;
     std::uint32_t arg = 0;
+    Type type = Type::Work;
 };
+
+static_assert(sizeof(Op) == 16, "Op must pack into 16 bytes");
 
 /** Per-core operation sequence. */
 using Trace = std::vector<Op>;

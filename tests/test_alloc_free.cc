@@ -18,6 +18,7 @@
 #include "obs/debug.hh"
 #include "obs/observer.hh"
 #include "profile/traffic.hh"
+#include "profile/word_profiler.hh"
 #include "protocol/message.hh"
 #include "sim/event_queue.hh"
 
@@ -186,6 +187,38 @@ TEST(AllocFree, DisabledObservabilityAllocatesNothing)
     const std::size_t after = g_news;
     EXPECT_EQ(after - before, 0u)
         << "disabled observability performed heap allocations";
+}
+
+TEST(AllocFree, WordProfilerSteadyState)
+{
+    // A cache cycling fills, loads and evictions over a fixed
+    // footprint: once every line has a slot, the profiler keeps no
+    // per-arrival record, so it must not allocate.
+    WordProfiler p(WordProfiler::Level::L1);
+    constexpr Addr lines = 256;
+    auto cycle = [&p](unsigned rounds) {
+        for (unsigned r = 0; r < rounds; ++r) {
+            for (Addr l = 0; l < lines; ++l) {
+                for (unsigned w = 0; w < wordsPerLine; ++w) {
+                    const Addr wn = l * wordsPerLine + w;
+                    p.arrive(wn, TrafficClass::Load, 1 + (l + r) % 7);
+                    if ((w + r) % 3 == 0)
+                        p.load(wn);
+                }
+                for (unsigned w = 0; w < wordsPerLine; ++w)
+                    p.evict(l * wordsPerLine + w);
+            }
+        }
+    };
+    cycle(2); // warm the line table
+
+    const std::size_t before = g_news;
+    cycle(64);
+    const std::size_t after = g_news;
+    EXPECT_EQ(after - before, 0u)
+        << "WordProfiler steady state performed heap allocations";
+    TrafficStats t;
+    EXPECT_EQ(p.finalize(t).total(), 66.0 * lines * wordsPerLine);
 }
 
 TEST(AllocFree, MessageCopyAndMove)

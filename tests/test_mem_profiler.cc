@@ -131,6 +131,58 @@ TEST(MemProfiler, IgnoresInvalidInstId)
     EXPECT_EQ(p.finalize().total(), 0.0);
 }
 
+TEST(MemProfiler, ReinstallAfterCloseKeepsCategory)
+{
+    // The MESI evict buffer hands a line's ids to the L2 after the L1
+    // dropped its refs: the closed instance is installed again.
+    MemProfiler p;
+    const InstId i = p.create(100, false);
+    p.addRef(i);
+    p.dropRef(i, false); // closes as Evict
+    p.addRef(i);
+    EXPECT_EQ(p.refs(i), 1u);
+    p.used(i);
+    p.storeAddr(100);
+    p.dropRef(i, true);
+    EXPECT_EQ(p.refs(i), 0u);
+    const auto c = p.finalize();
+    EXPECT_EQ(c[WasteCat::Evict], 1.0);
+    EXPECT_EQ(c.total(), 1.0);
+}
+
+TEST(MemProfiler, IdsKeepRisingAfterInstancesClose)
+{
+    // Closed instances release their chunks; ids are never reused.
+    MemProfiler p;
+    for (InstId n = 0; n < 5000; ++n) {
+        const InstId i = p.create(n, false);
+        EXPECT_EQ(i, n);
+        p.addRef(i);
+        p.used(i);
+        p.dropRef(i, false);
+    }
+    EXPECT_EQ(p.numInstances(), 5000u);
+    EXPECT_EQ(p.finalize()[WasteCat::Used], 5000.0);
+}
+
+TEST(MemProfilerDeath, DropAfterReinstallDropsPanics)
+{
+    MemProfiler p;
+    const InstId i = p.create(100, false);
+    p.addRef(i);
+    p.dropRef(i, false);
+    p.addRef(i);
+    p.dropRef(i, false);
+    EXPECT_DEATH(p.dropRef(i, false), "zero refs");
+}
+
+TEST(MemProfilerDeath, FinalizeTwicePanics)
+{
+    MemProfiler p;
+    p.finalize();
+    EXPECT_DEATH(p.finalize(), "finalized twice");
+}
+
 TEST(MemProfilerDeath, DropWithoutRefPanics)
 {
     MemProfiler p;

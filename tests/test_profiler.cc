@@ -22,7 +22,7 @@ finalizeCounts(WordProfiler &p)
 TEST(WordProfiler, LoadClassifiesUsed)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.load(100);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Used], 1.0);
@@ -32,7 +32,7 @@ TEST(WordProfiler, LoadClassifiesUsed)
 TEST(WordProfiler, OverwriteBeforeUseIsWriteWaste)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Store);
+    p.arrive(100, TrafficClass::Store, 1);
     p.store(100);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Write], 1.0);
@@ -41,7 +41,7 @@ TEST(WordProfiler, OverwriteBeforeUseIsWriteWaste)
 TEST(WordProfiler, UsedThenStoreStaysUsed)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.load(100);
     p.store(100); // first classification wins
     const auto c = finalizeCounts(p);
@@ -52,8 +52,8 @@ TEST(WordProfiler, UsedThenStoreStaysUsed)
 TEST(WordProfiler, ArriveWhilePresentIsFetchWaste)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load);
-    p.arrive(100, TrafficClass::Load); // duplicate arrival
+    p.arrive(100, TrafficClass::Load, 1);
+    p.arrive(100, TrafficClass::Load, 1); // duplicate arrival
     p.load(100);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Fetch], 1.0);
@@ -63,7 +63,7 @@ TEST(WordProfiler, ArriveWhilePresentIsFetchWaste)
 TEST(WordProfiler, EvictBeforeUse)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.evict(100);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Evict], 1.0);
@@ -73,7 +73,7 @@ TEST(WordProfiler, EvictBeforeUse)
 TEST(WordProfiler, InvalidateBeforeUseL1)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.invalidate(100);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Invalidate], 1.0);
@@ -83,7 +83,7 @@ TEST(WordProfiler, L2HasNoInvalidateCategory)
 {
     // Fig. 4.2: the L2 FSM folds invalidation into eviction.
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.invalidate(100);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Evict], 1.0);
@@ -93,7 +93,7 @@ TEST(WordProfiler, L2HasNoInvalidateCategory)
 TEST(WordProfiler, UnevictedAtEnd)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Unevicted], 1.0);
 }
@@ -111,7 +111,7 @@ TEST(WordProfiler, ArriveOnStoreAllocatedIsFetch)
 {
     WordProfiler p(WordProfiler::Level::L1);
     p.store(100);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Fetch], 1.0);
 }
@@ -119,7 +119,7 @@ TEST(WordProfiler, ArriveOnStoreAllocatedIsFetch)
 TEST(WordProfiler, RespUsedMarksL2Reuse)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.respUsed(100);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Used], 1.0);
@@ -128,7 +128,7 @@ TEST(WordProfiler, RespUsedMarksL2Reuse)
 TEST(WordProfiler, OverwriteKeepsPresence)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.overwrite(100); // L1 writeback data lands on it
     EXPECT_TRUE(p.present(100));
     const auto c = finalizeCounts(p);
@@ -138,9 +138,8 @@ TEST(WordProfiler, OverwriteKeepsPresence)
 TEST(WordProfiler, ArriveReplaceClosesOldOpensNew)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load);
-    const InstId fresh = p.arriveReplace(100, TrafficClass::Load);
-    p.addTraffic(fresh, 1.0);
+    p.arrive(100, TrafficClass::Load, 1);
+    p.arriveReplace(100, TrafficClass::Load, 4);
     p.respUsed(100);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Write], 1.0); // the superseded copy
@@ -150,7 +149,7 @@ TEST(WordProfiler, ArriveReplaceClosesOldOpensNew)
 TEST(WordProfiler, WriteKillEndsPresence)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.writeKill(100);
     EXPECT_FALSE(p.present(100));
     const auto c = finalizeCounts(p);
@@ -160,11 +159,9 @@ TEST(WordProfiler, WriteKillEndsPresence)
 TEST(WordProfiler, TrafficResolvedByClassification)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    const InstId used = p.arrive(100, TrafficClass::Load);
-    p.addTraffic(used, 2.0);
+    p.arrive(100, TrafficClass::Load, 8); // 8 hops = 2 flit-hops/word
     p.load(100);
-    const InstId wasted = p.arrive(200, TrafficClass::Load);
-    p.addTraffic(wasted, 3.0);
+    p.arrive(200, TrafficClass::Load, 12);
     p.evict(200);
 
     TrafficStats t;
@@ -176,8 +173,7 @@ TEST(WordProfiler, TrafficResolvedByClassification)
 TEST(WordProfiler, StoreClassTrafficGoesToStoreBuckets)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    const InstId i = p.arrive(100, TrafficClass::Store);
-    p.addTraffic(i, 4.0);
+    p.arrive(100, TrafficClass::Store, 16);
     TrafficStats t;
     p.finalize(t);
     EXPECT_DOUBLE_EQ(t.stRespL2Waste, 4.0); // Unevicted => waste
@@ -186,13 +182,54 @@ TEST(WordProfiler, StoreClassTrafficGoesToStoreBuckets)
 TEST(WordProfiler, EpochExcludesWarmup)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load);
+    p.arrive(100, TrafficClass::Load, 1);
     p.load(100);
     p.markEpoch();
-    p.arrive(200, TrafficClass::Load);
+    p.arrive(200, TrafficClass::Load, 1);
     p.load(200);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c.total(), 1.0); // only the post-epoch word
+}
+
+TEST(WordProfiler, EpochExcludesWarmupInstancesClassifiedLater)
+{
+    // An instance that arrives before the epoch and is classified
+    // after it counts nowhere, nor does its traffic.
+    WordProfiler p(WordProfiler::Level::L1);
+    p.arrive(100, TrafficClass::Load, 4);
+    p.markEpoch();
+    p.load(100);
+    p.arrive(200, TrafficClass::Load, 8);
+    TrafficStats t;
+    const auto c = p.finalize(t);
+    EXPECT_EQ(c.total(), 1.0);
+    EXPECT_EQ(c[WasteCat::Unevicted], 1.0);
+    EXPECT_EQ(t.ldRespL1Used, 0.0);
+    EXPECT_EQ(t.ldRespL1Waste, 2.0);
+}
+
+TEST(WordProfiler, CountsShowOpenInstancesUnclassified)
+{
+    WordProfiler p(WordProfiler::Level::L1);
+    p.arrive(100, TrafficClass::Load, 1);
+    EXPECT_EQ(p.counts()[WasteCat::Unclassified], 1.0);
+    const auto c = finalizeCounts(p);
+    EXPECT_EQ(c[WasteCat::Unclassified], 0.0);
+    EXPECT_EQ(c[WasteCat::Unevicted], 1.0);
+}
+
+TEST(WordProfilerDeath, FinalizeTwicePanics)
+{
+    WordProfiler p(WordProfiler::Level::L1);
+    finalizeCounts(p);
+    EXPECT_DEATH(finalizeCounts(p), "finalized twice");
+}
+
+TEST(WordProfilerDeath, MarkEpochTwicePanics)
+{
+    WordProfiler p(WordProfiler::Level::L1);
+    p.markEpoch();
+    EXPECT_DEATH(p.markEpoch(), "epoch marked twice");
 }
 
 TEST(WordProfilerDeath, LoadOnAbsentWordPanics)

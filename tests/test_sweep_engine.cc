@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -428,6 +429,45 @@ TEST(SweepEngine, StallDetectorWarnsOnceNamingTheSlowCell)
     EXPECT_NE(err.find("sweep cell '" + slow_key + "' running"),
               std::string::npos)
         << err;
+}
+
+TEST(SweepEngine, HeartbeatReportsResidentSet)
+{
+    SweepSpec spec = smallSpec();
+    spec.topologies = {Topology(2, 2)};
+    setSweepJobs(1);
+    SweepEngine eng(spec);
+    eng.setProgress(10);
+    eng.setCompute([](const SweepSpec &s, const SweepCell &c) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        return fakeCell(s, c);
+    });
+    CellCache cache;
+    testing::internal::CaptureStderr();
+    eng.run(cache);
+    const std::string err = testing::internal::GetCapturedStderr();
+    setSweepJobs(0);
+
+    // Every heartbeat names a positive resident set, e.g.
+    // "sweep: 3/6 cells done, 1.2e+03 events/sec, rss 12 MB, eta 0s".
+    std::istringstream lines(err);
+    std::size_t beats = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("sweep: ", 0) != 0)
+            continue;
+        ++beats;
+        const std::size_t at = line.find(", rss ");
+        ASSERT_NE(at, std::string::npos) << line;
+        double mb = 0;
+        char unit[3] = {};
+        ASSERT_EQ(std::sscanf(line.c_str() + at, ", rss %lf %2s", &mb,
+                              unit),
+                  2)
+            << line;
+        EXPECT_GT(mb, 0.0) << line;
+        EXPECT_STREQ(unit, "MB") << line;
+    }
+    EXPECT_GT(beats, 0u) << err;
 }
 
 TEST(SweepEngine, RealCellsMatchRunOne)
