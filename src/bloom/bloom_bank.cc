@@ -1,5 +1,7 @@
 #include "bloom/bloom_bank.hh"
 
+#include "common/log.hh"
+
 namespace wastesim
 {
 
@@ -13,6 +15,7 @@ bloomHash()
 unsigned
 bloomFilterIndex(Addr line_addr, unsigned num_filters)
 {
+    panic_if(num_filters == 0, "Bloom filter use with zero filters");
     // Multiplicative scramble of the line number, independent of the
     // in-filter H3 hash.
     const std::uint64_t ln = line_addr / bytesPerLine;
@@ -53,6 +56,8 @@ BloomBank::maybeContains(Addr line_addr) const
 BloomImage
 BloomBank::image(unsigned idx) const
 {
+    panic_if(idx >= numFilters(), "Bloom image of filter %u of %u", idx,
+             numFilters());
     return filters_[idx].image();
 }
 
@@ -84,6 +89,8 @@ void
 BloomShadow::installImage(NodeId slice, unsigned idx,
                           const BloomImage &img)
 {
+    panic_if(idx >= numFilters_, "Bloom image into filter %u of %u", idx,
+             numFilters_);
     const unsigned f = flatIndex(slice, idx);
     filters_[f].unionImage(img);
     valid_[f] = true;

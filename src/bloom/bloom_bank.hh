@@ -8,6 +8,10 @@
  * L2 or words registered to an L1).  Each L1 holds a shadow copy of
  * all 32 x 16 filters (1-bit entries) that it populates on demand,
  * clears at barriers, and updates with its own writebacks.
+ *
+ * Only protocols with request bypass read the filters; the others
+ * build banks and shadows with zero filters, which hold no storage
+ * and panic if queried, inserted into or imaged.
  */
 
 #ifndef WASTESIM_BLOOM_BLOOM_BANK_HH

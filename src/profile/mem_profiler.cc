@@ -10,8 +10,12 @@ MemProfiler::create(Addr word_num, bool present_in_l2)
 {
     panic_if(nextId_ >= invalidInst, "instance id space exhausted");
     const InstId id = static_cast<InstId>(nextId_++);
-    if ((id & (chunkRecs - 1)) == 0)
+    if ((id & (chunkRecs - 1)) == 0) {
+        // The previous chunk's ids are now all handed out.
+        if (!chunks_.empty() && chunks_.back())
+            releaseIfSparse(chunks_.size() - 1);
         chunks_.push_back(std::make_unique<Chunk>());
+    }
     Rec &r = rec(id);
     r.wordNum = word_num;
     r.open = true;
@@ -83,19 +87,47 @@ MemProfiler::close(InstId id, Rec &r)
     else
         byAddr_.find(r.wordNum / wordsPerLine)
             ->head[r.wordNum % wordsPerLine] = r.nextSame;
+    const std::size_t k = id >> chunkBits;
+    if (!chunks_[k]) {
+        strays_.erase(id); // r dangles from here on
+        return;
+    }
     r.open = false;
-    if (--chunks_[id >> chunkBits]->live == 0)
-        chunks_[id >> chunkBits].reset();
+    --chunks_[k]->live;
+    releaseIfSparse(k);
+}
+
+void
+MemProfiler::releaseIfSparse(std::size_t k)
+{
+    const Chunk &c = *chunks_[k];
+    if (c.live > sparseRecs || ((k + 1) << chunkBits) > nextId_)
+        return;
+    const InstId base = static_cast<InstId>(k << chunkBits);
+    for (std::size_t i = 0; i < chunkRecs; ++i)
+        if (c.recs[i].open)
+            strays_.insert(base + static_cast<InstId>(i), c.recs[i]);
+    chunks_[k].reset();
 }
 
 unsigned
 MemProfiler::refs(InstId id) const
 {
     const Chunk *c = chunks_[id >> chunkBits].get();
-    if (c && c->recs[id & (chunkRecs - 1)].open)
-        return c->recs[id & (chunkRecs - 1)].refs;
+    const Rec *r = c ? &c->recs[id & (chunkRecs - 1)] : strays_.find(id);
+    if (r && r->open)
+        return r->refs;
     const unsigned *copies = reinstalled_.find(id);
     return copies ? *copies : 0;
+}
+
+std::size_t
+MemProfiler::residentChunks() const
+{
+    std::size_t n = 0;
+    for (const auto &c : chunks_)
+        n += c != nullptr;
+    return n;
 }
 
 WasteCounts

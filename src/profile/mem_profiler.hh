@@ -19,9 +19,14 @@
  *
  * An instance is tallied into its category when it is classified, and
  * its record is released once it is classified and no cache holds a
- * copy.  Records sit in fixed-size chunks indexed by id; a chunk is
- * freed when its last record closes, so memory follows the instances
- * still live on chip, not the words ever sent.  Ids are handed out
+ * copy.  Records sit in fixed-size chunks indexed by id.  Once all of
+ * a chunk's ids are handed out and at most an eighth of its records
+ * are still open, those few move to a small id-keyed side map and the
+ * chunk is freed, so a handful of long-lived copies cannot pin whole
+ * chunks.  Memory is bounded by the dense chunks plus the evacuated
+ * strays, that is by the instances still live on chip, not by the
+ * words ever sent.  The per-line list heads are purged once every
+ * word of the line has no open instance.  Ids are handed out
  * monotonically and never reused: an id travels without a reference
  * (the MESI L1 evict buffer keeps a line's ids after dropping its
  * refs and hands them to the L2), so a closed instance can be
@@ -119,6 +124,9 @@ class MemProfiler
     /** On-chip copies of instance @p id (testing hook). */
     unsigned refs(InstId id) const;
 
+    /** Record chunks not yet freed (testing hook for the bound). */
+    std::size_t residentChunks() const;
+
   private:
     struct Rec
     {
@@ -134,6 +142,8 @@ class MemProfiler
 
     static constexpr unsigned chunkBits = 10;
     static constexpr std::size_t chunkRecs = std::size_t{1} << chunkBits;
+    /** A full chunk with at most this many open records is evacuated. */
+    static constexpr std::size_t sparseRecs = chunkRecs / 8;
 
     /** Records for ids [k * chunkRecs, (k + 1) * chunkRecs). */
     struct Chunk
@@ -143,10 +153,13 @@ class MemProfiler
         std::size_t live = chunkRecs;
     };
 
+    /** The record of open instance @p id. */
     Rec &
     rec(InstId id)
     {
-        return chunks_[id >> chunkBits]->recs[id & (chunkRecs - 1)];
+        if (Chunk *c = chunks_[id >> chunkBits].get())
+            return c->recs[id & (chunkRecs - 1)];
+        return *strays_.find(id);
     }
 
     /** The record of instance @p id, or nullptr once it closed. */
@@ -155,7 +168,7 @@ class MemProfiler
     {
         Chunk *c = chunks_[id >> chunkBits].get();
         if (!c)
-            return nullptr;
+            return strays_.find(id);
         Rec &r = c->recs[id & (chunkRecs - 1)];
         return r.open ? &r : nullptr;
     }
@@ -176,6 +189,10 @@ class MemProfiler
     /** Unlink a classified, copy-less record and release it. */
     void close(InstId id, Rec &r);
 
+    /** Free chunk @p k, moving its open records to strays_, if all its
+     *  ids are handed out and at most sparseRecs are still open. */
+    void releaseIfSparse(std::size_t k);
+
     /** Per-word open-instance list heads for one cache line (one
      *  probe covers a whole line's worth of creates/drops). */
     struct LineHeads
@@ -184,7 +201,21 @@ class MemProfiler
         std::array<InstId, wordsPerLine> head;
     };
 
+    /** No word of the line has an open instance. */
+    static bool
+    headsDead(const LineHeads &lh)
+    {
+        for (InstId h : lh.head)
+            if (h != invalidInst)
+                return false;
+        return true;
+    }
+
+    /** Chunk k holds ids [k * chunkRecs, (k + 1) * chunkRecs); null
+     *  once freed. */
     std::vector<std::unique_ptr<Chunk>> chunks_;
+    /** Open records of freed chunks, by id. */
+    FlatMap<Rec> strays_;
     std::size_t nextId_ = 0;
     std::size_t epochStart_ = 0;
     /** Classified instances created in the window, by category. */
@@ -192,7 +223,7 @@ class MemProfiler
     /** Closed instance id -> cache copies installed since it closed. */
     FlatMap<unsigned> reinstalled_;
     /** line number -> per-word instance list heads. */
-    FlatMap<LineHeads> byAddr_;
+    FlatMap<LineHeads> byAddr_{headsDead};
     double excess_ = 0;
     double excessAtEpoch_ = 0;
     bool finalized_ = false;

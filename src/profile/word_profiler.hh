@@ -19,10 +19,12 @@
  * No per-instance record outlives its classification: an instance is
  * tallied into per-category counters the moment it is classified, and
  * the only instance that can still be open is a word's resident copy,
- * whose state lives in its cache line's LineSlot.  Memory is therefore
- * bounded by the lines the cache holds, not by the words it has ever
- * received.  Banked traffic is an integer count of quarter flit-hops
- * (one word's share of a data flit), so sums are exact in any order.
+ * whose state lives in its cache line's LineSlot.  A slot whose words
+ * have all left the cache is dead; the line table purges dead slots
+ * before it grows, so it stays within twice the slots the cache's
+ * largest resident set needs, not the lines it has ever received.
+ * Banked traffic is an integer count of quarter flit-hops (one word's
+ * share of a data flit), so sums are exact in any order.
  */
 
 #ifndef WASTESIM_PROFILE_WORD_PROFILER_HH
@@ -131,6 +133,9 @@ class WordProfiler
     /** The word is invalidated by the protocol. */
     void invalidate(Addr word_num);
 
+    /** Slots in the line table (testing hook for its bound). */
+    std::size_t lineCapacity() const { return present_.capacity(); }
+
     /** True if the profiler believes the word is present. */
     bool
     present(Addr word_num) const
@@ -178,6 +183,10 @@ class WordProfiler
         std::uint16_t epoch = 0;
         std::array<std::uint8_t, wordsPerLine> hops;
     };
+
+    /** No word present: open is a subset of mask, so nothing is lost
+     *  when the slot is dropped. */
+    static bool lineDead(const LineSlot &ls) { return ls.mask == 0; }
 
     /** Make word @p w of @p ls present with a new open instance. */
     void openInstance(LineSlot &ls, unsigned w, TrafficClass cls,
@@ -230,7 +239,7 @@ class WordProfiler
      */
     std::array<std::array<std::uint64_t, 2>, 2> quarters_{};
     /** line number -> per-word presence/instance state. */
-    FlatMap<LineSlot> present_;
+    FlatMap<LineSlot> present_{lineDead};
 };
 
 } // namespace wastesim

@@ -51,7 +51,7 @@ DenovoL1::DenovoL1(CoreId id, const ProtocolConfig &cfg,
           [this](Addr line, WordMask words) {
               flushRegistration(line, words);
           }),
-      bloom_(params.bloomFilters, params.topo)
+      bloom_(cfg.reqBypass ? params.bloomFilters : 0, params.topo)
 {
 }
 

@@ -60,6 +60,7 @@ class DenovoL1 : public L1Cache
     std::uint64_t bypassViaL2() const { return bypassViaL2_; }
     std::uint64_t selfInvalidated() const { return selfInvalidated_; }
     const WriteCombineTable &writeCombine() const { return wc_; }
+    const BloomShadow &bloom() const { return bloom_; }
 
     const CacheArray &array() const { return array_; }
 

@@ -13,7 +13,7 @@ DenovoL2::DenovoL2(NodeId slice, const ProtocolConfig &cfg,
     : slice_(slice), cfg_(cfg), params_(params), eq_(eq), net_(net),
       prof_(prof), memProf_(mem_prof),
       array_(params.l2Sets, params.l2Ways, params.topo.numTiles()),
-      bloom_(params.bloomFilters)
+      bloom_(cfg.reqBypass ? params.bloomFilters : 0)
 {
 }
 

@@ -438,6 +438,7 @@ SweepSupervisor::run(CellCache &cache)
     };
 
     auto lastBeat = clock::now();
+    long workerPeakKb = 0;
     while (remainingCells > 0) {
         // Second signal: every worker is killed and reaped; completed
         // cells are on disk.
@@ -475,6 +476,7 @@ SweepSupervisor::run(CellCache &cache)
 
         const std::vector<WorkerExit> exits = pool.poll(deadlineMsNow());
         for (const WorkerExit &e : exits) {
+            workerPeakKb = std::max(workerPeakKb, e.maxRssKb);
             const Running &w = running[e.slot];
             const std::string key = spec_.cellKey(spec_.cellAt(w.task.flat));
             if (e.deadlineKilled) {
@@ -503,10 +505,12 @@ SweepSupervisor::run(CellCache &cache)
             std::fprintf(stderr,
                          "supervise: %zu/%zu cells done (%zu hit, "
                          "%zu computed, %zu quarantined), %u "
-                         "running, %zu retries, %zu deadline kills\n",
+                         "running, %zu retries, %zu deadline kills, "
+                         "worker peak rss %ld MB\n",
                          statTotal_ - remainingCells, statTotal_,
                          statHit_, statComputed_, statQuarantined_,
-                         busy, statRetries_, statKills_);
+                         busy, statRetries_, statKills_,
+                         workerPeakKb / 1024);
         }
 
         if (exits.empty())

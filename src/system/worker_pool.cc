@@ -210,7 +210,8 @@ WorkerPool::reap(unsigned slot, double deadline_ms, WorkerExit &out)
     if (s.pid <= 0)
         return false;
     int status = 0;
-    const pid_t got = ::waitpid(s.pid, &status, WNOHANG);
+    struct rusage usage = {};
+    const pid_t got = ::wait4(s.pid, &status, WNOHANG, &usage);
     if (got == 0) {
         const double ran_ms =
             std::chrono::duration<double, std::milli>(Clock::now() -
@@ -231,6 +232,7 @@ WorkerPool::reap(unsigned slot, double deadline_ms, WorkerExit &out)
     out = WorkerExit{};
     out.slot = slot;
     out.status = status;
+    out.maxRssKb = usage.ru_maxrss;
     out.deadlineKilled = !s.killReason.empty();
     out.reason =
         out.deadlineKilled ? s.killReason : describeWaitStatus(status);

@@ -22,6 +22,7 @@
 #ifndef WASTESIM_SYSTEM_WORKER_POOL_HH
 #define WASTESIM_SYSTEM_WORKER_POOL_HH
 
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 
@@ -66,6 +67,7 @@ struct WorkerExit
 {
     unsigned slot = 0;
     int status = 0;               //!< raw waitpid() status
+    long maxRssKb = 0;            //!< the child's peak RSS (ru_maxrss)
     bool deadlineKilled = false;  //!< SIGKILLed by poll() at the deadline
     /** "deadline exceeded (ran .., limit ..)" or describeWaitStatus(). */
     std::string reason;

@@ -184,7 +184,9 @@ class RefMemProfiler
         recs_.push_back(Rec{present_in_l2 ? WasteCat::Fetch
                                           : WasteCat::Unclassified,
                             0, word_num, true});
-        return static_cast<InstId>(recs_.size() - 1);
+        const InstId id = static_cast<InstId>(recs_.size() - 1);
+        byWord_[word_num].push_back(id);
+        return id;
     }
 
     void addRef(InstId id) { ++recs_.at(id).refs; }
@@ -213,9 +215,12 @@ class RefMemProfiler
     void
     storeAddr(Addr word_num)
     {
-        for (std::size_t i = 0; i < recs_.size(); ++i)
-            if (recs_[i].listed && recs_[i].wordNum == word_num)
-                classify(static_cast<InstId>(i), WasteCat::Write);
+        auto it = byWord_.find(word_num);
+        if (it == byWord_.end())
+            return;
+        for (InstId id : it->second)
+            if (recs_[id].listed)
+                classify(id, WasteCat::Write);
     }
 
     void excess(unsigned nwords) { excess_ += nwords; }
@@ -241,6 +246,9 @@ class RefMemProfiler
     std::size_t numInstances() const { return recs_.size(); }
     unsigned refs(InstId id) const { return recs_.at(id).refs; }
 
+    /** The word instance @p id was created for. */
+    Addr wordOf(InstId id) const { return recs_.at(id).wordNum; }
+
     /** True once the instance's last copy has died. */
     bool dropped(InstId id) const { return !recs_.at(id).listed; }
 
@@ -262,6 +270,8 @@ class RefMemProfiler
     }
 
     std::vector<Rec> recs_;
+    /** word -> every instance ever created for it, in id order. */
+    std::map<Addr, std::vector<InstId>> byWord_;
     std::size_t epochStart_ = 0;
     double excess_ = 0;
     double excessAtEpoch_ = 0;

@@ -221,6 +221,48 @@ TEST(AllocFree, WordProfilerSteadyState)
     EXPECT_EQ(p.finalize(t).total(), 66.0 * lines * wordsPerLine);
 }
 
+TEST(AllocFree, WordProfilerStreamingFootprint)
+{
+    // A cache streaming over a million distinct lines with at most 64
+    // resident: each line is filled, partly read, and evicted 64 lines
+    // later.  Dead line slots are purged before the table would grow,
+    // so once warm the table neither grows nor allocates, however many
+    // lines pass through.
+    WordProfiler p(WordProfiler::Level::L1);
+    constexpr Addr resident = 64;
+    constexpr Addr total = 1'000'000;
+    constexpr Addr warm = 4096;
+    Addr next = 0;
+    auto stream = [&p, &next](Addr lines) {
+        for (Addr end = next + lines; next < end; ++next) {
+            for (unsigned w = 0; w < wordsPerLine; ++w) {
+                const Addr wn = next * wordsPerLine + w;
+                p.arrive(wn, TrafficClass::Load, 1 + next % 7);
+                if ((w + next) % 3 == 0)
+                    p.load(wn);
+            }
+            if (next >= resident)
+                for (unsigned w = 0; w < wordsPerLine; ++w)
+                    p.evict((next - resident) * wordsPerLine + w);
+        }
+    };
+    stream(warm);
+    const std::size_t cap = p.lineCapacity();
+    // 65 resident lines (one filled before the oldest leaves) need 128
+    // slots under the 0.7 load limit; the table stays within twice.
+    EXPECT_LE(cap, 256u);
+
+    const std::size_t before = g_news;
+    stream(total - warm);
+    const std::size_t after = g_news;
+    EXPECT_EQ(after - before, 0u)
+        << "WordProfiler line table allocated while streaming";
+    EXPECT_EQ(p.lineCapacity(), cap);
+    TrafficStats t;
+    EXPECT_EQ(p.finalize(t).total(),
+              static_cast<double>(total * wordsPerLine));
+}
+
 TEST(AllocFree, MessageCopyAndMove)
 {
     Message m = makeDataMessage(0, 5);

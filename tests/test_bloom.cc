@@ -200,6 +200,32 @@ TEST(BloomShadow, ClearAllResetsValidity)
 
 /** Property sweep: false-positive rate grows with occupancy but no
  *  false negatives ever occur. */
+TEST(BloomDeath, ZeroFilterBankPanicsOnUse)
+{
+    // Protocols without request bypass build banks with no filters;
+    // any use must fail loudly instead of dividing by zero.
+    BloomBank bank(0);
+    EXPECT_EQ(bank.numFilters(), 0u);
+    const Addr la = 1u << 20;
+    EXPECT_DEATH(bank.insert(la), "zero filters");
+    EXPECT_DEATH(bank.remove(la), "zero filters");
+    EXPECT_DEATH(bank.maybeContains(la), "zero filters");
+    EXPECT_DEATH(bank.image(0), "filter 0 of 0");
+}
+
+TEST(BloomDeath, ZeroFilterShadowPanicsOnUse)
+{
+    BloomShadow shadow(0);
+    EXPECT_EQ(shadow.numFilters(), 0u);
+    shadow.clearAll(); // nothing to clear is fine
+    const Addr la = 1u << 20;
+    bool need_copy = false;
+    EXPECT_DEATH(shadow.query(la, need_copy), "zero filters");
+    EXPECT_DEATH(shadow.hasCopy(la), "zero filters");
+    EXPECT_DEATH(shadow.insertWriteback(la), "zero filters");
+    EXPECT_DEATH(shadow.installImage(0, 0, BloomImage{}), "filter 0 of 0");
+}
+
 class BloomOccupancy : public ::testing::TestWithParam<int>
 {
 };

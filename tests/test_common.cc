@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <unordered_map>
+#include <vector>
 
 #include "common/flat_map.hh"
 #include "common/rng.hh"
@@ -234,6 +236,174 @@ TEST(FlatMap, Clear)
         EXPECT_FALSE(m.contains(k));
     m.insert(3, 5);
     EXPECT_EQ(*m.find(3), 5);
+}
+
+namespace
+{
+
+bool negativeIsDead(const int &v) { return v < 0; }
+
+/** Slot a FlatMap of capacity @p cap hashes @p key to (its home). */
+std::size_t
+homeSlot(Addr key, std::size_t cap)
+{
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 32) &
+           (cap - 1);
+}
+
+} // namespace
+
+TEST(FlatMap, PurgeErasesOnlyDeadValuesAcrossTheWrap)
+{
+    // Six keys that all hash to the last slot: their probe chain wraps
+    // past the table's end into slots 0..4.  Dead values sit at the
+    // chain's head, middle and wrapped tail, so the backward shift
+    // must pull live entries across the wrap.
+    FlatMap<int> m(negativeIsDead);
+    const std::size_t cap = m.capacity();
+    std::vector<Addr> chain;
+    for (Addr k = 1; chain.size() < 6; ++k)
+        if (homeSlot(k, cap) == cap - 1)
+            chain.push_back(k);
+    // Unrelated keys in the slots the chain wraps into and after it.
+    std::vector<Addr> others;
+    for (Addr k = 100000; others.size() < 8; ++k)
+        if (homeSlot(k, cap) <= 8 && homeSlot(k, cap) >= 1)
+            others.push_back(k);
+
+    const int vals[6] = {-1, 10, -2, 30, 40, -3};
+    for (unsigned i = 0; i < chain.size(); ++i)
+        m.insert(chain[i], vals[i]);
+    for (unsigned i = 0; i < others.size(); ++i)
+        m.insert(others[i], i % 2 ? -7 : static_cast<int>(i));
+    const std::size_t before = m.size();
+
+    m.purge();
+    EXPECT_EQ(m.capacity(), cap) << "purge must not reallocate";
+    EXPECT_EQ(m.size(), before - 3 - others.size() / 2);
+    for (unsigned i = 0; i < chain.size(); ++i) {
+        if (vals[i] < 0) {
+            EXPECT_FALSE(m.contains(chain[i])) << "dead key " << i;
+        } else {
+            ASSERT_NE(m.find(chain[i]), nullptr) << "lost key " << i;
+            EXPECT_EQ(*m.find(chain[i]), vals[i]);
+        }
+    }
+    for (unsigned i = 0; i < others.size(); ++i) {
+        if (i % 2)
+            EXPECT_FALSE(m.contains(others[i]));
+        else
+            ASSERT_NE(m.find(others[i]), nullptr) << "lost other " << i;
+    }
+    m.purge(); // nothing left to drop
+    EXPECT_EQ(m.size(), before - 3 - others.size() / 2);
+}
+
+TEST(FlatMap, PurgeBeforeGrowthFollowsLiveKeys)
+{
+    // A stream over 100k distinct keys, at most 40 live at a time:
+    // purging dead values before each growth keeps the table at the
+    // size the live set needs, however many keys pass through.
+    FlatMap<int> m(negativeIsDead);
+    for (Addr k = 0; k < 100000; ++k) {
+        m.insert(k, 1);
+        if (k >= 40)
+            *m.find(k - 40) = -1; // the oldest key dies in place
+    }
+    // 41 live keys need 64 slots at the 0.7 load limit; the table
+    // doubles only while live keys fill half the limit, so it stops
+    // within twice that.
+    EXPECT_LE(m.capacity(), 128u);
+    for (Addr k = 100000 - 40; k < 100000; ++k)
+        ASSERT_NE(m.find(k), nullptr) << "lost live key " << k;
+
+    // Without a predicate the table grows with every key it has seen.
+    FlatMap<int> plain;
+    for (Addr k = 0; k < 1000; ++k)
+        plain.insert(k, -1);
+    EXPECT_GE(plain.capacity(), 1024u);
+}
+
+// Randomized shadow test with a dead-value predicate: dead values may
+// vanish at any growth point, live values never do, and the table
+// stays within twice what the largest live set needs.
+TEST(FlatMap, RandomizedPurgeShadowEquivalence)
+{
+    std::mt19937_64 rng(777);
+    FlatMap<int> m(negativeIsDead);
+    std::unordered_map<Addr, int> ref;
+    std::uniform_int_distribution<Addr> key(0, 5000);
+    std::uniform_int_distribution<int> op(0, 9);
+    std::size_t live = 0, max_live = 0;
+
+    for (int i = 0; i < 200'000; ++i) {
+        // Sync the shadow with any dead value the map purged.
+        const Addr k = key(rng);
+        auto it = ref.find(k);
+        if (it != ref.end() && it->second < 0 && !m.contains(k)) {
+            ref.erase(it);
+            it = ref.end();
+        }
+        switch (op(rng)) {
+          case 0:
+          case 1:
+          case 2:
+          case 3: { // emplace a live value
+            const int v = static_cast<int>(rng() % 1000);
+            auto [p, ins] = m.emplace(k, v);
+            if (ins && it != ref.end() && it->second < 0)
+                ref.erase(it); // purged by this insert's growth check
+            auto [rit, rins] = ref.emplace(k, v);
+            ASSERT_EQ(ins, rins);
+            ASSERT_EQ(*p, rit->second);
+            live += ins;
+            break;
+          }
+          case 4:
+          case 5: // kill in place
+            if (int *p = m.find(k)) {
+                live -= *p >= 0;
+                *p = -1;
+                ref[k] = -1;
+            }
+            break;
+          case 6:
+            live -= it != ref.end() && it->second >= 0;
+            ASSERT_EQ(m.erase(k), ref.erase(k) > 0);
+            break;
+          default: {
+            const int *p = m.find(k);
+            if (it == ref.end()) {
+                ASSERT_EQ(p, nullptr);
+            } else {
+                ASSERT_NE(p, nullptr);
+                ASSERT_EQ(*p, it->second);
+            }
+            break;
+          }
+        }
+        max_live = std::max(max_live, live);
+        if (i % 1000 == 0) {
+            std::size_t n = 0;
+            for (const auto &[rk, rv] : ref) {
+                if (rv < 0)
+                    continue;
+                ++n;
+                const int *p = m.find(rk);
+                ASSERT_NE(p, nullptr) << "lost live key " << rk;
+                ASSERT_EQ(*p, rv);
+            }
+            ASSERT_EQ(n, live);
+        }
+        ASSERT_LE(m.size(), ref.size());
+    }
+    // Smallest table holding the largest live set under the 0.7
+    // limit; purge-before-grow stays within twice that.
+    std::size_t need = 64;
+    while ((need * 7) / 10 < max_live)
+        need *= 2;
+    EXPECT_GT(max_live, 1000u);
+    EXPECT_LE(m.capacity(), 2 * need);
 }
 
 // Randomized shadow test: a long interleaving of inserts, erases,

@@ -274,6 +274,32 @@ TEST(DeNovo, RequestBypassGoesStraightToMemory)
     EXPECT_LT(r2.traffic.ldReqCtl, base.traffic.ldReqCtl);
 }
 
+TEST(DeNovo, BloomStorageOnlyWithRequestBypass)
+{
+    // Only DBypFull reads the Bloom filters; every other DeNovo-family
+    // protocol allocates none, at the L2 slices or the L1 shadows.
+    ScriptWorkload wl;
+    wl.load(0, wl.alloc(64));
+    wl.finish();
+    const SimParams params = smallParams();
+    ASSERT_GT(params.bloomFilters, 0u);
+    for (ProtocolName p :
+         {ProtocolName::DeNovo, ProtocolName::DFlexL1,
+          ProtocolName::DValidateL2, ProtocolName::DMemL1,
+          ProtocolName::DFlexL2, ProtocolName::DBypL2,
+          ProtocolName::DBypFull}) {
+        System sys(p, wl, params);
+        const unsigned want =
+            p == ProtocolName::DBypFull ? params.bloomFilters : 0;
+        for (NodeId s = 0; s < params.topo.numTiles(); ++s)
+            ASSERT_EQ(sys.denovoL2(s)->bloom().numFilters(), want)
+                << protocolName(p) << " slice " << s;
+        for (CoreId c = 0; c < params.topo.numTiles(); ++c)
+            ASSERT_EQ(dnL1Of(sys, c).bloom().numFilters(), want)
+                << protocolName(p) << " L1 " << c;
+    }
+}
+
 TEST(DeNovo, RequestBypassSafety)
 {
     // A line with dirty data on-chip must NOT be fetched from memory

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "profile/mem_profiler.hh"
 
 namespace wastesim
@@ -163,6 +165,112 @@ TEST(MemProfiler, IdsKeepRisingAfterInstancesClose)
     }
     EXPECT_EQ(p.numInstances(), 5000u);
     EXPECT_EQ(p.finalize()[WasteCat::Used], 5000.0);
+}
+
+TEST(MemProfiler, SparseChunksAreEvacuated)
+{
+    // One instance in 64 stays on chip; the rest are used and evicted
+    // at once.  A chunk whose ids are all handed out then holds 16
+    // open records, so it is evacuated and freed: resident chunks stay
+    // bounded however many instances pass through.  The long-lived
+    // instance is each chunk's last id, so no later close in the chunk
+    // triggers the release; starting the next chunk must.
+    MemProfiler p;
+    constexpr InstId n = 64 * 1024;
+    std::size_t peak = 0;
+    for (InstId i = 0; i < n; ++i) {
+        const InstId id = p.create(i, false);
+        p.addRef(id);
+        if (i % 64 != 63) {
+            p.used(id);
+            p.dropRef(id, false);
+        }
+        peak = std::max(peak, p.residentChunks());
+    }
+    EXPECT_LE(peak, 2u);
+    for (InstId i = 63; i < n; i += 64)
+        ASSERT_EQ(p.refs(i), 1u) << "stray " << i;
+    // The strays still classify: evict half, use the other half.
+    for (InstId i = 63; i < n; i += 128)
+        p.dropRef(i, false);
+    for (InstId i = 127; i < n; i += 128)
+        p.used(i);
+    const auto c = p.finalize();
+    EXPECT_EQ(c[WasteCat::Used], double(n - n / 64 + n / 128));
+    EXPECT_EQ(c[WasteCat::Evict], double(n / 128));
+    EXPECT_EQ(c[WasteCat::Unevicted], 0.0);
+}
+
+namespace
+{
+
+constexpr Addr strayWordBase = 1000;
+constexpr InstId keptId = 5;   //!< word 1005, two copies
+constexpr InstId storedId = 6; //!< word 1006, one copy
+
+/** Fill chunk 0 and close all but keptId and storedId, so the chunk
+ *  is evacuated and both survive as strays. */
+void
+evacuateFirstChunk(MemProfiler &p)
+{
+    constexpr InstId chunk = 1024;
+    for (InstId i = 0; i < chunk; ++i)
+        p.addRef(p.create(strayWordBase + i, false));
+    p.addRef(keptId);
+    ASSERT_EQ(p.residentChunks(), 1u);
+    for (InstId i = 0; i < chunk; ++i) {
+        if (i == keptId || i == storedId)
+            continue;
+        p.used(i);
+        p.dropRef(i, false); // the last 126 close as strays
+    }
+    ASSERT_EQ(p.residentChunks(), 0u);
+}
+
+} // namespace
+
+TEST(MemProfiler, EvacuatedStrayKeepsItsState)
+{
+    MemProfiler p;
+    evacuateFirstChunk(p);
+    EXPECT_EQ(p.refs(keptId), 2u);
+    EXPECT_EQ(p.refs(storedId), 1u);
+
+    p.addRef(keptId);
+    EXPECT_EQ(p.refs(keptId), 3u);
+    p.used(keptId);
+    p.dropRef(keptId, false);
+    p.dropRef(keptId, true);
+    EXPECT_EQ(p.refs(keptId), 1u);
+
+    // A new instance of the stray's word links in front of it; a store
+    // write-classifies both, across the chunk and the stray map.
+    const InstId fresh = p.create(strayWordBase + storedId, false);
+    p.addRef(fresh);
+    p.storeAddr(strayWordBase + storedId);
+    p.dropRef(storedId, true);
+    p.dropRef(fresh, false);
+    EXPECT_EQ(p.refs(storedId), 0u);
+
+    p.dropRef(keptId, false); // closes as Used
+    EXPECT_EQ(p.refs(keptId), 0u);
+    p.addRef(keptId); // re-installed after it closed
+    EXPECT_EQ(p.refs(keptId), 1u);
+    p.dropRef(keptId, false);
+
+    const auto c = p.finalize();
+    EXPECT_EQ(c[WasteCat::Used], 1023.0);
+    EXPECT_EQ(c[WasteCat::Write], 2.0);
+    EXPECT_EQ(c.total(), 1025.0);
+}
+
+TEST(MemProfilerDeath, ExtraDropOfEvacuatedStrayPanics)
+{
+    MemProfiler p;
+    evacuateFirstChunk(p);
+    p.dropRef(keptId, false);
+    p.dropRef(keptId, false);
+    EXPECT_DEATH(p.dropRef(keptId, false), "zero refs");
 }
 
 TEST(MemProfilerDeath, DropAfterReinstallDropsPanics)

@@ -2,15 +2,21 @@
  * Differential tests: the bounded waste profilers against their
  * append-only reference models (tests/reference_profilers.hh).
  *
- * Seeded random event streams over a small footprint drive both
- * implementations.  Every stream crosses one markEpoch, re-installs
- * closed memory instances and leaves some instances never installed;
+ * Seeded random event streams drive both implementations.  The small
+ * footprint streams collide on every word; the streaming ones sweep a
+ * window over a footprint far larger than the line table while a few
+ * long-lived stragglers stay resident, so dead line slots are purged
+ * and sparse memory chunks evacuated mid-stream, on both sides of the
+ * epoch.  Every stream crosses one markEpoch; the memory streams
+ * re-install closed instances and leave some never installed.
  * finalize() counts and every traffic bucket must match exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -45,14 +51,92 @@ randomClass(Rng &rng)
     return classes[rng.below(3)];
 }
 
+RefWordProfiler::Level
+refLevel(WordProfiler::Level level)
+{
+    return level == WordProfiler::Level::L1 ? RefWordProfiler::Level::L1
+                                            : RefWordProfiler::Level::L2;
+}
+
+/** One random profiler event on word @p wn, applied to both. */
+void
+wordOp(WordProfiler &p, RefWordProfiler &ref, Rng &rng, Addr wn)
+{
+    const unsigned hops = 1 + static_cast<unsigned>(rng.below(127));
+    switch (rng.below(10)) {
+      case 0:
+      case 1:
+      {
+        const TrafficClass cls = randomClass(rng);
+        p.arrive(wn, cls, hops);
+        ref.arrive(wn, cls, hops);
+        break;
+      }
+      case 2:
+        p.arriveUntracked(wn);
+        ref.arriveUntracked(wn);
+        break;
+      case 3:
+        if (ref.present(wn)) {
+            p.load(wn);
+            ref.load(wn);
+        }
+        break;
+      case 4:
+        p.store(wn);
+        ref.store(wn);
+        break;
+      case 5:
+        p.respUsed(wn);
+        ref.respUsed(wn);
+        break;
+      case 6:
+      {
+        const TrafficClass cls = randomClass(rng);
+        p.arriveReplace(wn, cls, hops);
+        ref.arriveReplace(wn, cls, hops);
+        break;
+      }
+      case 7:
+        if (rng.chance(0.5)) {
+            p.writeKill(wn);
+            ref.writeKill(wn);
+        } else {
+            p.overwrite(wn);
+            ref.overwrite(wn);
+        }
+        break;
+      case 8:
+        p.evict(wn);
+        ref.evict(wn);
+        break;
+      default:
+        p.invalidate(wn);
+        ref.invalidate(wn);
+        break;
+    }
+}
+
+/** finalize() both; counts and every traffic bucket must agree. */
+void
+expectSameFinal(WordProfiler &p, RefWordProfiler &ref, std::uint64_t seed)
+{
+    // Seed both with the same non-zero buckets, as System::run does
+    // when several caches finalize into one TrafficStats.
+    TrafficStats got, want;
+    got.ldRespL1Used = want.ldRespL1Used = 0.75;
+    got.stRespL2Waste = want.stRespL2Waste = 12.5;
+    expectSameCounts(p.finalize(got), ref.finalize(want), seed);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(TrafficStats)), 0)
+        << "seed " << seed;
+}
+
 void
 runWordStream(WordProfiler::Level level, std::uint64_t seed)
 {
     Rng rng(seed);
     WordProfiler p(level);
-    RefWordProfiler ref(level == WordProfiler::Level::L1
-                            ? RefWordProfiler::Level::L1
-                            : RefWordProfiler::Level::L2);
+    RefWordProfiler ref(refLevel(level));
     // Three lines plus a stray word: collisions on every word are
     // frequent, and the lines straddle line-slot boundaries.
     const Addr base = 16 * 1000 + 7;
@@ -66,70 +150,64 @@ runWordStream(WordProfiler::Level level, std::uint64_t seed)
             ref.markEpoch();
         }
         const Addr wn = base + rng.below(footprint);
-        const unsigned hops = 1 + static_cast<unsigned>(rng.below(127));
-        switch (rng.below(10)) {
-          case 0:
-          case 1:
-          {
-            const TrafficClass cls = randomClass(rng);
-            p.arrive(wn, cls, hops);
-            ref.arrive(wn, cls, hops);
-            break;
-          }
-          case 2:
-            p.arriveUntracked(wn);
-            ref.arriveUntracked(wn);
-            break;
-          case 3:
-            if (ref.present(wn)) {
-                p.load(wn);
-                ref.load(wn);
-            }
-            break;
-          case 4:
-            p.store(wn);
-            ref.store(wn);
-            break;
-          case 5:
-            p.respUsed(wn);
-            ref.respUsed(wn);
-            break;
-          case 6:
-          {
-            const TrafficClass cls = randomClass(rng);
-            p.arriveReplace(wn, cls, hops);
-            ref.arriveReplace(wn, cls, hops);
-            break;
-          }
-          case 7:
-            if (rng.chance(0.5)) {
-                p.writeKill(wn);
-                ref.writeKill(wn);
-            } else {
-                p.overwrite(wn);
-                ref.overwrite(wn);
-            }
-            break;
-          case 8:
-            p.evict(wn);
-            ref.evict(wn);
-            break;
-          default:
-            p.invalidate(wn);
-            ref.invalidate(wn);
-            break;
-        }
+        wordOp(p, ref, rng, wn);
         ASSERT_EQ(p.present(wn), ref.present(wn)) << "seed " << seed;
     }
+    expectSameFinal(p, ref, seed);
+}
 
-    // Seed both with the same non-zero buckets, as System::run does
-    // when several caches finalize into one TrafficStats.
-    TrafficStats got, want;
-    got.ldRespL1Used = want.ldRespL1Used = 0.75;
-    got.stRespL2Waste = want.stRespL2Waste = 12.5;
-    expectSameCounts(p.finalize(got), ref.finalize(want), seed);
-    EXPECT_EQ(std::memcmp(&got, &want, sizeof(TrafficStats)), 0)
-        << "seed " << seed;
+constexpr unsigned streamSeeds = 12;
+constexpr unsigned streamOps = 60000;
+/** Lines a streaming cache holds; the stream moves one line ahead
+ *  every few events and evicts the line that falls out. */
+constexpr Addr windowLines = 24;
+
+/**
+ * A cache sweeping a window over 15k lines (the line table would
+ * need 32k slots if it kept them all), plus two straggler lines the
+ * window never evicts: their open instances straddle markEpoch and
+ * the purges.
+ */
+void
+runStreamingWordStream(WordProfiler::Level level, std::uint64_t seed)
+{
+    Rng rng(seed);
+    WordProfiler p(level);
+    RefWordProfiler ref(refLevel(level));
+    const Addr stragglers = Addr{1} << 30; // far from the window
+    const unsigned epoch_at = static_cast<unsigned>(
+        streamOps / 4 + rng.below(streamOps / 2));
+    Addr head = windowLines;
+    std::size_t cap_at_epoch = 0;
+
+    for (unsigned op = 0; op < streamOps; ++op) {
+        if (op == epoch_at) {
+            p.markEpoch();
+            ref.markEpoch();
+            cap_at_epoch = p.lineCapacity();
+        }
+        if (op % 4 == 0) {
+            // The oldest line leaves the cache, word by word.
+            const Addr gone = head - windowLines;
+            for (unsigned w = 0; w < wordsPerLine; ++w) {
+                p.evict(gone * wordsPerLine + w);
+                ref.evict(gone * wordsPerLine + w);
+            }
+            ++head;
+        }
+        const Addr wn =
+            rng.chance(0.1)
+                ? stragglers + rng.below(2 * wordsPerLine)
+                : (head - 1 - rng.below(windowLines)) * wordsPerLine +
+                      rng.below(wordsPerLine);
+        wordOp(p, ref, rng, wn);
+        ASSERT_EQ(p.present(wn), ref.present(wn)) << "seed " << seed;
+    }
+    // Purges kept the table at the window's size on both sides of
+    // the epoch, far below the 15k lines streamed.
+    EXPECT_LE(cap_at_epoch, 128u) << "seed " << seed;
+    EXPECT_LE(p.lineCapacity(), 128u) << "seed " << seed;
+    expectSameFinal(p, ref, seed);
 }
 
 } // namespace
@@ -144,6 +222,18 @@ TEST(ProfilerReference, WordProfilerL2MatchesReference)
 {
     for (std::uint64_t seed = 1; seed <= numSeeds; ++seed)
         runWordStream(WordProfiler::Level::L2, 1000 + seed);
+}
+
+TEST(ProfilerReference, StreamingWordProfilerL1MatchesReference)
+{
+    for (std::uint64_t seed = 1; seed <= streamSeeds; ++seed)
+        runStreamingWordStream(WordProfiler::Level::L1, 2000 + seed);
+}
+
+TEST(ProfilerReference, StreamingWordProfilerL2MatchesReference)
+{
+    for (std::uint64_t seed = 1; seed <= streamSeeds; ++seed)
+        runStreamingWordStream(WordProfiler::Level::L2, 3000 + seed);
 }
 
 TEST(ProfilerReference, MemProfilerMatchesReference)
@@ -233,6 +323,116 @@ TEST(ProfilerReference, MemProfilerMatchesReference)
             }
         }
         EXPECT_GT(reinstalls, 0u) << "seed " << seed;
+        EXPECT_EQ(p.numInstances(), ref.numInstances());
+        expectSameCounts(p.finalize(), ref.finalize(), seed);
+    }
+}
+
+TEST(ProfilerReference, StreamingMemProfilerMatchesReference)
+{
+    // Memory instances of a window of lines sweeping 15k lines: most
+    // copies die when their line leaves the window, one in 32 is a
+    // straggler that lives on for thousands of events.  Chunks go
+    // sparse and are evacuated, and dead line heads purged, before and
+    // after markEpoch; closed ids are re-installed throughout.
+    for (std::uint64_t seed = 1; seed <= streamSeeds; ++seed) {
+        Rng rng(4000 + seed);
+        MemProfiler p;
+        RefMemProfiler ref;
+        /** Short-lived copies, (line, id), in line order. */
+        std::deque<std::pair<Addr, InstId>> recent;
+        std::vector<InstId> stragglers;
+        const unsigned epoch_at = static_cast<unsigned>(
+            streamOps / 4 + rng.below(streamOps / 2));
+        Addr head = windowLines;
+        std::size_t chunks_at_epoch = 0;
+        std::uint64_t reinstalls = 0;
+        auto window_word = [&] {
+            return (head - 1 - rng.below(windowLines)) * wordsPerLine +
+                   rng.below(wordsPerLine);
+        };
+
+        for (unsigned op = 0; op < streamOps; ++op) {
+            if (op == epoch_at) {
+                p.markEpoch();
+                ref.markEpoch();
+                chunks_at_epoch = p.residentChunks();
+                ASSERT_LT(chunks_at_epoch, p.numInstances() / 1024)
+                    << "seed " << seed << ": nothing evacuated yet";
+            }
+            if (op % 4 == 0) {
+                // The oldest line leaves: its short-lived copies die.
+                ++head;
+                while (!recent.empty() &&
+                       recent.front().first < head - windowLines) {
+                    const bool inv = rng.chance(0.3);
+                    p.dropRef(recent.front().second, inv);
+                    ref.dropRef(recent.front().second, inv);
+                    recent.pop_front();
+                }
+            }
+            const std::size_t n = ref.numInstances();
+            const std::uint64_t pick = rng.below(100);
+            if (pick < 40) {
+                const Addr wn = window_word();
+                const bool present = rng.chance(0.2);
+                const InstId id = p.create(wn, present);
+                ASSERT_EQ(id, ref.create(wn, present));
+                if (rng.chance(0.95)) { // some are never installed
+                    p.addRef(id);
+                    ref.addRef(id);
+                    if (rng.below(32) == 0)
+                        stragglers.push_back(id);
+                    else
+                        recent.emplace_back(head - 1, id);
+                }
+            } else if (pick < 45 && n > 0) {
+                // Re-install any id, open or closed.
+                const InstId id = static_cast<InstId>(rng.below(n));
+                reinstalls += ref.dropped(id);
+                p.addRef(id);
+                ref.addRef(id);
+                recent.emplace_back(head - 1, id);
+            } else if (pick == 45 && !stragglers.empty()) {
+                // Stragglers arrive a little faster than they leave.
+                const std::size_t k = rng.below(stragglers.size());
+                const InstId id = stragglers[k];
+                stragglers[k] = stragglers.back();
+                stragglers.pop_back();
+                p.dropRef(id, false);
+                ref.dropRef(id, false);
+            } else if (pick < 75 && n > 0) {
+                // Mostly recent ids, sometimes any id.
+                const InstId id = static_cast<InstId>(
+                    rng.chance(0.9) && n > 2048 ? n - 1 - rng.below(2048)
+                                                : rng.below(n));
+                p.used(id);
+                ref.used(id);
+            } else if (pick < 90) {
+                const Addr wn =
+                    rng.chance(0.1) && !stragglers.empty()
+                        ? ref.wordOf(stragglers[rng.below(
+                              stragglers.size())])
+                        : window_word();
+                p.storeAddr(wn);
+                ref.storeAddr(wn);
+            } else {
+                const unsigned nw = static_cast<unsigned>(rng.below(4));
+                p.excess(nw);
+                ref.excess(nw);
+            }
+            if (n > 0) {
+                const InstId id = static_cast<InstId>(rng.below(n));
+                ASSERT_EQ(p.refs(id), ref.refs(id)) << "seed " << seed;
+            }
+        }
+        EXPECT_GT(reinstalls, 0u) << "seed " << seed;
+        EXPECT_GT(stragglers.size(), 0u) << "seed " << seed;
+        // Evacuation kept resident chunks well under the ids handed
+        // out after the epoch as well.
+        EXPECT_LT(p.residentChunks(),
+                  chunks_at_epoch + (p.numInstances() / 1024) / 2)
+            << "seed " << seed;
         EXPECT_EQ(p.numInstances(), ref.numInstances());
         expectSameCounts(p.finalize(), ref.finalize(), seed);
     }

@@ -139,6 +139,19 @@ TEST(WorkerPool, ClassifiesExitsPerSlot)
     EXPECT_EQ(pool.numBusy(), 0u);
 }
 
+TEST(WorkerPool, ReportsTheWorkersPeakRss)
+{
+    // dd reads one 64 MiB block into a buffer of that size, touching
+    // every page; the reaped exit carries the child's ru_maxrss.
+    WorkerPool pool(1, "/bin/dd", testMagic);
+    pool.spawn(0, {"if=/dev/zero", "of=/dev/null", "bs=64M", "count=1",
+                   "status=none"});
+    WorkerExit e;
+    ASSERT_TRUE(pool.wait(0, noDeadline, e));
+    ASSERT_TRUE(e.exitedWith(0)) << e.reason;
+    EXPECT_GE(e.maxRssKb, 64L * 1024);
+}
+
 TEST(WorkerPool, VerifiesAndRemovesTheHandoffFile)
 {
     WorkerPool pool(1, "/bin/sh", testMagic);
