@@ -7,7 +7,8 @@ namespace wastesim
 
 Core::Core(CoreId id, EventQueue &eq, L1Cache &l1, Barrier &barrier,
            const Trace &trace, Hooks hooks)
-    : id_(id), eq_(eq), l1_(l1), barrier_(barrier), trace_(trace),
+    : id_(id), eq_(eq), l1_(l1), barrier_(barrier),
+      cursor_(trace.cursor()),
       hooks_(std::move(hooks))
 {
 }
@@ -51,14 +52,15 @@ Core::attribute(const MemTiming &t)
 void
 Core::next()
 {
-    if (pc_ >= trace_.size()) {
+    if (cursor_.done()) {
         done_ = true;
         if (hooks_.onDone)
             hooks_.onDone(id_);
         return;
     }
 
-    const Op &op = trace_[pc_++];
+    const Op op = cursor_.next();
+    ++pc_;
     switch (op.type) {
       case Op::Type::Work:
         time_.busy += op.arg;

@@ -90,7 +90,7 @@ class Core
     EventQueue &eq_;
     L1Cache &l1_;
     Barrier &barrier_;
-    const Trace &trace_;
+    Trace::Cursor cursor_;
     Hooks hooks_;
 
     std::size_t pc_ = 0;

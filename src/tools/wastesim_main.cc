@@ -1568,6 +1568,10 @@ cmdInfo(Args args)
         std::printf("topology:  unknown (v1 trace; core count only)\n");
     std::printf("ops:       %zu across %u cores\n", wl->totalOps(),
                 wl->numCores());
+    const double trace_bytes = static_cast<double>(wl->traceBytes());
+    std::printf("trace mem: %.2f MB (%.2f B/op)\n",
+                trace_bytes / (1024.0 * 1024.0),
+                wl->totalOps() ? trace_bytes / wl->totalOps() : 0.0);
     std::printf("barriers:  %zu\n", wl->barriers().size());
     std::printf("regions:   %zu\n", wl->regions().numRegions());
     for (std::size_t i = 0; i < wl->regions().numRegions(); ++i) {

@@ -251,7 +251,9 @@ SyntheticWorkload::build()
 std::unique_ptr<Workload>
 makeSynthetic(const SynthParams &p, Topology topo)
 {
-    return std::make_unique<SyntheticWorkload>(p, std::move(topo));
+    auto wl = std::make_unique<SyntheticWorkload>(p, std::move(topo));
+    wl->trimTraces();
+    return wl;
 }
 
 namespace

@@ -331,16 +331,14 @@ TraceReader::readBarrier(BarrierInfo &b, std::uint64_t num_regions)
 bool
 TraceReader::readTrace(Trace &t, std::uint64_t num_barriers)
 {
-    t.clear();
+    t = Trace{};
     std::uint64_t n = 0;
     if (!u64(n))
         return false;
     if (n > maxOpsPerCore)
         return fail("implausible op count");
-    // Reserve conservatively: a corrupt count must hit end-of-file,
-    // not a multi-gigabyte allocation.
-    t.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(n, 1ULL << 20)));
+    // The stream grows only as ops are read, so a corrupt count hits
+    // end-of-file before it can cause a large allocation.
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint8_t type = 0;
         if (!u8(type))

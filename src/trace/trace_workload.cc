@@ -145,6 +145,7 @@ TraceWorkload::loadAnyTopology(const std::string &path,
     for (auto &t : wl->traces_) {
         if (!r.readTrace(t, h.numBarriers))
             return set_err(path + ": " + r.error());
+        t.trim();
         total_ops += t.size();
     }
 

@@ -1,5 +1,9 @@
 #include "workload/workload.hh"
 
+#include <algorithm>
+#include <cstring>
+#include <new>
+
 #include "common/log.hh"
 
 namespace wastesim
@@ -37,6 +41,54 @@ benchmarkFromName(const std::string &s, BenchmarkName &out)
     return false;
 }
 
+Trace::Trace(const Trace &o)
+    : len_(o.len_), cap_(o.len_), ops_(o.ops_), last_(o.last_)
+{
+    if (len_ == 0)
+        return;
+    buf_ = static_cast<unsigned char *>(std::malloc(len_));
+    if (!buf_)
+        throw std::bad_alloc();
+    std::memcpy(buf_, o.buf_, len_);
+}
+
+void
+Trace::grow()
+{
+    const std::size_t cap = std::max<std::size_t>(256, cap_ * 2);
+    auto *p = static_cast<unsigned char *>(std::realloc(buf_, cap));
+    if (!p)
+        throw std::bad_alloc();
+    buf_ = p;
+    cap_ = cap;
+}
+
+void
+Trace::trim()
+{
+    if (len_ == cap_)
+        return;
+    if (len_ == 0) {
+        std::free(buf_);
+        buf_ = nullptr;
+        cap_ = 0;
+        return;
+    }
+    // Shrinking in place cannot fail in practice; if it does, the
+    // old, larger buffer is still valid.
+    if (auto *p = static_cast<unsigned char *>(std::realloc(buf_, len_))) {
+        buf_ = p;
+        cap_ = len_;
+    }
+}
+
+bool
+Trace::operator==(const Trace &o) const
+{
+    return ops_ == o.ops_ && len_ == o.len_ &&
+           (len_ == 0 || std::memcmp(buf_, o.buf_, len_) == 0);
+}
+
 std::size_t
 Workload::totalOps() const
 {
@@ -44,6 +96,22 @@ Workload::totalOps() const
     for (const auto &t : traces_)
         n += t.size();
     return n;
+}
+
+std::size_t
+Workload::traceBytes() const
+{
+    std::size_t n = 0;
+    for (const auto &t : traces_)
+        n += t.bytes();
+    return n;
+}
+
+void
+Workload::trimTraces()
+{
+    for (auto &t : traces_)
+        t.trim();
 }
 
 void
@@ -78,19 +146,26 @@ std::unique_ptr<Workload>
 makeBenchmark(BenchmarkName b, unsigned scale, Topology topo)
 {
     fatal_if(scale == 0, "benchmark scale must be >= 1");
+    std::unique_ptr<Workload> wl;
     switch (b) {
       case BenchmarkName::Fluidanimate:
-        return makeFluidanimate(scale, std::move(topo));
-      case BenchmarkName::LU: return makeLu(scale, std::move(topo));
-      case BenchmarkName::FFT: return makeFft(scale, std::move(topo));
+        wl = makeFluidanimate(scale, std::move(topo));
+        break;
+      case BenchmarkName::LU: wl = makeLu(scale, std::move(topo)); break;
+      case BenchmarkName::FFT: wl = makeFft(scale, std::move(topo)); break;
       case BenchmarkName::Radix:
-        return makeRadix(scale, std::move(topo));
+        wl = makeRadix(scale, std::move(topo));
+        break;
       case BenchmarkName::Barnes:
-        return makeBarnes(scale, std::move(topo));
+        wl = makeBarnes(scale, std::move(topo));
+        break;
       case BenchmarkName::KdTree:
-        return makeKdTree(scale, std::move(topo));
+        wl = makeKdTree(scale, std::move(topo));
+        break;
       default: panic("unknown benchmark");
     }
+    wl->trimTraces();
+    return wl;
 }
 
 } // namespace wastesim

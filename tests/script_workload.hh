@@ -31,6 +31,17 @@ class ScriptWorkload : public Workload
 
     /** Every core ends with a final barrier (keeps drains clean). */
     void finish() { barrierAll({}); }
+
+    /** A barrier that only @p cores arrive at; unless they are all
+     *  cores it can never release (for deadlock tests). */
+    void
+    barrierFor(const std::vector<CoreId> &cores)
+    {
+        const auto idx = static_cast<std::uint32_t>(barriers_.size());
+        barriers_.push_back(BarrierInfo{});
+        for (CoreId c : cores)
+            traces_[c].push_back(Op{Op::Type::Barrier, 0, idx});
+    }
 };
 
 /**

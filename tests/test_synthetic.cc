@@ -19,19 +19,8 @@ namespace
 bool
 tracesIdentical(const Workload &a, const Workload &b)
 {
-    if (a.traces().size() != b.traces().size())
-        return false;
-    for (CoreId c = 0; c < a.traces().size(); ++c) {
-        const Trace &ta = a.traces()[c];
-        const Trace &tb = b.traces()[c];
-        if (ta.size() != tb.size())
-            return false;
-        for (std::size_t i = 0; i < ta.size(); ++i)
-            if (ta[i].type != tb[i].type || ta[i].addr != tb[i].addr ||
-                ta[i].arg != tb[i].arg)
-                return false;
-    }
-    return true;
+    // The trace encoding is canonical: equal bytes mean equal ops.
+    return a.traces() == b.traces();
 }
 
 } // namespace

@@ -128,19 +128,14 @@ TEST(System, DeadlockIsDetectedNotHung)
     // early) must be caught by the drain check, not loop forever.
     auto wl = std::make_unique<ScriptWorkload>();
     const Addr a = wl->alloc(4096);
+    // Cores 1..15 load and arrive at a barrier; core 0's trace is
+    // empty, so it never arrives.  Deliberately malformed input.
+    std::vector<CoreId> arriving;
     for (CoreId c = 1; c < numTiles; ++c) {
         wl->load(c, a);
-        wl->traces()[c]; // touch
+        arriving.push_back(c);
     }
-    // Only cores 1..15 arrive at a barrier; core 0 never does.
-    // (Build the skewed barrier by hand.)
-    // Note: barrierAll() would add it to everyone, so emulate by
-    // giving core 0 an empty trace and the rest a barrier op.
-    // The barrier op references BarrierInfo 0.
-    // This is deliberately malformed input.
-    auto &traces = const_cast<std::vector<Trace> &>(wl->traces());
-    wl->barrierAll({});
-    traces[0].clear();
+    wl->barrierFor(arriving);
     EXPECT_DEATH(
         {
             System sys(ProtocolName::MESI, *wl, SimParams::scaled());

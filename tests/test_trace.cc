@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "common/rng.hh"
 #include "system/runner.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_io.hh"
@@ -65,14 +69,14 @@ expectWorkloadsEqual(const Workload &a, const Workload &b)
         const Trace &ta = a.traces()[c];
         const Trace &tb = b.traces()[c];
         ASSERT_EQ(ta.size(), tb.size()) << "core " << c;
-        for (std::size_t i = 0; i < ta.size(); ++i) {
-            EXPECT_EQ(static_cast<int>(ta[i].type),
-                      static_cast<int>(tb[i].type))
+        std::size_t i = 0;
+        for (auto ia = ta.begin(), ib = tb.begin(); ia != ta.end();
+             ++ia, ++ib, ++i) {
+            const Op oa = *ia, ob = *ib;
+            EXPECT_EQ(static_cast<int>(oa.type), static_cast<int>(ob.type))
                 << "core " << c << " op " << i;
-            EXPECT_EQ(ta[i].addr, tb[i].addr)
-                << "core " << c << " op " << i;
-            EXPECT_EQ(ta[i].arg, tb[i].arg)
-                << "core " << c << " op " << i;
+            EXPECT_EQ(oa.addr, ob.addr) << "core " << c << " op " << i;
+            EXPECT_EQ(oa.arg, ob.arg) << "core " << c << " op " << i;
         }
     }
 }
@@ -380,6 +384,169 @@ TEST(TraceReplay, SyntheticReproducesRunResultExactly)
     const RunResult a = runOne(ProtocolName::DeNovo, *src, params);
     const RunResult b = runOne(ProtocolName::DeNovo, *replay, params);
     expectResultsEqual(a, b);
+}
+
+// --- in-memory trace encoding ------------------------------------------------
+
+namespace
+{
+
+/** Decode @p t both ways (range-for and Cursor) against @p ref. */
+void
+expectDecodesTo(const Trace &t, const std::vector<Op> &ref)
+{
+    ASSERT_EQ(t.size(), ref.size());
+    std::size_t i = 0;
+    for (const Op op : t) {
+        ASSERT_LT(i, ref.size());
+        ASSERT_TRUE(op == ref[i])
+            << "op " << i << ": type " << static_cast<int>(op.type)
+            << " addr " << op.addr << " arg " << op.arg << ", expected type "
+            << static_cast<int>(ref[i].type) << " addr " << ref[i].addr
+            << " arg " << ref[i].arg;
+        ++i;
+    }
+    EXPECT_EQ(i, ref.size());
+
+    Trace::Cursor cur = t.cursor();
+    for (i = 0; i < ref.size(); ++i) {
+        ASSERT_FALSE(cur.done());
+        ASSERT_TRUE(cur.next() == ref[i]) << "cursor op " << i;
+    }
+    EXPECT_TRUE(cur.done());
+}
+
+} // namespace
+
+TEST(TraceEncoding, SeededRoundTripMatchesVectorReference)
+{
+    constexpr Addr maxAddr = ~Addr(0);
+    constexpr std::uint32_t maxArg =
+        std::numeric_limits<std::uint32_t>::max();
+    std::vector<Op> ref;
+    Trace t;
+    auto add = [&](Op::Type type, Addr a, std::uint32_t arg) {
+        // Load and Store carry no arg; the others carry no address.
+        const bool access = type == Op::Type::Load || type == Op::Type::Store;
+        const Op op{type, access ? a : 0, access ? 0 : arg};
+        ref.push_back(op);
+        t.push_back(op);
+    };
+
+    // Extreme and unaligned addresses, every non-access type with
+    // arg 0 and UINT32_MAX.
+    add(Op::Type::Load, 0, 0);
+    add(Op::Type::Store, maxAddr, 0);
+    add(Op::Type::Load, 0, 0);
+    add(Op::Type::Store, 1, 0);
+    add(Op::Type::Load, 0x1003, 0);
+    add(Op::Type::Load, Addr(1) << 63, 0);
+    add(Op::Type::Store, (Addr(1) << 63) - 1, 0);
+    for (Op::Type type :
+         {Op::Type::Work, Op::Type::Barrier, Op::Type::Epoch}) {
+        add(type, 0, 0);
+        add(type, 0, maxArg);
+    }
+    // Alternating huge positive and negative deltas.
+    for (Addr i = 0; i < 64; ++i)
+        add(i % 2 ? Op::Type::Store : Op::Type::Load,
+            i % 2 ? maxAddr - i * 8 : i * 3, 0);
+
+    // A seeded mix: small strides, unaligned offsets, random 64-bit
+    // jumps, interleaved with non-access ops that must not disturb
+    // the address delta chain.
+    Rng rng(20261017);
+    Addr a = 1u << 20;
+    for (int i = 0; i < 50000; ++i) {
+        const auto type = static_cast<Op::Type>(rng.below(5));
+        switch (rng.below(4)) {
+          case 0: a += bytesPerWord * rng.below(32); break;
+          case 1: a -= rng.below(1u << 20); break;
+          case 2: a = rng.next(); break;
+          default: a += rng.below(7); break;
+        }
+        const std::uint64_t r = rng.below(8);
+        const std::uint32_t arg = r == 0   ? 0
+                                  : r == 1 ? maxArg
+                                           : static_cast<std::uint32_t>(
+                                                 rng.next() >> (r * 4));
+        add(type, a, arg);
+    }
+
+    expectDecodesTo(t, ref);
+
+    // Trimming keeps the ops and drops the growth slack; no op takes
+    // more than maxOpBytes.
+    Trace trimmed = t;
+    trimmed.trim();
+    EXPECT_LE(trimmed.bytes(), t.bytes());
+    EXPECT_LE(trimmed.bytes(), Trace::maxOpBytes * ref.size());
+    expectDecodesTo(trimmed, ref);
+}
+
+TEST(TraceEncoding, EmptyTrace)
+{
+    Trace t;
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.bytes(), 0u);
+    EXPECT_TRUE(t.begin() == t.end());
+    EXPECT_TRUE(t.cursor().done());
+    t.trim();
+    EXPECT_EQ(t.bytes(), 0u);
+    EXPECT_TRUE(t == Trace{});
+    const Trace copy = t;
+    EXPECT_TRUE(copy == t);
+    expectDecodesTo(copy, {});
+}
+
+TEST(TraceEncoding, CopyMoveAndEquality)
+{
+    std::vector<Op> ref = {Op{Op::Type::Load, 0x40, 0},
+                           Op{Op::Type::Work, 0, 7},
+                           Op{Op::Type::Store, 0x20, 0},
+                           Op{Op::Type::Barrier, 0, 0}};
+    Trace t;
+    for (const Op &op : ref)
+        t.push_back(op);
+
+    // A copy is equal and keeps appending from the same address.
+    Trace copy = t;
+    EXPECT_TRUE(copy == t);
+    const Op more{Op::Type::Load, 0x28, 0};
+    copy.push_back(more);
+    EXPECT_FALSE(copy == t);
+    t.push_back(more);
+    ref.push_back(more);
+    EXPECT_TRUE(copy == t);
+    expectDecodesTo(copy, ref);
+
+    // Equality ignores capacity.
+    Trace trimmed = t;
+    trimmed.trim();
+    EXPECT_TRUE(trimmed == t);
+
+    // Move construction and assignment hand the stream over.
+    Trace moved = std::move(copy);
+    EXPECT_EQ(copy.size(), 0u);
+    EXPECT_EQ(copy.bytes(), 0u);
+    expectDecodesTo(moved, ref);
+    Trace assigned;
+    assigned = std::move(moved);
+    expectDecodesTo(assigned, ref);
+    Trace copied;
+    copied = assigned;
+    EXPECT_TRUE(copied == assigned);
+
+    // Same ops in a different order, or a different arg, differ.
+    Trace other;
+    other.push_back(ref[1]);
+    other.push_back(ref[0]);
+    EXPECT_FALSE(other == t);
+    Trace arg_differs;
+    arg_differs.push_back(Op{Op::Type::Work, 0, 8});
+    Trace arg_same;
+    arg_same.push_back(Op{Op::Type::Work, 0, 7});
+    EXPECT_FALSE(arg_differs == arg_same);
 }
 
 } // namespace wastesim

@@ -4,6 +4,7 @@
 
 #include <unordered_set>
 
+#include "trace/synthetic.hh"
 #include "workload/workload.hh"
 
 namespace wastesim
@@ -102,14 +103,8 @@ TEST_P(AllBenchmarks, DeterministicGeneration)
     auto b = makeBenchmark(GetParam());
     ASSERT_EQ(a->totalOps(), b->totalOps());
     for (CoreId c = 0; c < numTiles; ++c) {
-        const auto &ta = a->traces()[c];
-        const auto &tb = b->traces()[c];
-        ASSERT_EQ(ta.size(), tb.size());
-        for (std::size_t i = 0; i < ta.size(); ++i) {
-            EXPECT_EQ(ta[i].addr, tb[i].addr);
-            EXPECT_EQ(static_cast<int>(ta[i].type),
-                      static_cast<int>(tb[i].type));
-        }
+        ASSERT_EQ(a->traces()[c].size(), b->traces()[c].size());
+        EXPECT_TRUE(a->traces()[c] == b->traces()[c]) << "core " << c;
     }
 }
 
@@ -133,6 +128,40 @@ INSTANTIATE_TEST_SUITE_P(
                 ch = '_';
         return n;
     });
+
+TEST(Workload, TraceBytesPerOp)
+{
+    // Generated traces hold at most 4 bytes per op; a vector of
+    // 16-byte Ops held 16 plus its growth slack.
+    auto check = [](const Workload &wl, const std::string &what) {
+        ASSERT_GT(wl.totalOps(), 0u) << what;
+        EXPECT_LE(wl.traceBytes(), 4 * wl.totalOps())
+            << what << ": "
+            << static_cast<double>(wl.traceBytes()) / wl.totalOps()
+            << " B/op";
+    };
+    for (BenchmarkName b : allBenchmarks)
+        check(*makeBenchmark(b), benchmarkName(b));
+    check(*makeBenchmark(BenchmarkName::FFT, 4, Topology(8, 8)),
+          "FFT scale 4 on 8x8");
+
+    SynthParams sp;
+    Topology topo;
+    ASSERT_TRUE(synthPresetFromName("hotset64", sp, topo));
+    check(*makeSynthetic(sp, topo), "hotset64");
+
+    // One new line per access over 16 private 256 KiB regions.
+    SynthParams stride;
+    stride.pattern = SynthParams::Pattern::Stride;
+    stride.strideWords = wordsPerLine;
+    stride.sharingDegree = 1;
+    stride.sharedRegions = numTiles;
+    stride.regionBytes = 256 * 1024;
+    stride.sharedFraction = 0.9;
+    stride.readFraction = 0.8;
+    stride.opsPerCore = 32768;
+    check(*makeSynthetic(stride), "stride stream");
+}
 
 TEST(Workloads, FlexRegionsWhereThePaperSaysSo)
 {
