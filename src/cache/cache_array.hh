@@ -5,7 +5,10 @@
  *
  * The simulator is metadata-only: lines carry per-word coherence
  * state, dirty bits and profiler instance references, but no data
- * values (no reported metric depends on values).
+ * values (no reported metric depends on values).  CacheLine holds what
+ * every controller reads; each controller derives its own line type
+ * (MesiL1Line, MesiDirLine, DenovoL1Line, DenovoL2Line) with only the
+ * fields its protocol reads, and instantiates CacheArray over it.
  */
 
 #ifndef WASTESIM_CACHE_CACHE_ARRAY_HH
@@ -15,89 +18,53 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sharer_mask.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 #include "common/word_mask.hh"
 
 namespace wastesim
 {
 
-/** MESI line states (used by the L1; the directory tracks its own). */
-enum class MesiState : unsigned char { I, S, E, M };
-
-/** Printable name of a MESI state. */
-const char *mesiStateName(MesiState s);
-
-/**
- * One cache line's metadata.  Fields are a superset of what the two
- * protocol families need; unused fields stay at their defaults.
- */
+/** The metadata every controller's line carries. */
 struct CacheLine
 {
     Addr line = 0;              //!< line byte address
-    bool valid = false;         //!< tag valid
-    bool busy = false;          //!< mid-transaction; not evictable
-
-    // --- MESI L1 ---
-    MesiState mesi = MesiState::I;
-
-    // --- word-granular state (both families) ---
-    WordMask validWords;        //!< words with (conceptually) live data
-    WordMask dirtyWords;        //!< words modified vs. the next level
-    WordMask regWords;          //!< DeNovo L1: words this core registered
-
-    // --- directory / L2 ---
-    SharerMask sharers;         //!< MESI dir: L1 sharer bit vector
-    NodeId owner = invalidNode; //!< MESI dir: exclusive/modified owner
-    /** DeNovo L2: registrant L1 per word (invalidNode = none). */
-    std::array<NodeId, wordsPerLine> regOwner;
+    std::uint64_t lastUse = 0;  //!< LRU stamp
 
     /** Memory-profiler instance carried by each resident word. */
     std::array<InstId, wordsPerLine> memRef;
 
-    std::uint64_t lastUse = 0;  //!< LRU stamp
-    bool inBloom = false;       //!< tracked by the slice's Bloom bank
+    WordMask validWords;        //!< words with (conceptually) live data
+    WordMask dirtyWords;        //!< words modified vs. the next level
+    bool valid = false;         //!< tag valid
+    bool busy = false;          //!< mid-transaction; not evictable
 
-    CacheLine() { clearPerWord(); }
+    CacheLine() { memRef.fill(invalidInst); }
 
-    /** Reset per-word metadata arrays. */
-    void
-    clearPerWord()
-    {
-        regOwner.fill(invalidNode);
-        memRef.fill(invalidInst);
-    }
-
-    /** Re-initialize the slot for a new line address. */
+    /**
+     * Re-initialize the slot for a new line address.  Every field but
+     * lastUse is reset: a refilled slot keeps its LRU stamp until the
+     * caller touches it.  Derived lines hide this with a version that
+     * also resets their own fields.
+     */
     void
     resetTo(Addr line_addr)
     {
         line = line_addr;
         valid = true;
         busy = false;
-        mesi = MesiState::I;
         validWords = WordMask::none();
         dirtyWords = WordMask::none();
-        regWords = WordMask::none();
-        sharers.reset();
-        owner = invalidNode;
-        inBloom = false;
-        clearPerWord();
-    }
-
-    /** DeNovo L2: words registered to any L1. */
-    WordMask
-    registeredMask() const
-    {
-        WordMask m;
-        for (unsigned w = 0; w < wordsPerLine; ++w)
-            if (regOwner[w] != invalidNode)
-                m.set(w);
-        return m;
+        memRef.fill(invalidInst);
     }
 };
+static_assert(sizeof(CacheLine) == 88);
 
-/** A set-associative array of CacheLine slots with LRU replacement. */
+/**
+ * A set-associative array of @p Line slots with LRU replacement.
+ * @p Line is CacheLine or a type derived from it.
+ */
+template <typename Line = CacheLine>
 class CacheArray
 {
   public:
@@ -108,10 +75,18 @@ class CacheArray
      *                   indexing (L2 slices see every 16th 256-byte
      *                   chunk, so they divide out the interleaving)
      */
-    CacheArray(unsigned sets, unsigned ways, unsigned index_div = 1);
+    CacheArray(unsigned sets, unsigned ways, unsigned index_div = 1)
+        : sets_(sets), ways_(ways), indexDiv_(index_div),
+          slots_(static_cast<std::size_t>(sets) * ways),
+          tags_(static_cast<std::size_t>(sets) * ways, noTag)
+    {
+        panic_if(sets == 0 || ways == 0, "degenerate cache geometry");
+        panic_if((sets & (sets - 1)) != 0,
+                 "set count must be a power of two");
+    }
 
     /** Find the line, or nullptr. Does not touch LRU. */
-    CacheLine *
+    Line *
     find(Addr line_addr)
     {
         const std::size_t base =
@@ -122,23 +97,23 @@ class CacheArray
         return nullptr;
     }
 
-    const CacheLine *
+    const Line *
     find(Addr line_addr) const
     {
         return const_cast<CacheArray *>(this)->find(line_addr);
     }
 
     /** Mark the line most-recently used. */
-    void touch(CacheLine &cl) { cl.lastUse = ++useClock_; }
+    void touch(Line &cl) { cl.lastUse = ++useClock_; }
 
     /**
      * Re-initialize @p cl for @p line_addr (after the caller finished
      * evicting any victim), keeping the packed tag array in sync.
      * Always use this for slots owned by the array; the raw
-     * CacheLine::resetTo is only for detached copies (evict buffers).
+     * Line::resetTo is only for detached copies (evict buffers).
      */
     void
-    resetTo(CacheLine &cl, Addr line_addr)
+    resetTo(Line &cl, Addr line_addr)
     {
         cl.resetTo(line_addr);
         tags_[slotIndex(cl)] = line_addr;
@@ -152,11 +127,27 @@ class CacheArray
      * The returned slot may hold a valid victim; the caller performs
      * the protocol eviction actions and then calls resetTo().
      */
-    CacheLine *victimFor(Addr line_addr);
+    Line *
+    victimFor(Addr line_addr)
+    {
+        const std::size_t base =
+            static_cast<std::size_t>(setIndex(line_addr)) * ways_;
+        Line *lru = nullptr;
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (tags_[base + w] == noTag)
+                return &slots_[base + w];
+            Line &cl = slots_[base + w];
+            if (cl.busy)
+                continue;
+            if (!lru || cl.lastUse < lru->lastUse)
+                lru = &cl;
+        }
+        return lru;
+    }
 
     /** Invalidate (tag-drop) a line slot. */
     void
-    invalidate(CacheLine &cl)
+    invalidate(Line &cl)
     {
         cl.valid = false;
         cl.busy = false;
@@ -174,12 +165,22 @@ class CacheArray
             (line_addr / bytesPerLine / indexDiv_) % sets_);
     }
 
-    /** Iterate all valid lines (testing / end-of-run sweeps). */
+    /** Iterate all valid lines (end-of-run sweeps). */
     template <typename Fn>
     void
     forEachValid(Fn &&fn)
     {
-        for (auto &cl : slots_)
+        for (Line &cl : slots_)
+            if (cl.valid)
+                fn(cl);
+    }
+
+    /** Iterate all valid lines read-only (invariant checks, tests). */
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn) const
+    {
+        for (const Line &cl : slots_)
             if (cl.valid)
                 fn(cl);
     }
@@ -189,19 +190,19 @@ class CacheArray
     static constexpr Addr noTag = ~Addr(0);
 
     std::size_t
-    slotIndex(const CacheLine &cl) const
+    slotIndex(const Line &cl) const
     {
         return static_cast<std::size_t>(&cl - slots_.data());
     }
 
     unsigned sets_, ways_, indexDiv_;
     std::uint64_t useClock_ = 0;
-    std::vector<CacheLine> slots_;
+    std::vector<Line> slots_;
     /**
-     * Packed tag array mirroring slots_ (noTag = invalid way).  A
-     * CacheLine is ~260 bytes, so a ways-wide lookup over the slots
-     * touches one cache line per way; scanning the packed tags
-     * touches one or two for the whole set.
+     * Packed tag array mirroring slots_ (noTag = invalid way).  A line
+     * is 88-128 bytes, so a ways-wide lookup over the slots touches
+     * one or two cache lines per way; scanning the packed tags touches
+     * one or two for the whole set.
      */
     std::vector<Addr> tags_;
 };

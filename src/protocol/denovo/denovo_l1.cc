@@ -58,7 +58,7 @@ DenovoL1::DenovoL1(CoreId id, const ProtocolConfig &cfg,
 bool
 DenovoL1::isReadable(Addr a) const
 {
-    const CacheLine *cl = array_.find(lineAddr(a));
+    const DenovoL1Line *cl = array_.find(lineAddr(a));
     return cl && readable(*cl).test(wordIndex(a));
 }
 
@@ -67,7 +67,7 @@ DenovoL1::load(Addr a, LoadCallback done)
 {
     ++demandLoads_;
     const Addr la = lineAddr(a);
-    CacheLine *cl = array_.find(la);
+    DenovoL1Line *cl = array_.find(la);
     const unsigned w = wordIndex(a);
     if (cl && readable(*cl).test(w)) {
         ++loadHits_;
@@ -111,7 +111,7 @@ DenovoL1::composeWanted(Addr a)
     ChunkVec chunks;
 
     auto readable_at = [this](Addr line, unsigned w) {
-        const CacheLine *cl = array_.find(line);
+        const DenovoL1Line *cl = array_.find(line);
         return cl && readable(*cl).test(w);
     };
 
@@ -149,7 +149,7 @@ DenovoL1::composeWanted(Addr a)
         }
     }
 
-    const CacheLine *cl = array_.find(la);
+    const DenovoL1Line *cl = array_.find(la);
     const WordMask have = cl ? readable(*cl) : WordMask::none();
     push_chunk(la, WordMask::full() - have);
     return chunks;
@@ -252,12 +252,12 @@ DenovoL1::sendLoadRequest(Addr critical, const ChunkVec &wanted)
         });
 }
 
-CacheLine &
+DenovoL1Line &
 DenovoL1::ensureSlot(Addr line_addr)
 {
-    if (CacheLine *cl = array_.find(line_addr))
+    if (DenovoL1Line *cl = array_.find(line_addr))
         return *cl;
-    CacheLine *slot = array_.victimFor(line_addr);
+    DenovoL1Line *slot = array_.victimFor(line_addr);
     panic_if(!slot, "DeNovo L1 has no victim candidate");
     if (slot->valid)
         evictLine(*slot);
@@ -267,7 +267,7 @@ DenovoL1::ensureSlot(Addr line_addr)
 }
 
 void
-DenovoL1::evictLine(CacheLine &cl)
+DenovoL1::evictLine(DenovoL1Line &cl)
 {
     const Addr la = cl.line;
     const WordMask pending = wc_.takeLine(la);
@@ -329,7 +329,7 @@ DenovoL1::store(Addr a, PlainCallback accepted)
     const unsigned w = wordIndex(a);
     const Addr wn = wordNumber(a);
 
-    CacheLine &cl = ensureSlot(la);
+    DenovoL1Line &cl = ensureSlot(la);
     array_.touch(cl);
 
     prof_.store(wn);
@@ -394,7 +394,7 @@ DenovoL1::barrierRelease(const std::vector<RegionId> &inv_regions)
     if (!inv_regions.empty()) {
         std::unordered_set<RegionId> inv(inv_regions.begin(),
                                          inv_regions.end());
-        array_.forEachValid([&](CacheLine &cl) {
+        array_.forEachValid([&](DenovoL1Line &cl) {
             const Addr la = cl.line;
             for (unsigned w = 0; w < wordsPerLine; ++w) {
                 if (!cl.validWords.test(w) || cl.regWords.test(w))
@@ -427,7 +427,7 @@ DenovoL1::installResponse(Message &msg)
     for (auto &chunk : msg.chunks) {
         if (chunk.mask.empty())
             continue;
-        CacheLine &cl = ensureSlot(chunk.line);
+        DenovoL1Line &cl = ensureSlot(chunk.line);
         array_.touch(cl);
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!chunk.mask.test(w))
@@ -471,7 +471,7 @@ DenovoL1::completeWaiters(Addr line_addr)
         return;
     LoadMshr &m = it->second;
 
-    CacheLine *cl = array_.find(line_addr);
+    DenovoL1Line *cl = array_.find(line_addr);
     std::vector<std::pair<Addr, LoadCallback>> still_waiting;
     for (auto &[wn, cb] : m.waiters) {
         const unsigned w = static_cast<unsigned>(wn % wordsPerLine);
@@ -530,7 +530,7 @@ DenovoL1::scheduleRetry(Addr line_addr)
         WordMask need;
         for (const auto &[wn, cb] : m.waiters)
             need.set(static_cast<unsigned>(wn % wordsPerLine));
-        const CacheLine *cl = array_.find(line_addr);
+        const DenovoL1Line *cl = array_.find(line_addr);
         if (cl)
             need -= readable(*cl);
         if (need.empty()) {
@@ -551,7 +551,7 @@ void
 DenovoL1::handleFwdLoadReq(const Message &msg)
 {
     const Addr la = msg.line;
-    const CacheLine *src = array_.find(la);
+    const DenovoL1Line *src = array_.find(la);
     if (!src) {
         auto eb = evictBuf_.find(la);
         if (eb != evictBuf_.end())
@@ -583,7 +583,7 @@ DenovoL1::handleFwdLoadReq(const Message &msg)
 void
 DenovoL1::handleRegInv(const Message &msg)
 {
-    CacheLine *cl = array_.find(msg.line);
+    DenovoL1Line *cl = array_.find(msg.line);
     if (!cl)
         return;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
@@ -608,7 +608,7 @@ void
 DenovoL1::handleRecall(const Message &msg)
 {
     const Addr la = msg.line;
-    CacheLine *cl = array_.find(la);
+    DenovoL1Line *cl = array_.find(la);
     const WordMask give =
         cl ? (cl->regWords & msg.mask) : WordMask::none();
 
@@ -676,7 +676,7 @@ DenovoL1::handleNack(const Message &msg)
 void
 DenovoL1::dumpLine(Addr line_addr) const
 {
-    const CacheLine *cl = array_.find(line_addr);
+    const DenovoL1Line *cl = array_.find(line_addr);
     std::fprintf(stderr, "  L1[%u]: ", id_);
     if (cl) {
         std::fprintf(stderr, "valid=%s reg=%s dirty=%s",
@@ -724,7 +724,7 @@ DenovoL1::handle(Message msg)
         // was in flight; the L2 now holds a stale registration that
         // would livelock readers.  Deregister what we no longer hold.
         WordMask stale = msg.mask;
-        if (const CacheLine *cl = array_.find(msg.line))
+        if (const DenovoL1Line *cl = array_.find(msg.line))
             stale -= cl->regWords;
         if (!stale.empty()) {
             Message dereg;

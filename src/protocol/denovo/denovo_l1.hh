@@ -32,6 +32,20 @@
 namespace wastesim
 {
 
+/** A DeNovo L1 line: the common metadata plus its registered words. */
+struct DenovoL1Line : CacheLine
+{
+    WordMask regWords; //!< words this core registered
+
+    void
+    resetTo(Addr line_addr)
+    {
+        CacheLine::resetTo(line_addr);
+        regWords = WordMask::none();
+    }
+};
+static_assert(sizeof(DenovoL1Line) == 88);
+
 /** Per-core DeNovo L1 data cache. */
 class DenovoL1 : public L1Cache
 {
@@ -62,7 +76,7 @@ class DenovoL1 : public L1Cache
     const WriteCombineTable &writeCombine() const { return wc_; }
     const BloomShadow &bloom() const { return bloom_; }
 
-    const CacheArray &array() const { return array_; }
+    const CacheArray<DenovoL1Line> &array() const { return array_; }
 
     /** Debug: print this L1's view of a line. */
     void dumpLine(Addr line_addr) const;
@@ -82,7 +96,7 @@ class DenovoL1 : public L1Cache
 
     /** Readable = Valid or Registered. */
     static WordMask
-    readable(const CacheLine &cl)
+    readable(const DenovoL1Line &cl)
     {
         return cl.validWords | cl.regWords;
     }
@@ -105,8 +119,8 @@ class DenovoL1 : public L1Cache
     void completeWaiters(Addr line_addr);
     void scheduleRetry(Addr line_addr);
 
-    CacheLine &ensureSlot(Addr line_addr);
-    void evictLine(CacheLine &cl);
+    DenovoL1Line &ensureSlot(Addr line_addr);
+    void evictLine(DenovoL1Line &cl);
 
     void flushRegistration(Addr line_addr, WordMask words);
     void maybeFireDrain();
@@ -124,7 +138,7 @@ class DenovoL1 : public L1Cache
     WordProfiler &prof_;
     MemProfiler &memProf_;
     const RegionTable &regions_;
-    CacheArray array_;
+    CacheArray<DenovoL1Line> array_;
     WriteCombineTable wc_;
     BloomShadow bloom_;
 
@@ -132,7 +146,7 @@ class DenovoL1 : public L1Cache
     /** Registrations issued, awaiting ack (release fence tracking). */
     std::unordered_map<Addr, WordMask> inflightRegs_;
     /** Evicted lines awaiting writeback ack; forwards served here. */
-    std::unordered_map<Addr, CacheLine> evictBuf_;
+    std::unordered_map<Addr, DenovoL1Line> evictBuf_;
     std::unordered_map<Addr, unsigned> pendingWbAcks_;
     /** Filters whose copy has been requested but not received. */
     std::unordered_map<Addr, bool> bloomCopyPending_;

@@ -70,7 +70,7 @@ DenovoL2::sendRegInvs(Addr line_addr,
 }
 
 void
-DenovoL2::syncBloom(CacheLine &cl)
+DenovoL2::syncBloom(DenovoL2Line &cl)
 {
     if (!cfg_.reqBypass)
         return;
@@ -99,7 +99,7 @@ DenovoL2::handleLoadReq(Message &msg)
         const Addr la = chunk.line;
         panic_if(params_.topo.homeSlice(la) != slice_, "request routed to wrong slice");
         const WordMask want = chunk.want;
-        CacheLine *cl = array_.find(la);
+        DenovoL2Line *cl = array_.find(la);
         WordMask from_l2, missing = want;
 
         if (cl) {
@@ -109,7 +109,7 @@ DenovoL2::handleLoadReq(Message &msg)
             for (unsigned w = 0; w < wordsPerLine; ++w) {
                 if (!missing.test(w))
                     continue;
-                const NodeId owner = cl->regOwner[w];
+                const NodeId owner = cl->regOwner(w);
                 if (owner == invalidNode)
                     continue;
                 missing.clear(w);
@@ -213,9 +213,9 @@ DenovoL2::startMemFetch(Addr line_addr, WordMask missing, CoreId requester,
         return;
     }
 
-    CacheLine *cl = array_.find(line_addr);
+    DenovoL2Line *cl = array_.find(line_addr);
     if (!cl) {
-        CacheLine *slot = array_.victimFor(line_addr);
+        DenovoL2Line *slot = array_.victimFor(line_addr);
         if (!slot) {
             nack(l1Ep(requester), MsgKind::DnLoadReq, line_addr, missing);
             return;
@@ -269,7 +269,7 @@ DenovoL2::handleMemData(Message &msg)
 {
     for (auto &chunk : msg.chunks) {
         const Addr la = chunk.line;
-        CacheLine *cl = array_.find(la);
+        DenovoL2Line *cl = array_.find(la);
         panic_if(!cl, "MemData for unallocated DeNovo L2 line");
         cl->busy = false;
 
@@ -280,7 +280,7 @@ DenovoL2::handleMemData(Message &msg)
             prof_.arrive(wn, msg.cls, msg.hops);
             // A registration that raced the fetch wins: the memory
             // data is dead on arrival (Write waste), not installed.
-            if (cl->regOwner[w] != invalidNode) {
+            if (cl->regOwner(w) != invalidNode) {
                 prof_.writeKill(wn);
                 continue;
             }
@@ -320,13 +320,13 @@ DenovoL2::handleMemData(Message &msg)
 }
 
 void
-DenovoL2::applyRegistration(CacheLine &cl, CoreId req, WordMask mask)
+DenovoL2::applyRegistration(DenovoL2Line &cl, CoreId req, WordMask mask)
 {
     std::unordered_map<NodeId, WordMask> invs;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         if (!mask.test(w))
             continue;
-        const NodeId old = cl.regOwner[w];
+        const NodeId old = cl.regOwner(w);
         if (old == req)
             continue;
         if (old != invalidNode)
@@ -341,7 +341,7 @@ DenovoL2::applyRegistration(CacheLine &cl, CoreId req, WordMask mask)
             cl.validWords.clear(w);
             cl.dirtyWords.clear(w);
         }
-        cl.regOwner[w] = req;
+        cl.setRegOwner(w, req);
     }
     sendRegInvs(cl.line, invs);
     syncBloom(cl);
@@ -373,7 +373,7 @@ DenovoL2::handleReg(Message &msg)
         return;
     }
 
-    CacheLine *cl = array_.find(la);
+    DenovoL2Line *cl = array_.find(la);
 
     if (!cl) {
         if (!cfg_.l2WriteValidate) {
@@ -385,7 +385,7 @@ DenovoL2::handleReg(Message &msg)
                                                     msg.mask);
                 return;
             }
-            CacheLine *slot = array_.victimFor(la);
+            DenovoL2Line *slot = array_.victimFor(la);
             if (!slot) {
                 nack(msg.src, MsgKind::DnReg, la, msg.mask);
                 return;
@@ -422,7 +422,7 @@ DenovoL2::handleReg(Message &msg)
         }
 
         // L2 write-validate: allocate the tag, no fetch.
-        CacheLine *slot = array_.victimFor(la);
+        DenovoL2Line *slot = array_.victimFor(la);
         if (!slot) {
             nack(msg.src, MsgKind::DnReg, la, msg.mask);
             return;
@@ -449,11 +449,11 @@ DenovoL2::handleWb(Message &msg)
     if (msg.aux == 2) {
         // Deregister correction: the L1 acknowledged a registration
         // for words a recall had already flushed from it.
-        if (CacheLine *cl = array_.find(la)) {
+        if (DenovoL2Line *cl = array_.find(la)) {
             for (unsigned w = 0; w < wordsPerLine; ++w)
                 if (msg.mask.test(w) &&
-                    cl->regOwner[w] == msg.requester) {
-                    cl->regOwner[w] = invalidNode;
+                    cl->regOwner(w) == msg.requester) {
+                    cl->setRegOwner(w, invalidNode);
                 }
             syncBloom(*cl);
             if (cl->validWords.empty() && cl->dirtyWords.empty() &&
@@ -466,7 +466,7 @@ DenovoL2::handleWb(Message &msg)
 
     if (msg.aux == 1) {
         // Recall response.
-        CacheLine *cl = array_.find(la);
+        DenovoL2Line *cl = array_.find(la);
         panic_if(!cl, "recall response for missing victim");
         for (const auto &chunk : msg.chunks) {
             for (unsigned w = 0; w < wordsPerLine; ++w) {
@@ -479,15 +479,15 @@ DenovoL2::handleWb(Message &msg)
             }
         }
         for (unsigned w = 0; w < wordsPerLine; ++w)
-            if (cl->regOwner[w] == msg.requester)
-                cl->regOwner[w] = invalidNode;
+            if (cl->regOwner(w) == msg.requester)
+                cl->setRegOwner(w, invalidNode);
         progressRecall(la);
         return;
     }
 
-    CacheLine *cl = array_.find(la);
+    DenovoL2Line *cl = array_.find(la);
     if (!cl) {
-        CacheLine *slot = array_.victimFor(la);
+        DenovoL2Line *slot = array_.victimFor(la);
         if (slot && slot->valid) {
             Message copy = msg;
             recallVictim(*slot, [this, copy]() mutable { handle(copy); });
@@ -528,7 +528,7 @@ DenovoL2::handleWb(Message &msg)
             if (!chunk.mask.test(w))
                 continue;
             const bool combined_reg = msg.flag && msg.mask.test(w);
-            const NodeId owner = cl->regOwner[w];
+            const NodeId owner = cl->regOwner(w);
             if (owner != invalidNode && owner != msg.requester) {
                 if (!combined_reg)
                     continue; // stale writeback lost to a newer writer
@@ -546,7 +546,7 @@ DenovoL2::handleWb(Message &msg)
             }
             cl->validWords.set(w);
             cl->dirtyWords.set(w);
-            cl->regOwner[w] = invalidNode;
+            cl->setRegOwner(w, invalidNode);
         }
     }
     sendRegInvs(la, invs);
@@ -564,7 +564,7 @@ DenovoL2::handleWb(Message &msg)
 }
 
 void
-DenovoL2::recallVictim(CacheLine &victim, std::function<void()> cont)
+DenovoL2::recallVictim(DenovoL2Line &victim, std::function<void()> cont)
 {
     const Addr vla = victim.line;
     auto it = recalls_.find(vla);
@@ -576,8 +576,8 @@ DenovoL2::recallVictim(CacheLine &victim, std::function<void()> cont)
     victim.busy = true;
     std::unordered_map<NodeId, WordMask> owners;
     for (unsigned w = 0; w < wordsPerLine; ++w)
-        if (victim.regOwner[w] != invalidNode)
-            owners[victim.regOwner[w]].set(w);
+        if (victim.regOwner(w) != invalidNode)
+            owners[victim.regOwner(w)].set(w);
 
     if (owners.empty()) {
         finishVictim(vla);
@@ -624,7 +624,7 @@ DenovoL2::progressRecall(Addr victim_line)
 void
 DenovoL2::finishVictim(Addr victim_line)
 {
-    CacheLine *cl = array_.find(victim_line);
+    DenovoL2Line *cl = array_.find(victim_line);
     panic_if(!cl, "finishing missing DeNovo victim");
 
     if (!cl->dirtyWords.empty()) {
@@ -683,16 +683,16 @@ void
 DenovoL2::dumpLine(Addr line_addr) const
 {
     std::fprintf(stderr, "  L2[%u]: ", slice_);
-    const CacheLine *cl = array_.find(line_addr);
+    const DenovoL2Line *cl = array_.find(line_addr);
     if (cl) {
         std::fprintf(stderr, "valid=%s dirty=%s busy=%d regOwner=[",
                      cl->validWords.toString().c_str(),
                      cl->dirtyWords.toString().c_str(), cl->busy);
         for (unsigned w = 0; w < wordsPerLine; ++w) {
-            if (cl->regOwner[w] == invalidNode)
+            if (cl->regOwner(w) == invalidNode)
                 std::fprintf(stderr, ".");
             else
-                std::fprintf(stderr, "%x", cl->regOwner[w]);
+                std::fprintf(stderr, "%x", cl->regOwner(w));
         }
         std::fprintf(stderr, "]");
     } else {

@@ -34,6 +34,54 @@
 namespace wastesim
 {
 
+/**
+ * A DeNovo L2 line: the common metadata plus the L1 each word is
+ * registered to.  A registrant is stored in one byte, valid where its
+ * bit in the registered mask is set.
+ */
+struct DenovoL2Line : CacheLine
+{
+    static_assert(maxTiles <= 256, "registrants are stored in a byte");
+
+    bool inBloom = false; //!< tracked by the slice's Bloom bank
+
+    /** Registrant L1 of word @p w, or invalidNode if none. */
+    NodeId
+    regOwner(unsigned w) const
+    {
+        return regMask_.test(w) ? regNode_[w] : invalidNode;
+    }
+
+    /** Register word @p w to @p n (invalidNode: unregister it). */
+    void
+    setRegOwner(unsigned w, NodeId n)
+    {
+        if (n == invalidNode) {
+            regMask_.clear(w);
+            return;
+        }
+        panic_if(n >= maxTiles, "registrant %u out of range", n);
+        regNode_[w] = static_cast<std::uint8_t>(n);
+        regMask_.set(w);
+    }
+
+    /** Words registered to any L1. */
+    WordMask registeredMask() const { return regMask_; }
+
+    void
+    resetTo(Addr line_addr)
+    {
+        CacheLine::resetTo(line_addr);
+        regMask_ = WordMask::none();
+        inBloom = false;
+    }
+
+  private:
+    std::array<std::uint8_t, wordsPerLine> regNode_{};
+    WordMask regMask_;
+};
+static_assert(sizeof(DenovoL2Line) == 112);
+
 /** One DeNovo L2 slice. */
 class DenovoL2 : public MessageHandler
 {
@@ -48,7 +96,7 @@ class DenovoL2 : public MessageHandler
     bool
     wordPresent(Addr line_addr, unsigned widx) const
     {
-        const CacheLine *cl = array_.find(line_addr);
+        const DenovoL2Line *cl = array_.find(line_addr);
         return cl && cl->validWords.test(widx);
     }
 
@@ -61,7 +109,7 @@ class DenovoL2 : public MessageHandler
     std::uint64_t recallsIssued() const { return recallsIssued_; }
     std::uint64_t nacks() const { return nacks_; }
 
-    const CacheArray &array() const { return array_; }
+    const CacheArray<DenovoL2Line> &array() const { return array_; }
 
     /** Debug: print this slice's view of a line. */
     void dumpLine(Addr line_addr) const;
@@ -100,9 +148,9 @@ class DenovoL2 : public MessageHandler
     void startMemFetch(Addr line_addr, WordMask missing, CoreId requester,
                        TrafficClass cls, bool flex_request);
 
-    void applyRegistration(CacheLine &cl, CoreId req, WordMask mask);
+    void applyRegistration(DenovoL2Line &cl, CoreId req, WordMask mask);
 
-    void recallVictim(CacheLine &victim, std::function<void()> cont);
+    void recallVictim(DenovoL2Line &victim, std::function<void()> cont);
     void progressRecall(Addr victim_line);
     void finishVictim(Addr victim_line);
 
@@ -112,7 +160,7 @@ class DenovoL2 : public MessageHandler
                      const std::unordered_map<NodeId, WordMask> &invs);
     void nack(Endpoint to, MsgKind orig, Addr line_addr, WordMask mask);
 
-    void syncBloom(CacheLine &cl);
+    void syncBloom(DenovoL2Line &cl);
 
     NodeId slice_;
     ProtocolConfig cfg_;
@@ -121,7 +169,7 @@ class DenovoL2 : public MessageHandler
     Network &net_;
     WordProfiler &prof_;
     MemProfiler &memProf_;
-    CacheArray array_;
+    CacheArray<DenovoL2Line> array_;
     BloomBank bloom_;
 
     std::unordered_map<Addr, MemMshr> memMshrs_;

@@ -39,7 +39,7 @@ MesiDir::nack(const Message &msg)
 }
 
 void
-MesiDir::sendDataFromL2(const CacheLine &cl, CoreId requester,
+MesiDir::sendDataFromL2(const MesiDirLine &cl, CoreId requester,
                         bool excl, bool is_store, unsigned acks,
                         Tick t_mc, Tick t_mem)
 {
@@ -62,7 +62,7 @@ MesiDir::sendDataFromL2(const CacheLine &cl, CoreId requester,
 }
 
 void
-MesiDir::installWords(const Message &msg, CacheLine &cl,
+MesiDir::installWords(const Message &msg, MesiDirLine &cl,
                       bool track_arrivals)
 {
     for (const auto &chunk : msg.chunks) {
@@ -114,7 +114,7 @@ MesiDir::handleGetS(const Message &msg)
         nack(msg);
         return;
     }
-    CacheLine *cl = array_.find(la);
+    MesiDirLine *cl = array_.find(la);
     if (!cl) {
         ++misses_;
         startFetch(msg);
@@ -164,7 +164,7 @@ MesiDir::handleGetX(const Message &msg)
         nack(msg);
         return;
     }
-    CacheLine *cl = array_.find(la);
+    MesiDirLine *cl = array_.find(la);
     if (!cl) {
         ++misses_;
         startFetch(msg);
@@ -225,7 +225,7 @@ MesiDir::handleUpgrade(const Message &msg)
         nack(msg);
         return;
     }
-    CacheLine *cl = array_.find(la);
+    MesiDirLine *cl = array_.find(la);
     if (!cl || !cl->sharers.test(msg.requester) ||
         cl->owner != invalidNode) {
         // The requester lost its S copy (or the state moved on); it
@@ -278,7 +278,7 @@ MesiDir::handlePutX(Message &msg)
     if (it != txns_.end()) {
         if (msg.aux == 1 && it->second.isRecall) {
             // Recall response carrying the owner's dirty data.
-            CacheLine *cl = array_.find(la);
+            MesiDirLine *cl = array_.find(la);
             panic_if(!cl, "recall data for missing victim");
             installWords(msg, *cl, false);
             cl->owner = invalidNode;
@@ -289,7 +289,7 @@ MesiDir::handlePutX(Message &msg)
         return;
     }
 
-    CacheLine *cl = array_.find(la);
+    MesiDirLine *cl = array_.find(la);
     if (cl) {
         installWords(msg, *cl, false);
         if (cl->owner == msg.requester)
@@ -307,7 +307,7 @@ MesiDir::handlePutS(const Message &msg)
         nack(msg);
         return;
     }
-    if (CacheLine *cl = array_.find(la)) {
+    if (MesiDirLine *cl = array_.find(la)) {
         cl->sharers.reset(msg.requester);
         if (cl->owner == msg.requester)
             cl->owner = invalidNode;
@@ -349,7 +349,7 @@ MesiDir::handleUnblock(Message &msg)
                              0, slice_);
     }
 
-    CacheLine *cl = array_.find(la);
+    MesiDirLine *cl = array_.find(la);
     panic_if(!cl, "unblock for a line the L2 lost");
 
     if (msg.kind == MsgKind::UnblockData)
@@ -387,7 +387,7 @@ MesiDir::handleMemData(Message &msg)
     Txn &t = it->second;
     panic_if(!t.memFetch, "unexpected MemData");
 
-    CacheLine *cl = array_.find(la);
+    MesiDirLine *cl = array_.find(la);
     panic_if(!cl, "MemData without an allocated slot");
     installWords(msg, *cl, true);
 
@@ -430,7 +430,7 @@ MesiDir::recallProgress(Addr victim_line)
 void
 MesiDir::finishVictim(Addr victim_line)
 {
-    CacheLine *cl = array_.find(victim_line);
+    MesiDirLine *cl = array_.find(victim_line);
     panic_if(!cl, "finishing missing victim");
 
     if (!cl->dirtyWords.empty()) {
@@ -460,7 +460,7 @@ MesiDir::finishVictim(Addr victim_line)
 }
 
 void
-MesiDir::recallVictim(CacheLine &victim, std::function<void()> cont)
+MesiDir::recallVictim(MesiDirLine &victim, std::function<void()> cont)
 {
     ++recalls_;
     const Addr vla = victim.line;
@@ -512,7 +512,7 @@ void
 MesiDir::startFetch(const Message &msg)
 {
     const Addr la = msg.line;
-    CacheLine *slot = array_.victimFor(la);
+    MesiDirLine *slot = array_.victimFor(la);
     if (!slot) {
         nack(msg);
         return;
@@ -592,7 +592,7 @@ MesiDir::handle(Message msg)
         break;
       case MsgKind::Data:
         // Owner downgrade copy accompanying a FwdGetS.
-        if (CacheLine *cl = array_.find(msg.line))
+        if (MesiDirLine *cl = array_.find(msg.line))
             installWords(msg, *cl, true);
         break;
       default:

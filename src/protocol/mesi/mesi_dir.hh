@@ -15,6 +15,7 @@
 #include <unordered_map>
 
 #include "cache/cache_array.hh"
+#include "common/sharer_mask.hh"
 #include "noc/network.hh"
 #include "profile/mem_profiler.hh"
 #include "profile/word_profiler.hh"
@@ -24,6 +25,23 @@
 
 namespace wastesim
 {
+
+/** A MESI L2 line with its directory entry. */
+struct MesiDirLine : CacheLine
+{
+    SharerMask sharers;         //!< L1 sharer bit vector
+    NodeId owner = invalidNode; //!< exclusive/modified owner; an owned
+                                //!< line has no sharer bits
+
+    void
+    resetTo(Addr line_addr)
+    {
+        CacheLine::resetTo(line_addr);
+        sharers.reset();
+        owner = invalidNode;
+    }
+};
+static_assert(sizeof(MesiDirLine) == 128);
 
 /** One L2 slice with its directory controller. */
 class MesiDir : public MessageHandler
@@ -39,7 +57,7 @@ class MesiDir : public MessageHandler
     bool
     wordPresent(Addr line_addr, unsigned widx) const
     {
-        const CacheLine *cl = array_.find(line_addr);
+        const MesiDirLine *cl = array_.find(line_addr);
         return cl && cl->validWords.test(widx);
     }
 
@@ -50,7 +68,7 @@ class MesiDir : public MessageHandler
     std::uint64_t nacks() const { return nacks_; }
     std::uint64_t invalidations() const { return invalidations_; }
 
-    const CacheArray &array() const { return array_; }
+    const CacheArray<MesiDirLine> &array() const { return array_; }
 
   private:
     struct Txn
@@ -82,7 +100,7 @@ class MesiDir : public MessageHandler
     void startFetch(const Message &msg);
 
     /** Kick off the recall of @p victim; @p cont runs once freed. */
-    void recallVictim(CacheLine &victim, std::function<void()> cont);
+    void recallVictim(MesiDirLine &victim, std::function<void()> cont);
 
     /** Recall response/ack bookkeeping. */
     void recallProgress(Addr victim_line);
@@ -91,12 +109,12 @@ class MesiDir : public MessageHandler
     void finishVictim(Addr victim_line);
 
     /** Respond to @p requester with this slice's copy of the line. */
-    void sendDataFromL2(const CacheLine &cl, CoreId requester,
+    void sendDataFromL2(const MesiDirLine &cl, CoreId requester,
                         bool excl, bool is_store, unsigned acks,
                         Tick t_mc = 0, Tick t_mem = 0);
 
     /** Install words arriving in a data/unblock message. */
-    void installWords(const Message &msg, CacheLine &cl,
+    void installWords(const Message &msg, MesiDirLine &cl,
                       bool track_arrivals);
 
     void sendWbAck(Addr line_addr, CoreId to);
@@ -108,7 +126,7 @@ class MesiDir : public MessageHandler
     Network &net_;
     WordProfiler &prof_;
     MemProfiler &memProf_;
-    CacheArray array_;
+    CacheArray<MesiDirLine> array_;
 
     std::unordered_map<Addr, Txn> txns_;
 

@@ -15,7 +15,7 @@ MesiL1::MesiL1(CoreId id, const ProtocolConfig &cfg,
 }
 
 void
-MesiL1::hitLoad(CacheLine &cl, Addr a, const LoadCallback &done)
+MesiL1::hitLoad(MesiL1Line &cl, Addr a, const LoadCallback &done)
 {
     array_.touch(cl);
     const unsigned w = wordIndex(a);
@@ -28,7 +28,7 @@ MesiL1::hitLoad(CacheLine &cl, Addr a, const LoadCallback &done)
 }
 
 void
-MesiL1::hitStore(CacheLine &cl, Addr a)
+MesiL1::hitStore(MesiL1Line &cl, Addr a)
 {
     array_.touch(cl);
     const unsigned w = wordIndex(a);
@@ -48,7 +48,7 @@ MesiL1::load(Addr a, LoadCallback done)
 {
     ++demandLoads_;
     const Addr la = lineAddr(a);
-    CacheLine *cl = array_.find(la);
+    MesiL1Line *cl = array_.find(la);
     if (cl && cl->mesi != MesiState::I) {
         ++loadHits_;
         hitLoad(*cl, a, done);
@@ -82,7 +82,7 @@ MesiL1::store(Addr a, PlainCallback accepted)
 {
     ++demandStores_;
     const Addr la = lineAddr(a);
-    CacheLine *cl = array_.find(la);
+    MesiL1Line *cl = array_.find(la);
     if (cl && (cl->mesi == MesiState::M || cl->mesi == MesiState::E)) {
         ++storeHits_;
         hitStore(*cl, a);
@@ -182,12 +182,12 @@ MesiL1::retireStoreSlot()
     maybeFireDrain();
 }
 
-CacheLine &
+MesiL1Line &
 MesiL1::ensureSlot(Addr line_addr)
 {
-    if (CacheLine *cl = array_.find(line_addr))
+    if (MesiL1Line *cl = array_.find(line_addr))
         return *cl;
-    CacheLine *slot = array_.victimFor(line_addr);
+    MesiL1Line *slot = array_.victimFor(line_addr);
     panic_if(!slot, "L1 has no victim candidate");
     if (slot->valid)
         evictLine(*slot);
@@ -197,7 +197,7 @@ MesiL1::ensureSlot(Addr line_addr)
 }
 
 void
-MesiL1::evictLine(CacheLine &cl)
+MesiL1::evictLine(MesiL1Line &cl)
 {
     const Addr la = cl.line;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
@@ -251,7 +251,7 @@ MesiL1::evictLine(CacheLine &cl)
 void
 MesiL1::installData(Message &msg, Mshr &m)
 {
-    CacheLine &cl = ensureSlot(msg.line);
+    MesiL1Line &cl = ensureSlot(msg.line);
     // Pin the line until the transaction completes: with many misses
     // outstanding (synthetic hot-set streams), a later install in the
     // same set must not evict a line whose MSHR still awaits acks.
@@ -295,7 +295,7 @@ void
 MesiL1::completeLoadWaiter(Addr a, const LoadCallback &done,
                            const Mshr &m)
 {
-    CacheLine *cl = array_.find(lineAddr(a));
+    MesiL1Line *cl = array_.find(lineAddr(a));
     panic_if(!cl, "load completion without a line");
     const unsigned w = wordIndex(a);
     prof_.load(wordNumber(a));
@@ -315,7 +315,7 @@ MesiL1::maybeComplete(Addr line_addr)
     if (m.isStore && (!m.ackCountKnown || m.acksGot < m.acksNeeded))
         return;
 
-    CacheLine *cl = array_.find(line_addr);
+    MesiL1Line *cl = array_.find(line_addr);
     panic_if(!cl, "completing transaction without a line");
 
     // Apply the buffered stores.
@@ -381,8 +381,8 @@ void
 MesiL1::respondToFwd(const Message &msg, bool exclusive)
 {
     // Serve from the array or from the evict buffer (writeback races).
-    CacheLine *cl = array_.find(msg.line);
-    CacheLine *src = cl;
+    MesiL1Line *cl = array_.find(msg.line);
+    MesiL1Line *src = cl;
     auto eb = evictBuf_.find(msg.line);
     if ((!src || !src->valid || src->mesi == MesiState::I) &&
         eb != evictBuf_.end()) {
@@ -448,7 +448,7 @@ MesiL1::respondToFwd(const Message &msg, bool exclusive)
 }
 
 void
-MesiL1::invalidateLine(CacheLine &cl)
+MesiL1::invalidateLine(MesiL1Line &cl)
 {
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         if (!cl.validWords.test(w))
@@ -463,7 +463,7 @@ MesiL1::invalidateLine(CacheLine &cl)
 void
 MesiL1::handleInv(const Message &msg)
 {
-    CacheLine *cl = array_.find(msg.line);
+    MesiL1Line *cl = array_.find(msg.line);
     const bool to_dir = msg.aux == 1; // L2-eviction recall
 
     // A recall can race with our own in-flight (NACKed) PutX; the
@@ -472,7 +472,7 @@ MesiL1::handleInv(const Message &msg)
     if (to_dir && (!cl || !cl->valid || cl->mesi == MesiState::I)) {
         auto eb = evictBuf_.find(msg.line);
         if (eb != evictBuf_.end()) {
-            CacheLine &buf = eb->second;
+            MesiL1Line &buf = eb->second;
             Message resp;
             resp.kind = MsgKind::PutX;
             resp.src = l1Ep(id_);
@@ -540,7 +540,7 @@ MesiL1::handleNack(const Message &msg)
             auto it = evictBuf_.find(la);
             if (it == evictBuf_.end())
                 return;
-            CacheLine &cl = it->second;
+            MesiL1Line &cl = it->second;
             Message msg;
             msg.kind = MsgKind::PutX;
             msg.src = l1Ep(id_);
@@ -582,7 +582,7 @@ MesiL1::handleNack(const Message &msg)
             return;
         Mshr &m = it->second;
         if (m.isStore) {
-            CacheLine *cl = array_.find(la);
+            MesiL1Line *cl = array_.find(la);
             m.isUpgrade = cl && cl->valid && cl->mesi == MesiState::S;
         }
         sendRequest(m);

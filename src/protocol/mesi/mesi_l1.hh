@@ -28,6 +28,23 @@
 namespace wastesim
 {
 
+/** MESI L1 line states (the directory tracks its own). */
+enum class MesiState : unsigned char { I, S, E, M };
+
+/** A MESI L1 line: the common metadata plus its MESI state. */
+struct MesiL1Line : CacheLine
+{
+    MesiState mesi = MesiState::I;
+
+    void
+    resetTo(Addr line_addr)
+    {
+        CacheLine::resetTo(line_addr);
+        mesi = MesiState::I;
+    }
+};
+static_assert(sizeof(MesiL1Line) == 88);
+
 /** Per-core MESI L1 data cache. */
 class MesiL1 : public L1Cache
 {
@@ -54,7 +71,7 @@ class MesiL1 : public L1Cache
     std::uint64_t demandStores() const override { return demandStores_; }
 
     /** Testing hook. */
-    const CacheArray &array() const { return array_; }
+    const CacheArray<MesiL1Line> &array() const { return array_; }
 
   private:
     struct Mshr
@@ -76,8 +93,8 @@ class MesiL1 : public L1Cache
         std::vector<Addr> storeReplays;
     };
 
-    void hitLoad(CacheLine &cl, Addr a, const LoadCallback &done);
-    void hitStore(CacheLine &cl, Addr a);
+    void hitLoad(MesiL1Line &cl, Addr a, const LoadCallback &done);
+    void hitStore(MesiL1Line &cl, Addr a);
     void sendRequest(const Mshr &m);
     void installData(Message &msg, Mshr &m);
     void maybeComplete(Addr line_addr);
@@ -85,10 +102,10 @@ class MesiL1 : public L1Cache
                             const Mshr &m);
 
     /** Find or create the slot for @p line_addr, evicting a victim. */
-    CacheLine &ensureSlot(Addr line_addr);
-    void evictLine(CacheLine &cl);
+    MesiL1Line &ensureSlot(Addr line_addr);
+    void evictLine(MesiL1Line &cl);
 
-    void invalidateLine(CacheLine &cl);
+    void invalidateLine(MesiL1Line &cl);
     void respondToFwd(const Message &msg, bool exclusive);
     void handleInv(const Message &msg);
     void handleNack(const Message &msg);
@@ -116,13 +133,13 @@ class MesiL1 : public L1Cache
     Network &net_;
     WordProfiler &prof_;
     MemProfiler &memProf_;
-    CacheArray array_;
+    CacheArray<MesiL1Line> array_;
 
     std::unordered_map<Addr, Mshr> mshrs_;
     unsigned storeSlotsUsed_ = 0;
     /** Dirty lines evicted but not yet acknowledged by the directory;
      *  forwards are answered from here. */
-    std::unordered_map<Addr, CacheLine> evictBuf_;
+    std::unordered_map<Addr, MesiL1Line> evictBuf_;
     /** Clean evictions awaiting WbAck (retried on NACK). */
     std::unordered_map<Addr, bool> pendingCleanEvicts_;
 

@@ -465,54 +465,49 @@ System::checkInvariants() const
 {
     const unsigned tiles = params_.topo.numTiles();
     if (cfg_.isMesi()) {
-        // At most one exclusive owner per line; an owner implies no
-        // sharers recorded alongside stale exclusivity.
+        // An owner is a real tile and is the line's only holder: the
+        // directory clears the sharer bits whenever it records one.
         for (const auto &dir : mesiDirs_) {
-            const_cast<CacheArray &>(dir->array())
-                .forEachValid([tiles](CacheLine &cl) {
-                    if (cl.owner != invalidNode) {
-                        panic_if(cl.owner >= tiles,
-                                 "bogus owner id");
-                    }
-                });
+            dir->array().forEachValid([tiles](const MesiDirLine &cl) {
+                if (cl.owner == invalidNode)
+                    return;
+                panic_if(cl.owner >= tiles, "bogus owner id");
+                panic_if(!cl.sharers.none(),
+                         "line %llx has owner %u and sharers",
+                         static_cast<unsigned long long>(cl.line),
+                         cl.owner);
+            });
         }
         // No two L1s hold the same line in M.
         for (unsigned i = 0; i < tiles; ++i) {
-            const_cast<CacheArray &>(mesiL1s_[i]->array())
-                .forEachValid([&](CacheLine &a) {
-                    if (a.mesi != MesiState::M)
-                        return;
-                    for (unsigned j = i + 1; j < tiles; ++j) {
-                        const CacheLine *b =
-                            mesiL1s_[j]->array().find(a.line);
-                        panic_if(b && b->valid &&
-                                     b->mesi == MesiState::M,
-                                 "two M owners for line %llx",
-                                 static_cast<unsigned long long>(
-                                     a.line));
-                    }
-                });
+            mesiL1s_[i]->array().forEachValid([&](const MesiL1Line &a) {
+                if (a.mesi != MesiState::M)
+                    return;
+                for (unsigned j = i + 1; j < tiles; ++j) {
+                    const MesiL1Line *b = mesiL1s_[j]->array().find(a.line);
+                    panic_if(b && b->valid && b->mesi == MesiState::M,
+                             "two M owners for line %llx",
+                             static_cast<unsigned long long>(a.line));
+                }
+            });
         }
     } else {
-        // A word is registered to at most one L1 (the L2 regOwner is
+        // A word is registered to at most one L1 (the L2 registrant is
         // the single source of truth; check L1 regWords agree).
         for (unsigned i = 0; i < tiles; ++i) {
-            const_cast<CacheArray &>(dnL1s_[i]->array())
-                .forEachValid([&](CacheLine &a) {
-                    for (unsigned j = i + 1; j < tiles; ++j) {
-                        const CacheLine *b =
-                            dnL1s_[j]->array().find(a.line);
-                        if (!b || !b->valid)
-                            continue;
-                        const WordMask both = a.regWords & b->regWords;
-                        panic_if(!both.empty(),
-                                 "word registered to two L1s: line "
-                                 "%llx mask %s",
-                                 static_cast<unsigned long long>(
-                                     a.line),
-                                 both.toString().c_str());
-                    }
-                });
+            dnL1s_[i]->array().forEachValid([&](const DenovoL1Line &a) {
+                for (unsigned j = i + 1; j < tiles; ++j) {
+                    const DenovoL1Line *b = dnL1s_[j]->array().find(a.line);
+                    if (!b || !b->valid)
+                        continue;
+                    const WordMask both = a.regWords & b->regWords;
+                    panic_if(!both.empty(),
+                             "word registered to two L1s: line %llx "
+                             "mask %s",
+                             static_cast<unsigned long long>(a.line),
+                             both.toString().c_str());
+                }
+            });
         }
     }
 }

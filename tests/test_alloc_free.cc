@@ -6,7 +6,8 @@
  * replaces global operator new/delete with counting versions and
  * asserts the counter does not move across a measured steady-state
  * window (pools at their high-water mark, callbacks within the inline
- * capture budget, payloads within the inline chunk capacity).
+ * capture budget, payloads within the inline chunk capacity).  It
+ * also counts bytes, to bound what building a large System allocates.
  */
 
 #include <gtest/gtest.h>
@@ -21,11 +22,14 @@
 #include "profile/word_profiler.hh"
 #include "protocol/message.hh"
 #include "sim/event_queue.hh"
+#include "system/system.hh"
+#include "workload/workload.hh"
 
 namespace
 {
 
 std::size_t g_news = 0;
+std::size_t g_newBytes = 0;
 
 } // namespace
 
@@ -34,6 +38,7 @@ void *
 operator new(std::size_t n)
 {
     ++g_news;
+    g_newBytes += n;
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -43,6 +48,7 @@ void *
 operator new[](std::size_t n)
 {
     ++g_news;
+    g_newBytes += n;
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -279,6 +285,25 @@ TEST(AllocFree, MessageCopyAndMove)
     EXPECT_EQ(after - before, 0u)
         << "Message copy/move allocated despite inline payload";
     EXPECT_EQ(moved.chunks.size(), ChunkVec::capacity());
+}
+
+TEST(AllocFree, System16x16Footprint)
+{
+    // Building a 256-tile System allocates every cache array for its
+    // full geometry up front: 256 tiles x 576 lines of L1 and L2
+    // slots.  Each controller's line holds only its protocol's fields
+    // (88-128 bytes); a 208-byte line with every protocol's fields
+    // allocated about 32 MB here.
+    const auto wl = makeBenchmark(BenchmarkName::FFT, 4, Topology(16, 16));
+    SimParams params = SimParams::scaled();
+    params.topo = Topology(16, 16);
+    for (ProtocolName p : {ProtocolName::MESI, ProtocolName::DeNovo}) {
+        const std::size_t before = g_newBytes;
+        const System sys(p, *wl, params);
+        const double mb = (g_newBytes - before) / 1e6;
+        EXPECT_LE(mb, 24.0) << protocolName(p) << " System construction "
+                            << "allocated " << mb << " MB";
+    }
 }
 
 } // namespace wastesim

@@ -1,8 +1,17 @@
-/** Unit tests: set-associative array, LRU, busy-line handling. */
+/** Unit tests: set-associative array, LRU, busy-line handling, and the
+ *  per-controller line types. */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "cache/cache_array.hh"
+#include "common/rng.hh"
+#include "protocol/denovo/denovo_l1.hh"
+#include "protocol/denovo/denovo_l2.hh"
+#include "protocol/mesi/mesi_dir.hh"
+#include "protocol/mesi/mesi_l1.hh"
 
 namespace wastesim
 {
@@ -16,76 +25,146 @@ lineAt(unsigned set, unsigned tag, unsigned sets, unsigned div = 1)
     return (static_cast<Addr>(tag) * sets + set) * div * bytesPerLine;
 }
 
+// Set / check each line type's own fields (no-ops for CacheLine).
+void scribble(CacheLine &) {}
+void scribble(MesiL1Line &cl) { cl.mesi = MesiState::M; }
+void
+scribble(MesiDirLine &cl)
+{
+    cl.sharers = SharerMask(0xff);
+    cl.owner = 3;
+}
+void scribble(DenovoL1Line &cl) { cl.regWords = WordMask::full(); }
+void
+scribble(DenovoL2Line &cl)
+{
+    cl.setRegOwner(5, 2);
+    cl.inBloom = true;
+}
+
+void expectOwnFieldsReset(const CacheLine &) {}
+void
+expectOwnFieldsReset(const MesiL1Line &cl)
+{
+    EXPECT_EQ(cl.mesi, MesiState::I);
+}
+void
+expectOwnFieldsReset(const MesiDirLine &cl)
+{
+    EXPECT_TRUE(cl.sharers.none());
+    EXPECT_EQ(cl.owner, invalidNode);
+}
+void
+expectOwnFieldsReset(const DenovoL1Line &cl)
+{
+    EXPECT_TRUE(cl.regWords.empty());
+}
+void
+expectOwnFieldsReset(const DenovoL2Line &cl)
+{
+    EXPECT_TRUE(cl.registeredMask().empty());
+    EXPECT_EQ(cl.regOwner(5), invalidNode);
+    EXPECT_FALSE(cl.inBloom);
+}
+
 } // namespace
 
-TEST(CacheArray, FindAfterFill)
+template <typename Line>
+class CacheArrayTest : public ::testing::Test
 {
-    CacheArray a(4, 2);
+};
+
+using LineTypes = ::testing::Types<CacheLine, MesiL1Line, MesiDirLine,
+                                   DenovoL1Line, DenovoL2Line>;
+
+struct LineTypeNames
+{
+    template <typename Line>
+    static std::string
+    GetName(int)
+    {
+        if (std::is_same_v<Line, MesiL1Line>)
+            return "MesiL1Line";
+        if (std::is_same_v<Line, MesiDirLine>)
+            return "MesiDirLine";
+        if (std::is_same_v<Line, DenovoL1Line>)
+            return "DenovoL1Line";
+        if (std::is_same_v<Line, DenovoL2Line>)
+            return "DenovoL2Line";
+        return "CacheLine";
+    }
+};
+
+TYPED_TEST_SUITE(CacheArrayTest, LineTypes, LineTypeNames);
+
+TYPED_TEST(CacheArrayTest, FindAfterFill)
+{
+    CacheArray<TypeParam> a(4, 2);
     const Addr la = lineAt(1, 0, 4);
     EXPECT_EQ(a.find(la), nullptr);
-    CacheLine *slot = a.victimFor(la);
+    TypeParam *slot = a.victimFor(la);
     ASSERT_NE(slot, nullptr);
     a.resetTo(*slot, la);
     EXPECT_EQ(a.find(la), slot);
 }
 
-TEST(CacheArray, SetIndexing)
+TYPED_TEST(CacheArrayTest, SetIndexing)
 {
-    CacheArray a(8, 2);
+    CacheArray<TypeParam> a(8, 2);
     EXPECT_EQ(a.setIndex(0), 0u);
     EXPECT_EQ(a.setIndex(64), 1u);
     EXPECT_EQ(a.setIndex(8 * 64), 0u);
 }
 
-TEST(CacheArray, IndexDivisorSkipsInterleaveBits)
+TYPED_TEST(CacheArrayTest, IndexDivisorSkipsInterleaveBits)
 {
     // L2 slices see every 16th 256-byte chunk: index must divide.
-    CacheArray a(8, 2, numTiles);
+    CacheArray<TypeParam> a(8, 2, numTiles);
     EXPECT_EQ(a.setIndex(0), a.setIndex(64));
     EXPECT_NE(a.setIndex(0), a.setIndex(16ull * 4 * 64));
 }
 
-TEST(CacheArray, LruVictimSelection)
+TYPED_TEST(CacheArrayTest, LruVictimSelection)
 {
-    CacheArray a(1, 4);
+    CacheArray<TypeParam> a(1, 4);
     std::vector<Addr> lines;
     for (unsigned t = 0; t < 4; ++t) {
         const Addr la = lineAt(0, t, 1);
         lines.push_back(la);
-        CacheLine *s = a.victimFor(la);
+        TypeParam *s = a.victimFor(la);
         a.resetTo(*s, la);
         a.touch(*s);
     }
     // Touch line 0 so line 1 becomes LRU.
     a.touch(*a.find(lines[0]));
-    CacheLine *victim = a.victimFor(lineAt(0, 9, 1));
+    TypeParam *victim = a.victimFor(lineAt(0, 9, 1));
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->line, lines[1]);
 }
 
-TEST(CacheArray, InvalidSlotPreferred)
+TYPED_TEST(CacheArrayTest, InvalidSlotPreferred)
 {
-    CacheArray a(1, 4);
+    CacheArray<TypeParam> a(1, 4);
     for (unsigned t = 0; t < 3; ++t) {
-        CacheLine *s = a.victimFor(lineAt(0, t, 1));
+        TypeParam *s = a.victimFor(lineAt(0, t, 1));
         a.resetTo(*s, lineAt(0, t, 1));
         a.touch(*s);
     }
-    CacheLine *victim = a.victimFor(lineAt(0, 9, 1));
+    TypeParam *victim = a.victimFor(lineAt(0, 9, 1));
     ASSERT_NE(victim, nullptr);
     EXPECT_FALSE(victim->valid);
 }
 
-TEST(CacheArray, BusyLinesNotVictimized)
+TYPED_TEST(CacheArrayTest, BusyLinesNotVictimized)
 {
-    CacheArray a(1, 2);
-    CacheLine *s0 = a.victimFor(lineAt(0, 0, 1));
+    CacheArray<TypeParam> a(1, 2);
+    TypeParam *s0 = a.victimFor(lineAt(0, 0, 1));
     a.resetTo(*s0, lineAt(0, 0, 1));
     s0->busy = true;
-    CacheLine *s1 = a.victimFor(lineAt(0, 1, 1));
+    TypeParam *s1 = a.victimFor(lineAt(0, 1, 1));
     a.resetTo(*s1, lineAt(0, 1, 1));
 
-    CacheLine *victim = a.victimFor(lineAt(0, 9, 1));
+    TypeParam *victim = a.victimFor(lineAt(0, 9, 1));
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim, s1);
 
@@ -93,66 +172,124 @@ TEST(CacheArray, BusyLinesNotVictimized)
     EXPECT_EQ(a.victimFor(lineAt(0, 9, 1)), nullptr);
 }
 
-TEST(CacheArray, InvalidateFreesSlot)
+TYPED_TEST(CacheArrayTest, InvalidateFreesSlot)
 {
-    CacheArray a(1, 1);
-    CacheLine *s = a.victimFor(lineAt(0, 0, 1));
+    CacheArray<TypeParam> a(1, 1);
+    TypeParam *s = a.victimFor(lineAt(0, 0, 1));
     a.resetTo(*s, lineAt(0, 0, 1));
     a.invalidate(*s);
     EXPECT_EQ(a.find(lineAt(0, 0, 1)), nullptr);
     EXPECT_FALSE(s->busy);
 }
 
-TEST(CacheArray, ForEachValidVisitsAll)
+TYPED_TEST(CacheArrayTest, ForEachValidVisitsAll)
 {
-    CacheArray a(4, 2);
+    CacheArray<TypeParam> a(4, 2);
     for (unsigned i = 0; i < 5; ++i) {
         const Addr la = lineAt(i % 4, i / 4, 4);
         a.resetTo(*a.victimFor(la), la);
     }
     unsigned n = 0;
-    a.forEachValid([&](CacheLine &) { ++n; });
+    a.forEachValid([&](TypeParam &) { ++n; });
     EXPECT_EQ(n, 5u);
+
+    const CacheArray<TypeParam> &ca = a;
+    unsigned m = 0;
+    ca.forEachValid([&](const TypeParam &) { ++m; });
+    EXPECT_EQ(m, 5u);
 }
 
-TEST(CacheLine, ResetClearsState)
+TYPED_TEST(CacheArrayTest, ResetClearsStateButKeepsLruStamp)
 {
-    CacheLine cl;
+    TypeParam cl;
     cl.resetTo(128);
     cl.validWords.set(3);
     cl.dirtyWords.set(3);
-    cl.regOwner[5] = 2;
     cl.memRef[5] = 77;
-    cl.sharers = SharerMask(0xff);
-    cl.owner = 3;
-    cl.inBloom = true;
+    cl.busy = true;
+    cl.lastUse = 42;
+    scribble(cl);
     cl.resetTo(256);
     EXPECT_EQ(cl.line, 256u);
     EXPECT_TRUE(cl.valid);
+    EXPECT_FALSE(cl.busy);
     EXPECT_TRUE(cl.validWords.empty());
     EXPECT_TRUE(cl.dirtyWords.empty());
-    EXPECT_EQ(cl.regOwner[5], invalidNode);
     EXPECT_EQ(cl.memRef[5], invalidInst);
-    EXPECT_TRUE(cl.sharers.none());
-    EXPECT_EQ(cl.owner, invalidNode);
-    EXPECT_FALSE(cl.inBloom);
+    // LRU order depends on a refilled slot keeping its stamp until
+    // the controller touches it.
+    EXPECT_EQ(cl.lastUse, 42u);
+    expectOwnFieldsReset(cl);
 }
 
-TEST(CacheLine, RegisteredMask)
+TEST(DenovoL2Line, RegisteredMask)
 {
-    CacheLine cl;
+    DenovoL2Line cl;
     cl.resetTo(0);
-    cl.regOwner[1] = 4;
-    cl.regOwner[9] = 7;
+    cl.setRegOwner(1, 4);
+    cl.setRegOwner(9, 7);
     const WordMask m = cl.registeredMask();
     EXPECT_EQ(m.count(), 2u);
     EXPECT_TRUE(m.test(1));
     EXPECT_TRUE(m.test(9));
+    EXPECT_EQ(cl.regOwner(1), 4u);
+    EXPECT_EQ(cl.regOwner(9), 7u);
+    EXPECT_EQ(cl.regOwner(0), invalidNode);
+}
+
+TEST(DenovoL2Line, RegistrantsMatchReference)
+{
+    // Seeded set/clear sequences at the extremes a byte must hold:
+    // node 0, node 255 (the last tile of a 16x16 mesh) and
+    // invalidNode (unregister), checked word by word against a plain
+    // NodeId array after every step.
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        DenovoL2Line cl;
+        cl.resetTo(0);
+        NodeId ref[wordsPerLine];
+        for (NodeId &n : ref)
+            n = invalidNode;
+        for (unsigned step = 0; step < 2000; ++step) {
+            const unsigned w = static_cast<unsigned>(rng.below(wordsPerLine));
+            NodeId n;
+            switch (rng.below(4)) {
+              case 0: n = 0; break;
+              case 1: n = maxTiles - 1; break;
+              case 2: n = invalidNode; break;
+              default: n = static_cast<NodeId>(rng.below(maxTiles)); break;
+            }
+            if (rng.below(64) == 0) {
+                cl.resetTo(Addr{step} * bytesPerLine);
+                for (NodeId &r : ref)
+                    r = invalidNode;
+            } else {
+                cl.setRegOwner(w, n);
+                ref[w] = n;
+            }
+            WordMask want;
+            for (unsigned i = 0; i < wordsPerLine; ++i) {
+                ASSERT_EQ(cl.regOwner(i), ref[i])
+                    << "seed " << seed << " step " << step << " word " << i;
+                if (ref[i] != invalidNode)
+                    want.set(i);
+            }
+            ASSERT_EQ(cl.registeredMask(), want)
+                << "seed " << seed << " step " << step;
+        }
+    }
 }
 
 TEST(CacheArrayDeath, NonPowerOfTwoSetsPanics)
 {
     EXPECT_DEATH(CacheArray(3, 2), "power of two");
+}
+
+TEST(CacheArrayDeath, RegistrantOutOfRangePanics)
+{
+    DenovoL2Line cl;
+    cl.resetTo(0);
+    EXPECT_DEATH(cl.setRegOwner(0, maxTiles), "out of range");
 }
 
 } // namespace wastesim

@@ -136,7 +136,7 @@ TEST(DeNovo, SelfInvalidationDropsPhaseData)
     const RunResult r = sys.run();
     EXPECT_GT(r.selfInvalidations, 0u);
     // Core 1's copy is gone after the barrier.
-    const CacheLine *cl = dnL1Of(sys, 1).array().find(lineAddr(a));
+    const DenovoL1Line *cl = dnL1Of(sys, 1).array().find(lineAddr(a));
     EXPECT_TRUE(!cl || !cl->valid ||
                 !cl->validWords.test(wordIndex(a)));
     EXPECT_GT(r.l1Waste[WasteCat::Invalidate] +
@@ -157,7 +157,7 @@ TEST(DeNovo, RegistrationStealsStaleCopy)
     System sys(ProtocolName::DValidateL2, wl, smallParams());
     sys.run();
     sys.checkInvariants(); // word registered to exactly one L1
-    const CacheLine *c0 = dnL1Of(sys, 0).array().find(lineAddr(a));
+    const DenovoL1Line *c0 = dnL1Of(sys, 0).array().find(lineAddr(a));
     EXPECT_TRUE(!c0 || !c0->regWords.test(wordIndex(a)));
 }
 

@@ -154,11 +154,11 @@ TEST(DenovoL2Unit, RegistrationAckAndState)
     ASSERT_NE(ack, nullptr);
     EXPECT_EQ(ack->mask, WordMask::range(0, 4));
 
-    const CacheLine *cl = h.l2->array().find(L2Harness::line(0));
+    const DenovoL2Line *cl = h.l2->array().find(L2Harness::line(0));
     ASSERT_NE(cl, nullptr);
     for (unsigned w = 0; w < 4; ++w)
-        EXPECT_EQ(cl->regOwner[w], 3u);
-    EXPECT_EQ(cl->regOwner[4], invalidNode);
+        EXPECT_EQ(cl->regOwner(w), 3u);
+    EXPECT_EQ(cl->regOwner(4), invalidNode);
     // Write-validate: no memory fetch.
     for (const auto &mc : h.mcs)
         EXPECT_EQ(mc.count(MsgKind::MemRead), 0u);
@@ -186,7 +186,7 @@ TEST(DenovoL2Unit, ReRegistrationStealsAndInvalidatesOldOwner)
     const Message *inv = h.l1s[3].last(MsgKind::DnRegInv);
     ASSERT_NE(inv, nullptr);
     EXPECT_TRUE(inv->mask.test(5));
-    EXPECT_EQ(h.l2->array().find(L2Harness::line(0))->regOwner[5],
+    EXPECT_EQ(h.l2->array().find(L2Harness::line(0))->regOwner(5),
               7u);
 }
 
@@ -231,11 +231,11 @@ TEST(DenovoL2Unit, WritebackInstallsDirtyWords)
     h.reg(3, L2Harness::line(0), WordMask::range(0, 2));
     h.wb(3, L2Harness::line(0), WordMask::range(0, 2));
 
-    const CacheLine *cl = h.l2->array().find(L2Harness::line(0));
+    const DenovoL2Line *cl = h.l2->array().find(L2Harness::line(0));
     ASSERT_NE(cl, nullptr);
     EXPECT_TRUE(cl->validWords.test(0));
     EXPECT_TRUE(cl->dirtyWords.test(1));
-    EXPECT_EQ(cl->regOwner[0], invalidNode); // ownership returned
+    EXPECT_EQ(cl->regOwner(0), invalidNode); // ownership returned
     ASSERT_NE(h.l1s[3].last(MsgKind::DnWbAck), nullptr);
 }
 
@@ -246,9 +246,9 @@ TEST(DenovoL2Unit, StaleWritebackLosesToNewerRegistration)
     h.reg(7, L2Harness::line(0), WordMask::single(0)); // 7 owns now
     h.wb(3, L2Harness::line(0), WordMask::single(0));  // stale
 
-    const CacheLine *cl = h.l2->array().find(L2Harness::line(0));
+    const DenovoL2Line *cl = h.l2->array().find(L2Harness::line(0));
     ASSERT_NE(cl, nullptr);
-    EXPECT_EQ(cl->regOwner[0], 7u);          // unchanged
+    EXPECT_EQ(cl->regOwner(0), 7u);          // unchanged
     EXPECT_FALSE(cl->validWords.test(0));    // stale data dropped
 }
 
@@ -259,9 +259,9 @@ TEST(DenovoL2Unit, DeregisterCorrectionClearsOwnership)
     h.wb(3, L2Harness::line(0), WordMask::single(4), false,
          /*aux=*/2); // deregister
 
-    const CacheLine *cl = h.l2->array().find(L2Harness::line(0));
+    const DenovoL2Line *cl = h.l2->array().find(L2Harness::line(0));
     // The line became fully empty and was dropped.
-    EXPECT_TRUE(!cl || cl->regOwner[4] == invalidNode);
+    EXPECT_TRUE(!cl || cl->regOwner(4) == invalidNode);
 }
 
 TEST(DenovoL2Unit, BypassRequestFetchesToL1Only)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "protocol/mesi/mesi_dir.hh"
 #include "protocol/mesi/mesi_l1.hh"
 #include "script_workload.hh"
 #include "system/system.hh"
@@ -38,7 +39,7 @@ TEST(Mesi, ColdLoadFetchesFromMemory)
     EXPECT_EQ(r.dramReads, 1u);
     EXPECT_EQ(mesiL1Of(sys, 0).loadMisses(), 1u);
     // Fresh line with no sharers: E grant.
-    const CacheLine *cl = mesiL1Of(sys, 0).array().find(lineAddr(a));
+    const MesiL1Line *cl = mesiL1Of(sys, 0).array().find(lineAddr(a));
     ASSERT_NE(cl, nullptr);
     EXPECT_EQ(cl->mesi, MesiState::E);
     // GetS + response + unblock appear in traffic.
@@ -89,7 +90,7 @@ TEST(Mesi, StoreMissFetchesLine)
     System sys(ProtocolName::MESI, wl, smallParams());
     const RunResult r = sys.run();
     EXPECT_EQ(r.dramReads, 1u);
-    const CacheLine *cl = mesiL1Of(sys, 0).array().find(lineAddr(a));
+    const MesiL1Line *cl = mesiL1Of(sys, 0).array().find(lineAddr(a));
     ASSERT_NE(cl, nullptr);
     EXPECT_EQ(cl->mesi, MesiState::M);
     // The overwritten word is Write waste at the L1.
@@ -110,7 +111,7 @@ TEST(Mesi, UpgradeInvalidatesSharers)
     const RunResult r = sys.run();
     EXPECT_GT(r.traffic.ohInv, 0.0);
     EXPECT_GT(r.traffic.ohAck, 0.0);
-    const CacheLine *c1 = mesiL1Of(sys, 1).array().find(lineAddr(a));
+    const MesiL1Line *c1 = mesiL1Of(sys, 1).array().find(lineAddr(a));
     EXPECT_TRUE(!c1 || !c1->valid || c1->mesi == MesiState::I);
     // Core 1's fetched words were invalidated before reuse.
     EXPECT_GT(r.l1Waste[WasteCat::Invalidate], 0.0);
@@ -130,10 +131,10 @@ TEST(Mesi, OwnerForwardServesDirtyData)
     // Exactly one memory fetch (core 0's); core 1 is served by the
     // owner forward.
     EXPECT_EQ(r.dramReads, 1u);
-    const CacheLine *c0 = mesiL1Of(sys, 0).array().find(lineAddr(a));
+    const MesiL1Line *c0 = mesiL1Of(sys, 0).array().find(lineAddr(a));
     ASSERT_NE(c0, nullptr);
     EXPECT_EQ(c0->mesi, MesiState::S); // downgraded
-    const CacheLine *c1 = mesiL1Of(sys, 1).array().find(lineAddr(a));
+    const MesiL1Line *c1 = mesiL1Of(sys, 1).array().find(lineAddr(a));
     ASSERT_NE(c1, nullptr);
     EXPECT_EQ(c1->mesi, MesiState::S);
     sys.checkInvariants();
@@ -150,11 +151,35 @@ TEST(Mesi, FwdGetXTransfersOwnership)
 
     System sys(ProtocolName::MESI, wl, smallParams());
     sys.run();
-    const CacheLine *c1 = mesiL1Of(sys, 1).array().find(lineAddr(a));
+    const MesiL1Line *c1 = mesiL1Of(sys, 1).array().find(lineAddr(a));
     ASSERT_NE(c1, nullptr);
     EXPECT_EQ(c1->mesi, MesiState::M);
     // Core 0's copy must be gone (single-owner invariant).
     sys.checkInvariants();
+}
+
+TEST(MesiDeath, OwnerWithSharersFailsInvariant)
+{
+    // The directory clears a line's sharer bits whenever it records an
+    // owner, so an owned line with a sharer bit is corrupt.
+    ScriptWorkload wl;
+    const Addr a = wl.alloc(4096);
+    wl.store(0, a);
+    wl.finish();
+
+    const SimParams params = smallParams();
+    System sys(ProtocolName::MESI, wl, params);
+    sys.run();
+    const Addr la = lineAddr(a);
+    const MesiDirLine *cl =
+        sys.mesiDir(params.topo.homeSlice(la))->array().find(la);
+    ASSERT_NE(cl, nullptr);
+    ASSERT_EQ(cl->owner, 0u);
+    ASSERT_TRUE(cl->sharers.none());
+    sys.checkInvariants(); // the uncorrupted line passes
+
+    const_cast<MesiDirLine *>(cl)->sharers.set(1);
+    EXPECT_DEATH(sys.checkInvariants(), "has owner 0 and sharers");
 }
 
 TEST(Mesi, CapacityEvictionWritesBack)
