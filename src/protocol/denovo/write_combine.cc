@@ -11,17 +11,43 @@ WriteCombineTable::WriteCombineTable(EventQueue &eq, unsigned entries,
       flush_(std::move(flush))
 {
     panic_if(capacity_ == 0, "write-combine table needs capacity");
+    entries_.reserve(capacity_);
+}
+
+std::size_t
+WriteCombineTable::find(Addr line_addr) const
+{
+    std::size_t i = 0;
+    while (i < entries_.size() && entries_[i].line != line_addr)
+        ++i;
+    return i;
+}
+
+WordMask
+WriteCombineTable::erase(std::size_t i)
+{
+    const WordMask words = entries_[i].words;
+    entries_.erase(entries_.begin() + i);
+    return words;
+}
+
+void
+WriteCombineTable::flushEarly(std::size_t i)
+{
+    const Addr line_addr = entries_[i].line;
+    eq_.cancel(entries_[i].timer);
+    flush_(line_addr, erase(i));
 }
 
 void
 WriteCombineTable::write(Addr line_addr, unsigned widx)
 {
-    auto it = index_.find(line_addr);
-    if (it != index_.end()) {
-        it->second->words.set(widx);
-        if (it->second->words.isFull()) {
+    const std::size_t i = find(line_addr);
+    if (i < entries_.size()) {
+        entries_[i].words.set(widx);
+        if (entries_[i].words.isFull()) {
             ++flushFullLine;
-            flushLine(line_addr);
+            flushEarly(i);
         }
         return;
     }
@@ -31,60 +57,36 @@ WriteCombineTable::write(Addr line_addr, unsigned widx)
         // discussion: permutation writes touch more lines than the
         // table holds, splitting registrations).
         ++flushCapacity;
-        flushLine(entries_.front().line);
+        flushEarly(0);
     }
 
-    Entry e;
-    e.line = line_addr;
-    e.words = WordMask::single(widx);
-    e.generation = nextGen_++;
-    entries_.push_back(e);
-    index_[line_addr] = std::prev(entries_.end());
-
-    // Arm the timeout for this entry.
-    const std::uint64_t gen = e.generation;
-    eq_.schedule(timeout_, [this, line_addr, gen] {
-        auto it2 = index_.find(line_addr);
-        if (it2 != index_.end() && it2->second->generation == gen) {
-            ++flushTimeout;
-            flushLine(line_addr);
-        }
+    // Arm the timeout for this entry; any earlier exit cancels it.
+    const EventId timer = eq_.schedule(timeout_, [this, line_addr] {
+        const std::size_t j = find(line_addr);
+        panic_if(j == entries_.size(),
+                 "write-combine timeout for absent line %llx",
+                 static_cast<unsigned long long>(line_addr));
+        ++flushTimeout;
+        flush_(line_addr, erase(j));
     });
-
-    if (entries_.back().words.isFull()) {
-        ++flushFullLine;
-        flushLine(line_addr);
-    }
+    entries_.push_back(Entry{line_addr, WordMask::single(widx), timer});
 }
 
 WordMask
 WriteCombineTable::pendingFor(Addr line_addr) const
 {
-    auto it = index_.find(line_addr);
-    return it == index_.end() ? WordMask::none() : it->second->words;
+    const std::size_t i = find(line_addr);
+    return i == entries_.size() ? WordMask::none() : entries_[i].words;
 }
 
 WordMask
 WriteCombineTable::takeLine(Addr line_addr)
 {
-    auto it = index_.find(line_addr);
-    if (it == index_.end())
+    const std::size_t i = find(line_addr);
+    if (i == entries_.size())
         return WordMask::none();
-    WordMask words = it->second->words;
-    entries_.erase(it->second);
-    index_.erase(it);
-    return words;
-}
-
-void
-WriteCombineTable::flushLine(Addr line_addr)
-{
-    auto it = index_.find(line_addr);
-    panic_if(it == index_.end(), "flushing absent WC entry");
-    const WordMask words = it->second->words;
-    entries_.erase(it->second);
-    index_.erase(it);
-    flush_(line_addr, words);
+    eq_.cancel(entries_[i].timer);
+    return erase(i);
 }
 
 void
@@ -92,7 +94,7 @@ WriteCombineTable::flushAll()
 {
     while (!entries_.empty()) {
         ++flushRelease;
-        flushLine(entries_.front().line);
+        flushEarly(0);
     }
 }
 

@@ -10,6 +10,13 @@
  *  - the line is evicted from the L1.
  *
  * A full table force-flushes its oldest entry to admit the new write.
+ *
+ * Each entry arms one timeout event.  Every other way out (full line,
+ * capacity force-flush, release, eviction) cancels that event, so a
+ * timeout that fires always finds its entry and the event queue holds
+ * at most one timer per live entry.  Entries sit in one vector in
+ * FIFO order, reserved to the table's capacity and searched linearly,
+ * so the table does not allocate after construction.
  */
 
 #ifndef WASTESIM_PROTOCOL_DENOVO_WRITE_COMBINE_HH
@@ -17,8 +24,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 #include "common/word_mask.hh"
@@ -36,6 +42,10 @@ class WriteCombineTable
 
     WriteCombineTable(EventQueue &eq, unsigned entries, Tick timeout,
                       FlushFn flush);
+
+    // Pending timeout events hold `this`.
+    WriteCombineTable(const WriteCombineTable &) = delete;
+    WriteCombineTable &operator=(const WriteCombineTable &) = delete;
 
     /** Record a write to word @p widx of @p line_addr. */
     void write(Addr line_addr, unsigned widx);
@@ -67,21 +77,26 @@ class WriteCombineTable
     {
         Addr line;
         WordMask words;
-        std::uint64_t generation;
+        EventId timer; //!< the pending timeout event
     };
 
-    /** Flush (and remove) the entry for @p line_addr. */
-    void flushLine(Addr line_addr);
+    /** Position of @p line_addr's entry, or size() if it has none. */
+    std::size_t find(Addr line_addr) const;
+
+    /** Remove entry @p i, keeping FIFO order.  @return its words. */
+    WordMask erase(std::size_t i);
+
+    /** Flush entry @p i before its timeout: cancel the timer, remove
+     *  the entry and issue its registration. */
+    void flushEarly(std::size_t i);
 
     EventQueue &eq_;
     unsigned capacity_;
     Tick timeout_;
     FlushFn flush_;
-    std::uint64_t nextGen_ = 0;
 
-    /** FIFO order for capacity eviction. */
-    std::list<Entry> entries_;
-    std::unordered_map<Addr, std::list<Entry>::iterator> index_;
+    /** Live entries, oldest first (capacity eviction order). */
+    std::vector<Entry> entries_;
 };
 
 } // namespace wastesim

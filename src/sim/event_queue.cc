@@ -86,6 +86,70 @@ EventQueue::commitEntry(std::uint32_t idx, Tick when)
     ++pending_;
 }
 
+void
+EventQueue::unlinkFromBucket(std::uint32_t idx)
+{
+    const std::size_t slot = pool_[idx].when & wheelMask;
+    Bucket &b = wheel_[slot];
+    std::uint32_t prev = nil;
+    for (std::uint32_t cur = b.head; cur != idx; cur = pool_[cur].next) {
+        panic_if(cur == nil, "pending event %u missing from its bucket",
+                 idx);
+        prev = cur;
+    }
+    const std::uint32_t next = pool_[idx].next;
+    if (prev == nil)
+        b.head = next;
+    else
+        pool_[prev].next = next;
+    if (b.tail == idx)
+        b.tail = prev;
+    if (b.head == nil)
+        occupied_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
+    --wheelPending_;
+}
+
+void
+EventQueue::cancel(EventId id)
+{
+    // A record is pending while it holds a callback: execute() moves
+    // the callback out and recycle() clears it, and reuse restamps seq.
+    panic_if(id.idx >= pool_.size() || pool_[id.idx].seq != id.seq ||
+                 !pool_[id.idx].cb,
+             "cancelling an event that is not pending (record %u)",
+             id.idx);
+    const Entry &e = pool_[id.idx];
+    // Where commitEntry() filed the record follows from its key:
+    // schedTick was now_ at commit, so a delay of wheelSize or more
+    // went to the overflow heap.  A wheel record for the tick being
+    // drained has moved into drainVec_ (openDrain or a same-tick
+    // schedule), past drainPos_ because it has not run.
+    if (e.when - e.schedTick >= wheelSize) {
+        auto it = std::find_if(
+            overflow_.begin(), overflow_.end(),
+            [&](const OverflowRef &r) { return r.idx == id.idx; });
+        panic_if(it == overflow_.end(),
+                 "pending event %u missing from the overflow heap",
+                 id.idx);
+        // Keys are unique, so rebuilding the heap keeps pop order.
+        *it = overflow_.back();
+        overflow_.pop_back();
+        std::make_heap(overflow_.begin(), overflow_.end(),
+                       OverflowLater{});
+    } else if (drainActive_ && e.when == drainTick_) {
+        const DrainRef r{e.schedTick, e.seq, id.idx, e.src};
+        auto it = std::lower_bound(drainVec_.begin() + drainPos_,
+                                   drainVec_.end(), r);
+        panic_if(it == drainVec_.end() || it->idx != id.idx,
+                 "pending event %u missing from the drain", id.idx);
+        drainVec_.erase(it);
+    } else {
+        unlinkFromBucket(id.idx);
+    }
+    recycle(id.idx);
+    --pending_;
+}
+
 std::uint32_t
 EventQueue::firstOccupiedSlot() const
 {

@@ -33,6 +33,12 @@
  * Callbacks are stored in a 64-byte small-buffer InlineFunction, so
  * the common captures (`this` + an address + a word mask, or a pooled
  * message index) never touch the heap.
+ *
+ * Every schedule call returns an EventId, and cancel() removes that
+ * event while it is still pending: it is unlinked from its bucket
+ * chain, the drain vector or the overflow heap, and its record is
+ * recycled at once.  A cancelled event never ran, so no other event
+ * changes key or order.  Handles do not survive reset().
  */
 
 #ifndef WASTESIM_SIM_EVENT_QUEUE_HH
@@ -48,6 +54,13 @@
 namespace wastesim
 {
 
+/** Handle to a scheduled event, for EventQueue::cancel(). */
+struct EventId
+{
+    std::uint32_t idx = ~std::uint32_t(0); //!< arena record
+    std::uint64_t seq = ~std::uint64_t(0); //!< the record's schedule seq
+};
+
 /** The event-driven simulation kernel. */
 class EventQueue
 {
@@ -62,10 +75,10 @@ class EventQueue
 
     /** Schedule @p cb to run @p delay ticks from now. */
     template <typename F>
-    void
+    EventId
     schedule(Tick delay, F &&cb)
     {
-        scheduleAt(now_ + delay, std::forward<F>(cb));
+        return scheduleAt(now_ + delay, std::forward<F>(cb));
     }
 
     /**
@@ -74,22 +87,30 @@ class EventQueue
      * the event inherits the currently executing event's tile.
      */
     template <typename F>
-    void
+    EventId
     scheduleAt(Tick when, F &&cb)
     {
-        scheduleFor(when, curTile_, std::forward<F>(cb));
+        return scheduleFor(when, curTile_, std::forward<F>(cb));
     }
 
     /** Schedule at @p when, executing on behalf of tile @p tile
      *  (message deliveries name the destination tile here). */
     template <typename F>
-    void
+    EventId
     scheduleFor(Tick when, std::uint16_t tile, F &&cb)
     {
         const std::uint32_t idx = prepareEntry(when, tile);
         pool_[idx].cb = std::forward<F>(cb);
         commitEntry(idx, when);
+        return EventId{idx, pool_[idx].seq};
     }
+
+    /**
+     * Remove the pending event @p id without running it and recycle
+     * its record.  Panics if @p id is not pending: already executed,
+     * already cancelled, never issued, or issued before a reset().
+     */
+    void cancel(EventId id);
 
     /** Tile context for events scheduled outside any event (root
      *  events such as core starts). */
@@ -120,7 +141,8 @@ class EventQueue
     bool step();
 
     /** Drop all pending events and reset time to zero.  Pooled event
-     *  records are recycled onto the free list, not released. */
+     *  records are recycled onto the free list, not released.  Every
+     *  EventId issued before the reset becomes invalid. */
     void reset();
 
     /** Event records ever allocated (arena size; testing hook). */
@@ -206,6 +228,9 @@ class EventQueue
 
     /** File the prepared record into the wheel or the overflow heap. */
     void commitEntry(std::uint32_t idx, Tick when);
+
+    /** Unlink the pending wheel record @p idx from its bucket chain. */
+    void unlinkFromBucket(std::uint32_t idx);
 
     /** First occupied wheel slot at or (circularly) after now.
      *  @return nil when the wheel holds nothing. */

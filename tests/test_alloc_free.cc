@@ -20,6 +20,7 @@
 #include "obs/observer.hh"
 #include "profile/traffic.hh"
 #include "profile/word_profiler.hh"
+#include "protocol/denovo/write_combine.hh"
 #include "protocol/message.hh"
 #include "sim/event_queue.hh"
 #include "system/system.hh"
@@ -267,6 +268,40 @@ TEST(AllocFree, WordProfilerStreamingFootprint)
     TrafficStats t;
     EXPECT_EQ(p.finalize(t).total(),
               static_cast<double>(total * wordsPerLine));
+}
+
+TEST(AllocFree, WriteCombineSteadyState)
+{
+    // Every way an entry leaves the DeNovo write-combining table: a
+    // full line, a capacity force-flush, takeLine, a release and a
+    // timeout.  The first round brings the table and the event queue
+    // to their high water; later rounds must not allocate.
+    EventQueue eq;
+    std::uint64_t flushed = 0;
+    WriteCombineTable wc(eq, 4, 100,
+                         [&flushed](Addr, WordMask) { ++flushed; });
+    auto round = [&](Addr base) {
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            wc.write(base, w);
+        for (Addr l = 1; l <= 6; ++l)
+            wc.write(base + l * bytesPerLine, 0);
+        wc.takeLine(base + 6 * bytesPerLine);
+        eq.run(eq.now() + 50);
+        wc.flushAll();
+        wc.write(base + 7 * bytesPerLine, 1);
+        eq.run();
+    };
+    round(0);
+    const std::size_t before = g_news;
+    for (Addr r = 1; r <= 8; ++r)
+        round(r << 16);
+    const std::size_t after = g_news;
+    EXPECT_EQ(after - before, 0u)
+        << "write-combining steady state performed heap allocations";
+    EXPECT_EQ(wc.flushFullLine, 9u);
+    EXPECT_EQ(wc.flushCapacity, 18u);
+    EXPECT_EQ(wc.flushTimeout, 9u);
+    EXPECT_EQ(flushed, 9u * (1 + 2 + 3 + 1));
 }
 
 TEST(AllocFree, MessageCopyAndMove)

@@ -274,6 +274,24 @@ TEST(DeNovo, RequestBypassGoesStraightToMemory)
     EXPECT_LT(r2.traffic.ldReqCtl, base.traffic.ldReqCtl);
 }
 
+TEST(DeNovo, WriteCombineTimersDoNotAccumulate)
+{
+    // A write-combining entry that leaves before its timeout cancels
+    // its timer, so the event arena's high water stays within one
+    // timer per table entry plus the run's in-flight events, not one
+    // record per entry created in the last timeout window.
+    const SimParams params = smallParams();
+    auto wl = makeBenchmark(BenchmarkName::FFT, 1, params.topo);
+    const std::size_t bound =
+        std::size_t(params.topo.numTiles()) * params.writeBufferEntries;
+    for (ProtocolName p : {ProtocolName::DeNovo, ProtocolName::DBypFull}) {
+        System sys(p, *wl, params);
+        sys.run();
+        EXPECT_LE(sys.eventQueue().pooledEntries(), bound)
+            << protocolName(p);
+    }
+}
+
 TEST(DeNovo, BloomStorageOnlyWithRequestBypass)
 {
     // Only DBypFull reads the Bloom filters; every other DeNovo-family

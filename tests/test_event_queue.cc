@@ -181,6 +181,109 @@ TEST(EventQueue, ResetRecyclesPooledEntries)
     EXPECT_EQ(fired, 100);
 }
 
+TEST(EventQueue, CancelHeadMiddleAndTailOfABucket)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 5; ++i)
+        ids.push_back(eq.schedule(10, [&, i] { order.push_back(i); }));
+    const std::size_t free_before = eq.freeEntries();
+    eq.cancel(ids[0]); // head
+    eq.cancel(ids[2]); // middle
+    eq.cancel(ids[4]); // tail
+    EXPECT_EQ(eq.pending(), 2u);
+    // Each cancelled record is back on the free list at once.
+    EXPECT_EQ(eq.freeEntries(), free_before + 3);
+    // A later event for the tick links behind the new tail.
+    eq.schedule(10, [&] { order.push_back(5); });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 5}));
+    EXPECT_EQ(eq.freeEntries(), eq.pooledEntries());
+}
+
+TEST(EventQueue, CancelOnlyEventOfABucketClearsItsSlot)
+{
+    EventQueue eq;
+    std::vector<Tick> ran;
+    const EventId only = eq.schedule(5, [&] { ran.push_back(eq.now()); });
+    eq.schedule(9, [&] { ran.push_back(eq.now()); });
+    eq.cancel(only);
+    // The next event is still found past the emptied slot.
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(ran, (std::vector<Tick>{9}));
+    EXPECT_EQ(eq.now(), 9u);
+
+    // Cancelling the last pending event empties the queue.
+    eq.cancel(eq.schedule(3, [&] { ran.push_back(eq.now()); }));
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(eq.now(), 9u);
+    EXPECT_EQ(ran.size(), 1u);
+}
+
+TEST(EventQueue, CancelSameTickEventWhileTheTickDrains)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    EventId c;
+    eq.schedule(5, [&] {
+        order.push_back(0);
+        eq.cancel(c); // queued for this tick before it opened
+        const EventId d = eq.schedule(0, [&] { order.push_back(3); });
+        eq.schedule(0, [&] { order.push_back(4); });
+        eq.cancel(d); // scheduled into the open drain
+    });
+    eq.schedule(5, [&] { order.push_back(1); });
+    c = eq.schedule(5, [&] { order.push_back(2); });
+    eq.schedule(6, [&] { order.push_back(5); });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 4, 5}));
+    EXPECT_EQ(eq.freeEntries(), eq.pooledEntries());
+}
+
+TEST(EventQueue, CancelOverflowEvent)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 6; ++i)
+        ids.push_back(eq.schedule(20'000 + 10'000 * Tick(i),
+                                  [&, i] { order.push_back(i); }));
+    EXPECT_EQ(eq.overflowSize(), 6u);
+    eq.cancel(ids[0]); // the heap's top
+    eq.cancel(ids[3]);
+    EXPECT_EQ(eq.overflowSize(), 4u);
+    // A wheel event on the tick of an overflow event still runs after
+    // it (overflow first on ties), after a cancel rebuilt the heap.
+    eq.scheduleAt(40'000 - 100, [&] {
+        eq.scheduleAt(40'000, [&] { order.push_back(6); });
+    });
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 6, 4, 5}));
+    EXPECT_EQ(eq.freeEntries(), eq.pooledEntries());
+}
+
+TEST(EventQueueDeath, CancelOfAnEventNotPendingPanics)
+{
+    EventQueue eq;
+    const EventId ran = eq.schedule(1, [] {});
+    eq.run();
+    EXPECT_DEATH(eq.cancel(ran), "not pending");
+
+    const EventId twice = eq.schedule(1, [] {});
+    eq.cancel(twice);
+    EXPECT_DEATH(eq.cancel(twice), "not pending");
+    EXPECT_DEATH(eq.cancel(EventId{}), "not pending");
+
+    // The record of a cancelled event is reused under a new handle;
+    // the old one stays dead.
+    const EventId reused = eq.schedule(1, [] {});
+    EXPECT_EQ(reused.idx, twice.idx);
+    EXPECT_DEATH(eq.cancel(twice), "not pending");
+    eq.cancel(reused);
+}
+
 namespace
 {
 
@@ -313,6 +416,72 @@ TEST(EventQueue, RandomizedEquivalenceWithPriorityQueue)
     ASSERT_EQ(eq_log.size(), ref_log.size());
     for (std::size_t i = 0; i < eq_log.size(); ++i)
         ASSERT_EQ(eq_log[i], ref_log[i]) << "divergence at event " << i;
+}
+
+// Cancelling leaves the rest of the schedule untouched.  Every event
+// of a nested workload (300 chains, 20k children) also arms a doomed
+// event at or after its child's tick (same tick, a later wheel tick or the overflow heap);
+// the child cancels it before it can run.  The survivors must run in
+// exactly the order of the same workload that never armed them.
+TEST(EventQueue, CancelledEventsLeaveOrderUnchanged)
+{
+    static constexpr std::uint64_t seeds = 300;
+
+    struct Run
+    {
+        bool doom = false;
+        EventQueue eq;
+        std::vector<std::pair<std::uint64_t, Tick>> log;
+        std::vector<EventId> doomed; // by child id - seeds
+        std::uint64_t nextId = seeds;
+        std::uint64_t budget = 20'000;
+    };
+
+    struct Actor
+    {
+        Run *r;
+        std::uint64_t id;
+
+        void
+        operator()()
+        {
+            r->log.emplace_back(id, r->eq.now());
+            if (r->doom && id >= seeds)
+                r->eq.cancel(r->doomed[id - seeds]);
+            if (r->budget == 0)
+                return;
+            --r->budget;
+            const Tick d = ChildRule::delay(id);
+            r->eq.schedule(d, Actor{r, r->nextId++});
+            if (!r->doom)
+                return;
+            static constexpr Tick extra[] = {0, 0, 1, 3, 20'000};
+            Run *run = r;
+            r->doomed.push_back(r->eq.schedule(
+                d + extra[id % 5],
+                [run] { run->log.emplace_back(~std::uint64_t(0), 0); }));
+        }
+    };
+
+    auto play = [](Run &r) {
+        std::mt19937_64 rng(0xCA9CE1);
+        std::uniform_int_distribution<Tick> seed_delay(0, 300'000);
+        for (std::uint64_t id = 0; id < seeds; ++id)
+            r.eq.scheduleAt(seed_delay(rng), Actor{&r, id});
+        EXPECT_TRUE(r.eq.run());
+    };
+    Run with;
+    with.doom = true;
+    Run without;
+    play(with);
+    play(without);
+
+    EXPECT_EQ(with.doomed.size(), 20'000u);
+    ASSERT_EQ(with.log.size(), without.log.size());
+    for (std::size_t i = 0; i < with.log.size(); ++i)
+        ASSERT_EQ(with.log[i], without.log[i]) << "divergence at " << i;
+    EXPECT_EQ(with.eq.pending(), 0u);
+    EXPECT_EQ(with.eq.freeEntries(), with.eq.pooledEntries());
 }
 
 } // namespace wastesim

@@ -65,13 +65,38 @@ TEST(WriteCombine, TimeoutFlushes)
 
 TEST(WriteCombine, TimeoutOfFlushedEntryIsInert)
 {
+    // Every way out before the timeout cancels the entry's timer, so
+    // no dead timer is left in the queue to fire later.
     Harness h;
-    auto wc = h.make(32, 100);
+    auto wc = h.make(2, 100);
     wc.write(0x1000, 0);
+    EXPECT_EQ(h.eq.pending(), 1u);
     wc.flushAll();
     ASSERT_EQ(h.flushes.size(), 1u);
-    h.eq.run(); // expired timer must not double-flush
-    EXPECT_EQ(h.flushes.size(), 1u);
+    EXPECT_EQ(h.eq.pending(), 0u);
+
+    wc.write(0x1000, 0);
+    EXPECT_EQ(wc.takeLine(0x1000).count(), 1u);
+    EXPECT_EQ(h.eq.pending(), 0u);
+
+    for (unsigned w = 0; w < wordsPerLine; ++w)
+        wc.write(0x2000, w);
+    ASSERT_EQ(h.flushes.size(), 2u);
+    EXPECT_EQ(h.eq.pending(), 0u);
+
+    wc.write(0x3000, 0);
+    wc.write(0x4000, 0);
+    wc.write(0x5000, 0); // capacity force-flushes 0x3000
+    ASSERT_EQ(h.flushes.size(), 3u);
+    EXPECT_EQ(h.flushes[2].first, 0x3000u);
+    EXPECT_EQ(h.eq.pending(), wc.size()); // one timer per live entry
+    wc.flushAll();
+    EXPECT_EQ(h.eq.pending(), 0u);
+
+    h.eq.run();
+    EXPECT_EQ(h.flushes.size(), 5u);
+    EXPECT_EQ(wc.flushTimeout, 0u);
+    EXPECT_EQ(h.eq.now(), 0u);
 }
 
 TEST(WriteCombine, TimeoutGenerationsDistinct)
@@ -79,15 +104,39 @@ TEST(WriteCombine, TimeoutGenerationsDistinct)
     Harness h;
     auto wc = h.make(32, 100);
     wc.write(0x1000, 0);
-    wc.flushAll(); // gen-0 entry flushed; its timer still armed
-    // A later entry for the same line: the stale gen-0 timer (fires
-    // at t=100) must not flush it; its own timer fires at t=150.
+    wc.flushAll(); // the first entry's timer is cancelled with it
+    EXPECT_EQ(h.eq.pending(), 0u);
+    // A later entry for the same line runs on its own timer, which
+    // fires at t=150.
     h.eq.schedule(50, [&] { wc.write(0x1000, 1); });
-    h.eq.run(120);
+    h.eq.run(149);
     EXPECT_EQ(h.flushes.size(), 1u);
+    EXPECT_EQ(h.eq.pending(), 1u);
     h.eq.run();
-    EXPECT_EQ(h.flushes.size(), 2u);
+    ASSERT_EQ(h.flushes.size(), 2u);
     EXPECT_TRUE(h.flushes[1].second.test(1));
+    EXPECT_EQ(wc.flushTimeout, 1u);
+    EXPECT_EQ(h.eq.now(), 150u);
+}
+
+TEST(WriteCombine, TimeoutsFlushInArrivalOrder)
+{
+    Harness h;
+    auto wc = h.make(32, 100);
+    wc.write(0x1000, 0);
+    h.eq.schedule(10, [&] { wc.write(0x2000, 0); });
+    h.eq.schedule(20, [&] {
+        wc.write(0x3000, 0);
+        EXPECT_EQ(wc.takeLine(0x2000).count(), 1u);
+        wc.write(0x1000, 1); // joins the first entry, keeps its timer
+    });
+    h.eq.run();
+    ASSERT_EQ(h.flushes.size(), 2u);
+    EXPECT_EQ(h.flushes[0].first, 0x1000u);
+    EXPECT_EQ(h.flushes[0].second.count(), 2u);
+    EXPECT_EQ(h.flushes[1].first, 0x3000u);
+    EXPECT_EQ(wc.flushTimeout, 2u);
+    EXPECT_EQ(h.eq.now(), 120u);
 }
 
 TEST(WriteCombine, CapacityForceFlushesOldest)
@@ -101,6 +150,7 @@ TEST(WriteCombine, CapacityForceFlushesOldest)
     EXPECT_EQ(h.flushes[0].first, 0x1000u);
     EXPECT_EQ(wc.flushCapacity, 1u);
     EXPECT_EQ(wc.size(), 2u);
+    EXPECT_EQ(h.eq.pending(), 2u);
 }
 
 TEST(WriteCombine, ReleaseFlushesAll)
@@ -139,6 +189,10 @@ TEST(WriteCombine, RadixStylePressureSplitsRegistrations)
     // 64 lines over 32 entries: every line flushed at least once.
     EXPECT_GE(h.flushes.size(), 64u);
     EXPECT_GT(wc.flushCapacity, 0u);
+    // The far timeouts sit in the overflow heap; force-flushed
+    // entries took theirs out of it.
+    EXPECT_EQ(h.eq.pending(), wc.size());
+    EXPECT_EQ(h.eq.overflowSize(), wc.size());
 }
 
 } // namespace wastesim
