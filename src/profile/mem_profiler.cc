@@ -5,18 +5,34 @@
 namespace wastesim
 {
 
+void
+MemProfiler::expectEpoch()
+{
+    panic_if(nextId_ != 0, "expectEpoch after %zu instances were created",
+             nextId_);
+    warmEnd_ = epochPending;
+}
+
 InstId
 MemProfiler::create(Addr word_num, bool present_in_l2)
 {
     panic_if(nextId_ >= invalidInst, "instance id space exhausted");
     const InstId id = static_cast<InstId>(nextId_++);
-    if ((id & (chunkRecs - 1)) == 0) {
+    const bool warm = id < warmEnd_;
+    if ((id & (chunkIds - 1)) == 0) {
         // The previous chunk's ids are now all handed out.
-        if (!chunks_.empty() && chunks_.back())
-            releaseIfSparse(chunks_.size() - 1);
-        chunks_.push_back(std::make_unique<Chunk>());
+        if (id != 0) {
+            releaseRecs((id >> chunkBits) - 1);
+            releaseCounts((id >> chunkBits) - 1);
+        }
+        recs_.add(!warm);
+        copyCounts_.add(warm);
     }
-    Rec &r = rec(id);
+    if (warm)
+        return id; // a copy count of zero, nothing else
+    RecChunk &c = *recs_.of(id);
+    ++c.live;
+    Rec &r = c.slot(id);
     r.wordNum = word_num;
     r.open = true;
     if (present_in_l2) {
@@ -43,13 +59,24 @@ MemProfiler::dropRef(InstId id, bool invalidated)
 {
     if (id == invalidInst)
         return;
+    if (id < warmEnd_) {
+        CountChunk *c = copyCounts_.of(id);
+        if (!c) {
+            dropCounted(id);
+            return;
+        }
+        std::uint16_t &n = c->slot(id);
+        panic_if(n == 0, "dropRef on instance with zero refs");
+        if (--n == 0) {
+            --c->live;
+            releaseCounts(id >> chunkBits);
+        }
+        return;
+    }
     Rec *r = openRec(id);
     if (!r) {
         // A copy re-installed after the instance closed.
-        unsigned *copies = reinstalled_.find(id);
-        panic_if(!copies, "dropRef on instance with zero refs");
-        if (--*copies == 0)
-            reinstalled_.erase(id);
+        dropCounted(id);
         return;
     }
     panic_if(r->refs == 0, "dropRef on instance with zero refs");
@@ -60,6 +87,15 @@ MemProfiler::dropRef(InstId id, bool invalidated)
         else
             close(id, *r);
     }
+}
+
+void
+MemProfiler::dropCounted(InstId id)
+{
+    unsigned *copies = reinstalled_.find(id);
+    panic_if(!copies, "dropRef on instance with zero refs");
+    if (--*copies == 0)
+        reinstalled_.erase(id);
 }
 
 void
@@ -78,6 +114,21 @@ MemProfiler::storeAddr(Addr word_num)
 }
 
 void
+MemProfiler::markEpoch()
+{
+    if (warmEnd_ == epochPending) {
+        warmEnd_ = nextId_;
+        // The chunk holding the first window id began as a count
+        // chunk; its window ids need records.
+        if (nextId_ & (chunkIds - 1))
+            recs_.v.back() = std::make_unique<RecChunk>();
+    }
+    epochStart_ = nextId_;
+    tally_ = {};
+    excessAtEpoch_ = excess_;
+}
+
+void
 MemProfiler::close(InstId id, Rec &r)
 {
     if (r.nextSame != invalidInst)
@@ -87,53 +138,58 @@ MemProfiler::close(InstId id, Rec &r)
     else
         byAddr_.find(r.wordNum / wordsPerLine)
             ->head[r.wordNum % wordsPerLine] = r.nextSame;
-    const std::size_t k = id >> chunkBits;
-    if (!chunks_[k]) {
+    RecChunk *c = recs_.of(id);
+    if (!c) {
         strays_.erase(id); // r dangles from here on
         return;
     }
     r.open = false;
-    --chunks_[k]->live;
-    releaseIfSparse(k);
+    --c->live;
+    releaseRecs(id >> chunkBits);
 }
 
 void
-MemProfiler::releaseIfSparse(std::size_t k)
+MemProfiler::releaseRecs(std::size_t k)
 {
-    const Chunk &c = *chunks_[k];
-    if (c.live > sparseRecs || ((k + 1) << chunkBits) > nextId_)
-        return;
-    const InstId base = static_cast<InstId>(k << chunkBits);
-    for (std::size_t i = 0; i < chunkRecs; ++i)
-        if (c.recs[i].open)
-            strays_.insert(base + static_cast<InstId>(i), c.recs[i]);
-    chunks_[k].reset();
+    recs_.releaseIfSparse(k, nextId_, [this](InstId id, const Rec &r) {
+        if (r.open)
+            strays_.insert(id, r);
+    });
+}
+
+void
+MemProfiler::releaseCounts(std::size_t k)
+{
+    copyCounts_.releaseIfSparse(k, nextId_, [this](InstId id, unsigned n) {
+        if (n != 0)
+            reinstalled_.insert(id, n);
+    });
 }
 
 unsigned
 MemProfiler::refs(InstId id) const
 {
-    const Chunk *c = chunks_[id >> chunkBits].get();
-    const Rec *r = c ? &c->recs[id & (chunkRecs - 1)] : strays_.find(id);
-    if (r && r->open)
+    if (id < warmEnd_) {
+        if (CountChunk *c = copyCounts_.of(id))
+            return c->slot(id);
+    } else if (RecChunk *c = recs_.of(id)) {
+        const Rec &r = c->slot(id);
+        if (r.open)
+            return r.refs;
+    } else if (const Rec *r = strays_.find(id)) {
         return r->refs;
+    }
     const unsigned *copies = reinstalled_.find(id);
     return copies ? *copies : 0;
-}
-
-std::size_t
-MemProfiler::residentChunks() const
-{
-    std::size_t n = 0;
-    for (const auto &c : chunks_)
-        n += c != nullptr;
-    return n;
 }
 
 WasteCounts
 MemProfiler::finalize()
 {
     panic_if(finalized_, "MemProfiler finalized twice");
+    // Unmarked, every warm-up instance would drop out of all tallies.
+    panic_if(warmEnd_ == epochPending,
+             "MemProfiler: an epoch was expected but never marked");
     finalized_ = true;
     return counts();
 }

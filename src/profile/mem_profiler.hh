@@ -32,17 +32,27 @@
  * refs and hands them to the L2), so a closed instance can be
  * installed again.  Such copies are counted in a small side table;
  * they cannot change the instance's category.
+ *
+ * Only instances created inside the measurement window are tallied.
+ * When the run will mark an epoch (expectEpoch()), an instance created
+ * before it therefore keeps no record and no list entry, only its copy
+ * count: a 2-byte count in chunks that are evacuated into the side
+ * table by the same rule as the record chunks.  Its used(), storeAddr()
+ * and classification could never reach a tally, and the copy count
+ * keeps the zero-refs check exact.
  */
 
 #ifndef WASTESIM_PROFILE_MEM_PROFILER_HH
 #define WASTESIM_PROFILE_MEM_PROFILER_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/flat_map.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 #include "profile/waste.hh"
 
@@ -53,6 +63,12 @@ namespace wastesim
 class MemProfiler
 {
   public:
+    /**
+     * The run will call markEpoch(): until then, create() keeps only a
+     * copy count per instance.  Call before the first create().
+     */
+    void expectEpoch();
+
     /**
      * The MC sends a freshly fetched word on-chip.
      *
@@ -70,10 +86,19 @@ class MemProfiler
     {
         if (id == invalidInst)
             return;
-        if (Rec *r = openRec(id))
+        if (id < warmEnd_) {
+            if (CountChunk *c = copyCounts_.of(id)) {
+                std::uint16_t &n = c->slot(id);
+                panic_if(n == UINT16_MAX,
+                         "instance %u: copy count overflow", id);
+                c->live += n++ == 0;
+                return;
+            }
+        } else if (Rec *r = openRec(id)) {
             ++r->refs;
-        else
-            ++reinstalled_.getOrDefault(id);
+            return;
+        }
+        ++reinstalled_.getOrDefault(id);
     }
 
     /**
@@ -88,7 +113,7 @@ class MemProfiler
     void
     used(InstId id)
     {
-        if (id == invalidInst)
+        if (id == invalidInst || id < warmEnd_)
             return;
         if (Rec *r = openRec(id))
             classify(id, *r, WasteCat::Used);
@@ -104,13 +129,7 @@ class MemProfiler
     void excess(unsigned nwords) { excess_ += nwords; }
 
     /** Begin the measurement window (warm-up excluded). */
-    void
-    markEpoch()
-    {
-        epochStart_ = nextId_;
-        tally_ = {};
-        excessAtEpoch_ = excess_;
-    }
+    void markEpoch();
 
     /** Close the run; returns word counts by category (incl. Excess). */
     WasteCounts finalize();
@@ -125,7 +144,13 @@ class MemProfiler
     unsigned refs(InstId id) const;
 
     /** Record chunks not yet freed (testing hook for the bound). */
-    std::size_t residentChunks() const;
+    std::size_t residentChunks() const { return recs_.resident(); }
+
+    /** Warm-up copy-count chunks not yet freed (testing hook). */
+    std::size_t residentCountChunks() const { return copyCounts_.resident(); }
+
+    /** Lines with a list-head entry (testing hook). */
+    std::size_t lineHeads() const { return byAddr_.size(); }
 
   private:
     struct Rec
@@ -141,24 +166,80 @@ class MemProfiler
     };
 
     static constexpr unsigned chunkBits = 10;
-    static constexpr std::size_t chunkRecs = std::size_t{1} << chunkBits;
-    /** A full chunk with at most this many open records is evacuated. */
-    static constexpr std::size_t sparseRecs = chunkRecs / 8;
+    static constexpr std::size_t chunkIds = std::size_t{1} << chunkBits;
 
-    /** Records for ids [k * chunkRecs, (k + 1) * chunkRecs). */
-    struct Chunk
+    /**
+     * One slot per id, in chunks of chunkIds consecutive ids: chunk k
+     * holds ids [k * chunkIds, (k + 1) * chunkIds) and is null where
+     * this kind of slot is not kept or once the chunk is freed.  The
+     * owner counts each chunk's live slots.
+     */
+    template <typename Slot>
+    struct Chunks
     {
-        std::array<Rec, chunkRecs> recs;
-        /** Records not yet closed, counting ids not yet handed out. */
-        std::size_t live = chunkRecs;
+        struct Chunk
+        {
+            std::array<Slot, chunkIds> slots{};
+            /** Slots the owner counts as live. */
+            std::size_t live = 0;
+
+            Slot &slot(InstId id) { return slots[id & (chunkIds - 1)]; }
+        };
+
+        /** The chunk holding handed-out id @p id, or nullptr. */
+        Chunk *of(InstId id) const { return v[id >> chunkBits].get(); }
+
+        /** Append chunk k = v.size(), allocated if @p kept. */
+        void
+        add(bool kept)
+        {
+            v.push_back(kept ? std::make_unique<Chunk>() : nullptr);
+        }
+
+        /**
+         * Free chunk @p k if all its ids are below @p next_id and at
+         * most an eighth of its slots are live, first passing every
+         * slot to @p evacuate(id, slot), which keeps the live ones.
+         */
+        template <typename Evacuate>
+        void
+        releaseIfSparse(std::size_t k, std::size_t next_id,
+                        Evacuate evacuate)
+        {
+            const Chunk *c = v[k].get();
+            if (!c || c->live > chunkIds / 8 ||
+                ((k + 1) << chunkBits) > next_id)
+                return;
+            const InstId base = static_cast<InstId>(k << chunkBits);
+            for (std::size_t i = 0; i < chunkIds; ++i)
+                evacuate(base + static_cast<InstId>(i), c->slots[i]);
+            v[k].reset();
+        }
+
+        std::size_t
+        resident() const
+        {
+            std::size_t n = 0;
+            for (const auto &c : v)
+                n += c != nullptr;
+            return n;
+        }
+
+        std::vector<std::unique_ptr<Chunk>> v;
     };
+
+    using RecChunk = Chunks<Rec>::Chunk;
+    using CountChunk = Chunks<std::uint16_t>::Chunk;
+
+    /** warmEnd_ while an expected epoch has not been marked yet. */
+    static constexpr std::size_t epochPending = SIZE_MAX;
 
     /** The record of open instance @p id. */
     Rec &
     rec(InstId id)
     {
-        if (Chunk *c = chunks_[id >> chunkBits].get())
-            return c->recs[id & (chunkRecs - 1)];
+        if (RecChunk *c = recs_.of(id))
+            return c->slot(id);
         return *strays_.find(id);
     }
 
@@ -166,10 +247,10 @@ class MemProfiler
     Rec *
     openRec(InstId id)
     {
-        Chunk *c = chunks_[id >> chunkBits].get();
+        RecChunk *c = recs_.of(id);
         if (!c)
             return strays_.find(id);
-        Rec &r = c->recs[id & (chunkRecs - 1)];
+        Rec &r = c->slot(id);
         return r.open ? &r : nullptr;
     }
 
@@ -189,9 +270,14 @@ class MemProfiler
     /** Unlink a classified, copy-less record and release it. */
     void close(InstId id, Rec &r);
 
-    /** Free chunk @p k, moving its open records to strays_, if all its
-     *  ids are handed out and at most sparseRecs are still open. */
-    void releaseIfSparse(std::size_t k);
+    /** Drop a copy counted in reinstalled_. */
+    void dropCounted(InstId id);
+
+    /** Free record chunk @p k into strays_ if it is sparse. */
+    void releaseRecs(std::size_t k);
+
+    /** Free copy-count chunk @p k into reinstalled_ if it is sparse. */
+    void releaseCounts(std::size_t k);
 
     /** Per-word open-instance list heads for one cache line (one
      *  probe covers a whole line's worth of creates/drops). */
@@ -211,16 +297,22 @@ class MemProfiler
         return true;
     }
 
-    /** Chunk k holds ids [k * chunkRecs, (k + 1) * chunkRecs); null
-     *  once freed. */
-    std::vector<std::unique_ptr<Chunk>> chunks_;
+    /** Records of instances created from warmEnd_ on. */
+    Chunks<Rec> recs_;
+    /** Copy counts of instances created before warmEnd_. */
+    Chunks<std::uint16_t> copyCounts_;
     /** Open records of freed chunks, by id. */
     FlatMap<Rec> strays_;
     std::size_t nextId_ = 0;
     std::size_t epochStart_ = 0;
+    /** Ids below this keep only a copy count: 0 unless an epoch is
+     *  expected, epochPending until it is marked, then epochStart_. */
+    std::size_t warmEnd_ = 0;
     /** Classified instances created in the window, by category. */
     std::array<std::uint64_t, numWasteCats> tally_{};
-    /** Closed instance id -> cache copies installed since it closed. */
+    /** Cache copies of ids with neither an open record nor a resident
+     *  count chunk: closed instances installed again, and warm-up
+     *  instances whose count chunk was freed. */
     FlatMap<unsigned> reinstalled_;
     /** line number -> per-word instance list heads. */
     FlatMap<LineHeads> byAddr_{headsDead};

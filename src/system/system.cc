@@ -87,6 +87,13 @@ System::System(ProtocolName protocol, const Workload &workload,
         }
     }
 
+    // The first core to reach an Epoch op marks the window; warm-up
+    // instances before it then keep only a copy count.
+    const auto &traces = workload_.traces();
+    if (std::any_of(traces.begin(), traces.end(),
+                    [](const Trace &t) { return t.hasEpoch(); }))
+        memProf_.expectEpoch();
+
     // Memory system.
     auto present = [this](Addr line, unsigned w) {
         const NodeId s = params_.topo.homeSlice(line);

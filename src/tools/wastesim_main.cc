@@ -70,11 +70,13 @@ using namespace wastesim;
 namespace
 {
 
+/** Print the usage text to @p out; returns the exit code for a
+ *  command line that could not be parsed. */
 int
-usage(const char *prog)
+usage(const char *prog, std::FILE *out = stderr)
 {
     std::fprintf(
-        stderr,
+        out,
         "usage: %s <command> [options]\n"
         "\n"
         "commands:\n"
@@ -200,11 +202,11 @@ usage(const char *prog)
         "benchmarks:",
         prog);
     for (BenchmarkName b : allBenchmarks)
-        std::fprintf(stderr, " %s", benchmarkName(b));
-    std::fprintf(stderr, "\nprotocols: ");
+        std::fprintf(out, " %s", benchmarkName(b));
+    std::fprintf(out, "\nprotocols: ");
     for (ProtocolName p : allProtocols)
-        std::fprintf(stderr, " %s", protocolName(p));
-    std::fprintf(stderr, "\n");
+        std::fprintf(out, " %s", protocolName(p));
+    std::fprintf(out, "\n");
     return 2;
 }
 
@@ -212,15 +214,25 @@ usage(const char *prog)
 class Args
 {
   public:
-    Args(int argc, char **argv) : argc_(argc), argv_(argv) {}
+    /** @p prog names the binary in the usage text. */
+    Args(const char *prog, int argc, char **argv)
+        : prog_(prog), argc_(argc), argv_(argv)
+    {
+    }
 
     bool done() const { return i_ >= argc_; }
 
+    /** The next option; --help or -h prints the usage and exits 0. */
     std::string
     next()
     {
         fatal_if(done(), "missing argument");
-        return argv_[i_++];
+        std::string a = argv_[i_++];
+        if (a == "--help" || a == "-h") {
+            usage(prog_, stdout);
+            std::exit(0);
+        }
+        return a;
     }
 
     std::string
@@ -269,6 +281,7 @@ class Args
     }
 
   private:
+    const char *prog_;
     int argc_;
     char **argv_;
     int i_ = 0;
@@ -1690,7 +1703,7 @@ main(int argc, char **argv)
 
     const std::string cmd = argv[1];
     logVerbosity = 1;
-    Args rest(argc - 2, argv + 2);
+    Args rest(argv[0], argc - 2, argv + 2);
 
     if (cmd == "record")
         return cmdRecord(rest);
@@ -1713,7 +1726,7 @@ main(int argc, char **argv)
     if (cmd == "info")
         return cmdInfo(rest);
     if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-        usage(argv[0]);
+        usage(argv[0], stdout);
         return 0;
     }
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());

@@ -42,7 +42,8 @@ benchmarkFromName(const std::string &s, BenchmarkName &out)
 }
 
 Trace::Trace(const Trace &o)
-    : len_(o.len_), cap_(o.len_), ops_(o.ops_), last_(o.last_)
+    : len_(o.len_), cap_(o.len_), ops_(o.ops_), last_(o.last_),
+      hasEpoch_(o.hasEpoch_)
 {
     if (len_ == 0)
         return;

@@ -150,7 +150,8 @@ class Trace
     Trace(Trace &&o) noexcept
         : buf_(std::exchange(o.buf_, nullptr)),
           len_(std::exchange(o.len_, 0)), cap_(std::exchange(o.cap_, 0)),
-          ops_(std::exchange(o.ops_, 0)), last_(std::exchange(o.last_, 0))
+          ops_(std::exchange(o.ops_, 0)), last_(std::exchange(o.last_, 0)),
+          hasEpoch_(std::exchange(o.hasEpoch_, false))
     {
     }
     Trace &
@@ -161,6 +162,7 @@ class Trace
         std::swap(cap_, o.cap_);
         std::swap(ops_, o.ops_);
         std::swap(last_, o.last_);
+        std::swap(hasEpoch_, o.hasEpoch_);
         return *this;
     }
     ~Trace() { std::free(buf_); }
@@ -186,6 +188,8 @@ class Trace
             last_ = op.addr;
             v = (d << 1) ^ static_cast<std::uint64_t>(
                                static_cast<std::int64_t>(d) >> 63);
+        } else if (op.type == Op::Type::Epoch) {
+            hasEpoch_ = true;
         }
         while (v >= 0x80) {
             *p++ = static_cast<unsigned char>(v | 0x80);
@@ -198,6 +202,9 @@ class Trace
 
     /** Number of ops. */
     std::size_t size() const { return ops_; }
+
+    /** True if the trace holds an Epoch op. */
+    bool hasEpoch() const { return hasEpoch_; }
 
     /** Bytes allocated for the stream (its capacity). */
     std::size_t bytes() const { return cap_; }
@@ -219,6 +226,7 @@ class Trace
     std::size_t cap_ = 0;          //!< bytes allocated
     std::size_t ops_ = 0;
     Addr last_ = 0;                //!< previous Load/Store address
+    bool hasEpoch_ = false;
 };
 
 /** What happens at one barrier (indexed by Op::arg). */

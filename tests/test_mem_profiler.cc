@@ -201,6 +201,76 @@ TEST(MemProfiler, SparseChunksAreEvacuated)
     EXPECT_EQ(c[WasteCat::Unevicted], 0.0);
 }
 
+TEST(MemProfiler, WarmUpInstancesKeepOnlyACopyCount)
+{
+    // Told that an epoch is coming, the profiler keeps no record and
+    // no line head for an instance created before it, only its copy
+    // count; the window's instances are profiled as usual.
+    MemProfiler p;
+    p.expectEpoch();
+    constexpr InstId warm = 3000; // ends inside the third chunk
+    for (InstId i = 0; i < warm; ++i) {
+        const InstId id = p.create(100 + i % 40, i % 3 == 0);
+        p.addRef(id);
+        if (i % 2 == 0)
+            p.addRef(id);
+        p.used(id);
+    }
+    p.storeAddr(100);
+    EXPECT_EQ(p.residentChunks(), 0u);
+    EXPECT_EQ(p.lineHeads(), 0u);
+    EXPECT_EQ(p.refs(0), 2u);
+    EXPECT_EQ(p.refs(1), 1u);
+    EXPECT_EQ(p.counts()[WasteCat::Unevicted], double(warm));
+
+    p.markEpoch();
+    EXPECT_EQ(p.residentChunks(), 1u); // the window's part of chunk 2
+    const InstId hot = p.create(100, true);
+    EXPECT_EQ(hot, warm);
+    p.addRef(hot);
+    const InstId cold = p.create(101, false);
+    p.addRef(cold);
+    p.storeAddr(101);
+    p.dropRef(0, false);
+    p.dropRef(0, true);
+    EXPECT_EQ(p.refs(0), 0u);
+    p.addRef(0); // a warm-up id re-installed after its last copy died
+    EXPECT_EQ(p.refs(0), 1u);
+    p.dropRef(0, false);
+    EXPECT_EQ(p.lineHeads(), 1u);
+
+    const auto c = p.finalize();
+    EXPECT_EQ(c[WasteCat::Fetch], 1.0);
+    EXPECT_EQ(c[WasteCat::Write], 1.0);
+    EXPECT_EQ(c.total(), 2.0);
+}
+
+TEST(MemProfiler, WarmUpCountChunksAreEvacuated)
+{
+    // Warm-up copies die at once except one in 64, which stays on
+    // chip.  A full count chunk then holds 16 nonzero counts, so it is
+    // freed and those counts move to the side table, exactly.
+    MemProfiler p;
+    p.expectEpoch();
+    constexpr InstId n = 64 * 1024;
+    std::size_t peak = 0;
+    for (InstId i = 0; i < n; ++i) {
+        const InstId id = p.create(i, false);
+        p.addRef(id);
+        if (i % 64 != 63)
+            p.dropRef(id, false);
+        peak = std::max(peak, p.residentCountChunks());
+    }
+    EXPECT_LE(peak, 2u);
+    EXPECT_EQ(p.residentChunks(), 0u);
+    for (InstId i = 0; i < n; ++i)
+        ASSERT_EQ(p.refs(i), i % 64 == 63 ? 1u : 0u) << "id " << i;
+    p.markEpoch();
+    for (InstId i = 63; i < n; i += 64)
+        p.dropRef(i, false);
+    EXPECT_EQ(p.finalize().total(), 0.0);
+}
+
 namespace
 {
 
@@ -296,6 +366,48 @@ TEST(MemProfilerDeath, DropWithoutRefPanics)
     MemProfiler p;
     const InstId i = p.create(100, false);
     EXPECT_DEATH(p.dropRef(i, false), "zero refs");
+}
+
+TEST(MemProfilerDeath, WarmUpDropWithoutRefPanics)
+{
+    // A warm-up id whose count chunk is still resident.
+    MemProfiler p;
+    p.expectEpoch();
+    const InstId i = p.create(100, false);
+    p.addRef(i);
+    p.dropRef(i, false);
+    ASSERT_EQ(p.residentCountChunks(), 1u);
+    EXPECT_DEATH(p.dropRef(i, false), "zero refs");
+    p.markEpoch();
+    EXPECT_DEATH(p.dropRef(i, false), "zero refs");
+}
+
+TEST(MemProfilerDeath, WarmUpDropInEvacuatedChunkPanics)
+{
+    // Chunk 0's ids are all handed out and all but one copy died, so
+    // the chunk was freed: the survivor's count lives in the side
+    // table, and the zero-refs check still holds on both sides of it.
+    MemProfiler p;
+    p.expectEpoch();
+    for (InstId i = 0; i <= 1024; ++i)
+        p.addRef(p.create(100 + i, false));
+    for (InstId i = 0; i < 1024; ++i)
+        if (i != 7)
+            p.dropRef(i, false);
+    ASSERT_EQ(p.residentCountChunks(), 1u); // only chunk 1
+    EXPECT_EQ(p.refs(7), 1u);
+    EXPECT_DEATH(p.dropRef(8, false), "zero refs");
+    p.dropRef(7, false);
+    EXPECT_EQ(p.refs(7), 0u);
+    EXPECT_DEATH(p.dropRef(7, false), "zero refs");
+}
+
+TEST(MemProfilerDeath, ExpectedEpochNeverMarkedPanics)
+{
+    MemProfiler p;
+    p.expectEpoch();
+    p.addRef(p.create(100, false));
+    EXPECT_DEATH(p.finalize(), "epoch was expected but never marked");
 }
 
 } // namespace wastesim

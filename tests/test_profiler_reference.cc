@@ -10,6 +10,12 @@
  * epoch.  Every stream crosses one markEpoch; the memory streams
  * re-install closed instances and leave some never installed.
  * finalize() counts and every traffic bucket must match exactly.
+ *
+ * Each memory stream also drives a second MemProfiler that was told
+ * an epoch is coming, so its warm-up instances keep only a copy
+ * count.  It must tally nothing before the epoch, give the same
+ * counts() after every op from the epoch on, and the same refs() for
+ * every id, warm-up ids in evacuated count chunks included.
  */
 
 #include <gtest/gtest.h>
@@ -210,6 +216,128 @@ runStreamingWordStream(WordProfiler::Level level, std::uint64_t seed)
     expectSameFinal(p, ref, seed);
 }
 
+
+/**
+ * The same memory events, fed to a MemProfiler that keeps a record for
+ * every instance, one told that an epoch is coming, and the reference
+ * model.  Every call forwards to all three.
+ */
+struct MemProfilers
+{
+    MemProfiler p; //!< not told: a record for every instance
+    MemProfiler q; //!< told: warm-up instances keep only a copy count
+    RefMemProfiler ref;
+    std::uint64_t seed;
+    bool marked = false;
+
+    explicit MemProfilers(std::uint64_t s) : seed(s) { q.expectEpoch(); }
+
+    InstId
+    create(Addr wn, bool present)
+    {
+        const InstId id = p.create(wn, present);
+        EXPECT_EQ(q.create(wn, present), id) << "seed " << seed;
+        EXPECT_EQ(ref.create(wn, present), id) << "seed " << seed;
+        return id;
+    }
+
+    void
+    addRef(InstId id)
+    {
+        p.addRef(id);
+        q.addRef(id);
+        ref.addRef(id);
+    }
+
+    void
+    dropRef(InstId id, bool inv)
+    {
+        p.dropRef(id, inv);
+        q.dropRef(id, inv);
+        ref.dropRef(id, inv);
+    }
+
+    void
+    used(InstId id)
+    {
+        p.used(id);
+        q.used(id);
+        ref.used(id);
+    }
+
+    void
+    storeAddr(Addr wn)
+    {
+        p.storeAddr(wn);
+        q.storeAddr(wn);
+        ref.storeAddr(wn);
+    }
+
+    void
+    excess(unsigned nw)
+    {
+        p.excess(nw);
+        q.excess(nw);
+        ref.excess(nw);
+    }
+
+    void
+    markEpoch()
+    {
+        p.markEpoch();
+        q.markEpoch();
+        ref.markEpoch();
+        marked = true;
+        expectSameRefs();
+    }
+
+    /** After every op: @p id's copies agree; from the epoch on, so do
+     *  the counts, and before it q has tallied nothing. */
+    void
+    check(InstId id)
+    {
+        ASSERT_EQ(p.refs(id), ref.refs(id)) << "seed " << seed;
+        ASSERT_EQ(q.refs(id), ref.refs(id)) << "seed " << seed;
+        const WasteCounts got = q.counts();
+        if (marked) {
+            const WasteCounts want = p.counts();
+            for (unsigned c = 0; c < numWasteCats; ++c)
+                ASSERT_EQ(got.byCat[c], want.byCat[c])
+                    << "seed " << seed << " category "
+                    << wasteCatName(static_cast<WasteCat>(c));
+            return;
+        }
+        ASSERT_EQ(got[WasteCat::Unevicted],
+                  static_cast<double>(q.numInstances()))
+            << "seed " << seed << ": a warm-up instance was tallied";
+    }
+
+    /** Every id's copies agree. */
+    void
+    expectSameRefs()
+    {
+        for (std::size_t i = 0; i < ref.numInstances(); ++i) {
+            const InstId id = static_cast<InstId>(i);
+            ASSERT_EQ(q.refs(id), ref.refs(id))
+                << "seed " << seed << " id " << id;
+            ASSERT_EQ(p.refs(id), ref.refs(id))
+                << "seed " << seed << " id " << id;
+        }
+    }
+
+    /** Close the run: all three must agree. */
+    void
+    finish()
+    {
+        expectSameRefs();
+        EXPECT_EQ(p.numInstances(), ref.numInstances());
+        EXPECT_EQ(q.numInstances(), ref.numInstances());
+        const WasteCounts want = ref.finalize();
+        expectSameCounts(p.finalize(), want, seed);
+        expectSameCounts(q.finalize(), want, seed);
+    }
+};
+
 } // namespace
 
 TEST(ProfilerReference, WordProfilerL1MatchesReference)
@@ -240,8 +368,7 @@ TEST(ProfilerReference, MemProfilerMatchesReference)
 {
     for (std::uint64_t seed = 1; seed <= numSeeds; ++seed) {
         Rng rng(seed);
-        MemProfiler p;
-        RefMemProfiler ref;
+        MemProfilers m(seed);
         /** One entry per live cache copy. */
         std::vector<InstId> copies;
         const Addr base = 16 * 500 + 3;
@@ -251,23 +378,18 @@ TEST(ProfilerReference, MemProfilerMatchesReference)
         std::uint64_t reinstalls = 0;
 
         for (unsigned op = 0; op < opsPerStream; ++op) {
-            if (op == epoch_at) {
-                p.markEpoch();
-                ref.markEpoch();
-            }
-            const std::size_t n = ref.numInstances();
+            if (op == epoch_at)
+                m.markEpoch();
+            const std::size_t n = m.ref.numInstances();
             switch (rng.below(8)) {
               case 0:
               case 1:
               {
                 // Some creations are never installed.
                 const Addr wn = base + rng.below(footprint);
-                const bool present = rng.chance(0.2);
-                const InstId id = p.create(wn, present);
-                ASSERT_EQ(id, ref.create(wn, present));
+                const InstId id = m.create(wn, rng.chance(0.2));
                 if (rng.chance(0.8)) {
-                    p.addRef(id);
-                    ref.addRef(id);
+                    m.addRef(id);
                     copies.push_back(id);
                 }
                 break;
@@ -277,9 +399,8 @@ TEST(ProfilerReference, MemProfilerMatchesReference)
                     // Any id, open or closed: a closed one is a
                     // re-install through an id carried without a ref.
                     const InstId id = static_cast<InstId>(rng.below(n));
-                    reinstalls += ref.dropped(id);
-                    p.addRef(id);
-                    ref.addRef(id);
+                    reinstalls += m.ref.dropped(id);
+                    m.addRef(id);
                     copies.push_back(id);
                 }
                 break;
@@ -290,41 +411,25 @@ TEST(ProfilerReference, MemProfilerMatchesReference)
                     const InstId id = copies[k];
                     copies[k] = copies.back();
                     copies.pop_back();
-                    const bool inv = rng.chance(0.3);
-                    p.dropRef(id, inv);
-                    ref.dropRef(id, inv);
+                    m.dropRef(id, rng.chance(0.3));
                 }
                 break;
               case 5:
-                if (n > 0) {
-                    const InstId id = static_cast<InstId>(rng.below(n));
-                    p.used(id);
-                    ref.used(id);
-                }
+                if (n > 0)
+                    m.used(static_cast<InstId>(rng.below(n)));
                 break;
               case 6:
-              {
-                const Addr wn = base + rng.below(footprint);
-                p.storeAddr(wn);
-                ref.storeAddr(wn);
+                m.storeAddr(base + rng.below(footprint));
                 break;
-              }
               default:
-              {
-                const unsigned nw = static_cast<unsigned>(rng.below(4));
-                p.excess(nw);
-                ref.excess(nw);
+                m.excess(static_cast<unsigned>(rng.below(4)));
                 break;
-              }
             }
-            if (n > 0) {
-                const InstId id = static_cast<InstId>(rng.below(n));
-                ASSERT_EQ(p.refs(id), ref.refs(id)) << "seed " << seed;
-            }
+            if (n > 0)
+                m.check(static_cast<InstId>(rng.below(n)));
         }
         EXPECT_GT(reinstalls, 0u) << "seed " << seed;
-        EXPECT_EQ(p.numInstances(), ref.numInstances());
-        expectSameCounts(p.finalize(), ref.finalize(), seed);
+        m.finish();
     }
 }
 
@@ -337,8 +442,8 @@ TEST(ProfilerReference, StreamingMemProfilerMatchesReference)
     // after markEpoch; closed ids are re-installed throughout.
     for (std::uint64_t seed = 1; seed <= streamSeeds; ++seed) {
         Rng rng(4000 + seed);
-        MemProfiler p;
-        RefMemProfiler ref;
+        MemProfilers m(seed);
+        MemProfiler &p = m.p;
         /** Short-lived copies, (line, id), in line order. */
         std::deque<std::pair<Addr, InstId>> recent;
         std::vector<InstId> stragglers;
@@ -354,33 +459,36 @@ TEST(ProfilerReference, StreamingMemProfilerMatchesReference)
 
         for (unsigned op = 0; op < streamOps; ++op) {
             if (op == epoch_at) {
-                p.markEpoch();
-                ref.markEpoch();
+                // Warm-up stragglers outlive their evacuated chunks.
+                const std::size_t warm_chunks = p.numInstances() / 1024;
+                ASSERT_LT(m.q.residentCountChunks(), warm_chunks)
+                    << "seed " << seed << ": no count chunk evacuated";
+                ASSERT_GT(stragglers.size(), 0u) << "seed " << seed;
+                m.markEpoch();
                 chunks_at_epoch = p.residentChunks();
-                ASSERT_LT(chunks_at_epoch, p.numInstances() / 1024)
+                ASSERT_LT(chunks_at_epoch, warm_chunks)
                     << "seed " << seed << ": nothing evacuated yet";
+                EXPECT_EQ(m.q.residentChunks(),
+                          p.numInstances() % 1024 ? 1u : 0u)
+                    << "seed " << seed;
+                EXPECT_EQ(m.q.lineHeads(), 0u) << "seed " << seed;
             }
             if (op % 4 == 0) {
                 // The oldest line leaves: its short-lived copies die.
                 ++head;
                 while (!recent.empty() &&
                        recent.front().first < head - windowLines) {
-                    const bool inv = rng.chance(0.3);
-                    p.dropRef(recent.front().second, inv);
-                    ref.dropRef(recent.front().second, inv);
+                    m.dropRef(recent.front().second, rng.chance(0.3));
                     recent.pop_front();
                 }
             }
-            const std::size_t n = ref.numInstances();
+            const std::size_t n = m.ref.numInstances();
             const std::uint64_t pick = rng.below(100);
             if (pick < 40) {
                 const Addr wn = window_word();
-                const bool present = rng.chance(0.2);
-                const InstId id = p.create(wn, present);
-                ASSERT_EQ(id, ref.create(wn, present));
+                const InstId id = m.create(wn, rng.chance(0.2));
                 if (rng.chance(0.95)) { // some are never installed
-                    p.addRef(id);
-                    ref.addRef(id);
+                    m.addRef(id);
                     if (rng.below(32) == 0)
                         stragglers.push_back(id);
                     else
@@ -389,9 +497,8 @@ TEST(ProfilerReference, StreamingMemProfilerMatchesReference)
             } else if (pick < 45 && n > 0) {
                 // Re-install any id, open or closed.
                 const InstId id = static_cast<InstId>(rng.below(n));
-                reinstalls += ref.dropped(id);
-                p.addRef(id);
-                ref.addRef(id);
+                reinstalls += m.ref.dropped(id);
+                m.addRef(id);
                 recent.emplace_back(head - 1, id);
             } else if (pick == 45 && !stragglers.empty()) {
                 // Stragglers arrive a little faster than they leave.
@@ -399,32 +506,23 @@ TEST(ProfilerReference, StreamingMemProfilerMatchesReference)
                 const InstId id = stragglers[k];
                 stragglers[k] = stragglers.back();
                 stragglers.pop_back();
-                p.dropRef(id, false);
-                ref.dropRef(id, false);
+                m.dropRef(id, false);
             } else if (pick < 75 && n > 0) {
                 // Mostly recent ids, sometimes any id.
-                const InstId id = static_cast<InstId>(
+                m.used(static_cast<InstId>(
                     rng.chance(0.9) && n > 2048 ? n - 1 - rng.below(2048)
-                                                : rng.below(n));
-                p.used(id);
-                ref.used(id);
+                                                : rng.below(n)));
             } else if (pick < 90) {
-                const Addr wn =
+                m.storeAddr(
                     rng.chance(0.1) && !stragglers.empty()
-                        ? ref.wordOf(stragglers[rng.below(
-                              stragglers.size())])
-                        : window_word();
-                p.storeAddr(wn);
-                ref.storeAddr(wn);
+                        ? m.ref.wordOf(
+                              stragglers[rng.below(stragglers.size())])
+                        : window_word());
             } else {
-                const unsigned nw = static_cast<unsigned>(rng.below(4));
-                p.excess(nw);
-                ref.excess(nw);
+                m.excess(static_cast<unsigned>(rng.below(4)));
             }
-            if (n > 0) {
-                const InstId id = static_cast<InstId>(rng.below(n));
-                ASSERT_EQ(p.refs(id), ref.refs(id)) << "seed " << seed;
-            }
+            if (n > 0)
+                m.check(static_cast<InstId>(rng.below(n)));
         }
         EXPECT_GT(reinstalls, 0u) << "seed " << seed;
         EXPECT_GT(stragglers.size(), 0u) << "seed " << seed;
@@ -433,8 +531,7 @@ TEST(ProfilerReference, StreamingMemProfilerMatchesReference)
         EXPECT_LT(p.residentChunks(),
                   chunks_at_epoch + (p.numInstances() / 1024) / 2)
             << "seed " << seed;
-        EXPECT_EQ(p.numInstances(), ref.numInstances());
-        expectSameCounts(p.finalize(), ref.finalize(), seed);
+        m.finish();
     }
 }
 

@@ -549,4 +549,31 @@ TEST(TraceEncoding, CopyMoveAndEquality)
     EXPECT_FALSE(arg_differs == arg_same);
 }
 
+TEST(TraceEncoding, RecordsWhetherItHoldsAnEpoch)
+{
+    Trace t;
+    t.push_back(Op{Op::Type::Load, 0x40, 0});
+    t.push_back(Op{Op::Type::Barrier, 0, 0});
+    EXPECT_FALSE(t.hasEpoch());
+    t.push_back(Op{Op::Type::Epoch, 0, 0});
+    EXPECT_TRUE(t.hasEpoch());
+
+    // Copies, moves and assignments carry the flag with the stream.
+    const Trace copy = t;
+    EXPECT_TRUE(copy.hasEpoch());
+    Trace moved = std::move(t);
+    EXPECT_TRUE(moved.hasEpoch());
+    EXPECT_FALSE(t.hasEpoch());
+    Trace assigned;
+    assigned = moved;
+    EXPECT_TRUE(assigned.hasEpoch());
+    assigned = Trace{};
+    EXPECT_FALSE(assigned.hasEpoch());
+
+    // Every generated benchmark marks its measurement window.
+    const auto wl = makeBenchmark(BenchmarkName::LU, 1);
+    for (const Trace &core : wl->traces())
+        EXPECT_TRUE(core.hasEpoch());
+}
+
 } // namespace wastesim
