@@ -16,9 +16,6 @@ Core::Core(CoreId id, EventQueue &eq, L1Cache &l1, Barrier &barrier,
 void
 Core::start()
 {
-    // Root the event chain at this core's tile: the first event's
-    // canonical key names the core that scheduled it.
-    eq_.setContextTile(static_cast<std::uint16_t>(id_));
     eq_.schedule(0, [this] { next(); });
 }
 
@@ -93,11 +90,6 @@ Core::next()
         const unsigned idx = op.arg;
         l1_.drainWrites([this, t0, idx] {
             barrier_.arrive(id_, [this, t0, idx] {
-                // The release runs synchronously inside the filling
-                // arrival's event; rebind the scheduling context to
-                // this core's tile so the next-op event's canonical
-                // key does not depend on which core arrived last.
-                eq_.setContextTile(static_cast<std::uint16_t>(id_));
                 const BarrierInfo &bi = hooks_.barrierInfo(idx);
                 l1_.barrierRelease(bi.selfInvalidate);
                 time_.sync += static_cast<double>(eq_.now() - t0);

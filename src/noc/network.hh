@@ -15,6 +15,7 @@
 #define WASTESIM_NOC_NETWORK_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/topology.hh"
@@ -140,8 +141,10 @@ class Network
     std::vector<std::uint64_t> linkFlits_;
 
     /** In-flight message pool: slots recycled through a free list so
-     *  steady-state sends perform no allocation. */
-    std::vector<Message> msgPool_;
+     *  steady-state sends perform no allocation.  A deque, so slots
+     *  never move and growth never holds an old and a new array of
+     *  1.4 KB messages at once. */
+    std::deque<Message> msgPool_;
     std::vector<std::uint32_t> msgFree_;
 };
 

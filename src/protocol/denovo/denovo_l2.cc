@@ -1,11 +1,39 @@
 #include "protocol/denovo/denovo_l2.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "dram/memory_controller.hh"
 #include "obs/debug.hh"
 
 namespace wastesim
 {
+
+namespace
+{
+
+/** Add word @p w of @p line to @p owner's entry in @p list, keeping
+ *  the list in owner order (see LineOwners). */
+template <unsigned N>
+void
+addOwnerWord(InlineVec<OwnerWords, N> &list, NodeId owner, Addr line,
+             unsigned w)
+{
+    OwnerWords *const pos = std::upper_bound(
+        list.begin(), list.end(), owner,
+        [](NodeId o, const OwnerWords &e) { return o < e.owner; });
+    for (OwnerWords *e = pos; e != list.begin() && e[-1].owner == owner;
+         --e) {
+        if (e[-1].line == line) {
+            e[-1].words.set(w);
+            return;
+        }
+    }
+    list.push_back(OwnerWords{owner, line, WordMask::single(w)});
+    std::rotate(pos, list.end() - 1, list.end());
+}
+
+} // namespace
 
 DenovoL2::DenovoL2(NodeId slice, const ProtocolConfig &cfg,
                    const SimParams &params, EventQueue &eq, Network &net,
@@ -52,17 +80,16 @@ DenovoL2::sendLoadResp(CoreId to, ChunkVec chunks, Tick t_mc,
 }
 
 void
-DenovoL2::sendRegInvs(Addr line_addr,
-                      const std::unordered_map<NodeId, WordMask> &invs)
+DenovoL2::sendRegInvs(const LineOwners &invs)
 {
-    for (const auto &[owner, mask] : invs) {
+    for (const OwnerWords &o : invs) {
         Message inv;
         inv.kind = MsgKind::DnRegInv;
         inv.src = l2Ep(slice_);
-        inv.dst = l1Ep(owner);
-        inv.line = line_addr;
-        inv.mask = mask;
-        inv.requester = owner;
+        inv.dst = l1Ep(o.owner);
+        inv.line = o.line;
+        inv.mask = o.words;
+        inv.requester = o.owner;
         inv.cls = TrafficClass::Store;
         inv.ctl = CtlType::ReqCtl;
         net_.send(std::move(inv));
@@ -92,8 +119,7 @@ DenovoL2::handleLoadReq(Message &msg)
     const bool bypass = msg.flag;
 
     ChunkVec resp_chunks;
-    std::unordered_map<NodeId, std::vector<std::pair<Addr, WordMask>>>
-        forwards;
+    InlineVec<OwnerWords, maxWordsPerMsg * wordsPerLine> forwards;
 
     for (const auto &chunk : msg.chunks) {
         const Addr la = chunk.line;
@@ -113,17 +139,7 @@ DenovoL2::handleLoadReq(Message &msg)
                 if (owner == invalidNode)
                     continue;
                 missing.clear(w);
-                auto &fl = forwards[owner];
-                bool found = false;
-                for (auto &[l, m] : fl) {
-                    if (l == la) {
-                        m.set(w);
-                        found = true;
-                        break;
-                    }
-                }
-                if (!found)
-                    fl.emplace_back(la, WordMask::single(w));
+                addOwnerWord(forwards, owner, la, w);
             }
         }
 
@@ -174,19 +190,17 @@ DenovoL2::handleLoadReq(Message &msg)
     if (!resp_chunks.empty())
         sendLoadResp(requester, std::move(resp_chunks));
 
-    for (auto &[owner, lines] : forwards) {
-        for (auto &[la, mask] : lines) {
-            Message fwd;
-            fwd.kind = MsgKind::DnFwdLoadReq;
-            fwd.src = l2Ep(slice_);
-            fwd.dst = l1Ep(owner);
-            fwd.line = la;
-            fwd.mask = mask;
-            fwd.requester = requester;
-            fwd.cls = TrafficClass::Load;
-            fwd.ctl = CtlType::ReqCtl;
-            net_.send(std::move(fwd));
-        }
+    for (const OwnerWords &o : forwards) {
+        Message fwd;
+        fwd.kind = MsgKind::DnFwdLoadReq;
+        fwd.src = l2Ep(slice_);
+        fwd.dst = l1Ep(o.owner);
+        fwd.line = o.line;
+        fwd.mask = o.words;
+        fwd.requester = requester;
+        fwd.cls = TrafficClass::Load;
+        fwd.ctl = CtlType::ReqCtl;
+        net_.send(std::move(fwd));
     }
 }
 
@@ -322,7 +336,7 @@ DenovoL2::handleMemData(Message &msg)
 void
 DenovoL2::applyRegistration(DenovoL2Line &cl, CoreId req, WordMask mask)
 {
-    std::unordered_map<NodeId, WordMask> invs;
+    LineOwners invs;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         if (!mask.test(w))
             continue;
@@ -330,7 +344,7 @@ DenovoL2::applyRegistration(DenovoL2Line &cl, CoreId req, WordMask mask)
         if (old == req)
             continue;
         if (old != invalidNode)
-            invs[old].set(w);
+            addOwnerWord(invs, old, cl.line, w);
         if (cl.validWords.test(w)) {
             // The L2's copy is stale the moment the write happened.
             prof_.writeKill(wordNumber(cl.line) + w);
@@ -343,7 +357,7 @@ DenovoL2::applyRegistration(DenovoL2Line &cl, CoreId req, WordMask mask)
         }
         cl.setRegOwner(w, req);
     }
-    sendRegInvs(cl.line, invs);
+    sendRegInvs(invs);
     syncBloom(cl);
 
     Message ack;
@@ -522,7 +536,7 @@ DenovoL2::handleWb(Message &msg)
         cl = slot;
     }
 
-    std::unordered_map<NodeId, WordMask> invs;
+    LineOwners invs;
     for (const auto &chunk : msg.chunks) {
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!chunk.mask.test(w))
@@ -532,7 +546,7 @@ DenovoL2::handleWb(Message &msg)
             if (owner != invalidNode && owner != msg.requester) {
                 if (!combined_reg)
                     continue; // stale writeback lost to a newer writer
-                invs[owner].set(w);
+                addOwnerWord(invs, owner, la, w);
             }
             const Addr wn = wordNumber(la) + w;
             if (cl->validWords.test(w)) {
@@ -549,7 +563,7 @@ DenovoL2::handleWb(Message &msg)
             cl->setRegOwner(w, invalidNode);
         }
     }
-    sendRegInvs(la, invs);
+    sendRegInvs(invs);
     syncBloom(*cl);
 
     Message ack;
@@ -574,10 +588,10 @@ DenovoL2::recallVictim(DenovoL2Line &victim, std::function<void()> cont)
     }
 
     victim.busy = true;
-    std::unordered_map<NodeId, WordMask> owners;
+    LineOwners owners;
     for (unsigned w = 0; w < wordsPerLine; ++w)
         if (victim.regOwner(w) != invalidNode)
-            owners[victim.regOwner(w)].set(w);
+            addOwnerWord(owners, victim.regOwner(w), vla, w);
 
     if (owners.empty()) {
         finishVictim(vla);
@@ -586,21 +600,21 @@ DenovoL2::recallVictim(DenovoL2Line &victim, std::function<void()> cont)
     }
 
     ++recallsIssued_;
-    DPRINTF(DeNovo, eq_, "slice %u recall line %llx owners %zu", slice_,
+    DPRINTF(DeNovo, eq_, "slice %u recall line %llx owners %u", slice_,
             static_cast<unsigned long long>(vla), owners.size());
     RecallTxn rt;
-    rt.pending = static_cast<unsigned>(owners.size());
+    rt.pending = owners.size();
     rt.conts.push_back(std::move(cont));
     recalls_.emplace(vla, std::move(rt));
 
-    for (const auto &[owner, mask] : owners) {
+    for (const OwnerWords &o : owners) {
         Message rc;
         rc.kind = MsgKind::DnRecall;
         rc.src = l2Ep(slice_);
-        rc.dst = l1Ep(owner);
+        rc.dst = l1Ep(o.owner);
         rc.line = vla;
-        rc.mask = mask;
-        rc.requester = owner;
+        rc.mask = o.words;
+        rc.requester = o.owner;
         rc.cls = TrafficClass::Writeback;
         rc.ctl = CtlType::WbControl;
         net_.send(std::move(rc));

@@ -24,6 +24,7 @@
 
 #include "bloom/bloom_bank.hh"
 #include "cache/cache_array.hh"
+#include "common/inline_vec.hh"
 #include "noc/network.hh"
 #include "profile/mem_profiler.hh"
 #include "profile/word_profiler.hh"
@@ -33,6 +34,23 @@
 
 namespace wastesim
 {
+
+/** Words of one line that the L2 sends to one registrant. */
+struct OwnerWords
+{
+    NodeId owner;
+    Addr line;
+    WordMask words;
+};
+
+/**
+ * Registrant word masks kept in ascending owner order (and, per
+ * owner, in the order lines were first seen), so an L2 sends its
+ * invalidations, forwards and recalls in owner order rather than in a
+ * hash table's layout order.  One line has at most wordsPerLine
+ * registrants.
+ */
+using LineOwners = InlineVec<OwnerWords, wordsPerLine>;
 
 /**
  * A DeNovo L2 line: the common metadata plus the L1 each word is
@@ -156,8 +174,7 @@ class DenovoL2 : public MessageHandler
 
     void sendLoadResp(CoreId to, ChunkVec chunks, Tick t_mc = 0,
                       Tick t_mem = 0);
-    void sendRegInvs(Addr line_addr,
-                     const std::unordered_map<NodeId, WordMask> &invs);
+    void sendRegInvs(const LineOwners &invs);
     void nack(Endpoint to, MsgKind orig, Addr line_addr, WordMask mask);
 
     void syncBloom(DenovoL2Line &cl);

@@ -39,9 +39,7 @@ EventQueue::prepareEntry(Tick when, std::uint16_t tile)
     const std::uint32_t idx = allocEntry();
     Entry &e = pool_[idx];
     e.when = when;
-    e.schedTick = now_;
     e.seq = nextSeq_++;
-    e.src = curTile_;
     e.tile = tile;
     e.next = nil;
     return idx;
@@ -50,19 +48,6 @@ EventQueue::prepareEntry(Tick when, std::uint16_t tile)
 void
 EventQueue::commitEntry(std::uint32_t idx, Tick when)
 {
-    if (drainActive_ && when == drainTick_) {
-        // Same-tick schedule while that tick is draining: insert at
-        // the canonical position, clamped to "next" so an event never
-        // lands behind the drain cursor (it cannot execute before its
-        // own creator).
-        const Entry &e = pool_[idx];
-        const DrainRef r{e.schedTick, e.seq, idx, e.src};
-        auto it = std::lower_bound(drainVec_.begin() + drainPos_,
-                                   drainVec_.end(), r);
-        drainVec_.insert(it, r);
-        ++pending_;
-        return;
-    }
     if (when - now_ < wheelSize) {
         const std::size_t slot = when & wheelMask;
         Bucket &b = wheel_[slot];
@@ -77,9 +62,8 @@ EventQueue::commitEntry(std::uint32_t idx, Tick when)
             wheelHint_ = when;
         ++wheelPending_;
     } else {
-        const Entry &e = pool_[idx];
-        overflow_.push_back(
-            OverflowRef{when, e.schedTick, e.seq, idx, e.src});
+        pool_[idx].next = inOverflow;
+        overflow_.push_back(OverflowRef{when, pool_[idx].seq, idx});
         std::push_heap(overflow_.begin(), overflow_.end(),
                        OverflowLater{});
     }
@@ -112,19 +96,16 @@ EventQueue::unlinkFromBucket(std::uint32_t idx)
 void
 EventQueue::cancel(EventId id)
 {
-    // A record is pending while it holds a callback: execute() moves
-    // the callback out and recycle() clears it, and reuse restamps seq.
+    // A record is pending while it holds a callback: stepBounded()
+    // moves the callback out and recycle() clears it, and reuse
+    // restamps seq.
     panic_if(id.idx >= pool_.size() || pool_[id.idx].seq != id.seq ||
                  !pool_[id.idx].cb,
              "cancelling an event that is not pending (record %u)",
              id.idx);
-    const Entry &e = pool_[id.idx];
-    // Where commitEntry() filed the record follows from its key:
-    // schedTick was now_ at commit, so a delay of wheelSize or more
-    // went to the overflow heap.  A wheel record for the tick being
-    // drained has moved into drainVec_ (openDrain or a same-tick
-    // schedule), past drainPos_ because it has not run.
-    if (e.when - e.schedTick >= wheelSize) {
+    // commitEntry() marks the records it files in the overflow heap;
+    // every other pending record sits in a wheel bucket chain.
+    if (pool_[id.idx].next == inOverflow) {
         auto it = std::find_if(
             overflow_.begin(), overflow_.end(),
             [&](const OverflowRef &r) { return r.idx == id.idx; });
@@ -136,13 +117,6 @@ EventQueue::cancel(EventId id)
         overflow_.pop_back();
         std::make_heap(overflow_.begin(), overflow_.end(),
                        OverflowLater{});
-    } else if (drainActive_ && e.when == drainTick_) {
-        const DrainRef r{e.schedTick, e.seq, id.idx, e.src};
-        auto it = std::lower_bound(drainVec_.begin() + drainPos_,
-                                   drainVec_.end(), r);
-        panic_if(it == drainVec_.end() || it->idx != id.idx,
-                 "pending event %u missing from the drain", id.idx);
-        drainVec_.erase(it);
     } else {
         unlinkFromBucket(id.idx);
     }
@@ -175,106 +149,57 @@ EventQueue::firstOccupiedSlot() const
     return nil;
 }
 
-void
-EventQueue::openDrain(std::uint32_t slot, Tick when)
-{
-    Bucket &b = wheel_[slot];
-    drainVec_.clear();
-    for (std::uint32_t idx = b.head; idx != nil;) {
-        const Entry &e = pool_[idx];
-        drainVec_.push_back(DrainRef{e.schedTick, e.seq, idx, e.src});
-        --wheelPending_;
-        idx = e.next;
-    }
-    b.head = b.tail = nil;
-    occupied_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
-    // Chains arrive nearly sorted (schedTick is monotone per queue);
-    // keys are unique so an unstable sort is canonical.
-    std::sort(drainVec_.begin(), drainVec_.end());
-    drainActive_ = true;
-    drainTick_ = when;
-    drainPos_ = 0;
-    wheelHint_ = when;
-}
-
-int
-EventQueue::selectNext(Tick limit, std::uint32_t &idx_out,
-                       bool &from_overflow)
-{
-    for (;;) {
-        if (drainActive_) {
-            if (drainPos_ < drainVec_.size()) {
-                if (drainTick_ > limit)
-                    return 2;
-                idx_out = drainVec_[drainPos_].idx;
-                from_overflow = false;
-                return 0;
-            }
-            drainActive_ = false;
-            drainVec_.clear();
-        }
-        if (pending_ == 0)
-            return 1;
-
-        const std::uint32_t slot = firstOccupiedSlot();
-        const Tick wheel_when =
-            slot != nil ? pool_[wheel_[slot].head].when : ~Tick(0);
-        const Tick ov_when =
-            overflow_.empty() ? ~Tick(0) : overflow_.front().when;
-
-        // On a tick tie the overflow entry was scheduled while the
-        // tick was still beyond the horizon, hence at a strictly
-        // earlier schedTick than any wheel entry: overflow first is
-        // canonical order.
-        if (ov_when <= wheel_when) {
-            if (ov_when > limit)
-                return 2;
-            idx_out = overflow_.front().idx;
-            from_overflow = true;
-            return 0;
-        }
-        if (wheel_when > limit)
-            return 2;
-        openDrain(slot, wheel_when);
-    }
-}
-
-void
-EventQueue::execute(std::uint32_t idx)
-{
-    Entry &e = pool_[idx];
-    panic_if(e.when < now_, "executing event in the past (%llu < %llu)",
-             static_cast<unsigned long long>(e.when),
-             static_cast<unsigned long long>(now_));
-    curTile_ = e.tile;
-    now_ = e.when;
-    // Move the callback out and recycle the record before invoking:
-    // the callback may schedule (growing the arena), so no Entry
-    // reference survives past this point.
-    Callback cb = std::move(e.cb);
-    recycle(idx);
-    --pending_;
-    ++executed_;
-    cb();
-}
-
 int
 EventQueue::stepBounded(Tick limit)
 {
-    std::uint32_t idx;
-    bool from_overflow;
-    const int r = selectNext(limit, idx, from_overflow);
-    if (r != 0)
-        return r;
+    if (pending_ == 0)
+        return 1;
 
+    const std::uint32_t slot = firstOccupiedSlot();
+    const Tick wheel_when =
+        slot != nil ? pool_[wheel_[slot].head].when : ~Tick(0);
+
+    // On a tick tie the overflow entry always has the smaller
+    // sequence number: it was scheduled while the tick was still
+    // beyond the horizon, hence strictly earlier.
+    const bool from_overflow =
+        !overflow_.empty() &&
+        (slot == nil || overflow_.front().when <= wheel_when);
+
+    const Tick when =
+        from_overflow ? overflow_.front().when : wheel_when;
+    if (when > limit)
+        return 2;
+
+    std::uint32_t idx;
     if (from_overflow) {
+        idx = overflow_.front().idx;
         std::pop_heap(overflow_.begin(), overflow_.end(),
                       OverflowLater{});
         overflow_.pop_back();
     } else {
-        ++drainPos_;
+        Bucket &b = wheel_[slot];
+        idx = b.head;
+        b.head = pool_[idx].next;
+        if (b.head == nil) {
+            b.tail = nil;
+            occupied_[slot >> 6] &=
+                ~(std::uint64_t(1) << (slot & 63));
+        }
+        --wheelPending_;
+        wheelHint_ = when;
     }
-    execute(idx);
+
+    // Move the callback out and recycle the record before invoking:
+    // the callback may schedule (growing the arena), so no Entry
+    // reference survives past this point.
+    curTile_ = pool_[idx].tile;
+    Callback cb = std::move(pool_[idx].cb);
+    recycle(idx);
+    --pending_;
+    now_ = when;
+    ++executed_;
+    cb();
     return 0;
 }
 
@@ -315,14 +240,6 @@ EventQueue::reset()
         }
         b.head = b.tail = nil;
     }
-    for (std::size_t i = drainPos_; drainActive_ && i < drainVec_.size();
-         ++i) {
-        recycle(drainVec_[i].idx);
-        --pending_;
-    }
-    drainActive_ = false;
-    drainVec_.clear();
-    drainPos_ = 0;
     for (const OverflowRef &r : overflow_) {
         recycle(r.idx);
         --pending_;

@@ -2,16 +2,10 @@
  * @file
  * Discrete-event simulation engine.
  *
- * Events execute in strict canonical key order
- *
- *     (when, schedTick, srcTile, srcSeq)
- *
- * where `schedTick` is the tick the event was scheduled at, `srcTile`
- * is the tile whose component was executing when it was scheduled,
- * and `srcSeq` is the queue's monotone scheduling counter.  Same-tick
- * events therefore run grouped by the tile that scheduled them rather
- * than in plain scheduling order; every golden result (sweep cache,
- * report snapshots, fuzz corpus CRCs) was generated under this order.
+ * Events execute in strict (tick, scheduling sequence) order, which
+ * keeps protocol handlers deterministic: two events at the same tick
+ * run in the order they were scheduled, exactly as a global priority
+ * queue on (tick, seq) would run them.
  *
  * The kernel is allocation-free in steady state.  Event records live
  * in a free-list-recycled arena and are indexed, never pointed to, so
@@ -20,15 +14,18 @@
  *
  *  - a timing wheel of `wheelSize` one-tick buckets covering
  *    [now, now + wheelSize): each bucket is a FIFO chain of entries
- *    for exactly one tick, sorted by key once when the tick becomes
- *    current (chains arrive nearly sorted: schedTick is monotone per
- *    queue, so the sort is cheap);
+ *    for exactly one tick (two ticks can only collide in a slot if
+ *    they are a full wheel apart, and the earlier one has always
+ *    drained by the time the later is scheduled), with an occupancy
+ *    bitmap for O(1)-ish next-event scans.  Execution pops a chain's
+ *    head, and an event scheduled for the current tick appends to
+ *    its tail;
  *
- *  - an overflow binary min-heap on the full key for events beyond
- *    the horizon.  Every overflow entry for a tick was scheduled
- *    strictly earlier (smaller schedTick) than every wheel entry for
- *    that tick, so draining overflow-first on tick ties preserves
- *    canonical order.
+ *  - an overflow binary min-heap on (tick, seq) for events beyond the
+ *    horizon.  Because the horizon only ever shrinks as time
+ *    advances, every overflow entry for a tick predates (in sequence)
+ *    every wheel entry for that tick, so popping overflow-first on
+ *    ties preserves global FIFO order.
  *
  * Callbacks are stored in a 64-byte small-buffer InlineFunction, so
  * the common captures (`this` + an address + a word mask, or a pooled
@@ -36,9 +33,9 @@
  *
  * Every schedule call returns an EventId, and cancel() removes that
  * event while it is still pending: it is unlinked from its bucket
- * chain, the drain vector or the overflow heap, and its record is
- * recycled at once.  A cancelled event never ran, so no other event
- * changes key or order.  Handles do not survive reset().
+ * chain or the overflow heap, and its record is recycled at once.  A
+ * cancelled event never ran, so no other event changes order.
+ * Handles do not survive reset().
  */
 
 #ifndef WASTESIM_SIM_EVENT_QUEUE_HH
@@ -84,7 +81,7 @@ class EventQueue
     /**
      * Schedule @p cb at absolute tick @p when (must be >= now).  The
      * callable is constructed directly into the pooled event record;
-     * the event inherits the currently executing event's tile.
+     * the event inherits the currently executing event's tile label.
      */
     template <typename F>
     EventId
@@ -93,8 +90,10 @@ class EventQueue
         return scheduleFor(when, curTile_, std::forward<F>(cb));
     }
 
-    /** Schedule at @p when, executing on behalf of tile @p tile
-     *  (message deliveries name the destination tile here). */
+    /** Schedule at @p when, labelled as executing on behalf of tile
+     *  @p tile (message deliveries name the destination tile here).
+     *  The label is reported by contextTile(); it does not affect
+     *  execution order. */
     template <typename F>
     EventId
     scheduleFor(Tick when, std::uint16_t tile, F &&cb)
@@ -112,11 +111,10 @@ class EventQueue
      */
     void cancel(EventId id);
 
-    /** Tile context for events scheduled outside any event (root
-     *  events such as core starts). */
+    /** Tile label for events scheduled outside any event. */
     void setContextTile(std::uint16_t t) { curTile_ = t; }
 
-    /** Tile of the currently executing event. */
+    /** Tile label of the currently executing event. */
     std::uint16_t contextTile() const { return curTile_; }
 
     /** Number of pending events. */
@@ -153,6 +151,8 @@ class EventQueue
 
   private:
     static constexpr std::uint32_t nil = ~std::uint32_t(0);
+    /** Entry::next of a record filed in the overflow heap. */
+    static constexpr std::uint32_t inOverflow = nil - 1;
 
     /** One-tick buckets covering [now, now + wheelSize). */
     static constexpr std::size_t wheelSize = 16384;
@@ -162,11 +162,11 @@ class EventQueue
     struct Entry
     {
         Tick when = 0;
-        Tick schedTick = 0;
         std::uint64_t seq = 0;
-        std::uint32_t next = nil; //!< bucket FIFO / free-list link
-        std::uint16_t src = 0;    //!< key: scheduling tile
-        std::uint16_t tile = 0;   //!< execution context tile
+        /** Bucket FIFO / free-list link, or inOverflow while the
+         *  record sits in the overflow heap. */
+        std::uint32_t next = nil;
+        std::uint16_t tile = 0; //!< execution context label
         Callback cb;
     };
 
@@ -176,33 +176,12 @@ class EventQueue
         std::uint32_t tail = nil;
     };
 
-    /** Sorted view of the bucket currently being drained. */
-    struct DrainRef
-    {
-        Tick schedTick;
-        std::uint64_t seq;
-        std::uint32_t idx;
-        std::uint16_t src;
-
-        friend bool
-        operator<(const DrainRef &a, const DrainRef &b)
-        {
-            if (a.schedTick != b.schedTick)
-                return a.schedTick < b.schedTick;
-            if (a.src != b.src)
-                return a.src < b.src;
-            return a.seq < b.seq;
-        }
-    };
-
     /** Far-future reference; the entry itself lives in the arena. */
     struct OverflowRef
     {
         Tick when;
-        Tick schedTick;
         std::uint64_t seq;
         std::uint32_t idx;
-        std::uint16_t src;
     };
 
     struct OverflowLater
@@ -212,10 +191,6 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.schedTick != b.schedTick)
-                return a.schedTick > b.schedTick;
-            if (a.src != b.src)
-                return a.src > b.src;
             return a.seq > b.seq;
         }
     };
@@ -223,7 +198,7 @@ class EventQueue
     std::uint32_t allocEntry();
     void recycle(std::uint32_t idx);
 
-    /** Validate @p when, pull a record, stamp key + context tile. */
+    /** Validate @p when, pull a record, stamp (when, seq, tile). */
     std::uint32_t prepareEntry(Tick when, std::uint16_t tile);
 
     /** File the prepared record into the wheel or the overflow heap. */
@@ -235,22 +210,6 @@ class EventQueue
     /** First occupied wheel slot at or (circularly) after now.
      *  @return nil when the wheel holds nothing. */
     std::uint32_t firstOccupiedSlot() const;
-
-    /** Pull bucket @p slot's chain into drainVec_, sorted by key. */
-    void openDrain(std::uint32_t slot, Tick when);
-
-    /** Execute the arena record @p idx (stamps now_/curTile_). */
-    void execute(std::uint32_t idx);
-
-    /**
-     * Locate the earliest pending event if its tick is <= @p limit.
-     * Opens the drain vector when the wheel is next; a drain is only
-     * opened for a tick about to execute, so nothing can later be
-     * scheduled below it.  @return 0 found (out set), 1 queue empty,
-     * 2 earliest event beyond @p limit.
-     */
-    int selectNext(Tick limit, std::uint32_t &idx_out,
-                   bool &from_overflow);
 
     /** Execute the earliest event if its tick is <= @p limit.
      *  @return 0 executed, 1 queue empty, 2 event beyond limit. */
@@ -266,12 +225,6 @@ class EventQueue
     Tick wheelHint_ = 0;
 
     std::uint16_t curTile_ = 0;
-
-    /** Drain state for the tick currently executing from the wheel. */
-    bool drainActive_ = false;
-    Tick drainTick_ = 0;
-    std::size_t drainPos_ = 0;
-    std::vector<DrainRef> drainVec_;
 
     std::vector<Entry> pool_;
     std::uint32_t freeHead_ = nil;

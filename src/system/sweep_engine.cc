@@ -24,7 +24,6 @@ namespace wastesim
 namespace
 {
 
-constexpr const char *cellCacheMagicV1 = "wastesim-cells-v1";
 constexpr const char *cellCacheMagicV2 = "wastesim-cells-v2";
 
 /** Canonical text form of one cell result (cache value). */
@@ -154,17 +153,12 @@ CellCache::load(const std::string &path, CacheLoadReport &rep,
     rep.found = true;
     std::string magic;
     std::getline(is, magic);
-    bool intact = false;
-    if (magic == cellCacheMagicV2) {
-        rep.formatOk = true;
-        intact = loadV2(is, rep, mode);
-    } else if (magic == cellCacheMagicV1) {
-        rep.formatOk = true;
-        intact = loadV1(is, rep, mode);
-    } else {
+    if (magic != cellCacheMagicV2) {
         rep.error = "unrecognized cache magic";
         return false;
     }
+    rep.formatOk = true;
+    const bool intact = loadV2(is, rep, mode);
     if (mode == CacheLoadMode::Strict &&
         (!intact || rep.badCells > 0)) {
         cells_.clear();
@@ -173,52 +167,6 @@ CellCache::load(const std::string &path, CacheLoadReport &rep,
     }
     // Salvage: whatever survived the scan is served; dropped cells
     // are simply recomputed by the next sweep.
-    return true;
-}
-
-bool
-CellCache::loadV1(std::istream &is, CacheLoadReport &rep,
-                  CacheLoadMode)
-{
-    std::size_t n = 0;
-    is >> n;
-    is.ignore();
-    // Corrupt counts must fail the load, not drive the loop below; a
-    // real cache holds at most a few thousand cells.
-    if (!is || n > (1u << 20)) {
-        rep.truncated = true;
-        rep.error = "cache header: unreadable cell count";
-        return false;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const long long off = static_cast<long long>(is.tellg());
-        std::string key;
-        std::getline(is, key);
-        if (!is || key.empty()) {
-            rep.truncated = true;
-            rep.error = "cell " + std::to_string(i) +
-                        ": missing key at byte offset " +
-                        std::to_string(off);
-            return false;
-        }
-        // A cell block is parsed (not copied by line count), so a
-        // malformed block fails here instead of shifting every
-        // subsequent cell.  v1 blocks carry no length, so there is no
-        // per-cell resync: damage truncates the salvageable prefix.
-        RunResult r;
-        if (!readRunResult(is, r)) {
-            rep.truncated = true;
-            ++rep.badCells;
-            rep.badKeys.push_back(key);
-            rep.error = "cell " + std::to_string(i) + " ('" + key +
-                        "') at byte offset " + std::to_string(off) +
-                        ": unparseable v1 result block";
-            return false;
-        }
-        is.ignore(); // trailing newline of the block
-        cells_[key] = serializeResult(r);
-        ++rep.cells;
-    }
     return true;
 }
 

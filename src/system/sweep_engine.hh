@@ -31,11 +31,10 @@
  *  - **Integrity**: the v2 cache format carries a CRC-32 and byte
  *    length per cell block, so a corrupt or truncated cell is
  *    detected at load (and either reported or salvaged around) rather
- *    than silently served; v1 caches remain readable.  Poisoned cells
- *    — ones the supervisor gave up on — are recorded as quarantine
- *    entries with their failure reason, so reports can render them as
- *    annotated holes instead of erroring or re-running known-bad
- *    simulations.
+ *    than silently served.  Poisoned cells — ones the supervisor gave
+ *    up on — are recorded as quarantine entries with their failure
+ *    reason, so reports can render them as annotated holes instead of
+ *    erroring or re-running known-bad simulations.
  */
 
 #ifndef WASTESIM_SYSTEM_SWEEP_ENGINE_HH
@@ -141,7 +140,8 @@ struct CacheLoadReport
  *
  * Format v2 ("wastesim-cells-v2") prefixes every cell block with its
  * byte length and CRC-32, and appends quarantine records after the
- * result cells; v1 files load transparently, saves always write v2.
+ * result cells.  Any other magic, the retired v1 format included, is
+ * not a cell cache: it loads nothing.
  */
 class CellCache
 {
@@ -220,8 +220,6 @@ class CellCache
     }
 
   private:
-    bool loadV1(std::istream &is, CacheLoadReport &rep,
-                CacheLoadMode mode);
     bool loadV2(std::istream &is, CacheLoadReport &rep,
                 CacheLoadMode mode);
 

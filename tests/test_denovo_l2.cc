@@ -19,6 +19,8 @@ class Sink : public MessageHandler
     void
     handle(Message msg) override
     {
+        if (log)
+            log->emplace_back(id, msg.kind);
         received.push_back(std::move(msg));
     }
 
@@ -42,6 +44,9 @@ class Sink : public MessageHandler
     }
 
     std::vector<Message> received;
+    /** Harness-wide delivery order: (L1 id, kind) per message. */
+    std::vector<std::pair<unsigned, MsgKind>> *log = nullptr;
+    unsigned id = 0;
 };
 
 struct L2Harness
@@ -58,6 +63,7 @@ struct L2Harness
     std::unique_ptr<DenovoL2> l2;
     std::array<Sink, numTiles> l1s;
     std::array<Sink, numMemCtrls> mcs;
+    std::vector<std::pair<unsigned, MsgKind>> l1Log;
 
     /** Slice-0 lines: line n with homeSlice == 0. */
     static Addr
@@ -75,8 +81,11 @@ struct L2Harness
         l2 = std::make_unique<DenovoL2>(0, cfg, params, eq, net, prof,
                                         memProf);
         net.attach(l2Ep(0), l2.get());
-        for (unsigned i = 0; i < numTiles; ++i)
+        for (unsigned i = 0; i < numTiles; ++i) {
+            l1s[i].id = i;
+            l1s[i].log = &l1Log;
             net.attach(l1Ep(i), &l1s[i]);
+        }
         for (unsigned c = 0; c < numMemCtrls; ++c)
             net.attach(mcEp(c), &mcs[c]);
     }
@@ -115,6 +124,17 @@ struct L2Harness
         m.chunks.push_back(c);
         net.send(std::move(m));
         eq.run();
+    }
+
+    /** L1s that received a message of kind @p k, in delivery order. */
+    std::vector<unsigned>
+    deliveredTo(MsgKind k) const
+    {
+        std::vector<unsigned> ids;
+        for (const auto &[id, kind] : l1Log)
+            if (kind == k)
+                ids.push_back(id);
+        return ids;
     }
 
     void
@@ -275,6 +295,39 @@ TEST(DenovoL2Unit, BypassRequestFetchesToL1Only)
     EXPECT_TRUE(rd->aux & 2u /* McFlag::bypassL2 */);
     // No allocation in the slice.
     EXPECT_EQ(h.l2->array().find(L2Harness::line(0)), nullptr);
+}
+
+// An L2 sends forwards, invalidations and recalls in ascending owner
+// order, never in a hash table's iteration order.  The registrants
+// are all three hops from slice 0, so each group of messages is
+// delivered at one tick in the order it was sent.
+TEST(DenovoL2Unit, SendsToRegistrantsInOwnerOrder)
+{
+    L2Harness h;
+    const Addr la = L2Harness::line(0);
+    // Tiles 12, 3, 9 and 6 of the 4x4 mesh, registered out of order.
+    const CoreId owners[] = {12, 3, 9, 6};
+    const std::vector<unsigned> ascending{3, 6, 9, 12};
+    auto register_all = [&] {
+        for (unsigned w = 0; w < 4; ++w)
+            h.reg(owners[w], la, WordMask::single(w));
+    };
+    register_all();
+
+    h.loadReq(1, la, WordMask::range(0, 4));
+    EXPECT_EQ(h.deliveredTo(MsgKind::DnFwdLoadReq), ascending);
+
+    h.reg(1, la, WordMask::range(0, 4));
+    EXPECT_EQ(h.deliveredTo(MsgKind::DnRegInv), ascending);
+
+    // Register the words back, then fill line(0)'s set (every 8th
+    // slice-0 line shares it) so the LRU victim is line(0).
+    register_all();
+    h.l1Log.clear();
+    for (unsigned k = 1; k <= h.params.l2Ways; ++k)
+        h.reg(2, L2Harness::line(8 * k), WordMask::single(0));
+    EXPECT_EQ(h.deliveredTo(MsgKind::DnRecall), ascending);
+    EXPECT_EQ(h.l2->recallsIssued(), 1u);
 }
 
 TEST(DenovoL2Unit, L2HitServedAndCountsReuse)

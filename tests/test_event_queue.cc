@@ -229,10 +229,10 @@ TEST(EventQueue, CancelSameTickEventWhileTheTickDrains)
     EventId c;
     eq.schedule(5, [&] {
         order.push_back(0);
-        eq.cancel(c); // queued for this tick before it opened
+        eq.cancel(c); // still queued in this tick's chain
         const EventId d = eq.schedule(0, [&] { order.push_back(3); });
         eq.schedule(0, [&] { order.push_back(4); });
-        eq.cancel(d); // scheduled into the open drain
+        eq.cancel(d); // appended to the running tick's chain
     });
     eq.schedule(5, [&] { order.push_back(1); });
     c = eq.schedule(5, [&] { order.push_back(2); });
@@ -259,8 +259,15 @@ TEST(EventQueue, CancelOverflowEvent)
     eq.scheduleAt(40'000 - 100, [&] {
         eq.scheduleAt(40'000, [&] { order.push_back(6); });
     });
+    // Once time has advanced, an overflow record's tick can lie inside
+    // the wheel horizon; it is still found in the overflow heap.
+    eq.scheduleAt(50'000, [&] {
+        EXPECT_EQ(eq.overflowSize(), 2u);
+        eq.cancel(ids[4]); // tick 60'000, 10'000 ticks ahead
+        EXPECT_EQ(eq.overflowSize(), 1u);
+    });
     EXPECT_TRUE(eq.run());
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 6, 4, 5}));
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 6, 5}));
     EXPECT_EQ(eq.freeEntries(), eq.pooledEntries());
 }
 
@@ -353,7 +360,9 @@ struct ChildRule
 
 // Randomized equivalence: the calendar/bucket kernel must execute an
 // arbitrary workload of nested schedulings in exactly the order of the
-// reference (tick, sequence) priority queue.
+// reference (tick, sequence) priority queue.  Every event carries a
+// tile label drawn from its id, set through scheduleFor() and, for
+// the seed events, setContextTile(): labels never change the order.
 TEST(EventQueue, RandomizedEquivalenceWithPriorityQueue)
 {
     std::mt19937_64 rng(0xC0FFEE);
@@ -374,16 +383,23 @@ TEST(EventQueue, RandomizedEquivalenceWithPriorityQueue)
         std::uint64_t *budget;
         std::uint64_t id;
 
+        static std::uint16_t
+        tile(std::uint64_t id)
+        {
+            return static_cast<std::uint16_t>((id * 7) % 16);
+        }
+
         void
         operator()()
         {
+            EXPECT_EQ(eq->contextTile(), tile(id));
             log->push_back(id);
             if (*budget == 0 || !ChildRule::spawns(id))
                 return;
             --*budget;
             const std::uint64_t child = (*next_id)++;
-            eq->schedule(ChildRule::delay(id),
-                         Actor{eq, log, next_id, budget, child});
+            eq->scheduleFor(eq->now() + ChildRule::delay(id), tile(child),
+                            Actor{eq, log, next_id, budget, child});
         }
     };
 
@@ -391,8 +407,10 @@ TEST(EventQueue, RandomizedEquivalenceWithPriorityQueue)
     std::vector<std::pair<Tick, std::uint64_t>> seeds;
     for (int i = 0; i < 500; ++i)
         seeds.emplace_back(seed_delay(rng), next_id++);
-    for (auto [when, id] : seeds)
+    for (auto [when, id] : seeds) {
+        eq.setContextTile(Actor::tile(id));
         eq.scheduleAt(when, Actor{&eq, &eq_log, &next_id, &budget, id});
+    }
     eq.run();
 
     // Replay the same workload on the reference kernel: same seeds,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -350,24 +351,11 @@ TEST(CellCache, V2DetectsCorruptionStrictlyAndSalvages)
     EXPECT_EQ(fileBytes(again.path()), fileBytes(refPath.path()));
 }
 
-TEST(CellCache, V1FilesStillLoad)
+TEST(CellCache, TruncatedV2SalvagesWholeCells)
 {
     const SweepSpec spec = tinySpec();
     const std::string k0 = spec.cellKey(spec.cellAt(0));
     const RunResult ref = fakeCell(spec, spec.cellAt(0));
-
-    // Hand-written v1 file: magic, count, then bare key + block pairs
-    // with no length/CRC meta.
-    TempPath tmp("v1_compat.cache");
-    writeBytes(tmp.path(), "wastesim-cells-v1\n1\n" + k0 + "\n" +
-                               resultBlock(ref));
-
-    CellCache cache;
-    ASSERT_TRUE(cache.load(tmp.path()));
-    RunResult r;
-    ASSERT_TRUE(cache.get(k0, r));
-    EXPECT_EQ(resultBlock(r), resultBlock(ref));
-    EXPECT_EQ(cache.numQuarantined(), 0u);
 
     // A truncated v2 file (counts promise more cells than present)
     // fails strictly but salvages what was read.
@@ -393,6 +381,9 @@ TEST(CellCache, V1FilesStillLoad)
     EXPECT_TRUE(salvage.load(t2.path(), rep, CacheLoadMode::Salvage));
     EXPECT_TRUE(rep.truncated);
     EXPECT_EQ(salvage.size(), 1u);
+    // Cells are saved in key order, so the whole one has the smaller key.
+    EXPECT_TRUE(
+        salvage.has(std::min(k0, spec.cellKey(spec.cellAt(1)))));
 }
 
 TEST(SweepEngine, StopCheckDrainsAndResumes)

@@ -151,12 +151,22 @@ TEST(CellCache, LoadRejectsLegacyAndCorrupt)
     EXPECT_FALSE(cache.load(tmp.path()));
     EXPECT_EQ(cache.size(), 0u);
 
+    // A well-formed file in the retired v1 format (magic, count, then
+    // bare key + result block pairs) is not a cell cache either: even
+    // a salvaging load serves nothing from it.
+    const SweepSpec spec = smallSpec();
+    const std::string k0 = spec.cellKey(spec.cellAt(0));
     {
         std::ofstream os(tmp.path());
-        os << "wastesim-cells-v1\n3\nkey-without-a-body\n";
+        os.precision(17);
+        os << "wastesim-cells-v1\n1\n" << k0 << '\n';
+        writeRunResult(os, fakeCell(spec, spec.cellAt(0)));
     }
-    EXPECT_FALSE(cache.load(tmp.path()));
+    CacheLoadReport rep;
+    EXPECT_FALSE(cache.load(tmp.path(), rep, CacheLoadMode::Salvage));
+    EXPECT_FALSE(rep.formatOk);
     EXPECT_EQ(cache.size(), 0u);
+    EXPECT_FALSE(cache.has(k0));
 }
 
 TEST(CellCache, MergeDetectsConflicts)
