@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "cache/cache_array.hh"
 #include "common/rng.hh"
@@ -66,6 +69,20 @@ expectOwnFieldsReset(const DenovoL2Line &cl)
     EXPECT_EQ(cl.regOwner(5), invalidNode);
     EXPECT_FALSE(cl.inBloom);
 }
+
+/** An eager reference slot (tag refNoTag: invalid way). */
+constexpr Addr refNoTag = ~Addr(0);
+struct RefSlot
+{
+    Addr tag = refNoTag;
+    bool busy = false;
+    std::uint64_t lastUse = 0;
+};
+
+struct Geometry
+{
+    unsigned sets, ways, div;
+};
 
 } // namespace
 
@@ -197,6 +214,174 @@ TYPED_TEST(CacheArrayTest, ForEachValidVisitsAll)
     unsigned m = 0;
     ca.forEachValid([&](const TypeParam &) { ++m; });
     EXPECT_EQ(m, 5u);
+}
+
+/**
+ * The array against an eager reference model: one slot per (set,
+ * way) allocated up front, with the same victim rule (lowest invalid
+ * way, else the least recently used non-busy way, lowest way on a
+ * tie).  Seeded random fills, probes, touches, busy marks and
+ * invalidations; every returned slot must be the model's way, a way
+ * keeps one address for the array's life, and forEachValid visits
+ * lines set by set in way order.
+ */
+TYPED_TEST(CacheArrayTest, MatchesEagerReferenceModel)
+{
+    for (const Geometry geo : {Geometry{4, 1, 1}, Geometry{4, 2, 4},
+                               Geometry{2, 6, 3}, Geometry{4, 8, 4},
+                               Geometry{8, 16, 1}}) {
+        for (std::uint64_t seed : {1u, 2u}) {
+            SCOPED_TRACE(testing::Message()
+                         << geo.sets << "x" << geo.ways << " div "
+                         << geo.div << " seed " << seed);
+            Rng rng(seed);
+            CacheArray<TypeParam> a(geo.sets, geo.ways, geo.div);
+            std::vector<RefSlot> ref(geo.sets * geo.ways);
+            std::uint64_t clock = 0;
+            // Slot address of each (set, way) once the array shows it.
+            std::map<unsigned, TypeParam *> slotAt;
+            std::set<TypeParam *> seen;
+
+            auto line_at = [&](unsigned set, unsigned tag) {
+                return lineAt(set, tag, geo.sets, geo.div);
+            };
+            auto expect_slot = [&](unsigned set, unsigned way,
+                                   TypeParam *got) {
+                const unsigned key = set * geo.ways + way;
+                auto it = slotAt.find(key);
+                if (it == slotAt.end()) {
+                    ASSERT_TRUE(seen.insert(got).second)
+                        << "set " << set << " way " << way
+                        << " reuses another way's slot";
+                    slotAt.emplace(key, got);
+                } else {
+                    ASSERT_EQ(got, it->second)
+                        << "set " << set << " way " << way << " moved";
+                }
+            };
+            // The model's victim way for @p set, or ways if all busy.
+            auto ref_victim = [&](unsigned set) {
+                unsigned lru = geo.ways;
+                for (unsigned w = 0; w < geo.ways; ++w) {
+                    const RefSlot &r = ref[set * geo.ways + w];
+                    if (r.tag == refNoTag)
+                        return w;
+                    if (r.busy)
+                        continue;
+                    if (lru == geo.ways ||
+                        r.lastUse < ref[set * geo.ways + lru].lastUse)
+                        lru = w;
+                }
+                return lru;
+            };
+            auto ref_find = [&](unsigned set, Addr la) {
+                for (unsigned w = 0; w < geo.ways; ++w)
+                    if (ref[set * geo.ways + w].tag == la)
+                        return w;
+                return geo.ways;
+            };
+            // A random valid model slot, or ref.size() if none.
+            auto random_valid = [&] {
+                std::vector<unsigned> valid;
+                for (unsigned i = 0; i < ref.size(); ++i)
+                    if (ref[i].tag != refNoTag)
+                        valid.push_back(i);
+                return valid.empty()
+                           ? static_cast<unsigned>(ref.size())
+                           : valid[rng.below(valid.size())];
+            };
+
+            for (unsigned step = 0; step < 3000; ++step) {
+                SCOPED_TRACE(testing::Message() << "step " << step);
+                const unsigned set =
+                    static_cast<unsigned>(rng.below(geo.sets));
+                const Addr la = line_at(
+                    set, static_cast<unsigned>(rng.below(geo.ways * 2)));
+                ASSERT_EQ(a.setIndex(la), set);
+                const unsigned op = static_cast<unsigned>(rng.below(8));
+                if (op <= 2) { // fill (or hit)
+                    const unsigned hit = ref_find(set, la);
+                    TypeParam *found = a.find(la);
+                    if (hit < geo.ways) {
+                        ASSERT_NE(found, nullptr);
+                        expect_slot(set, hit, found);
+                        continue;
+                    }
+                    ASSERT_EQ(found, nullptr);
+                    const unsigned way = ref_victim(set);
+                    TypeParam *slot = a.victimFor(la);
+                    if (way == geo.ways) {
+                        ASSERT_EQ(slot, nullptr);
+                        continue;
+                    }
+                    ASSERT_NE(slot, nullptr);
+                    expect_slot(set, way, slot);
+                    RefSlot &r = ref[set * geo.ways + way];
+                    ASSERT_EQ(slot->valid, r.tag != refNoTag);
+                    a.resetTo(*slot, la);
+                    r.tag = la;
+                    r.busy = false;
+                    ASSERT_EQ(slot->lastUse, r.lastUse);
+                    if (rng.below(4) != 0) {
+                        a.touch(*slot);
+                        r.lastUse = ++clock;
+                    }
+                } else if (op == 3) { // probe only, as a NACK check does
+                    const unsigned way = ref_victim(set);
+                    TypeParam *slot = a.victimFor(la);
+                    if (way == geo.ways) {
+                        ASSERT_EQ(slot, nullptr);
+                    } else {
+                        ASSERT_NE(slot, nullptr);
+                        expect_slot(set, way, slot);
+                    }
+                } else if (op == 4) { // touch
+                    const unsigned i = random_valid();
+                    if (i == ref.size())
+                        continue;
+                    TypeParam *cl = a.find(ref[i].tag);
+                    ASSERT_NE(cl, nullptr);
+                    expect_slot(i / geo.ways, i % geo.ways, cl);
+                    a.touch(*cl);
+                    ref[i].lastUse = ++clock;
+                } else if (op == 5) { // toggle busy
+                    const unsigned i = random_valid();
+                    if (i == ref.size())
+                        continue;
+                    TypeParam *cl = a.find(ref[i].tag);
+                    ASSERT_NE(cl, nullptr);
+                    cl->busy = ref[i].busy = !ref[i].busy;
+                } else if (op == 6) { // invalidate
+                    const unsigned i = random_valid();
+                    if (i == ref.size())
+                        continue;
+                    TypeParam *cl = a.find(ref[i].tag);
+                    ASSERT_NE(cl, nullptr);
+                    a.invalidate(*cl);
+                    EXPECT_FALSE(cl->valid);
+                    EXPECT_FALSE(cl->busy);
+                    ref[i].tag = refNoTag;
+                    ref[i].busy = false;
+                } else { // visit order
+                    std::vector<Addr> want;
+                    for (const RefSlot &r : ref)
+                        if (r.tag != refNoTag)
+                            want.push_back(r.tag);
+                    std::vector<Addr> got;
+                    a.forEachValid([&](TypeParam &cl) {
+                        got.push_back(cl.line);
+                    });
+                    ASSERT_EQ(got, want);
+                    std::vector<Addr> got_const;
+                    const CacheArray<TypeParam> &ca = a;
+                    ca.forEachValid([&](const TypeParam &cl) {
+                        got_const.push_back(cl.line);
+                    });
+                    ASSERT_EQ(got_const, want);
+                }
+            }
+        }
+    }
 }
 
 TYPED_TEST(CacheArrayTest, ResetClearsStateButKeepsLruStamp)
