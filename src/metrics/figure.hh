@@ -5,8 +5,7 @@
  * turn Sweeps into Figures — pure numeric data plus labels — and the
  * emitters here turn a Figure into text-table, JSON or CSV output.
  * The table emitter reproduces the historical hand-rolled renderers
- * byte-for-byte, which is what lets `wastesim report --format table`
- * serve as a drop-in for the legacy figure functions.
+ * byte-for-byte (tests/golden/reports/ pins it).
  */
 
 #ifndef WASTESIM_METRICS_FIGURE_HH

@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "metrics/run_result_schema.hh"
 #include "profile/energy.hh"
+#include "system/paper_claims.hh"
 
 namespace wastesim
 {
@@ -262,78 +262,51 @@ buildHeadline(const Sweep &s)
     f.unit = "fraction";
     f.spaced = false;
 
-    const int mesi = protoIndex(s, "MESI");
-    const int mmem = protoIndex(s, "MMemL1");
-    const int dflex1 = protoIndex(s, "DFlexL1");
-    const int dbyp = protoIndex(s, "DBypFull");
-    if (mesi < 0 || dbyp < 0) {
+    if (protoIndex(s, "MESI") < 0 || protoIndex(s, "DBypFull") < 0) {
         f.note = "headline: sweep lacks MESI/DBypFull";
         return f;
     }
     f.title = "Headline comparisons (paper values in brackets):";
 
-    // Benchmarks with a quarantined cell on either side drop out of
-    // the average; an average over zero benchmarks is a hole, not the
-    // mean([])==0 the stats helper would report.
-    auto avg_reduction = [&](int from, int to,
-                             auto &&metric) -> double {
-        std::vector<double> reds;
-        for (std::size_t bi = 0; bi < s.results.size(); ++bi) {
-            if (s.holeAt(bi, static_cast<std::size_t>(from)) ||
-                s.holeAt(bi, static_cast<std::size_t>(to)))
-                continue;
-            const auto &row = s.results[bi];
-            const double a = metric(row[from]);
-            const double b = metric(row[to]);
-            if (a > 0)
-                reds.push_back(1.0 - b / a);
-        }
-        return reds.empty() ? std::nan("") : mean(reds);
-    };
-
-    auto traffic = [](const RunResult &r) { return r.traffic.total(); };
-    auto etime = [](const RunResult &r) { return r.time.total(); };
-
     FigureTable t;
     t.labelCols = {"Metric"};
     t.valueCols = {"Measured", "Paper"};
-    auto add = [&t](const char *label, double measured, double paper) {
-        t.rows.push_back(FigureRow{{label}, {measured, paper}});
-    };
-    add("DBypFull traffic vs MESI",
-        avg_reduction(mesi, dbyp, traffic), 0.395);
-    if (mmem >= 0)
-        add("DBypFull traffic vs MMemL1",
-            avg_reduction(mmem, dbyp, traffic), 0.352);
-    if (dflex1 >= 0)
-        add("DBypFull traffic vs DFlexL1",
-            avg_reduction(dflex1, dbyp, traffic), 0.189);
-    add("DBypFull exec time vs MESI",
-        avg_reduction(mesi, dbyp, etime), 0.105);
-    if (mmem >= 0)
-        add("MMemL1 traffic vs MESI",
-            avg_reduction(mesi, mmem, traffic), 0.062);
-
-    // MESI overhead fraction and DBypFull residual waste fraction.
-    {
-        std::vector<double> ohs, wastes;
-        for (std::size_t bi = 0; bi < s.results.size(); ++bi) {
-            const auto &row = s.results[bi];
-            if (!s.holeAt(bi, static_cast<std::size_t>(mesi))) {
-                const TrafficStats &m = row[mesi].traffic;
-                ohs.push_back(safeDiv(m.overhead(), m.total()));
-            }
-            if (!s.holeAt(bi, static_cast<std::size_t>(dbyp))) {
-                const TrafficStats &d = row[dbyp].traffic;
-                wastes.push_back(safeDiv(d.wasteData(), d.total()));
-            }
-        }
-        add("MESI overhead fraction",
-            ohs.empty() ? std::nan("") : mean(ohs), 0.136);
-        add("DBypFull waste fraction",
-            wastes.empty() ? std::nan("") : mean(wastes), 0.088);
-    }
+    for (const PaperClaim &c : paperClaims())
+        if (c.headline)
+            if (const auto measured = measureClaim(c, s))
+                t.rows.push_back(FigureRow{{c.label}, {*measured, c.paper}});
     f.tables.push_back(std::move(t));
+    return f;
+}
+
+Figure
+buildPaperReport(const Sweep &s)
+{
+    Figure f;
+    f.id = "paper";
+    f.title = "Paper claims: measured vs paper (Delta = measured - "
+              "paper, in percentage points)";
+    f.unit = "fraction";
+    f.spaced = true;
+
+    FigureTable all;
+    all.labelCols = {"Figure", "Claim"};
+    all.valueCols = {"Measured", "Paper", "Delta"};
+    FigureTable top;
+    top.name = "largest";
+    top.labelCols = {"Figure", "Largest |Delta|"};
+    top.valueCols = all.valueCols;
+    for (const PaperClaim &c : paperClaims()) {
+        const double m = measureClaim(c, s).value_or(std::nan(""));
+        FigureRow row{{c.figure, c.label}, {m, c.paper, m - c.paper}};
+        if (std::isfinite(row.values[2]) &&
+            (top.rows.empty() || std::fabs(row.values[2]) >
+                                     std::fabs(top.rows[0].values[2])))
+            top.rows.assign(1, row);
+        all.rows.push_back(std::move(row));
+    }
+    f.tables.push_back(std::move(all));
+    f.tables.push_back(std::move(top));
     return f;
 }
 
@@ -542,6 +515,9 @@ const ReportEntry reportRegistry[] = {
     {"headline", [](const Sweep &s, const Topology &) {
          return buildHeadline(s);
      }},
+    {"paper", [](const Sweep &s, const Topology &) {
+         return buildPaperReport(s);
+     }},
     {"energy", [](const Sweep &s, const Topology &topo) {
          return buildEnergy(s, topo);
      }},
@@ -579,56 +555,6 @@ buildReportByName(const std::string &name, const Sweep &s,
         }
     }
     return false;
-}
-
-// --- legacy text renderers --------------------------------------------------
-
-std::string
-renderFig51a(const Sweep &s)
-{
-    return renderFigure(buildFig51a(s));
-}
-
-std::string
-renderFig51b(const Sweep &s)
-{
-    return renderFigure(buildFig51b(s));
-}
-
-std::string
-renderFig51c(const Sweep &s)
-{
-    return renderFigure(buildFig51c(s));
-}
-
-std::string
-renderFig51d(const Sweep &s)
-{
-    return renderFigure(buildFig51d(s));
-}
-
-std::string
-renderFig52(const Sweep &s)
-{
-    return renderFigure(buildFig52(s));
-}
-
-std::string
-renderFig53(const Sweep &s, WasteLevel level)
-{
-    return renderFigure(buildFig53(s, level));
-}
-
-std::string
-renderOverheadComposition(const Sweep &s)
-{
-    return renderFigure(buildOverheadComposition(s));
-}
-
-std::string
-renderHeadline(const Sweep &s)
-{
-    return renderFigure(buildHeadline(s));
 }
 
 } // namespace wastesim

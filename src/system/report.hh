@@ -1,15 +1,12 @@
 /**
  * @file
  * Report generators: every figure/table of the paper built as a
- * structured Figure (metrics/figure.hh) from sweep results, plus the
- * extension reports (energy, MC-placement study).  All bars are
- * normalized to MESI (the first protocol of a sweep), exactly as in
- * Figures 5.1-5.3.
- *
- * The legacy render* functions are thin wrappers: build the Figure,
- * render it as a text table.  Their output is byte-identical to the
- * historical hand-rolled renderers; the Figure builders additionally
- * feed the JSON/CSV emitters and the `wastesim report` subcommand.
+ * structured Figure (metrics/figure.hh) from sweep results, the
+ * paper's claims set against the measured values, and the extension
+ * reports (energy, MC-placement study).  All bars are normalized to
+ * MESI (the first protocol of a sweep), exactly as in Figures
+ * 5.1-5.3.  renderFigure() turns any of them into a text table, JSON
+ * or CSV; `wastesim report` renders them by name from a sweep cache.
  */
 
 #ifndef WASTESIM_SYSTEM_REPORT_HH
@@ -51,8 +48,20 @@ Figure buildFig53(const Sweep &s, WasteLevel level);
 /** Section 5.2.4: overhead traffic composition for MESI protocols. */
 Figure buildOverheadComposition(const Sweep &s);
 
-/** Headline averages (abstract / Section 5.1). */
+/**
+ * Headline averages (abstract / Section 5.1): the claims marked
+ * headline in paper_claims.hh, measured against the paper's values.
+ * A row whose protocols the sweep lacks is left out; a sweep without
+ * MESI or DBypFull yields a note instead of a table.
+ */
 Figure buildHeadline(const Sweep &s);
+
+/**
+ * Every claim of paper_claims.hh: Measured, Paper and their
+ * difference in percentage points, then the claim with the largest
+ * |difference| in a table of its own.
+ */
+Figure buildPaperReport(const Sweep &s);
 
 /**
  * Extension: estimated dynamic energy per protocol, normalized to
@@ -85,32 +94,15 @@ curatedMcPlacements(unsigned mesh_x, unsigned mesh_y);
 
 /**
  * Build the single-sweep report @p name ("fig5.1a" ... "fig5.3c",
- * "overhead", "headline", "energy") over @p s, which ran on @p topo.
- * Returns false for unknown names (the multi-sweep "placement" report
- * has its own builder above).
+ * "overhead", "headline", "paper", "energy") over @p s, which ran on
+ * @p topo.  Returns false for unknown names (the multi-sweep
+ * "placement" report has its own builder above).
  */
 bool buildReportByName(const std::string &name, const Sweep &s,
                        const Topology &topo, Figure &out);
 
 /** All single-sweep report names, in usage/figure order. */
 const std::vector<std::string> &reportNames();
-
-// --- legacy text renderers (byte-identical wrappers) ------------------------
-
-std::string renderFig51a(const Sweep &s);
-std::string renderFig51b(const Sweep &s);
-std::string renderFig51c(const Sweep &s);
-std::string renderFig51d(const Sweep &s);
-std::string renderFig52(const Sweep &s);
-std::string renderFig53(const Sweep &s, WasteLevel level);
-std::string renderOverheadComposition(const Sweep &s);
-
-/**
- * Headline averages (abstract / Section 5.1): traffic and execution
- * time reductions of DBypFull vs. MESI / MMemL1 / DFlexL1, residual
- * waste fraction, etc.  Requires a sweep containing those protocols.
- */
-std::string renderHeadline(const Sweep &s);
 
 } // namespace wastesim
 

@@ -9,7 +9,6 @@
 
 #include "common/log.hh"
 #include "metrics/run_result_schema.hh"
-#include "system/sweep_engine.hh"
 
 namespace wastesim
 {
@@ -187,72 +186,6 @@ runFullSweep(unsigned scale, SimParams params)
     std::vector<ProtocolName> protocols(allProtocols,
                                         allProtocols + numProtocols);
     return runSweep(benches, protocols, scale, params);
-}
-
-Sweep
-cachedFullSweep(unsigned scale, SimParams params,
-                std::function<Sweep(unsigned, SimParams)> compute)
-{
-    std::string path = "wastesim_sweep.cache";
-    if (const char *env = std::getenv("WASTESIM_CACHE"))
-        path = env;
-    const bool no_cache = std::getenv("WASTESIM_NO_CACHE") != nullptr;
-
-    // The cache is per-cell (sweep_engine.hh): each (benchmark,
-    // protocol) result is keyed by the full configuration
-    // fingerprint, so a `--scale 4` or `--mesh 8x8` sweep misses on
-    // its own cells without invalidating anything else in the file.
-    const SweepSpec spec = SweepSpec::fullGrid(scale, params);
-    CellCache cache;
-    if (!no_cache) {
-        // Salvage mode: a corrupt cell costs one re-simulation, not
-        // the whole cache.
-        CacheLoadReport rep;
-        cache.load(path, rep, CacheLoadMode::Salvage);
-        if (rep.badCells > 0 || rep.truncated)
-            warn("sweep cache '%s' was damaged (%s); %zu cell(s) "
-                 "dropped and re-simulated",
-                 path.c_str(), rep.error.c_str(), rep.badCells);
-    }
-
-    if (compute) {
-        // Injected whole-sweep producer (tests): cache hits only when
-        // every cell of this configuration is present.
-        bool all_hit = !no_cache;
-        for (std::size_t i = 0; all_hit && i < spec.numCells(); ++i)
-            all_hit = cache.has(spec.cellKey(spec.cellAt(i)));
-        if (!all_hit) {
-            Sweep s = compute(scale, params);
-            if (s.results.size() == spec.benches.size() &&
-                !s.results.empty() &&
-                s.results[0].size() == spec.protocols.size()) {
-                for (std::size_t i = 0; i < spec.numCells(); ++i) {
-                    const SweepCell c = spec.cellAt(i);
-                    cache.put(spec.cellKey(c),
-                              s.results[c.benchIdx][c.protoIdx]);
-                }
-                if (!no_cache && !cache.save(path))
-                    warn("could not write sweep cache to %s",
-                         path.c_str());
-            } else {
-                warn("sweep producer returned a %zux%zu grid; "
-                     "expected %zux%zu — not caching it",
-                     s.results.size(),
-                     s.results.empty() ? 0 : s.results[0].size(),
-                     spec.benches.size(), spec.protocols.size());
-            }
-            return s;
-        }
-        // Fall through: every cell is cached, assemble from disk.
-    }
-
-    SweepEngine engine(spec);
-    // Finished cells hit the disk as they complete (atomic rename),
-    // so an interrupted sweep resumes from its completed cells; the
-    // last cell's autosave doubles as the final cache write.
-    if (!no_cache)
-        engine.setAutosave(path);
-    return std::move(engine.run(cache).at(0));
 }
 
 } // namespace wastesim

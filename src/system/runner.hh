@@ -7,7 +7,6 @@
 #ifndef WASTESIM_SYSTEM_RUNNER_HH
 #define WASTESIM_SYSTEM_RUNNER_HH
 
-#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -121,27 +120,6 @@ Sweep runSweep(const std::vector<BenchmarkName> &benches,
 
 /** All six benchmarks, all nine protocols. */
 Sweep runFullSweep(unsigned scale = 1, SimParams params = SimParams{});
-
-/**
- * The full sweep, cached on disk: the first figure bench of a session
- * pays for the 54 simulations, subsequent ones re-render instantly.
- * Cache path from $WASTESIM_CACHE (default "wastesim_sweep.cache");
- * set $WASTESIM_NO_CACHE to force re-simulation.
- *
- * The cache is the per-cell CellCache (sweep_engine.hh): every
- * (benchmark, protocol) result is stored under its own configuration
- * fingerprint, so changing the topology or scale computes only the
- * missing cells and never evicts other configurations.
- *
- * @param compute sweep producer invoked when any cell of this
- *        configuration is missing; defaults to per-cell simulation on
- *        the SweepEngine (overridable so tests can exercise the cache
- *        logic without paying for 54 simulations).
- */
-Sweep cachedFullSweep(unsigned scale = 1,
-                      SimParams params = SimParams::scaled(),
-                      std::function<Sweep(unsigned, SimParams)>
-                          compute = {});
 
 } // namespace wastesim
 

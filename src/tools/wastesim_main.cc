@@ -86,8 +86,8 @@ usage(const char *prog, std::FILE *out = stderr)
         "  replay  --trace FILE [--protocol P ...] [--mesh WxH]\n"
         "          [--mcs N] [--mc-tiles T,T,...] [--full-size]\n"
         "          replay a trace through protocols (default: all 9)\n"
-        "          on the trace's recorded topology (v2 traces;\n"
-        "          topology flags override, and must then match)\n"
+        "          on the trace's recorded topology (topology flags\n"
+        "          override, and must then match)\n"
         "  synth   [--preset hotset64|all2all|mc-corner]\n"
         "          [--seed N] [--pattern stride|random|hotset]\n"
         "          [--ops N] [--phases N] [--regions N]\n"
@@ -113,9 +113,10 @@ usage(const char *prog, std::FILE *out = stderr)
         "          only computes missing cells — finished cells are\n"
         "          persisted immediately, so a killed run resumes\n"
         "          (reports: fig5.1a b c d, fig5.2, fig5.3a b c,\n"
-        "          overhead, headline, energy; default: fig5.1a +\n"
-        "          headline; --shard I/N runs the deterministic 1/N\n"
-        "          grid slice and writes a partial cache for `merge`;\n"
+        "          overhead, headline, paper, energy; default:\n"
+        "          fig5.1a + headline; --shard I/N runs the\n"
+        "          deterministic 1/N grid slice and writes a\n"
+        "          partial cache for `merge`;\n"
         "          --jobs N sizes the simulation thread pool,\n"
         "          overriding $WASTESIM_JOBS; --progress prints a\n"
         "          heartbeat with RSS, ETA; flags stalled cells; in a\n"
@@ -639,10 +640,9 @@ cmdReplay(Args args)
     if (protocols.empty())
         protocols = defaultProtocols();
 
-    // v2 traces are self-describing: without explicit topology flags
+    // Traces are self-describing: without explicit topology flags
     // the replay runs on the recorded geometry instead of forcing the
-    // user to re-type what the header already knows.  Flags (or a v1
-    // trace) fall back to the old default-topology behavior.
+    // user to re-type what the header already knows.
     std::string err;
     std::unique_ptr<TraceWorkload> wl;
     if (topo.given()) {
@@ -650,23 +650,8 @@ cmdReplay(Args args)
         wl = TraceWorkload::load(trace_path, params.topo, &err);
     } else {
         wl = TraceWorkload::loadAnyTopology(trace_path, &err);
-        if (wl) {
-            if (wl->hasRecordedTopology()) {
-                // The loader already installed the recorded topology.
-                params.topo = wl->topo();
-            } else {
-                // v1 trace: only its core count can gate the default.
-                params.topo = Topology{};
-                fatal_if(
-                    wl->numCores() != params.topo.numTiles(),
-                    "replay: %s: trace was recorded for %u cores; "
-                    "the default topology %s has %u (pass a matching "
-                    "--mesh)",
-                    trace_path.c_str(), wl->numCores(),
-                    params.topo.describe().c_str(),
-                    params.topo.numTiles());
-            }
-        }
+        if (wl)
+            params.topo = wl->topo();
     }
     fatal_if(!wl, "replay: %s", err.c_str());
     std::printf("loaded %s: %zu ops, %zu regions, %zu barriers\n",
@@ -1573,12 +1558,8 @@ cmdInfo(Args args)
     std::printf("trace:     %s\n", trace_path.c_str());
     std::printf("workload:  %s\n", wl->name().c_str());
     std::printf("input:     %s\n", wl->inputDesc().c_str());
-    if (wl->hasRecordedTopology())
-        std::printf("topology:  %s (%u MCs)\n",
-                    wl->topo().describe().c_str(),
-                    wl->topo().numMemCtrls());
-    else
-        std::printf("topology:  unknown (v1 trace; core count only)\n");
+    std::printf("topology:  %s (%u MCs)\n", wl->topo().describe().c_str(),
+                wl->topo().numMemCtrls());
     std::printf("ops:       %zu across %u cores\n", wl->totalOps(),
                 wl->numCores());
     const double trace_bytes = static_cast<double>(wl->traceBytes());

@@ -68,15 +68,11 @@ TraceWriter::writeHeader(const TraceHeader &h)
     os_.write(traceMagic, sizeof(traceMagic));
     u32(h.version);
     u32(h.numCores);
-    // v1 writing survives for the backward-compat tests; TraceRecorder
-    // always emits the current (geometry-carrying) version.
-    if (h.version >= 2) {
-        u32(h.meshX);
-        u32(h.meshY);
-        u32(static_cast<std::uint32_t>(h.mcTiles.size()));
-        for (std::uint32_t t : h.mcTiles)
-            u32(t);
-    }
+    u32(h.meshX);
+    u32(h.meshY);
+    u32(static_cast<std::uint32_t>(h.mcTiles.size()));
+    for (std::uint32_t t : h.mcTiles)
+        u32(t);
     str(h.name);
     str(h.inputDesc);
     u64(h.numRegions);
@@ -207,45 +203,39 @@ TraceReader::readHeader(TraceHeader &h)
         return fail("not a wastesim trace (bad magic)");
     if (!u32(h.version))
         return false;
-    if (h.version < 1 || h.version > traceFormatVersion)
+    if (h.version != traceFormatVersion)
         return fail("unsupported trace version " +
                     std::to_string(h.version));
-    if (!u32(h.numCores))
+    std::uint32_t num_mcs = 0;
+    if (!u32(h.numCores) || !u32(h.meshX) || !u32(h.meshY) ||
+        !u32(num_mcs))
         return false;
-    h.meshX = h.meshY = 0;
-    h.mcTiles.clear();
-    if (h.version >= 2) {
-        std::uint32_t num_mcs = 0;
-        if (!u32(h.meshX) || !u32(h.meshY) || !u32(num_mcs))
+    if (h.meshX == 0 || h.meshY == 0 ||
+        h.meshX > Topology::maxDim || h.meshY > Topology::maxDim ||
+        h.meshX * h.meshY > maxTiles)
+        return fail("trace records an out-of-range mesh " +
+                    std::to_string(h.meshX) + "x" +
+                    std::to_string(h.meshY));
+    if (h.meshX * h.meshY != h.numCores)
+        return fail("trace geometry " + std::to_string(h.meshX) + "x" +
+                    std::to_string(h.meshY) +
+                    " disagrees with its core count " +
+                    std::to_string(h.numCores));
+    if (num_mcs == 0 || num_mcs > h.numCores)
+        return fail("implausible memory-controller count " +
+                    std::to_string(num_mcs));
+    h.mcTiles.resize(num_mcs);
+    for (auto &t : h.mcTiles) {
+        if (!u32(t))
             return false;
-        if (h.meshX == 0 || h.meshY == 0 ||
-            h.meshX > Topology::maxDim || h.meshY > Topology::maxDim ||
-            h.meshX * h.meshY > maxTiles)
-            return fail("trace records an out-of-range mesh " +
-                        std::to_string(h.meshX) + "x" +
-                        std::to_string(h.meshY));
-        if (h.meshX * h.meshY != h.numCores)
-            return fail("trace geometry " + std::to_string(h.meshX) +
-                        "x" + std::to_string(h.meshY) +
-                        " disagrees with its core count " +
-                        std::to_string(h.numCores));
-        if (num_mcs == 0 || num_mcs > h.numCores)
-            return fail("implausible memory-controller count " +
-                        std::to_string(num_mcs));
-        h.mcTiles.resize(num_mcs);
-        for (auto &t : h.mcTiles) {
-            if (!u32(t))
-                return false;
-            if (t >= h.numCores)
-                return fail("memory-controller tile " +
-                            std::to_string(t) + " outside the mesh");
-        }
-        auto sorted = h.mcTiles;
-        std::sort(sorted.begin(), sorted.end());
-        if (std::adjacent_find(sorted.begin(), sorted.end()) !=
-            sorted.end())
-            return fail("duplicate memory-controller tile in header");
+        if (t >= h.numCores)
+            return fail("memory-controller tile " + std::to_string(t) +
+                        " outside the mesh");
     }
+    auto sorted = h.mcTiles;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
+        return fail("duplicate memory-controller tile in header");
     if (!str(h.name) || !str(h.inputDesc) || !u64(h.numRegions) ||
         !u64(h.numBarriers) || !u64(h.totalOps))
         return false;

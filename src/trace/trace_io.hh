@@ -13,9 +13,8 @@
  *
  *   magic      8 bytes  "WASTETRC"
  *   version    u32      currently 2
- *   header     numCores u32,
- *              [v2+] meshX u32, meshY u32,
- *                    numMcTiles u32, mcTiles u32[numMcTiles],
+ *   header     numCores u32, meshX u32, meshY u32,
+ *              numMcTiles u32, mcTiles u32[numMcTiles],
  *              name str, inputDesc str,
  *              numRegions u64, numBarriers u64, totalOps u64
  *   regions    numRegions x { name str, base u64, size u64,
@@ -31,13 +30,11 @@
  * validated on read (op types, barrier indices, core count).
  *
  * Version history:
- *   1  core count only — the mesh shape and memory-controller
- *      placement of the recording system were not captured, so
- *      replays could only validate the tile count.
+ *   1  core count only; the mesh shape and memory-controller
+ *      placement were not captured.  No longer readable.
  *   2  full geometry (mesh dims + MC tile list): traces are
  *      self-describing and TraceWorkload::load() validates the
- *      complete topology, not just the core count.  v1 files are
- *      still readable; their geometry is unknown (meshX == 0).
+ *      complete topology, not just the core count.
  */
 
 #ifndef WASTESIM_TRACE_TRACE_IO_HH
@@ -54,7 +51,7 @@
 namespace wastesim
 {
 
-/** Current trace format version (v1 remains readable). */
+/** The trace format version written and read. */
 constexpr std::uint32_t traceFormatVersion = 2;
 
 /** Trace file metadata. */
@@ -63,11 +60,7 @@ struct TraceHeader
     std::uint32_t version = traceFormatVersion;
     std::uint32_t numCores = numTiles;
 
-    /**
-     * Recorded geometry (v2+): mesh dims and memory-controller tile
-     * list.  meshX == 0 marks a v1 trace whose geometry was never
-     * captured; such traces validate by core count only.
-     */
+    /** Recorded geometry: mesh dims and memory-controller tiles. */
     std::uint32_t meshX = 0;
     std::uint32_t meshY = 0;
     std::vector<std::uint32_t> mcTiles;
@@ -77,9 +70,6 @@ struct TraceHeader
     std::uint64_t numRegions = 0;
     std::uint64_t numBarriers = 0;
     std::uint64_t totalOps = 0;
-
-    /** True when the header carries the full recorded geometry. */
-    bool hasTopology() const { return meshX != 0; }
 };
 
 /** Streams a trace file section by section. */

@@ -76,12 +76,11 @@ TraceWorkload::load(const std::string &path, Topology topo,
                      " (re-record the trace or pass a matching "
                      "--mesh)");
     }
-    // v2 traces are self-describing: the full recorded geometry —
-    // mesh shape and MC placement, not just the core count — must
-    // match, or the replay would route traffic over a different NoC
-    // and memory system than the capture.  v1 traces never recorded
-    // geometry, so the core-count check above is all they can offer.
-    if (wl->hasRecordedTopology() && wl->topo() != topo) {
+    // Traces are self-describing: the full recorded geometry — mesh
+    // shape and MC placement, not just the core count — must match,
+    // or the replay would route traffic over a different NoC and
+    // memory system than the capture.
+    if (wl->topo() != topo) {
         return loadError(
             err, path + ": trace was recorded on " +
                      wl->topo().describe() +
@@ -89,7 +88,6 @@ TraceWorkload::load(const std::string &path, Topology topo,
                      " (re-record the trace or pass a matching "
                      "--mesh/--mc-tiles)");
     }
-    wl->topo_ = std::move(topo);
     return wl;
 }
 
@@ -111,21 +109,15 @@ TraceWorkload::loadAnyTopology(const std::string &path,
         return set_err(path + ": " + r.error());
 
     // Cannot use make_unique: the constructor is private.  The
-    // recorded core count, not the default topology, sizes the
-    // streams; load() installs the caller's topology after checking.
-    std::unique_ptr<TraceWorkload> wl(new TraceWorkload(Topology{}));
-    wl->traces_.clear();
-    wl->traces_.resize(h.numCores);
+    // recorded geometry (the reader validated dims and MC tiles, so
+    // construction cannot fatal) sizes the streams; load() checks it
+    // against the caller's topology.
+    std::unique_ptr<TraceWorkload> wl(new TraceWorkload(Topology(
+        h.meshX, h.meshY,
+        std::vector<NodeId>(h.mcTiles.begin(), h.mcTiles.end()))));
     wl->name_ = h.name;
     wl->inputDesc_ = h.inputDesc;
     wl->path_ = path;
-    if (h.hasTopology()) {
-        // v2: rebuild the recorded geometry (the reader validated
-        // dims and MC tiles, so construction cannot fatal).
-        std::vector<NodeId> mcs(h.mcTiles.begin(), h.mcTiles.end());
-        wl->topo_ = Topology(h.meshX, h.meshY, std::move(mcs));
-        wl->hasRecordedTopo_ = true;
-    }
 
     for (std::uint64_t i = 0; i < h.numRegions; ++i) {
         Region reg;

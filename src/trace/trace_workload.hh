@@ -48,10 +48,8 @@ class TraceWorkload : public Workload
      * Load a trace file for replay on @p topo.  A trace records the
      * per-core streams of the topology it was captured on; replaying
      * it on a mismatched system is rejected with a clear error rather
-     * than producing out-of-bounds or mis-routed streams.  Format v2
-     * traces validate the full geometry (mesh dims + MC placement);
-     * v1 traces never recorded geometry, so only their core count can
-     * be checked.
+     * than producing out-of-bounds or mis-routed streams: the full
+     * recorded geometry (mesh dims + MC placement) must match.
      *
      * @return the workload, or nullptr with @p err set (when given).
      */
@@ -67,10 +65,9 @@ class TraceWorkload : public Workload
     }
 
     /**
-     * Load without a target topology (inspection only, e.g.
-     * `wastesim info`): the recorded core count is accepted as-is.
-     * The result must not be simulated — System rejects workloads
-     * whose core count disagrees with its topology.
+     * Load on the recorded topology, whatever it is: topo() is the
+     * capture topology (`wastesim info`, and `replay` without
+     * topology flags).
      */
     static std::unique_ptr<TraceWorkload>
     loadAnyTopology(const std::string &path, std::string *err = nullptr);
@@ -81,20 +78,12 @@ class TraceWorkload : public Workload
     /** Path the trace was loaded from. */
     const std::string &path() const { return path_; }
 
-    /**
-     * True when the file carried its full recorded geometry (format
-     * v2+); topo() is then the capture topology until load() installs
-     * the caller's.  v1 traces only recorded a core count.
-     */
-    bool hasRecordedTopology() const { return hasRecordedTopo_; }
-
   private:
     explicit TraceWorkload(Topology topo) : Workload(std::move(topo)) {}
 
     std::string name_;
     std::string inputDesc_;
     std::string path_;
-    bool hasRecordedTopo_ = false;
 };
 
 } // namespace wastesim

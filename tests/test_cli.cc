@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <sys/stat.h>
 #include <sys/wait.h>
 
 namespace
@@ -16,12 +17,13 @@ struct Result
     std::string out; //!< stdout and stderr, interleaved
 };
 
-/** Run `wastesim ARGS` through the shell. */
+/** Run `ENV wastesim ARGS` through the shell; @p env holds
+ *  NAME=VALUE assignments. */
 Result
-run(const std::string &args)
+run(const std::string &args, const std::string &env = "")
 {
-    const std::string cmd =
-        std::string(WASTESIM_BINARY_DIR "/wastesim ") + args + " 2>&1";
+    const std::string cmd = env + " " WASTESIM_BINARY_DIR "/wastesim " +
+                            args + " 2>&1";
     Result r;
     std::FILE *p = popen(cmd.c_str(), "r");
     if (!p)
@@ -75,4 +77,36 @@ TEST(Cli, UnknownOptionStillFails)
     EXPECT_NE(r.status, 0) << r.out;
     EXPECT_NE(r.out.find("unknown option '--bogus'"), std::string::npos)
         << r.out;
+}
+
+TEST(Cli, NoCacheEnvBypassesCacheReadAndWrite)
+{
+    const std::string path = "cli_no_cache.cache";
+    std::remove(path.c_str());
+    const std::string sweep = "sweep --mesh 2x2 --jobs 2 --report headline";
+    auto inode = [&path] {
+        struct stat st{};
+        return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+    };
+
+    const Result fill = run(sweep, "WASTESIM_CACHE=" + path);
+    ASSERT_EQ(fill.status, 0) << fill.out;
+    EXPECT_NE(fill.out.find("sweep: 54 cells (0 cached, 54 computed)\n"),
+              std::string::npos)
+        << fill.out;
+    const ino_t before = inode();
+    ASSERT_NE(before, 0u);
+
+    // A full cache for this grid, yet every cell is simulated again
+    // (no read), and the file is not replaced (no write: each save is
+    // an atomic rename, so a write would change its inode).
+    const Result bypass =
+        run(sweep, "WASTESIM_NO_CACHE=1 WASTESIM_CACHE=" + path);
+    EXPECT_EQ(bypass.status, 0) << bypass.out;
+    EXPECT_NE(bypass.out.find("sweep: 54 cells (0 cached, 54 computed) "
+                              "[cache disabled]\n"),
+              std::string::npos)
+        << bypass.out;
+    EXPECT_EQ(inode(), before);
+    std::remove(path.c_str());
 }

@@ -1,14 +1,19 @@
-/** Unit tests: figure renderers on hand-built sweep data, golden
- *  snapshots over the committed 4x4 sweep cache, and the structured
- *  figure emitters. */
+/** Unit tests: figure builders on hand-built sweep data, golden
+ *  snapshots over the committed 4x4 sweep cache, the structured
+ *  figure emitters and the paper-claims table. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 
 #include "golden_util.hh"
+#include "metrics/run_result_schema.hh"
+#include "system/paper_claims.hh"
 #include "system/report.hh"
 #include "system/sweep_engine.hh"
 
@@ -82,7 +87,7 @@ syntheticSweep()
 
 TEST(Report, Fig51aNormalizesToMesiTotal)
 {
-    const std::string out = renderFig51a(syntheticSweep());
+    const std::string out = renderFigure(buildFig51a(syntheticSweep()));
     // MESI row: LD 50%, ST 25%, WB 12.5%, OH 12.5%, total 100%.
     EXPECT_NE(out.find("50.0%"), std::string::npos);
     EXPECT_NE(out.find("25.0%"), std::string::npos);
@@ -94,7 +99,7 @@ TEST(Report, Fig51aNormalizesToMesiTotal)
 
 TEST(Report, Fig51bNormalizesToMesiLoad)
 {
-    const std::string out = renderFig51b(syntheticSweep());
+    const std::string out = renderFigure(buildFig51b(syntheticSweep()));
     // MESI load: req 10%, L1 used 60%, L1 waste 30% of LD=100.
     EXPECT_NE(out.find("10.0%"), std::string::npos);
     EXPECT_NE(out.find("60.0%"), std::string::npos);
@@ -103,7 +108,7 @@ TEST(Report, Fig51bNormalizesToMesiLoad)
 
 TEST(Report, Fig52ShowsTimeCategories)
 {
-    const std::string out = renderFig52(syntheticSweep());
+    const std::string out = renderFigure(buildFig52(syntheticSweep()));
     EXPECT_NE(out.find("Compute"), std::string::npos);
     EXPECT_NE(out.find("Sync"), std::string::npos);
     // MESI: busy 10%, mem 90%; DBypFull total 50%.
@@ -113,10 +118,10 @@ TEST(Report, Fig52ShowsTimeCategories)
 
 TEST(Report, Fig53MemoryIncludesExcessColumn)
 {
-    const std::string l1 = renderFig53(syntheticSweep(),
-                                       WasteLevel::L1);
-    const std::string mem = renderFig53(syntheticSweep(),
-                                        WasteLevel::Memory);
+    const std::string l1 =
+        renderFigure(buildFig53(syntheticSweep(), WasteLevel::L1));
+    const std::string mem =
+        renderFigure(buildFig53(syntheticSweep(), WasteLevel::Memory));
     EXPECT_EQ(l1.find("Excess"), std::string::npos);
     EXPECT_NE(mem.find("Excess"), std::string::npos);
 }
@@ -125,7 +130,7 @@ TEST(Report, OverheadHandlesZeroOverhead)
 {
     Sweep s = syntheticSweep();
     s.results[0][1].traffic.ohUnblock = 0;
-    const std::string out = renderOverheadComposition(s);
+    const std::string out = renderFigure(buildOverheadComposition(s));
     EXPECT_NE(out.find("-"), std::string::npos); // placeholder cells
 }
 
@@ -135,13 +140,13 @@ TEST(Report, HeadlineNeedsKeyProtocols)
     s.benchNames = {"toy"};
     s.protoNames = {"OnlyOne"};
     s.results = {{RunResult{}}};
-    const std::string out = renderHeadline(s);
+    const std::string out = renderFigure(buildHeadline(s));
     EXPECT_NE(out.find("lacks"), std::string::npos);
 }
 
 TEST(Report, HeadlineComputesReductions)
 {
-    const std::string out = renderHeadline(syntheticSweep());
+    const std::string out = renderFigure(buildHeadline(syntheticSweep()));
     // 100 vs 200 flit-hops: 50% reduction.
     EXPECT_NE(out.find("50.0%"), std::string::npos);
     EXPECT_NE(out.find("39.5%"), std::string::npos); // paper column
@@ -152,7 +157,7 @@ TEST(Report, EmptyBaselineDoesNotDivideByZero)
     Sweep s = syntheticSweep();
     s.results[0][0].traffic = TrafficStats{}; // zero MESI traffic
     // Must not crash; all entries become 0%.
-    const std::string out = renderFig51a(s);
+    const std::string out = renderFigure(buildFig51a(s));
     EXPECT_FALSE(out.empty());
 }
 
@@ -165,7 +170,7 @@ class ReportGolden
 
 TEST_P(ReportGolden, RendersByteIdenticallyToSnapshot)
 {
-    // Every figure renderer, over the real 54-cell golden sweep, must
+    // Every figure, over the real 54-cell golden sweep, must
     // reproduce its committed text snapshot byte for byte — the
     // snapshots were captured from the historical hand-rolled
     // renderers, so this pins the whole structured pipeline (builder
@@ -188,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllFigures, ReportGolden,
     ::testing::Values("fig5.1a", "fig5.1b", "fig5.1c", "fig5.1d",
                       "fig5.2", "fig5.3a", "fig5.3b", "fig5.3c",
-                      "overhead", "headline"),
+                      "overhead", "headline", "paper"),
     [](const auto &info) {
         std::string n = info.param;
         for (char &c : n)
@@ -196,21 +201,6 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
-
-TEST(ReportGoldenWrappers, LegacyRenderersMatchSnapshots)
-{
-    const Sweep &s = goldenSweep();
-    EXPECT_EQ(renderFig51a(s),
-              fileBytes(goldenPath("reports/fig5_1a.txt")));
-    EXPECT_EQ(renderFig52(s),
-              fileBytes(goldenPath("reports/fig5_2.txt")));
-    EXPECT_EQ(renderFig53(s, WasteLevel::Memory),
-              fileBytes(goldenPath("reports/fig5_3c.txt")));
-    EXPECT_EQ(renderOverheadComposition(s),
-              fileBytes(goldenPath("reports/overhead.txt")));
-    EXPECT_EQ(renderHeadline(s),
-              fileBytes(goldenPath("reports/headline.txt")));
-}
 
 // --- structured emitters ----------------------------------------------------
 
@@ -278,6 +268,98 @@ TEST(ReportRegistry, EveryListedNameBuilds)
     EXPECT_FALSE(
         buildReportByName("no-such-report", goldenSweep(), Topology{},
                           f));
+}
+
+// --- the paper's claims -----------------------------------------------------
+
+TEST(PaperClaims, EveryClaimNamesKnownProtocolsBenchmarksAndReports)
+{
+    std::set<std::string> metrics, benches;
+    for (const Metric &m : metricsSchema())
+        metrics.insert(m.path);
+    for (BenchmarkName b : allBenchmarks)
+        benches.insert(benchmarkName(b));
+    const std::vector<std::string> &reports = reportNames();
+    auto known_proto = [](const char *name) {
+        ProtocolName p;
+        return name && protocolFromName(name, p);
+    };
+
+    ASSERT_FALSE(paperClaims().empty());
+    for (const PaperClaim &c : paperClaims()) {
+        SCOPED_TRACE(c.label);
+        EXPECT_NE(std::find(reports.begin(), reports.end(), c.figure),
+                  reports.end());
+        EXPECT_TRUE(known_proto(c.from));
+        const bool reduce = c.shape == ClaimShape::Reduction;
+        EXPECT_EQ(known_proto(c.to), reduce);
+        EXPECT_EQ(c.whole == nullptr, reduce);
+        if (c.whole) {
+            EXPECT_TRUE(metrics.count(c.whole));
+        }
+        EXPECT_TRUE(metrics.count(c.metric));
+        if (c.bench) {
+            EXPECT_TRUE(benches.count(c.bench)) << c.bench;
+        }
+        EXPECT_GT(c.paper, 0.0);
+        EXPECT_LT(c.paper, 1.0);
+        // Every claim measures to a number on the full golden grid.
+        const auto m = measureClaim(c, goldenSweep());
+        ASSERT_TRUE(m.has_value());
+        EXPECT_TRUE(std::isfinite(*m));
+    }
+}
+
+TEST(PaperClaims, HeadlineRowsAreTheHeadlineClaimsInTableOrder)
+{
+    std::vector<std::pair<std::string, double>> want, got;
+    for (const PaperClaim &c : paperClaims())
+        if (c.headline)
+            want.emplace_back(c.label, c.paper);
+    const Figure f = buildHeadline(goldenSweep());
+    ASSERT_EQ(f.tables.size(), 1u);
+    for (const FigureRow &row : f.tables[0].rows)
+        got.emplace_back(row.labels.at(0), row.values.at(1));
+    EXPECT_EQ(got, want);
+}
+
+TEST(PaperClaims, MeasuresBothShapesOnKnownNumbers)
+{
+    const Sweep s = syntheticSweep();
+    // 200 -> 100 flit-hops: a 50% reduction.
+    PaperClaim c{"fig5.1a", "traffic", 0.5, ClaimShape::Reduction,
+                 "traffic.total", nullptr, "MESI", "DBypFull", nullptr,
+                 false};
+    EXPECT_DOUBLE_EQ(measureClaim(c, s).value(), 0.5);
+    // One benchmark only: one the sweep lacks leaves no mean.
+    c.bench = "LU";
+    EXPECT_TRUE(std::isnan(measureClaim(c, s).value()));
+    // A protocol the sweep lacks: no value at all.
+    c.bench = nullptr;
+    c.to = "DeNovo";
+    EXPECT_FALSE(measureClaim(c, s).has_value());
+
+    // MESI overhead is 25 of 200 flit-hops.
+    const PaperClaim sh{"overhead", "share", 0.1, ClaimShape::Share,
+                        "traffic.oh.total", "traffic.total", "MESI",
+                        nullptr, nullptr, false};
+    EXPECT_DOUBLE_EQ(measureClaim(sh, s).value(), 0.125);
+}
+
+TEST(PaperClaims, PaperReportNamesTheLargestDelta)
+{
+    Figure f;
+    ASSERT_TRUE(buildReportByName("paper", goldenSweep(), Topology{}, f));
+    ASSERT_EQ(f.tables.size(), 2u);
+    const FigureTable &all = f.tables[0];
+    ASSERT_EQ(all.rows.size(), paperClaims().size());
+    double worst = 0;
+    for (const FigureRow &row : all.rows) {
+        EXPECT_DOUBLE_EQ(row.values[2], row.values[0] - row.values[1]);
+        worst = std::max(worst, std::fabs(row.values[2]));
+    }
+    ASSERT_EQ(f.tables[1].rows.size(), 1u);
+    EXPECT_EQ(std::fabs(f.tables[1].rows[0].values[2]), worst);
 }
 
 // --- placement study --------------------------------------------------------

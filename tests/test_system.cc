@@ -108,17 +108,13 @@ TEST(System, ReportsRenderWithoutCrashing)
                        {ProtocolName::MESI, ProtocolName::MMemL1,
                         ProtocolName::DFlexL1, ProtocolName::DBypFull},
                        1, SimParams::scaled());
-    for (const std::string &out :
-         {renderFig51a(s), renderFig51b(s), renderFig51c(s),
-          renderFig51d(s), renderFig52(s),
-          renderFig53(s, WasteLevel::L1),
-          renderFig53(s, WasteLevel::L2),
-          renderFig53(s, WasteLevel::Memory),
-          renderOverheadComposition(s), renderHeadline(s)}) {
-        EXPECT_FALSE(out.empty());
+    for (const std::string &name : reportNames()) {
+        Figure f;
+        ASSERT_TRUE(buildReportByName(name, s, Topology{}, f)) << name;
+        EXPECT_FALSE(renderFigure(f).empty()) << name;
     }
     // MESI normalizes to 100% of itself.
-    const std::string fig = renderFig51a(s);
+    const std::string fig = renderFigure(buildFig51a(s));
     EXPECT_NE(fig.find("100.0%"), std::string::npos);
 }
 

@@ -238,7 +238,6 @@ TEST(TraceIo, V2HeaderRoundTripsFullGeometry)
         TraceHeader h;
         ASSERT_TRUE(r.readHeader(h)) << r.error();
         EXPECT_EQ(h.version, traceFormatVersion);
-        ASSERT_TRUE(h.hasTopology());
         EXPECT_EQ(h.meshX, 4u);
         EXPECT_EQ(h.meshY, 2u);
         EXPECT_EQ(h.mcTiles, (std::vector<std::uint32_t>{1, 6}));
@@ -248,7 +247,6 @@ TEST(TraceIo, V2HeaderRoundTripsFullGeometry)
     std::string err;
     auto any = TraceWorkload::loadAnyTopology(tmp.path(), &err);
     ASSERT_NE(any, nullptr) << err;
-    EXPECT_TRUE(any->hasRecordedTopology());
     EXPECT_EQ(any->topo(), topo);
 
     auto loaded = TraceWorkload::load(tmp.path(), topo, &err);
@@ -268,59 +266,32 @@ TEST(TraceIo, V2HeaderRoundTripsFullGeometry)
     EXPECT_NE(err.find("recorded on"), std::string::npos) << err;
 }
 
-TEST(TraceIo, ReadsV1TracesByCoreCountOnly)
+TEST(TraceIo, RejectsV1Traces)
 {
-    // Write a v1 file through the versioned writer: same sections,
-    // but the header carries no geometry.  This is byte-identical to
-    // what the PR-1 recorder produced.
+    // Version 1 headers carried no geometry; that format is no longer
+    // read, whatever follows the version field.
     auto src = makeSynthetic([] {
         SynthParams p;
         p.seed = 23;
         p.opsPerCore = 150;
         return p;
     }());
-
-    TempFile tmp("v1compat");
+    TempFile tmp("v1");
+    TraceRecorder rec(tmp.path());
+    ASSERT_TRUE(rec.record(*src)) << rec.error();
     {
-        std::ofstream os(tmp.path(), std::ios::binary);
-        TraceWriter w(os);
-        TraceHeader h;
-        h.version = 1;
-        h.numCores = src->numCores();
-        h.name = src->name();
-        h.inputDesc = src->inputDesc();
-        h.numRegions = src->regions().numRegions();
-        h.numBarriers = src->barriers().size();
-        h.totalOps = src->totalOps();
-        w.writeHeader(h);
-        for (std::size_t i = 0; i < src->regions().numRegions(); ++i)
-            w.writeRegion(
-                src->regions().region(static_cast<RegionId>(i)));
-        for (const BarrierInfo &b : src->barriers())
-            w.writeBarrier(b);
-        for (const Trace &t : src->traces())
-            w.writeTrace(t);
-        w.writeTrailer();
-        ASSERT_TRUE(w.ok());
+        // Patch the version field, just past the 8-byte magic.
+        std::fstream f(tmp.path(),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(8);
+        f.put(1);
+        ASSERT_TRUE(f.good());
     }
 
-    // A v1 trace has no geometry to validate: any topology with the
-    // right core count is accepted (the old behavior).
     std::string err;
-    auto loaded = TraceWorkload::load(tmp.path(), Topology{}, &err);
-    ASSERT_NE(loaded, nullptr) << err;
-    EXPECT_FALSE(loaded->hasRecordedTopology());
-    expectWorkloadsEqual(*src, *loaded);
-
-    auto reshaped =
-        TraceWorkload::load(tmp.path(), Topology(8, 2), &err);
-    ASSERT_NE(reshaped, nullptr) << err;
-
-    // The core count still gates v1 loads.
-    auto too_small =
-        TraceWorkload::load(tmp.path(), Topology(2, 2), &err);
-    EXPECT_EQ(too_small, nullptr);
-    EXPECT_NE(err.find("cores"), std::string::npos) << err;
+    EXPECT_EQ(TraceWorkload::loadAnyTopology(tmp.path(), &err), nullptr);
+    EXPECT_NE(err.find("unsupported trace version 1"), std::string::npos)
+        << err;
 }
 
 TEST(TraceIo, RejectsCorruptV2Geometry)
