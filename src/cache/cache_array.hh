@@ -4,11 +4,16 @@
  * controllers.
  *
  * The simulator is metadata-only: lines carry per-word coherence
- * state, dirty bits and profiler instance references, but no data
- * values (no reported metric depends on values).  CacheLine holds what
- * every controller reads; each controller derives its own line type
+ * state, dirty bits, memory-profiler instance references and the
+ * word profiler's per-word waste state, but no data values (no
+ * reported metric depends on values).  CacheLine holds what every
+ * controller reads; each controller derives its own line type
  * (MesiL1Line, MesiDirLine, DenovoL1Line, DenovoL2Line) with only the
  * fields its protocol reads, and instantiates CacheArray over it.
+ *
+ * The word profiler's state lives only here, so a word it counts as
+ * present must sit in a valid line: resetTo() and invalidate() panic
+ * on a slot whose state still has a present word.
  *
  * An array pays for the lines it holds, not for its geometry: only the
  * packed tag array and a per-set table of way-group pointers are
@@ -34,6 +39,7 @@
 #include "common/log.hh"
 #include "common/types.hh"
 #include "common/word_mask.hh"
+#include "profile/word_profiler.hh"
 
 namespace wastesim
 {
@@ -46,6 +52,12 @@ struct CacheLine
 
     /** Memory-profiler instance carried by each resident word. */
     std::array<InstId, wordsPerLine> memRef;
+    /**
+     * Word-profiler state of the line's words: which are present and
+     * which hold a still unclassified instance (with its class, epoch
+     * and hops).  Only the cache's WordProfiler changes it.
+     */
+    WordProfiler::LineState prof;
 
     WordMask validWords;        //!< words with (conceptually) live data
     WordMask dirtyWords;        //!< words modified vs. the next level
@@ -69,9 +81,10 @@ struct CacheLine
         validWords = WordMask::none();
         dirtyWords = WordMask::none();
         memRef.fill(invalidInst);
+        prof = {};
     }
 };
-static_assert(sizeof(CacheLine) == 88);
+static_assert(sizeof(CacheLine) == 112);
 
 /**
  * A set-associative array of @p Line slots with LRU replacement.
@@ -82,7 +95,7 @@ class CacheArray
 {
   public:
     /**
-     * Ways per line-storage group.  Four keeps a group at 352-512
+     * Ways per line-storage group.  Four keeps a group at 448-608
      * bytes: small enough that sparsely used sets stay cheap, large
      * enough that the malloc header stays under 5% of it.
      */
@@ -144,6 +157,7 @@ class CacheArray
     void
     resetTo(Line &cl, Addr line_addr)
     {
+        checkNoProfiledWords(cl);
         const std::size_t slot = slotIndex(setIndex(line_addr), cl);
         cl.resetTo(line_addr);
         tags_[slot] = line_addr;
@@ -185,6 +199,7 @@ class CacheArray
     void
     invalidate(Line &cl)
     {
+        checkNoProfiledWords(cl);
         tags_[slotIndex(setIndex(cl.line), cl)] = noTag;
         cl.valid = false;
         cl.busy = false;
@@ -232,6 +247,19 @@ class CacheArray
     }
 
   private:
+    /**
+     * A slot losing its line must hold no word the profiler counts as
+     * present: the controller evicts or invalidates them first.
+     */
+    static void
+    checkNoProfiledWords(const Line &cl)
+    {
+        panic_if(!cl.prof.present().empty(),
+                 "line %llx leaves its slot with profiled words %s",
+                 static_cast<unsigned long long>(cl.line),
+                 cl.prof.present().toString().c_str());
+    }
+
     /** Tag slot of invalid ways (never a real line address). */
     static constexpr Addr noTag = ~Addr(0);
 
@@ -278,7 +306,7 @@ class CacheArray
     std::vector<std::unique_ptr<Line[]>> groups_;
     /**
      * Packed tag array, sets_ x ways_ (noTag = invalid way).  A line
-     * is 88-128 bytes, so a ways-wide lookup over the lines touches
+     * is 112-152 bytes, so a ways-wide lookup over the lines touches
      * one or two cache lines per way; scanning the packed tags touches
      * one or two for the whole set.
      */

@@ -3,22 +3,24 @@
  * FlatMap: an open-addressing hash map from Addr-sized keys to small
  * values, used on the profiling hot path.
  *
- * The per-word profilers perform millions of find/insert/erase
+ * The memory profiler performs millions of find/insert/erase
  * operations per simulated run; std::unordered_map pays a node
  * allocation per insert and a pointer chase per lookup.  This map
  * stores slots in one flat array (linear probing, backward-shift
  * deletion, power-of-two capacity), so lookups are cache-friendly.
  *
- * A map whose values can go dead in place (a line slot whose words
- * all left the cache) takes a dead-value predicate.  When an insert
- * would pass the load limit, the map first erases every dead slot in
- * place, and doubles only if the live entries still fill more than
- * half the limit.  Its size then follows the live keys, not every key
- * the run ever touched, and once the table has room for the largest
- * live set, operation never allocates.  Erasing a value the moment it
- * goes dead is the obvious alternative and is slower: on the paper's
- * 4x4 grid, erase/re-insert churn on lines that leave and return cost
- * about 9% of wall-clock, where purging before growth was neutral.
+ * A map whose values can go dead in place (a line's instance-list
+ * heads once none of its words has an open instance) takes a
+ * dead-value predicate.  When an insert would pass the load limit,
+ * the map first erases every dead slot in place, and doubles only if
+ * the live entries still fill more than half the limit.  Its size
+ * then follows the live keys, not every key the run ever touched, and
+ * once the table has room for the largest live set, operation never
+ * allocates.  Erasing a value the moment it goes dead is the obvious
+ * alternative and is slower: on the paper's 4x4 grid, erase/re-insert
+ * churn on lines that leave and return cost about 9% of wall-clock in
+ * a per-line word-profiler table, where purging before growth was
+ * neutral.
  *
  * Determinism note: no simulation result may depend on iteration
  * order; this map deliberately provides no iteration, so replacing

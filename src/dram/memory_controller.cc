@@ -142,11 +142,12 @@ MemoryController::finishRead(const Message &req, Tick arrive,
         if (send.empty())
             continue;
         LineChunk oc(c.line, send);
+        const WordMask in_l2 = presentInL2_(c.line);
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!send.test(w))
                 continue;
-            const Addr word_num = wordNumber(c.line) + w;
-            oc.memRef[w] = prof_.create(word_num, presentInL2_(c.line, w));
+            oc.memRef[w] =
+                prof_.create(wordNumber(c.line) + w, in_l2.test(w));
             ++wordsSent_;
         }
         out.push_back(std::move(oc));

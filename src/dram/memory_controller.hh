@@ -46,8 +46,8 @@ constexpr unsigned excl = 8;     //!< MESI: fill grants the E state
 class MemoryController : public MessageHandler
 {
   public:
-    /** Queries whether a word is present (valid) in the home L2. */
-    using PresenceFn = std::function<bool(Addr line, unsigned widx)>;
+    /** The words of @p line present (valid) in its home L2 slice. */
+    using PresenceFn = std::function<WordMask(Addr line)>;
 
     MemoryController(unsigned channel, EventQueue &eq, Network &net,
                      DramChannel &dram, MemProfiler &prof,

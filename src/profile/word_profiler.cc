@@ -1,94 +1,52 @@
 #include "profile/word_profiler.hh"
 
-#include "common/log.hh"
-
 namespace wastesim
 {
 
 void
-WordProfiler::openInstance(LineSlot &ls, unsigned w, TrafficClass cls,
-                           unsigned hops)
+WordProfiler::openInstances(LineState &s, std::uint16_t bits,
+                            TrafficClass cls, unsigned hops)
 {
-    const std::uint16_t bit = static_cast<std::uint16_t>(1u << w);
-    const bool ld = cls == TrafficClass::Load;
-    ls.mask |= bit;
-    ls.open |= bit;
-    ls.load = ld ? ls.load | bit : ls.load & ~bit;
-    ls.epoch = epochMarked_ ? ls.epoch | bit : ls.epoch & ~bit;
-    ls.hops[w] = static_cast<std::uint8_t>(hops);
-    ++tally_[static_cast<unsigned>(WasteCat::Unclassified)];
-    quarters_[ld][false] += hops;
-}
-
-void
-WordProfiler::arrive(Addr word_num, TrafficClass cls, unsigned hops)
-{
-    LineSlot &ls = present_.getOrDefault(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    if (ls.mask & (1u << w)) {
-        // Word already present: the arriving copy is Fetch waste
-        // (Fig. 4.1/4.2, "word present in cache? yes -> Fetch").
-        ++tally_[static_cast<unsigned>(WasteCat::Fetch)];
-        quarters_[cls == TrafficClass::Load][false] += hops;
+    if (!bits)
         return;
+    const bool ld = cls == TrafficClass::Load;
+    s.mask_ |= bits;
+    s.open_ |= bits;
+    s.load_ = static_cast<std::uint16_t>(ld ? s.load_ | bits
+                                            : s.load_ & ~bits);
+    s.epoch_ = static_cast<std::uint16_t>(epochMarked_ ? s.epoch_ | bits
+                                                       : s.epoch_ & ~bits);
+    const auto h = static_cast<std::uint8_t>(hops);
+    for (unsigned w = 0; w < wordsPerLine; ++w)
+        s.hops_[w] = (bits >> w) & 1u ? h : s.hops_[w];
+    const unsigned n = std::popcount(bits);
+    tally_[static_cast<unsigned>(WasteCat::Unclassified)] += n;
+    quarters_[ld][false] += std::uint64_t{hops} * n;
+}
+
+void
+WordProfiler::arrive(LineState &s, WordMask words, TrafficClass cls,
+                     unsigned hops)
+{
+    // Words already present: the arriving copies are Fetch waste.
+    const unsigned fetched = std::popcount(
+        static_cast<std::uint16_t>(words.raw() & s.mask_));
+    tally_[static_cast<unsigned>(WasteCat::Fetch)] += fetched;
+    quarters_[cls == TrafficClass::Load][false] +=
+        std::uint64_t{hops} * fetched;
+    openInstances(s, static_cast<std::uint16_t>(words.raw() & ~s.mask_),
+                  cls, hops);
+}
+
+void
+WordProfiler::bankUsed(const LineState &s, std::uint16_t in)
+{
+    for (std::uint16_t b = in; b; b &= static_cast<std::uint16_t>(b - 1)) {
+        const unsigned w = std::countr_zero(b);
+        const bool ld = (s.load_ >> w) & 1u;
+        quarters_[ld][false] -= s.hops_[w];
+        quarters_[ld][true] += s.hops_[w];
     }
-    openInstance(ls, w, cls, hops);
-}
-
-void
-WordProfiler::arriveUntracked(Addr word_num)
-{
-    present_.getOrDefault(lineKey(word_num)).mask |=
-        static_cast<std::uint16_t>(1u << widx(word_num));
-}
-
-void
-WordProfiler::arriveReplace(Addr word_num, TrafficClass cls,
-                            unsigned hops)
-{
-    LineSlot &ls = present_.getOrDefault(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    classify(ls, w, WasteCat::Write);
-    openInstance(ls, w, cls, hops);
-}
-
-void
-WordProfiler::writeKill(Addr word_num)
-{
-    if (LineSlot *ls = present_.find(lineKey(word_num)))
-        remove(*ls, widx(word_num), WasteCat::Write);
-}
-
-void
-WordProfiler::respUsed(Addr word_num)
-{
-    if (LineSlot *ls = present_.find(lineKey(word_num)))
-        classify(*ls, widx(word_num), WasteCat::Used);
-}
-
-void
-WordProfiler::overwrite(Addr word_num)
-{
-    LineSlot &ls = present_.getOrDefault(lineKey(word_num));
-    const unsigned w = widx(word_num);
-    classify(ls, w, WasteCat::Write);
-    ls.mask |= static_cast<std::uint16_t>(1u << w);
-}
-
-void
-WordProfiler::evict(Addr word_num)
-{
-    if (LineSlot *ls = present_.find(lineKey(word_num)))
-        remove(*ls, widx(word_num), WasteCat::Evict);
-}
-
-void
-WordProfiler::invalidate(Addr word_num)
-{
-    if (LineSlot *ls = present_.find(lineKey(word_num)))
-        remove(*ls, widx(word_num),
-               level_ == Level::L1 ? WasteCat::Invalidate
-                                   : WasteCat::Evict);
 }
 
 void

@@ -18,11 +18,21 @@
  *
  * No per-instance record outlives its classification: an instance is
  * tallied into per-category counters the moment it is classified, and
- * the only instance that can still be open is a word's resident copy,
- * whose state lives in its cache line's LineSlot.  A slot whose words
- * have all left the cache is dead; the line table purges dead slots
- * before it grows, so it stays within twice the slots the cache's
- * largest resident set needs, not the lines it has ever received.
+ * the only instance that can still be open is a word's resident copy.
+ * That copy's state lives in the cache line holding the word
+ * (CacheLine::prof, a WordProfiler::LineState), so the profiler keeps
+ * only its tallies and never allocates.  Every call takes the line's
+ * state and the words it concerns, and classifies them bit-parallel.
+ *
+ * A line state's present words are not the line's validWords.  At a
+ * DeNovo L1, a word the core wrote under write-validate is present
+ * (registered) without being valid.  At a MESI L2, the clean words of
+ * an L1 writeback become valid without a profiled arrival; under
+ * MMemL1 a store miss's line reaches the L2 only that way.  What the
+ * arrays do guarantee is that every present word sits in a valid line
+ * of its cache: CacheArray panics if it drops or reuses a slot whose
+ * state still has a present word.
+ *
  * Banked traffic is an integer count of quarter flit-hops (one word's
  * share of a data flit), so sums are exact in any order.
  */
@@ -31,12 +41,13 @@
 #define WASTESIM_PROFILE_WORD_PROFILER_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
-#include "common/flat_map.hh"
 #include "common/log.hh"
 #include "common/topology.hh"
 #include "common/types.hh"
+#include "common/word_mask.hh"
 #include "profile/waste.hh"
 
 namespace wastesim
@@ -49,99 +60,139 @@ class WordProfiler
     /** Which FSM flavor this profiler implements. */
     enum class Level { L1, L2 };
 
+    /** Longest route (Message::hops) on the largest mesh. */
+    static constexpr unsigned maxHops = 2 * (Topology::maxDim - 1) + 1;
+    static_assert(maxHops <= UINT8_MAX, "hops must fit a LineState byte");
+
+    /**
+     * Presence state of one cache line's words, kept in the line and
+     * changed only by WordProfiler.  A present word with its open bit
+     * clear is untracked or already classified; an open word is the
+     * resident, still unclassified instance, which carries its traffic
+     * class (load bit), whether it counts toward this run's window
+     * (epoch bit) and its route length in hops.
+     */
+    class LineState
+    {
+      public:
+        /** Words the profiler counts as present in the line. */
+        WordMask present() const { return WordMask(mask_); }
+
+      private:
+        friend class WordProfiler;
+        std::uint16_t mask_ = 0;
+        std::uint16_t open_ = 0; //!< subset of mask_
+        std::uint16_t load_ = 0;
+        std::uint16_t epoch_ = 0;
+        std::array<std::uint8_t, wordsPerLine> hops_{};
+    };
+    static_assert(sizeof(LineState) == 24);
+
     explicit WordProfiler(Level level) : level_(level) {}
 
     /**
-     * A tracked word arrives in a data message.
+     * Tracked @p words arrive in a data message.  A word already
+     * present is Fetch waste (Fig. 4.1/4.2, "word present in cache?
+     * yes -> Fetch"); the others become present with open instances.
      *
-     * @param word_num global word number (address / 4)
-     * @param cls      traffic class of the delivering message
-     * @param hops     route length of the delivering message
-     *                 (Message::hops, at most maxHops); the word banks
-     *                 its per-word share, hops / wordsPerFlit data
-     *                 flit-hops
+     * @param cls  traffic class of the delivering message
+     * @param hops route length of the delivering message
+     *             (Message::hops, at most maxHops); each word banks its
+     *             per-word share, hops / wordsPerFlit data flit-hops
      */
-    void arrive(Addr word_num, TrafficClass cls, unsigned hops);
+    void arrive(LineState &s, WordMask words, TrafficClass cls,
+                unsigned hops);
 
     /**
-     * A word becomes present without a profiled fetch: store-allocated
+     * Words become present without a profiled fetch: store-allocated
      * at the L1 under write-validate, or installed by an L1 writeback
-     * at the L2.  Subsequent tracked arrivals of the word classify as
-     * Fetch waste.
+     * at the L2.  Later tracked arrivals of them classify as Fetch.
      */
-    void arriveUntracked(Addr word_num);
-
-    /** The core reads the word (L1) — classifies Used. */
     void
-    load(Addr word_num)
+    arriveUntracked(LineState &s, WordMask words)
     {
-        LineSlot *ls = present_.find(lineKey(word_num));
-        const unsigned w = widx(word_num);
-        panic_if(!ls || !(ls->mask & (1u << w)),
-                 "L1 load hit on word %llu the profiler believes absent",
-                 static_cast<unsigned long long>(word_num));
-        classify(*ls, w, WasteCat::Used);
+        s.mask_ |= words.raw();
+    }
+
+    /** The core reads word @p w (L1) — classifies Used. */
+    void
+    load(LineState &s, unsigned w)
+    {
+        const std::uint16_t bit = static_cast<std::uint16_t>(1u << w);
+        panic_if(!(s.mask_ & bit),
+                 "L1 load hit on word %u the profiler believes absent", w);
+        classify(s, bit, WasteCat::Used);
     }
 
     /**
-     * The core writes the word (L1).  An open instance is classified
+     * The core writes word @p w (L1).  An open instance is classified
      * Write (overwritten before use); an absent word becomes present
      * untracked (write-validate allocation).
      */
     void
-    store(Addr word_num)
+    store(LineState &s, unsigned w)
     {
-        LineSlot &ls = present_.getOrDefault(lineKey(word_num));
-        const unsigned w = widx(word_num);
-        if (ls.mask & (1u << w))
-            classify(ls, w, WasteCat::Write);
-        else
-            ls.mask |= 1u << w; // write-validate: present, untracked
+        const std::uint16_t bit = static_cast<std::uint16_t>(1u << w);
+        classify(s, bit, WasteCat::Write);
+        s.mask_ |= bit;
     }
 
     /**
-     * The L2's resident copy of this word satisfied a request (an L2
+     * The L2's resident copies of @p words satisfied a request (an L2
      * hit) — classifies Used.  Demand-fill forwards do not count: a
      * fetched word only becomes Used through reuse.
      */
-    void respUsed(Addr word_num);
+    void
+    respUsed(LineState &s, WordMask words)
+    {
+        classify(s, words.raw(), WasteCat::Used);
+    }
 
     /**
-     * Newer data for a tracked word arrives (e.g. an owner's dirty
-     * copy reaching the L2): the old open instance becomes Write waste
-     * and the arriving one takes over as the resident instance.
+     * Newer data for @p words arrives (e.g. an owner's dirty copy
+     * reaching the L2): old open instances become Write waste and the
+     * arriving ones take over as the resident instances.
      */
-    void arriveReplace(Addr word_num, TrafficClass cls, unsigned hops);
+    void
+    arriveReplace(LineState &s, WordMask words, TrafficClass cls,
+                  unsigned hops)
+    {
+        classify(s, words.raw(), WasteCat::Write);
+        openInstances(s, words.raw(), cls, hops);
+    }
 
     /**
-     * A remote write kills the resident copy (DeNovo registration
-     * stealing the word): an open instance becomes Write waste,
+     * A remote write kills the resident copies of @p words (DeNovo
+     * registration stealing them): open instances become Write waste,
      * presence ends.
      */
-    void writeKill(Addr word_num);
+    void
+    writeKill(LineState &s, WordMask words)
+    {
+        remove(s, words.raw(), WasteCat::Write);
+    }
 
     /**
-     * An L1 writeback overwrites this word at the L2 — an open
-     * instance becomes Write waste.  The word stays (or becomes)
-     * present.
+     * An L1 writeback overwrites @p words at the L2 — open instances
+     * become Write waste.  The words stay (or become) present.
      */
-    void overwrite(Addr word_num);
-
-    /** The word is evicted from the cache. */
-    void evict(Addr word_num);
-
-    /** The word is invalidated by the protocol. */
-    void invalidate(Addr word_num);
-
-    /** Slots in the line table (testing hook for its bound). */
-    std::size_t lineCapacity() const { return present_.capacity(); }
-
-    /** True if the profiler believes the word is present. */
-    bool
-    present(Addr word_num) const
+    void
+    overwrite(LineState &s, WordMask words)
     {
-        const LineSlot *ls = present_.find(lineKey(word_num));
-        return ls && (ls->mask & (1u << widx(word_num)));
+        classify(s, words.raw(), WasteCat::Write);
+        s.mask_ |= words.raw();
+    }
+
+    /** The line is evicted: every present word leaves the cache. */
+    void evict(LineState &s) { remove(s, s.mask_, WasteCat::Evict); }
+
+    /** The protocol invalidates @p words. */
+    void
+    invalidate(LineState &s, WordMask words)
+    {
+        remove(s, words.raw(),
+               level_ == Level::L1 ? WasteCat::Invalidate
+                                   : WasteCat::Evict);
     }
 
     /**
@@ -161,68 +212,41 @@ class WordProfiler
     /** Word counts by category so far (without finalizing). */
     WasteCounts counts() const;
 
-    /** Longest route (Message::hops) on the largest mesh. */
-    static constexpr unsigned maxHops = 2 * (Topology::maxDim - 1) + 1;
-    static_assert(maxHops <= UINT8_MAX, "hops must fit a LineSlot byte");
-
   private:
-    /**
-     * Presence state of one cache line's words.  A present word with
-     * its open bit clear is untracked or already classified; an open
-     * word is the resident, still unclassified instance, which carries
-     * its traffic class (load bit), whether it counts toward this
-     * run's window (epoch bit) and its route length in hops.  Grouping
-     * by line means a fill/evict/load burst over a line costs one hash
-     * probe, not sixteen.
-     */
-    struct LineSlot
-    {
-        std::uint16_t mask = 0;
-        std::uint16_t open = 0;
-        std::uint16_t load = 0;
-        std::uint16_t epoch = 0;
-        std::array<std::uint8_t, wordsPerLine> hops;
-    };
+    /** Make @p bits of @p s present with new open instances. */
+    void openInstances(LineState &s, std::uint16_t bits, TrafficClass cls,
+                       unsigned hops);
 
-    /** No word present: open is a subset of mask, so nothing is lost
-     *  when the slot is dropped. */
-    static bool lineDead(const LineSlot &ls) { return ls.mask == 0; }
-
-    /** Make word @p w of @p ls present with a new open instance. */
-    void openInstance(LineSlot &ls, unsigned w, TrafficClass cls,
-                      unsigned hops);
-
-    /** Classify word @p w's resident instance as @p cat if open. */
+    /** Classify the open instances among @p bits as @p cat. */
     void
-    classify(LineSlot &ls, unsigned w, WasteCat cat)
+    classify(LineState &s, std::uint16_t bits, WasteCat cat)
     {
-        const std::uint16_t bit = static_cast<std::uint16_t>(1u << w);
-        if (!(ls.open & bit))
+        bits &= s.open_;
+        if (!bits)
             return;
-        ls.open &= static_cast<std::uint16_t>(~bit);
-        if (((ls.epoch & bit) != 0) != epochMarked_)
-            return; // arrived before the measurement window
-        --tally_[static_cast<unsigned>(WasteCat::Unclassified)];
-        ++tally_[static_cast<unsigned>(cat)];
-        if (cat == WasteCat::Used) {
-            const bool ld = ls.load & bit;
-            quarters_[ld][false] -= ls.hops[w];
-            quarters_[ld][true] += ls.hops[w];
-        }
+        s.open_ &= static_cast<std::uint16_t>(~bits);
+        // Instances that arrived before the measurement window count
+        // nowhere.
+        const std::uint16_t in = static_cast<std::uint16_t>(
+            epochMarked_ ? bits & s.epoch_ : bits & ~s.epoch_);
+        if (!in)
+            return;
+        const unsigned n = std::popcount(in);
+        tally_[static_cast<unsigned>(WasteCat::Unclassified)] -= n;
+        tally_[static_cast<unsigned>(cat)] += n;
+        if (cat == WasteCat::Used)
+            bankUsed(s, in);
     }
 
-    /** Classify word @p w if open, then end its presence. */
+    /** Move the hops of the in-window words @p in from waste to used. */
+    void bankUsed(const LineState &s, std::uint16_t in);
+
+    /** Classify @p bits if open, then end their presence. */
     void
-    remove(LineSlot &ls, unsigned w, WasteCat cat)
+    remove(LineState &s, std::uint16_t bits, WasteCat cat)
     {
-        classify(ls, w, cat);
-        ls.mask &= static_cast<std::uint16_t>(~(1u << w));
-    }
-
-    static Addr lineKey(Addr word_num) { return word_num / wordsPerLine; }
-    static unsigned widx(Addr word_num)
-    {
-        return static_cast<unsigned>(word_num % wordsPerLine);
+        classify(s, bits, cat);
+        s.mask_ &= static_cast<std::uint16_t>(~bits);
     }
 
     Level level_;
@@ -238,8 +262,6 @@ class WordProfiler
      * An open instance banks as waste until it is classified Used.
      */
     std::array<std::array<std::uint64_t, 2>, 2> quarters_{};
-    /** line number -> per-word presence/instance state. */
-    FlatMap<LineSlot> present_{lineDead};
 };
 
 } // namespace wastesim

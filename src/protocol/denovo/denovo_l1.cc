@@ -72,7 +72,7 @@ DenovoL1::load(Addr a, LoadCallback done)
     if (cl && readable(*cl).test(w)) {
         ++loadHits_;
         array_.touch(*cl);
-        prof_.load(wordNumber(a));
+        prof_.load(cl->prof, w);
         if (cl->memRef[w] != invalidInst)
             memProf_.used(cl->memRef[w]);
         MemTiming t;
@@ -275,15 +275,11 @@ DenovoL1::evictLine(DenovoL1Line &cl)
     const WordMask confirmed = reg - pending;
 
     // Clean valid words die silently: no sharer lists to maintain.
-    for (unsigned w = 0; w < wordsPerLine; ++w) {
-        if (cl.validWords.test(w) && !reg.test(w)) {
-            prof_.evict(wordNumber(la) + w);
-            if (cl.memRef[w] != invalidInst)
-                memProf_.dropRef(cl.memRef[w], false);
-        } else if (reg.test(w)) {
-            prof_.evict(wordNumber(la) + w);
-        }
-    }
+    prof_.evict(cl.prof);
+    for (unsigned w = 0; w < wordsPerLine; ++w)
+        if (cl.validWords.test(w) && !reg.test(w) &&
+            cl.memRef[w] != invalidInst)
+            memProf_.dropRef(cl.memRef[w], false);
 
     unsigned wbs = 0;
     auto send_wb = [&](WordMask words, bool combined_reg) {
@@ -332,7 +328,7 @@ DenovoL1::store(Addr a, PlainCallback accepted)
     DenovoL1Line &cl = ensureSlot(la);
     array_.touch(cl);
 
-    prof_.store(wn);
+    prof_.store(cl.prof, w);
     memProf_.storeAddr(wn);
     if (cl.validWords.test(w) && cl.memRef[w] != invalidInst) {
         memProf_.dropRef(cl.memRef[w], false);
@@ -396,6 +392,7 @@ DenovoL1::barrierRelease(const std::vector<RegionId> &inv_regions)
                                          inv_regions.end());
         array_.forEachValid([&](DenovoL1Line &cl) {
             const Addr la = cl.line;
+            WordMask gone;
             for (unsigned w = 0; w < wordsPerLine; ++w) {
                 if (!cl.validWords.test(w) || cl.regWords.test(w))
                     continue;
@@ -403,14 +400,15 @@ DenovoL1::barrierRelease(const std::vector<RegionId> &inv_regions)
                 const Region *r = regions_.regionOf(byte);
                 if (!r || !inv.count(r->id))
                     continue;
-                prof_.invalidate(wordNumber(byte));
+                gone.set(w);
                 if (cl.memRef[w] != invalidInst) {
                     memProf_.dropRef(cl.memRef[w], true);
                     cl.memRef[w] = invalidInst;
                 }
-                cl.validWords.clear(w);
-                ++selfInvalidated_;
             }
+            prof_.invalidate(cl.prof, gone);
+            cl.validWords -= gone;
+            selfInvalidated_ += gone.count();
             if (cl.validWords.empty() && cl.regWords.empty())
                 array_.invalidate(cl);
         });
@@ -429,14 +427,13 @@ DenovoL1::installResponse(Message &msg)
             continue;
         DenovoL1Line &cl = ensureSlot(chunk.line);
         array_.touch(cl);
+        // Every carried word is profiled (conservation); a word we
+        // wrote meanwhile is present, so the arrival records as Fetch
+        // waste and is not installed.
+        prof_.arrive(cl.prof, chunk.mask, msg.cls, msg.hops);
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!chunk.mask.test(w))
                 continue;
-            const Addr wn = wordNumber(chunk.line) + w;
-            // Every carried word is profiled (conservation); a word
-            // we wrote meanwhile is present, so the arrival records
-            // as Fetch waste and is not installed.
-            prof_.arrive(wn, msg.cls, msg.hops);
             if (!cl.regWords.test(w) && !cl.validWords.test(w)) {
                 cl.validWords.set(w);
                 cl.memRef[w] = chunk.memRef[w];
@@ -476,7 +473,7 @@ DenovoL1::completeWaiters(Addr line_addr)
     for (auto &[wn, cb] : m.waiters) {
         const unsigned w = static_cast<unsigned>(wn % wordsPerLine);
         if (cl && readable(*cl).test(w)) {
-            prof_.load(wn);
+            prof_.load(cl->prof, w);
             if (cl->memRef[w] != invalidInst)
                 memProf_.used(cl->memRef[w]);
             MemTiming t;
@@ -586,20 +583,18 @@ DenovoL1::handleRegInv(const Message &msg)
     DenovoL1Line *cl = array_.find(msg.line);
     if (!cl)
         return;
+    const WordMask gone = msg.mask & readable(*cl);
+    prof_.invalidate(cl->prof, gone);
     for (unsigned w = 0; w < wordsPerLine; ++w) {
-        if (!msg.mask.test(w))
-            continue;
-        if (!readable(*cl).test(w))
-            continue;
-        prof_.invalidate(wordNumber(msg.line) + w);
-        if (cl->validWords.test(w) && cl->memRef[w] != invalidInst) {
+        if (gone.test(w) && cl->validWords.test(w) &&
+            cl->memRef[w] != invalidInst) {
             memProf_.dropRef(cl->memRef[w], true);
             cl->memRef[w] = invalidInst;
         }
-        cl->validWords.clear(w);
-        cl->regWords.clear(w);
-        cl->dirtyWords.clear(w);
     }
+    cl->validWords -= gone;
+    cl->regWords -= gone;
+    cl->dirtyWords -= gone;
     if (cl->validWords.empty() && cl->regWords.empty())
         array_.invalidate(*cl);
 }
@@ -629,14 +624,10 @@ DenovoL1::handleRecall(const Message &msg)
     net_.send(std::move(resp));
 
     if (cl) {
-        for (unsigned w = 0; w < wordsPerLine; ++w) {
-            if (!give.test(w))
-                continue;
-            prof_.invalidate(wordNumber(la) + w);
-            cl->regWords.clear(w);
-            cl->dirtyWords.clear(w);
-            cl->validWords.clear(w);
-        }
+        prof_.invalidate(cl->prof, give);
+        cl->regWords -= give;
+        cl->dirtyWords -= give;
+        cl->validWords -= give;
         // Pending write-combine words are disjoint from the recalled
         // (registered) set and will re-register the line later; keep
         // them.  In-flight registrations for recalled words become

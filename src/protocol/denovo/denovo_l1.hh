@@ -44,7 +44,7 @@ struct DenovoL1Line : CacheLine
         regWords = WordMask::none();
     }
 };
-static_assert(sizeof(DenovoL1Line) == 88);
+static_assert(sizeof(DenovoL1Line) == 112);
 
 /** Per-core DeNovo L1 data cache. */
 class DenovoL1 : public L1Cache

@@ -146,11 +146,10 @@ DenovoL2::handleLoadReq(Message &msg)
         if (!from_l2.empty()) {
             // L2 reuse: these words' residency paid off.
             LineChunk rc(la, from_l2);
+            prof_.respUsed(cl->prof, from_l2);
             for (unsigned w = 0; w < wordsPerLine; ++w) {
                 if (!from_l2.test(w))
                     continue;
-                const Addr wn = wordNumber(la) + w;
-                prof_.respUsed(wn);
                 if (cl->memRef[w] != invalidInst)
                     memProf_.used(cl->memRef[w]);
                 rc.memRef[w] = cl->memRef[w];
@@ -287,19 +286,15 @@ DenovoL2::handleMemData(Message &msg)
         panic_if(!cl, "MemData for unallocated DeNovo L2 line");
         cl->busy = false;
 
+        // A registration that raced the fetch wins: the memory data
+        // is dead on arrival (Write waste), not installed.
+        const WordMask raced = chunk.mask & cl->registeredMask();
+        prof_.arrive(cl->prof, chunk.mask, msg.cls, msg.hops);
+        prof_.writeKill(cl->prof, raced);
+        const WordMask install = chunk.mask - raced - cl->validWords;
+        cl->validWords |= install;
         for (unsigned w = 0; w < wordsPerLine; ++w) {
-            if (!chunk.mask.test(w))
-                continue;
-            const Addr wn = wordNumber(la) + w;
-            prof_.arrive(wn, msg.cls, msg.hops);
-            // A registration that raced the fetch wins: the memory
-            // data is dead on arrival (Write waste), not installed.
-            if (cl->regOwner(w) != invalidNode) {
-                prof_.writeKill(wn);
-                continue;
-            }
-            if (!cl->validWords.test(w)) {
-                cl->validWords.set(w);
+            if (install.test(w)) {
                 cl->memRef[w] = chunk.memRef[w];
                 memProf_.addRef(chunk.memRef[w]);
             }
@@ -347,7 +342,7 @@ DenovoL2::applyRegistration(DenovoL2Line &cl, CoreId req, WordMask mask)
             addOwnerWord(invs, old, cl.line, w);
         if (cl.validWords.test(w)) {
             // The L2's copy is stale the moment the write happened.
-            prof_.writeKill(wordNumber(cl.line) + w);
+            prof_.writeKill(cl.prof, WordMask::single(w));
             if (cl.memRef[w] != invalidInst) {
                 memProf_.dropRef(cl.memRef[w], false);
                 cl.memRef[w] = invalidInst;
@@ -483,14 +478,12 @@ DenovoL2::handleWb(Message &msg)
         DenovoL2Line *cl = array_.find(la);
         panic_if(!cl, "recall response for missing victim");
         for (const auto &chunk : msg.chunks) {
-            for (unsigned w = 0; w < wordsPerLine; ++w) {
-                if (!chunk.mask.test(w))
-                    continue;
-                prof_.arriveUntracked(wordNumber(la) + w);
-                cl->validWords.set(w);
-                cl->dirtyWords.set(w);
-                cl->memRef[w] = invalidInst;
-            }
+            prof_.arriveUntracked(cl->prof, chunk.mask);
+            cl->validWords |= chunk.mask;
+            cl->dirtyWords |= chunk.mask;
+            for (unsigned w = 0; w < wordsPerLine; ++w)
+                if (chunk.mask.test(w))
+                    cl->memRef[w] = invalidInst;
         }
         for (unsigned w = 0; w < wordsPerLine; ++w)
             if (cl->regOwner(w) == msg.requester)
@@ -548,15 +541,14 @@ DenovoL2::handleWb(Message &msg)
                     continue; // stale writeback lost to a newer writer
                 addOwnerWord(invs, owner, la, w);
             }
-            const Addr wn = wordNumber(la) + w;
             if (cl->validWords.test(w)) {
-                prof_.overwrite(wn);
+                prof_.overwrite(cl->prof, WordMask::single(w));
                 if (cl->memRef[w] != invalidInst) {
                     memProf_.dropRef(cl->memRef[w], false);
                     cl->memRef[w] = invalidInst;
                 }
             } else {
-                prof_.arriveUntracked(wn);
+                prof_.arriveUntracked(cl->prof, WordMask::single(w));
             }
             cl->validWords.set(w);
             cl->dirtyWords.set(w);
@@ -660,13 +652,10 @@ DenovoL2::finishVictim(Addr victim_line)
         net_.send(std::move(wb));
     }
 
-    for (unsigned w = 0; w < wordsPerLine; ++w) {
-        if (!cl->validWords.test(w))
-            continue;
-        prof_.evict(wordNumber(victim_line) + w);
-        if (cl->memRef[w] != invalidInst)
+    prof_.evict(cl->prof);
+    for (unsigned w = 0; w < wordsPerLine; ++w)
+        if (cl->validWords.test(w) && cl->memRef[w] != invalidInst)
             memProf_.dropRef(cl->memRef[w], false);
-    }
     if (cl->inBloom)
         bloom_.remove(victim_line);
     array_.invalidate(*cl);

@@ -98,7 +98,7 @@ struct DenovoL2Line : CacheLine
     std::array<std::uint8_t, wordsPerLine> regNode_{};
     WordMask regMask_;
 };
-static_assert(sizeof(DenovoL2Line) == 112);
+static_assert(sizeof(DenovoL2Line) == 136);
 
 /** One DeNovo L2 slice. */
 class DenovoL2 : public MessageHandler
@@ -110,12 +110,12 @@ class DenovoL2 : public MessageHandler
 
     void handle(Message msg) override;
 
-    /** MC presence oracle. */
-    bool
-    wordPresent(Addr line_addr, unsigned widx) const
+    /** MC presence oracle: the words of the line valid in this slice. */
+    WordMask
+    validWordsOf(Addr line_addr) const
     {
         const DenovoL2Line *cl = array_.find(line_addr);
-        return cl && cl->validWords.test(widx);
+        return cl ? cl->validWords : WordMask::none();
     }
 
     const BloomBank &bloom() const { return bloom_; }

@@ -67,35 +67,26 @@ MesiDir::installWords(const Message &msg, MesiDirLine &cl,
 {
     for (const auto &chunk : msg.chunks) {
         panic_if(chunk.line != cl.line, "chunk for wrong line");
+        const WordMask newer_words = chunk.mask & chunk.dirty;
+        if (track_arrivals) {
+            // A dirty copy supersedes what the L2 holds.
+            prof_.arriveReplace(cl.prof, newer_words, msg.cls, msg.hops);
+            prof_.arrive(cl.prof, chunk.mask - newer_words, msg.cls,
+                         msg.hops);
+        } else {
+            // Writeback data: profiled by dirty bits, not records.
+            prof_.overwrite(cl.prof, newer_words);
+        }
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!chunk.mask.test(w))
                 continue;
-            const Addr wn = wordNumber(chunk.line) + w;
             const bool newer = chunk.dirty.test(w);
-            if (track_arrivals) {
-                if (newer) {
-                    // A dirty copy supersedes what the L2 holds.
-                    if (cl.memRef[w] != invalidInst) {
-                        memProf_.dropRef(cl.memRef[w], false);
-                        cl.memRef[w] = invalidInst;
-                    }
-                    prof_.arriveReplace(wn, msg.cls, msg.hops);
-                } else {
-                    prof_.arrive(wn, msg.cls, msg.hops);
-                }
-            } else if (newer) {
-                // Writeback data: profiled by dirty bits, not records.
-                prof_.overwrite(wn);
-                if (cl.memRef[w] != invalidInst) {
-                    memProf_.dropRef(cl.memRef[w], false);
-                    cl.memRef[w] = invalidInst;
-                }
+            if (newer && cl.memRef[w] != invalidInst) {
+                // The superseded copy's instance reference dies.
+                memProf_.dropRef(cl.memRef[w], false);
+                cl.memRef[w] = invalidInst;
             }
-            const bool was_valid = cl.validWords.test(w);
-            if (!was_valid || newer) {
-                if (was_valid && cl.memRef[w] != invalidInst) {
-                    memProf_.dropRef(cl.memRef[w], false);
-                }
+            if (!cl.validWords.test(w) || newer) {
                 cl.validWords.set(w);
                 cl.memRef[w] = chunk.memRef[w];
                 memProf_.addRef(chunk.memRef[w]);
@@ -148,11 +139,10 @@ MesiDir::handleGetS(const Message &msg)
 
     t.excl = cl->sharers.none();
     txns_[la] = t;
+    prof_.respUsed(cl->prof, cl->validWords);
     for (unsigned w = 0; w < wordsPerLine; ++w)
-        if (cl->validWords.test(w)) {
-            prof_.respUsed(wordNumber(la) + w);
+        if (cl->validWords.test(w))
             memProf_.used(cl->memRef[w]);
-        }
     sendDataFromL2(*cl, msg.requester, t.excl, false, 0);
 }
 
@@ -449,13 +439,10 @@ MesiDir::finishVictim(Addr victim_line)
         net_.send(std::move(wb));
     }
 
-    for (unsigned w = 0; w < wordsPerLine; ++w) {
-        if (!cl->validWords.test(w))
-            continue;
-        prof_.evict(wordNumber(victim_line) + w);
-        if (cl->memRef[w] != invalidInst)
+    prof_.evict(cl->prof);
+    for (unsigned w = 0; w < wordsPerLine; ++w)
+        if (cl->validWords.test(w) && cl->memRef[w] != invalidInst)
             memProf_.dropRef(cl->memRef[w], false);
-    }
     array_.invalidate(*cl);
 }
 

@@ -41,7 +41,7 @@ struct MesiDirLine : CacheLine
         owner = invalidNode;
     }
 };
-static_assert(sizeof(MesiDirLine) == 128);
+static_assert(sizeof(MesiDirLine) == 152);
 
 /** One L2 slice with its directory controller. */
 class MesiDir : public MessageHandler
@@ -53,12 +53,12 @@ class MesiDir : public MessageHandler
 
     void handle(Message msg) override;
 
-    /** MC presence oracle: is the word valid in this slice? */
-    bool
-    wordPresent(Addr line_addr, unsigned widx) const
+    /** MC presence oracle: the words of the line valid in this slice. */
+    WordMask
+    validWordsOf(Addr line_addr) const
     {
         const MesiDirLine *cl = array_.find(line_addr);
-        return cl && cl->validWords.test(widx);
+        return cl ? cl->validWords : WordMask::none();
     }
 
     // Statistics.

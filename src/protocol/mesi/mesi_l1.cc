@@ -19,7 +19,7 @@ MesiL1::hitLoad(MesiL1Line &cl, Addr a, const LoadCallback &done)
 {
     array_.touch(cl);
     const unsigned w = wordIndex(a);
-    prof_.load(wordNumber(a));
+    prof_.load(cl.prof, w);
     memProf_.used(cl.memRef[w]);
     MemTiming t;
     t.immediate = true;
@@ -34,7 +34,7 @@ MesiL1::hitStore(MesiL1Line &cl, Addr a)
     const unsigned w = wordIndex(a);
     cl.mesi = MesiState::M; // silent E -> M is free
     cl.dirtyWords.set(w);
-    prof_.store(wordNumber(a));
+    prof_.store(cl.prof, w);
     memProf_.storeAddr(wordNumber(a));
     if (cl.memRef[w] != invalidInst) {
         // The fetched copy of this word is overwritten by new data.
@@ -200,13 +200,10 @@ void
 MesiL1::evictLine(MesiL1Line &cl)
 {
     const Addr la = cl.line;
-    for (unsigned w = 0; w < wordsPerLine; ++w) {
-        if (!cl.validWords.test(w))
-            continue;
-        prof_.evict(wordNumber(la) + w);
-        if (cl.memRef[w] != invalidInst)
+    prof_.evict(cl.prof);
+    for (unsigned w = 0; w < wordsPerLine; ++w)
+        if (cl.validWords.test(w) && cl.memRef[w] != invalidInst)
             memProf_.dropRef(cl.memRef[w], false);
-    }
 
     if (cl.mesi == MesiState::M) {
         // Dirty writeback: data message, held in the evict buffer
@@ -258,11 +255,10 @@ MesiL1::installData(Message &msg, Mshr &m)
     cl.busy = true;
     for (auto &chunk : msg.chunks) {
         panic_if(chunk.line != msg.line, "MESI data spans lines");
+        prof_.arrive(cl.prof, chunk.mask, msg.cls, msg.hops);
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!chunk.mask.test(w))
                 continue;
-            const Addr wn = wordNumber(chunk.line) + w;
-            prof_.arrive(wn, msg.cls, msg.hops);
             cl.validWords.set(w);
             cl.memRef[w] = chunk.memRef[w];
             memProf_.addRef(chunk.memRef[w]);
@@ -298,7 +294,7 @@ MesiL1::completeLoadWaiter(Addr a, const LoadCallback &done,
     MesiL1Line *cl = array_.find(lineAddr(a));
     panic_if(!cl, "load completion without a line");
     const unsigned w = wordIndex(a);
-    prof_.load(wordNumber(a));
+    prof_.load(cl->prof, w);
     memProf_.used(cl->memRef[w]);
     done(timingOf(m));
 }
@@ -327,7 +323,7 @@ MesiL1::maybeComplete(Addr line_addr)
             const Addr wn = wordNumber(line_addr) + w;
             cl->dirtyWords.set(w);
             cl->validWords.set(w);
-            prof_.store(wn);
+            prof_.store(cl->prof, w);
             memProf_.storeAddr(wn);
             if (cl->memRef[w] != invalidInst) {
                 memProf_.dropRef(cl->memRef[w], false);
@@ -450,13 +446,10 @@ MesiL1::respondToFwd(const Message &msg, bool exclusive)
 void
 MesiL1::invalidateLine(MesiL1Line &cl)
 {
-    for (unsigned w = 0; w < wordsPerLine; ++w) {
-        if (!cl.validWords.test(w))
-            continue;
-        prof_.invalidate(wordNumber(cl.line) + w);
-        if (cl.memRef[w] != invalidInst)
+    prof_.invalidate(cl.prof, cl.validWords);
+    for (unsigned w = 0; w < wordsPerLine; ++w)
+        if (cl.validWords.test(w) && cl.memRef[w] != invalidInst)
             memProf_.dropRef(cl.memRef[w], true);
-    }
     array_.invalidate(cl);
 }
 

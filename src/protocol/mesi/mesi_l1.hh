@@ -43,7 +43,7 @@ struct MesiL1Line : CacheLine
         mesi = MesiState::I;
     }
 };
-static_assert(sizeof(MesiL1Line) == 88);
+static_assert(sizeof(MesiL1Line) == 112);
 
 /** Per-core MESI L1 data cache. */
 class MesiL1 : public L1Cache

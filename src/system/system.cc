@@ -95,11 +95,11 @@ System::System(ProtocolName protocol, const Workload &workload,
         memProf_.expectEpoch();
 
     // Memory system.
-    auto present = [this](Addr line, unsigned w) {
+    auto present = [this](Addr line) {
         const NodeId s = params_.topo.homeSlice(line);
         if (cfg_.isMesi())
-            return mesiDirs_[s]->wordPresent(line, w);
-        return dnL2s_[s]->wordPresent(line, w);
+            return mesiDirs_[s]->validWordsOf(line);
+        return dnL2s_[s]->validWordsOf(line);
     };
     for (unsigned c = 0; c < topo.numMemCtrls(); ++c) {
         DramMap map;

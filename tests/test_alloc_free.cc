@@ -16,8 +16,10 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "cache/cache_array.hh"
 #include "noc/network.hh"
@@ -211,72 +213,53 @@ TEST(AllocFree, DisabledObservabilityAllocatesNothing)
 TEST(AllocFree, WordProfilerSteadyState)
 {
     // A cache cycling fills, loads and evictions over a fixed
-    // footprint: once every line has a slot, the profiler keeps no
-    // per-arrival record, so it must not allocate.
+    // footprint.  Each word's state lives in its line's state, which
+    // the caller holds, so the profiler never allocates, not even on
+    // its first call.
     WordProfiler p(WordProfiler::Level::L1);
     constexpr Addr lines = 256;
-    auto cycle = [&p](unsigned rounds) {
-        for (unsigned r = 0; r < rounds; ++r) {
-            for (Addr l = 0; l < lines; ++l) {
-                for (unsigned w = 0; w < wordsPerLine; ++w) {
-                    const Addr wn = l * wordsPerLine + w;
-                    p.arrive(wn, TrafficClass::Load, 1 + (l + r) % 7);
-                    if ((w + r) % 3 == 0)
-                        p.load(wn);
-                }
-                for (unsigned w = 0; w < wordsPerLine; ++w)
-                    p.evict(l * wordsPerLine + w);
-            }
-        }
-    };
-    cycle(2); // warm the line table
-
+    std::vector<WordProfiler::LineState> states(lines);
     const std::size_t before = g_news;
-    cycle(64);
+    for (unsigned r = 0; r < 66; ++r) {
+        for (Addr l = 0; l < lines; ++l) {
+            p.arrive(states[l], WordMask::full(), TrafficClass::Load,
+                     1 + (l + r) % 7);
+            for (unsigned w = 0; w < wordsPerLine; ++w)
+                if ((w + r) % 3 == 0)
+                    p.load(states[l], w);
+            p.evict(states[l]);
+        }
+    }
     const std::size_t after = g_news;
     EXPECT_EQ(after - before, 0u)
-        << "WordProfiler steady state performed heap allocations";
+        << "WordProfiler performed heap allocations";
     TrafficStats t;
     EXPECT_EQ(p.finalize(t).total(), 66.0 * lines * wordsPerLine);
 }
 
 TEST(AllocFree, WordProfilerStreamingFootprint)
 {
-    // A cache streaming over a million distinct lines with at most 64
-    // resident: each line is filled, partly read, and evicted 64 lines
-    // later.  Dead line slots are purged before the table would grow,
-    // so once warm the table neither grows nor allocates, however many
-    // lines pass through.
+    // A cache streaming over a million distinct lines with 64 slots:
+    // each line is filled into the slot of the line 64 before it,
+    // which is evicted first, and partly read.  However many lines
+    // pass through, the profiler allocates nothing from the first op.
     WordProfiler p(WordProfiler::Level::L1);
     constexpr Addr resident = 64;
     constexpr Addr total = 1'000'000;
-    constexpr Addr warm = 4096;
-    Addr next = 0;
-    auto stream = [&p, &next](Addr lines) {
-        for (Addr end = next + lines; next < end; ++next) {
-            for (unsigned w = 0; w < wordsPerLine; ++w) {
-                const Addr wn = next * wordsPerLine + w;
-                p.arrive(wn, TrafficClass::Load, 1 + next % 7);
-                if ((w + next) % 3 == 0)
-                    p.load(wn);
-            }
-            if (next >= resident)
-                for (unsigned w = 0; w < wordsPerLine; ++w)
-                    p.evict((next - resident) * wordsPerLine + w);
-        }
-    };
-    stream(warm);
-    const std::size_t cap = p.lineCapacity();
-    // 65 resident lines (one filled before the oldest leaves) need 128
-    // slots under the 0.7 load limit; the table stays within twice.
-    EXPECT_LE(cap, 256u);
-
+    std::array<WordProfiler::LineState, resident> slots;
     const std::size_t before = g_news;
-    stream(total - warm);
+    for (Addr next = 0; next < total; ++next) {
+        WordProfiler::LineState &s = slots[next % resident];
+        if (next >= resident)
+            p.evict(s);
+        p.arrive(s, WordMask::full(), TrafficClass::Load, 1 + next % 7);
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            if ((w + next) % 3 == 0)
+                p.load(s, w);
+    }
     const std::size_t after = g_news;
     EXPECT_EQ(after - before, 0u)
-        << "WordProfiler line table allocated while streaming";
-    EXPECT_EQ(p.lineCapacity(), cap);
+        << "WordProfiler allocated while streaming";
     TrafficStats t;
     EXPECT_EQ(p.finalize(t).total(),
               static_cast<double>(total * wordsPerLine));
@@ -367,9 +350,11 @@ TEST(AllocFree, System16x16Footprint)
     // Building a 256-tile System allocates each cache array's packed
     // tags and per-set group table, but no line storage: a set gets
     // its lines in groups of four ways on the fills that need them.
-    // Measured 3.8 MB (MESI) and 4.0 MB (DeNovo), bounded with 1 MB of
-    // margin.  Allocating every array's 256 x 576 L1 and L2 lines up
-    // front took 19.4 / 17.3 MB, and 32 MB with a 208-byte line.
+    // Measured 2.5 MB (MESI) and 2.7 MB (DeNovo), bounded with about
+    // 10% margin.  While each of the 512 word profilers built its own
+    // 64-slot line table it was 3.8 and 4.0 MB; allocating every
+    // array's 256 x 576 L1 and L2 lines up front took 19.4 / 17.3 MB,
+    // and 32 MB with a 208-byte line.
     const auto wl = makeBenchmark(BenchmarkName::FFT, 4, Topology(16, 16));
     SimParams params = SimParams::scaled();
     params.topo = Topology(16, 16);
@@ -377,7 +362,7 @@ TEST(AllocFree, System16x16Footprint)
         const std::size_t before = g_newBytes;
         const System sys(p, *wl, params);
         const double mb = (g_newBytes - before) / 1e6;
-        EXPECT_LE(mb, 5.0) << protocolName(p) << " System construction "
+        EXPECT_LE(mb, 3.0) << protocolName(p) << " System construction "
                             << "allocated " << mb << " MB";
     }
 }
@@ -389,11 +374,13 @@ TEST(AllocFree, FftMesh16RunHighWater)
     // record or a line-head entry, only a 2-byte copy count.  The
     // message pool is a deque, so it grows without holding an old and
     // a new array of 1,456-byte messages at once.  Cache arrays hold
-    // storage only for way groups their sets have filled.  The live
-    // high water is 13.0 MB at scale 1 and 14.5 MB at scale 2
-    // (x86-64, glibc usable sizes), bounded with about 10% margin.
-    // With every cache line allocated up front it was 29.1 and
-    // 29.5 MB, and with a vector message pool 32.3 and 33.7 MB.
+    // storage only for way groups their sets have filled, and each
+    // word's waste-profiler state lives in its line.  The live high
+    // water is 11.2 MB at scale 1 and 12.1 MB at scale 2 (x86-64,
+    // glibc usable sizes), bounded with about 10% margin.  With a
+    // word-profiler line table per cache it was 13.0 and 14.5 MB, with
+    // every cache line allocated up front 29.1 and 29.5 MB, and with a
+    // vector message pool 32.3 and 33.7 MB.
     for (const unsigned scale : {1u, 2u}) {
         const auto wl =
             makeBenchmark(BenchmarkName::FFT, scale, Topology(16, 16));
@@ -409,7 +396,7 @@ TEST(AllocFree, FftMesh16RunHighWater)
         }
         EXPECT_GT(instances, 100'000u * scale);
         const double mb = (g_livePeak - base) / 1e6;
-        EXPECT_LE(mb, 16.0) << "FFT MESI run on 16x16 at scale " << scale
+        EXPECT_LE(mb, 13.3) << "FFT MESI run on 16x16 at scale " << scale
                             << " held " << mb
                             << " MB of live heap at its peak";
     }

@@ -407,6 +407,25 @@ TYPED_TEST(CacheArrayTest, ResetClearsStateButKeepsLruStamp)
     expectOwnFieldsReset(cl);
 }
 
+TYPED_TEST(CacheArrayTest, ResetClearsWordProfilerState)
+{
+    // A detached line (an evict-buffer copy) reset with open
+    // instances keeps none of them: reusing its words classifies
+    // nothing, and a new arrival is not Fetch waste.
+    WordProfiler p(WordProfiler::Level::L2);
+    TypeParam cl;
+    cl.resetTo(128);
+    p.arrive(cl.prof, WordMask::full(), TrafficClass::Load, 3);
+    cl.resetTo(256);
+    EXPECT_TRUE(cl.prof.present().empty());
+    p.respUsed(cl.prof, WordMask::full());
+    p.arrive(cl.prof, WordMask::single(0), TrafficClass::Load, 3);
+    const WasteCounts c = p.counts();
+    EXPECT_EQ(c[WasteCat::Used], 0.0);
+    EXPECT_EQ(c[WasteCat::Fetch], 0.0);
+    EXPECT_EQ(c[WasteCat::Unclassified], 17.0);
+}
+
 TEST(DenovoL2Line, RegisteredMask)
 {
     DenovoL2Line cl;
@@ -468,6 +487,23 @@ TEST(DenovoL2Line, RegistrantsMatchReference)
 TEST(CacheArrayDeath, NonPowerOfTwoSetsPanics)
 {
     EXPECT_DEATH(CacheArray(3, 2), "power of two");
+}
+
+TEST(CacheArrayDeath, DroppingASlotWithProfiledWordsPanics)
+{
+    // The word profiler's state lives only in the line, so a slot may
+    // not lose its line while the profiler counts a word present.
+    WordProfiler p(WordProfiler::Level::L1);
+    CacheArray<MesiL1Line> a(4, 2);
+    const Addr la = lineAt(1, 0, 4);
+    MesiL1Line &cl = *a.victimFor(la);
+    a.resetTo(cl, la);
+    p.arrive(cl.prof, WordMask::single(3), TrafficClass::Load, 1);
+    EXPECT_DEATH(a.invalidate(cl), "profiled words 0001");
+    EXPECT_DEATH(a.resetTo(cl, la), "profiled words 0001");
+    p.evict(cl.prof);
+    a.invalidate(cl);
+    EXPECT_EQ(a.find(la), nullptr);
 }
 
 TEST(CacheArrayDeath, RegistrantOutOfRangePanics)

@@ -37,9 +37,9 @@ struct McHarness
     DramChannel dram{eq, DramMap{}};
     MemProfiler prof;
     Sink l1sink, l2sink;
-    bool presentInL2 = false;
+    WordMask presentInL2;
     MemoryController mc{0,    eq,   net, dram, prof,
-                        [this](Addr, unsigned) { return presentInL2; }};
+                        [this](Addr) { return presentInL2; }};
 
     /** Channel-0 line. */
     static Addr
@@ -164,11 +164,24 @@ TEST(MemoryController, FlexSameRowRuleDropsFarChunks)
 TEST(MemoryController, PresenceMarksFetchWaste)
 {
     McHarness h;
-    h.presentInL2 = true;
+    h.presentInL2 = WordMask::full();
     h.net.send(h.readReq(WordMask::full()));
     h.eq.run();
     const auto c = h.prof.finalize();
     EXPECT_EQ(c[WasteCat::Fetch], 16.0);
+}
+
+TEST(MemoryController, PresenceIsPerWord)
+{
+    // Only the words the home L2 holds are Fetch waste; the rest of
+    // the line opens instances that end Unevicted.
+    McHarness h;
+    h.presentInL2 = WordMask::range(4, 5);
+    h.net.send(h.readReq(WordMask::full()));
+    h.eq.run();
+    const auto c = h.prof.finalize();
+    EXPECT_EQ(c[WasteCat::Fetch], 5.0);
+    EXPECT_EQ(c[WasteCat::Unevicted], 11.0);
 }
 
 TEST(MemoryController, WritesReachDram)

@@ -10,6 +10,12 @@ namespace wastesim
 namespace
 {
 
+using LineState = WordProfiler::LineState;
+
+/** The word the tests profile, and a one-word mask of it. */
+constexpr unsigned w = 4;
+constexpr WordMask word = WordMask::single(w);
+
 WasteCounts
 finalizeCounts(WordProfiler &p)
 {
@@ -22,8 +28,9 @@ finalizeCounts(WordProfiler &p)
 TEST(WordProfiler, LoadClassifiesUsed)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.load(100);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.load(s, w);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Used], 1.0);
     EXPECT_EQ(c.waste(), 0.0);
@@ -32,8 +39,9 @@ TEST(WordProfiler, LoadClassifiesUsed)
 TEST(WordProfiler, OverwriteBeforeUseIsWriteWaste)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Store, 1);
-    p.store(100);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Store, 1);
+    p.store(s, w);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Write], 1.0);
 }
@@ -41,9 +49,10 @@ TEST(WordProfiler, OverwriteBeforeUseIsWriteWaste)
 TEST(WordProfiler, UsedThenStoreStaysUsed)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.load(100);
-    p.store(100); // first classification wins
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.load(s, w);
+    p.store(s, w); // first classification wins
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Used], 1.0);
     EXPECT_EQ(c[WasteCat::Write], 0.0);
@@ -52,9 +61,10 @@ TEST(WordProfiler, UsedThenStoreStaysUsed)
 TEST(WordProfiler, ArriveWhilePresentIsFetchWaste)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.arrive(100, TrafficClass::Load, 1); // duplicate arrival
-    p.load(100);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.arrive(s, word, TrafficClass::Load, 1); // duplicate arrival
+    p.load(s, w);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Fetch], 1.0);
     EXPECT_EQ(c[WasteCat::Used], 1.0);
@@ -63,18 +73,20 @@ TEST(WordProfiler, ArriveWhilePresentIsFetchWaste)
 TEST(WordProfiler, EvictBeforeUse)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.evict(100);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.evict(s);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Evict], 1.0);
-    EXPECT_FALSE(p.present(100));
+    EXPECT_FALSE(s.present().test(w));
 }
 
 TEST(WordProfiler, InvalidateBeforeUseL1)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.invalidate(100);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.invalidate(s, word);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Invalidate], 1.0);
 }
@@ -83,8 +95,9 @@ TEST(WordProfiler, L2HasNoInvalidateCategory)
 {
     // Fig. 4.2: the L2 FSM folds invalidation into eviction.
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.invalidate(100);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.invalidate(s, word);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Evict], 1.0);
     EXPECT_EQ(c[WasteCat::Invalidate], 0.0);
@@ -93,7 +106,8 @@ TEST(WordProfiler, L2HasNoInvalidateCategory)
 TEST(WordProfiler, UnevictedAtEnd)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 1);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Unevicted], 1.0);
 }
@@ -101,8 +115,9 @@ TEST(WordProfiler, UnevictedAtEnd)
 TEST(WordProfiler, StoreAllocatesUntracked)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.store(100); // write-validate allocation, no record
-    EXPECT_TRUE(p.present(100));
+    LineState s;
+    p.store(s, w); // write-validate allocation, no record
+    EXPECT_TRUE(s.present().test(w));
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c.total(), 0.0);
 }
@@ -110,8 +125,9 @@ TEST(WordProfiler, StoreAllocatesUntracked)
 TEST(WordProfiler, ArriveOnStoreAllocatedIsFetch)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.store(100);
-    p.arrive(100, TrafficClass::Load, 1);
+    LineState s;
+    p.store(s, w);
+    p.arrive(s, word, TrafficClass::Load, 1);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Fetch], 1.0);
 }
@@ -119,8 +135,9 @@ TEST(WordProfiler, ArriveOnStoreAllocatedIsFetch)
 TEST(WordProfiler, RespUsedMarksL2Reuse)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.respUsed(100);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.respUsed(s, word);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Used], 1.0);
 }
@@ -128,9 +145,10 @@ TEST(WordProfiler, RespUsedMarksL2Reuse)
 TEST(WordProfiler, OverwriteKeepsPresence)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.overwrite(100); // L1 writeback data lands on it
-    EXPECT_TRUE(p.present(100));
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.overwrite(s, word); // L1 writeback data lands on it
+    EXPECT_TRUE(s.present().test(w));
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Write], 1.0);
 }
@@ -138,9 +156,10 @@ TEST(WordProfiler, OverwriteKeepsPresence)
 TEST(WordProfiler, ArriveReplaceClosesOldOpensNew)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.arriveReplace(100, TrafficClass::Load, 4);
-    p.respUsed(100);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.arriveReplace(s, word, TrafficClass::Load, 4);
+    p.respUsed(s, word);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Write], 1.0); // the superseded copy
     EXPECT_EQ(c[WasteCat::Used], 1.0);  // the fresh copy, reused
@@ -149,9 +168,10 @@ TEST(WordProfiler, ArriveReplaceClosesOldOpensNew)
 TEST(WordProfiler, WriteKillEndsPresence)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.writeKill(100);
-    EXPECT_FALSE(p.present(100));
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.writeKill(s, word);
+    EXPECT_FALSE(s.present().test(w));
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Write], 1.0);
 }
@@ -159,10 +179,11 @@ TEST(WordProfiler, WriteKillEndsPresence)
 TEST(WordProfiler, TrafficResolvedByClassification)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 8); // 8 hops = 2 flit-hops/word
-    p.load(100);
-    p.arrive(200, TrafficClass::Load, 12);
-    p.evict(200);
+    LineState s, s2;
+    p.arrive(s, word, TrafficClass::Load, 8); // 8 hops = 2 flit-hops/word
+    p.load(s, w);
+    p.arrive(s2, WordMask::single(8), TrafficClass::Load, 12);
+    p.evict(s2);
 
     TrafficStats t;
     p.finalize(t);
@@ -173,7 +194,8 @@ TEST(WordProfiler, TrafficResolvedByClassification)
 TEST(WordProfiler, StoreClassTrafficGoesToStoreBuckets)
 {
     WordProfiler p(WordProfiler::Level::L2);
-    p.arrive(100, TrafficClass::Store, 16);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Store, 16);
     TrafficStats t;
     p.finalize(t);
     EXPECT_DOUBLE_EQ(t.stRespL2Waste, 4.0); // Unevicted => waste
@@ -182,11 +204,12 @@ TEST(WordProfiler, StoreClassTrafficGoesToStoreBuckets)
 TEST(WordProfiler, EpochExcludesWarmup)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 1);
-    p.load(100);
+    LineState s, s2;
+    p.arrive(s, word, TrafficClass::Load, 1);
+    p.load(s, w);
     p.markEpoch();
-    p.arrive(200, TrafficClass::Load, 1);
-    p.load(200);
+    p.arrive(s2, WordMask::single(8), TrafficClass::Load, 1);
+    p.load(s2, 8);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c.total(), 1.0); // only the post-epoch word
 }
@@ -196,10 +219,11 @@ TEST(WordProfiler, EpochExcludesWarmupInstancesClassifiedLater)
     // An instance that arrives before the epoch and is classified
     // after it counts nowhere, nor does its traffic.
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 4);
+    LineState s, s2;
+    p.arrive(s, word, TrafficClass::Load, 4);
     p.markEpoch();
-    p.load(100);
-    p.arrive(200, TrafficClass::Load, 8);
+    p.load(s, w);
+    p.arrive(s2, WordMask::single(8), TrafficClass::Load, 8);
     TrafficStats t;
     const auto c = p.finalize(t);
     EXPECT_EQ(c.total(), 1.0);
@@ -211,10 +235,48 @@ TEST(WordProfiler, EpochExcludesWarmupInstancesClassifiedLater)
 TEST(WordProfiler, CountsShowOpenInstancesUnclassified)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    p.arrive(100, TrafficClass::Load, 1);
+    LineState s;
+    p.arrive(s, word, TrafficClass::Load, 1);
     EXPECT_EQ(p.counts()[WasteCat::Unclassified], 1.0);
     const auto c = finalizeCounts(p);
     EXPECT_EQ(c[WasteCat::Unclassified], 0.0);
+    EXPECT_EQ(c[WasteCat::Unevicted], 1.0);
+}
+
+TEST(WordProfiler, LineWideCallsClassifyEachWord)
+{
+    // One call over a line's words is the per-word FSM on each: words
+    // 0-3 are already present (Fetch), 4-7 open; a reuse of 2-5 makes
+    // 4-5 Used, and the eviction ends 6-7 as Evict and all presence.
+    WordProfiler p(WordProfiler::Level::L2);
+    LineState s;
+    p.arriveUntracked(s, WordMask::range(0, 4));
+    p.arrive(s, WordMask::range(0, 8), TrafficClass::Load, 4);
+    EXPECT_EQ(s.present(), WordMask::range(0, 8));
+    p.respUsed(s, WordMask::range(2, 4));
+    p.evict(s);
+    EXPECT_TRUE(s.present().empty());
+    TrafficStats t;
+    const auto c = p.finalize(t);
+    EXPECT_EQ(c[WasteCat::Fetch], 4.0);
+    EXPECT_EQ(c[WasteCat::Used], 2.0);
+    EXPECT_EQ(c[WasteCat::Evict], 2.0);
+    EXPECT_EQ(c.total(), 8.0);
+    EXPECT_DOUBLE_EQ(t.ldRespL2Used, 2.0);
+    EXPECT_DOUBLE_EQ(t.ldRespL2Waste, 6.0);
+}
+
+TEST(WordProfiler, PartialInvalidateKeepsOtherWords)
+{
+    WordProfiler p(WordProfiler::Level::L1);
+    LineState s;
+    p.arrive(s, WordMask::range(0, 4), TrafficClass::Store, 2);
+    p.invalidate(s, WordMask::range(1, 2));
+    EXPECT_EQ(s.present(), WordMask::single(0) | WordMask::single(3));
+    p.load(s, 3);
+    const auto c = finalizeCounts(p);
+    EXPECT_EQ(c[WasteCat::Invalidate], 2.0);
+    EXPECT_EQ(c[WasteCat::Used], 1.0);
     EXPECT_EQ(c[WasteCat::Unevicted], 1.0);
 }
 
@@ -235,7 +297,8 @@ TEST(WordProfilerDeath, MarkEpochTwicePanics)
 TEST(WordProfilerDeath, LoadOnAbsentWordPanics)
 {
     WordProfiler p(WordProfiler::Level::L1);
-    EXPECT_DEATH(p.load(100), "absent");
+    LineState s;
+    EXPECT_DEATH(p.load(s, w), "absent");
 }
 
 } // namespace wastesim

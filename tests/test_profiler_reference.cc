@@ -1,15 +1,20 @@
 /**
- * Differential tests: the bounded waste profilers against their
- * append-only reference models (tests/reference_profilers.hh).
+ * Differential tests: the waste profilers against their append-only
+ * reference models (tests/reference_profilers.hh).
  *
- * Seeded random event streams drive both implementations.  The small
- * footprint streams collide on every word; the streaming ones sweep a
- * window over a footprint far larger than the line table while a few
- * long-lived stragglers stay resident, so dead line slots are purged
- * and sparse memory chunks evacuated mid-stream, on both sides of the
- * epoch.  Every stream crosses one markEpoch; the memory streams
- * re-install closed instances and leave some never installed.
- * finalize() counts and every traffic bucket must match exactly.
+ * Seeded random event streams drive both implementations.
+ * WordProfiler keeps each word's state in the line state its caller
+ * passes, so the harness holds one per line, as a cache array does.
+ * An event covers one word or a random set of a line's words (an
+ * eviction covers the whole line), and the reference model gets the
+ * same words one by one.  The small footprint streams collide on
+ * every word; the streaming ones sweep a window over far more lines
+ * than stay resident while a few long-lived stragglers stay put, so
+ * open instances straddle the epoch, and sparse memory chunks are
+ * evacuated mid-stream.  Every stream crosses one markEpoch; the
+ * memory streams re-install closed instances and leave some never
+ * installed.  finalize() counts and every traffic bucket must match
+ * exactly.
  *
  * Each memory stream also drives a second MemProfiler that was told
  * an epoch is coming, so its warm-up instances keep only a copy
@@ -22,6 +27,7 @@
 
 #include <cstring>
 #include <deque>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -57,82 +63,116 @@ randomClass(Rng &rng)
     return classes[rng.below(3)];
 }
 
-RefWordProfiler::Level
-refLevel(WordProfiler::Level level)
+/**
+ * A WordProfiler with one line state per line, as a cache's array
+ * holds them, and the reference model fed the same events.
+ */
+struct WordProfilers
 {
-    return level == WordProfiler::Level::L1 ? RefWordProfiler::Level::L1
-                                            : RefWordProfiler::Level::L2;
-}
+    WordProfiler p;
+    RefWordProfiler ref;
+    std::unordered_map<Addr, WordProfiler::LineState> lines;
 
-/** One random profiler event on word @p wn, applied to both. */
+    explicit WordProfilers(WordProfiler::Level level)
+        : p(level),
+          ref(level == WordProfiler::Level::L1 ? RefWordProfiler::Level::L1
+                                               : RefWordProfiler::Level::L2)
+    {
+    }
+
+    /** Both agree on which words of @p line are present. */
+    void
+    expectSamePresence(Addr line, std::uint64_t seed)
+    {
+        const WordMask got = lines[line].present();
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            ASSERT_EQ(got.test(w), ref.present(line * wordsPerLine + w))
+                << "seed " << seed << " line " << line << " word " << w;
+    }
+};
+
+/** One random profiler event on word @p wn's line, applied to both. */
 void
-wordOp(WordProfiler &p, RefWordProfiler &ref, Rng &rng, Addr wn)
+wordOp(WordProfilers &h, Rng &rng, Addr wn)
 {
+    const Addr line = wn / wordsPerLine;
+    const auto w = static_cast<unsigned>(wn % wordsPerLine);
+    WordProfiler::LineState &s = h.lines[line];
+    RefWordProfiler &ref = h.ref;
     const unsigned hops = 1 + static_cast<unsigned>(rng.below(127));
+    const WordMask words =
+        rng.chance(0.5)
+            ? WordMask::single(w)
+            : WordMask(static_cast<std::uint16_t>(rng.below(0x10000)));
+    auto each = [line](WordMask m, auto &&fn) {
+        for (unsigned i = 0; i < wordsPerLine; ++i)
+            if (m.test(i))
+                fn(line * wordsPerLine + i);
+    };
     switch (rng.below(10)) {
       case 0:
       case 1:
       {
         const TrafficClass cls = randomClass(rng);
-        p.arrive(wn, cls, hops);
-        ref.arrive(wn, cls, hops);
+        h.p.arrive(s, words, cls, hops);
+        each(words, [&](Addr x) { ref.arrive(x, cls, hops); });
         break;
       }
       case 2:
-        p.arriveUntracked(wn);
-        ref.arriveUntracked(wn);
+        h.p.arriveUntracked(s, words);
+        each(words, [&](Addr x) { ref.arriveUntracked(x); });
         break;
       case 3:
         if (ref.present(wn)) {
-            p.load(wn);
+            h.p.load(s, w);
             ref.load(wn);
         }
         break;
       case 4:
-        p.store(wn);
+        h.p.store(s, w);
         ref.store(wn);
         break;
       case 5:
-        p.respUsed(wn);
-        ref.respUsed(wn);
+        h.p.respUsed(s, words);
+        each(words, [&](Addr x) { ref.respUsed(x); });
         break;
       case 6:
       {
         const TrafficClass cls = randomClass(rng);
-        p.arriveReplace(wn, cls, hops);
-        ref.arriveReplace(wn, cls, hops);
+        h.p.arriveReplace(s, words, cls, hops);
+        each(words, [&](Addr x) { ref.arriveReplace(x, cls, hops); });
         break;
       }
       case 7:
         if (rng.chance(0.5)) {
-            p.writeKill(wn);
-            ref.writeKill(wn);
+            h.p.writeKill(s, words);
+            each(words, [&](Addr x) { ref.writeKill(x); });
         } else {
-            p.overwrite(wn);
-            ref.overwrite(wn);
+            h.p.overwrite(s, words);
+            each(words, [&](Addr x) { ref.overwrite(x); });
         }
         break;
       case 8:
-        p.evict(wn);
-        ref.evict(wn);
+        h.p.evict(s);
+        each(WordMask::full(), [&](Addr x) { ref.evict(x); });
         break;
       default:
-        p.invalidate(wn);
-        ref.invalidate(wn);
+        h.p.invalidate(s, words);
+        each(words, [&](Addr x) { ref.invalidate(x); });
         break;
     }
 }
 
 /** finalize() both; counts and every traffic bucket must agree. */
 void
-expectSameFinal(WordProfiler &p, RefWordProfiler &ref, std::uint64_t seed)
+expectSameFinal(WordProfilers &h, std::uint64_t seed)
 {
     // Seed both with the same non-zero buckets, as System::run does
     // when several caches finalize into one TrafficStats.
     TrafficStats got, want;
     got.ldRespL1Used = want.ldRespL1Used = 0.75;
     got.stRespL2Waste = want.stRespL2Waste = 12.5;
-    expectSameCounts(p.finalize(got), ref.finalize(want), seed);
+    expectSameCounts(h.p.finalize(got), h.ref.finalize(want), seed);
     EXPECT_EQ(std::memcmp(&got, &want, sizeof(TrafficStats)), 0)
         << "seed " << seed;
 }
@@ -141,10 +181,9 @@ void
 runWordStream(WordProfiler::Level level, std::uint64_t seed)
 {
     Rng rng(seed);
-    WordProfiler p(level);
-    RefWordProfiler ref(refLevel(level));
+    WordProfilers h(level);
     // Three lines plus a stray word: collisions on every word are
-    // frequent, and the lines straddle line-slot boundaries.
+    // frequent, and the footprint straddles four lines.
     const Addr base = 16 * 1000 + 7;
     const unsigned footprint = 3 * wordsPerLine + 1;
     const unsigned epoch_at = static_cast<unsigned>(
@@ -152,14 +191,16 @@ runWordStream(WordProfiler::Level level, std::uint64_t seed)
 
     for (unsigned op = 0; op < opsPerStream; ++op) {
         if (op == epoch_at) {
-            p.markEpoch();
-            ref.markEpoch();
+            h.p.markEpoch();
+            h.ref.markEpoch();
         }
         const Addr wn = base + rng.below(footprint);
-        wordOp(p, ref, rng, wn);
-        ASSERT_EQ(p.present(wn), ref.present(wn)) << "seed " << seed;
+        wordOp(h, rng, wn);
+        h.expectSamePresence(wn / wordsPerLine, seed);
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
-    expectSameFinal(p, ref, seed);
+    expectSameFinal(h, seed);
 }
 
 constexpr unsigned streamSeeds = 12;
@@ -169,36 +210,33 @@ constexpr unsigned streamOps = 60000;
 constexpr Addr windowLines = 24;
 
 /**
- * A cache sweeping a window over 15k lines (the line table would
- * need 32k slots if it kept them all), plus two straggler lines the
- * window never evicts: their open instances straddle markEpoch and
- * the purges.
+ * A cache sweeping a window over 15k lines, plus two straggler lines
+ * the window never evicts: their open instances straddle markEpoch.
+ * A line leaving the window drops its state, as a freed slot does.
  */
 void
 runStreamingWordStream(WordProfiler::Level level, std::uint64_t seed)
 {
     Rng rng(seed);
-    WordProfiler p(level);
-    RefWordProfiler ref(refLevel(level));
+    WordProfilers h(level);
     const Addr stragglers = Addr{1} << 30; // far from the window
     const unsigned epoch_at = static_cast<unsigned>(
         streamOps / 4 + rng.below(streamOps / 2));
     Addr head = windowLines;
-    std::size_t cap_at_epoch = 0;
 
     for (unsigned op = 0; op < streamOps; ++op) {
         if (op == epoch_at) {
-            p.markEpoch();
-            ref.markEpoch();
-            cap_at_epoch = p.lineCapacity();
+            h.p.markEpoch();
+            h.ref.markEpoch();
         }
         if (op % 4 == 0) {
-            // The oldest line leaves the cache, word by word.
+            // The oldest line leaves the cache.
             const Addr gone = head - windowLines;
-            for (unsigned w = 0; w < wordsPerLine; ++w) {
-                p.evict(gone * wordsPerLine + w);
-                ref.evict(gone * wordsPerLine + w);
-            }
+            h.p.evict(h.lines[gone]);
+            for (unsigned w = 0; w < wordsPerLine; ++w)
+                h.ref.evict(gone * wordsPerLine + w);
+            h.expectSamePresence(gone, seed);
+            h.lines.erase(gone);
             ++head;
         }
         const Addr wn =
@@ -206,14 +244,12 @@ runStreamingWordStream(WordProfiler::Level level, std::uint64_t seed)
                 ? stragglers + rng.below(2 * wordsPerLine)
                 : (head - 1 - rng.below(windowLines)) * wordsPerLine +
                       rng.below(wordsPerLine);
-        wordOp(p, ref, rng, wn);
-        ASSERT_EQ(p.present(wn), ref.present(wn)) << "seed " << seed;
+        wordOp(h, rng, wn);
+        h.expectSamePresence(wn / wordsPerLine, seed);
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
-    // Purges kept the table at the window's size on both sides of
-    // the epoch, far below the 15k lines streamed.
-    EXPECT_LE(cap_at_epoch, 128u) << "seed " << seed;
-    EXPECT_LE(p.lineCapacity(), 128u) << "seed " << seed;
-    expectSameFinal(p, ref, seed);
+    expectSameFinal(h, seed);
 }
 
 
