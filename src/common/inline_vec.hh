@@ -2,12 +2,12 @@
  * @file
  * InlineVec: a fixed-capacity vector with in-object storage.
  *
- * Message payloads are bounded by the packet format (at most four
- * 16-byte data flits, Section 4.2), so the per-message chunk list
- * never needs to grow past a small compile-time cap.  Storing the
- * elements inline removes the per-message heap allocation that
- * std::vector imposed on every protocol transaction.  Exceeding the
- * capacity is a modeling bug and panics.
+ * Short protocol-side lists (a request's chunk groups, the owners
+ * of a line's registered words) are bounded by the packet format (at
+ * most four 16-byte data flits, Section 4.2), so they never need to
+ * grow past a small compile-time cap.  Storing the elements inline
+ * keeps them off the heap on every protocol transaction.  Exceeding
+ * the capacity is a modeling bug and panics.
  */
 
 #ifndef WASTESIM_COMMON_INLINE_VEC_HH

@@ -21,7 +21,7 @@ MemoryController::handle(Message msg)
 {
     switch (msg.kind) {
       case MsgKind::MemRead:
-        handleRead(std::move(msg));
+        handleRead(msg);
         break;
       case MsgKind::MemWrite:
         handleWrite(msg);
@@ -32,7 +32,7 @@ MemoryController::handle(Message msg)
 }
 
 void
-MemoryController::handleRead(Message msg)
+MemoryController::handleRead(Message &msg)
 {
     const Tick arrive = eq_.now();
 
@@ -41,16 +41,10 @@ MemoryController::handleRead(Message msg)
     // row activation is too expensive for a prefetch (Section 3.1).
     if (msg.aux & McFlag::flex) {
         const Addr primary = msg.line;
-        auto &cs = msg.chunks;
-        const std::size_t before = cs.size();
-        cs.erase(std::remove_if(cs.begin(), cs.end(),
-                                [&](const LineChunk &c) {
-                                    return c.line != primary &&
-                                           !dram_.map().sameRow(primary,
-                                                                c.line);
-                                }),
-                 cs.end());
-        droppedChunks_ += before - cs.size();
+        droppedChunks_ += msg.chunks.eraseIf([&](const LineChunk &c) {
+            return c.line != primary &&
+                   !dram_.map().sameRow(primary, c.line);
+        });
     }
 
     panic_if(msg.chunks.empty(), "MemRead with no chunks");
@@ -126,7 +120,7 @@ MemoryController::finishRead(const Message &req, Tick arrive,
     const bool bypass = req.aux & McFlag::bypassL2;
     const bool to_l1 = (req.aux & McFlag::toL1) || bypass;
 
-    ChunkVec out;
+    Payload out;
     for (const auto &c : req.chunks) {
         // chunk.want  = words wanted
         // chunk.dirty = words dirty on-chip; never return from memory
@@ -141,16 +135,15 @@ MemoryController::finishRead(const Message &req, Tick arrive,
         }
         if (send.empty())
             continue;
-        LineChunk oc(c.line, send);
         const WordMask in_l2 = presentInL2_(c.line);
+        std::array<InstId, wordsPerLine> refs{};
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!send.test(w))
                 continue;
-            oc.memRef[w] =
-                prof_.create(wordNumber(c.line) + w, in_l2.test(w));
+            refs[w] = prof_.create(wordNumber(c.line) + w, in_l2.test(w));
             ++wordsSent_;
         }
-        out.push_back(std::move(oc));
+        out.push_back(LineChunk(c.line, send), refs);
     }
 
     auto respond = [&](Endpoint dst) {
@@ -166,7 +159,6 @@ MemoryController::finishRead(const Message &req, Tick arrive,
         resp.ctl = CtlType::RespCtl;
         resp.flag = bypass;
         resp.aux = req.aux;
-        resp.txnId = req.txnId;
         resp.tMcArrive = arrive;
         resp.tMemDone = mem_done;
         net_.send(std::move(resp));

@@ -78,7 +78,7 @@ class MemoryController : public MessageHandler
         std::uint32_t nextFree = 0;
     };
 
-    void handleRead(Message msg);
+    void handleRead(Message &msg);
     void handleWrite(const Message &msg);
 
     /** One of a read's DRAM accesses finished at @p done. */

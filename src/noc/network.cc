@@ -81,7 +81,7 @@ Network::deliverAt(Tick when, Message &&msg)
 }
 
 void
-Network::send(Message msg)
+Network::send(Message &&msg)
 {
     msg.sentAt = eq_.now();
     ++msgsSent_;
@@ -116,7 +116,7 @@ Network::send(Message msg)
 #endif
             linkFlits_[static_cast<std::size_t>(prev) * tiles + prev] +=
                 total_flits;
-        msg.hops = hops + 1;
+        msg.hops = static_cast<std::uint16_t>(hops + 1);
     }
 
     flitHopsCharged_ +=
@@ -136,10 +136,9 @@ Network::send(Message msg)
     }
 
     // Raw (non-cache-word) payloads are pure control-side traffic.
-    if (msg.rawWords > 0) {
+    if (const unsigned raw = msg.chunks.rawWords(); raw > 0) {
         traffic_.control(msg.cls, msg.ctl,
-                         msg.rawWords /
-                             static_cast<double>(wordsPerFlit),
+                         raw / static_cast<double>(wordsPerFlit),
                          msg.hops);
     }
 
@@ -166,14 +165,14 @@ Network::send(Message msg)
 }
 
 void
-Network::sendAfter(Tick delay, Message msg)
+Network::sendAfter(Tick delay, Message &&msg)
 {
     const std::uint32_t idx = poolAcquire(std::move(msg));
     eq_.schedule(delay, [this, idx] { send(poolRelease(idx)); });
 }
 
 void
-Network::deliverAfter(Tick delay, Message msg)
+Network::deliverAfter(Tick delay, Message &&msg)
 {
     deliverAt(eq_.now() + delay, std::move(msg));
 }

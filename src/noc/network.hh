@@ -46,7 +46,10 @@ class Network
      * Send @p msg: record its traffic and schedule delivery at the
      * destination handler.
      */
-    void send(Message msg);
+    void send(Message &&msg);
+
+    /** Send a copy of @p msg, for callers that keep the original. */
+    void send(const Message &msg) { send(Message(msg)); }
 
     /**
      * Send @p msg after @p delay ticks of local processing (e.g. the
@@ -55,14 +58,14 @@ class Network
      * the message waits in the network's pool, not in a heap-
      * allocated closure.
      */
-    void sendAfter(Tick delay, Message msg);
+    void sendAfter(Tick delay, Message &&msg);
 
     /**
      * Re-deliver @p msg to its destination handler after @p delay
      * ticks without charging any traffic (the packet already
      * arrived; the receiver is retrying local processing).
      */
-    void deliverAfter(Tick delay, Message msg);
+    void deliverAfter(Tick delay, Message &&msg);
 
     /** Messages sent so far. */
     std::uint64_t messagesSent() const { return msgsSent_; }
@@ -143,7 +146,7 @@ class Network
     /** In-flight message pool: slots recycled through a free list so
      *  steady-state sends perform no allocation.  A deque, so slots
      *  never move and growth never holds an old and a new array of
-     *  1.4 KB messages at once. */
+     *  messages at once. */
     std::deque<Message> msgPool_;
     std::vector<std::uint32_t> msgFree_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "common/inline_vec.hh"
 #include "common/log.hh"
 #include "dram/memory_controller.hh"
 
@@ -20,9 +21,9 @@ namespace
  */
 template <typename KeyFn, typename EmitFn>
 void
-groupChunksBy(const ChunkVec &wanted, KeyFn key, EmitFn emit)
+groupChunksBy(const Payload &wanted, KeyFn key, EmitFn emit)
 {
-    InlineVec<unsigned, ChunkVec::capacity()> keys;
+    InlineVec<unsigned, Payload::maxChunks> keys;
     for (const auto &c : wanted) {
         const unsigned k = key(c);
         if (std::find(keys.begin(), keys.end(), k) == keys.end())
@@ -30,10 +31,10 @@ groupChunksBy(const ChunkVec &wanted, KeyFn key, EmitFn emit)
     }
     std::sort(keys.begin(), keys.end());
     for (unsigned k : keys) {
-        ChunkVec group;
-        for (const auto &c : wanted)
-            if (key(c) == k)
-                group.push_back(c);
+        Payload group;
+        for (unsigned i = 0; i < wanted.size(); ++i)
+            if (key(wanted[i]) == k)
+                group.appendFrom(wanted, i);
         emit(k, std::move(group));
     }
 }
@@ -104,11 +105,11 @@ DenovoL1::missLoad(Addr a, LoadCallback done)
     sendLoadRequest(a, composeWanted(a));
 }
 
-ChunkVec
+Payload
 DenovoL1::composeWanted(Addr a)
 {
     const Addr la = lineAddr(a);
-    ChunkVec chunks;
+    Payload chunks;
 
     auto readable_at = [this](Addr line, unsigned w) {
         const DenovoL1Line *cl = array_.find(line);
@@ -125,8 +126,8 @@ DenovoL1::composeWanted(Addr a)
         auto fw = regions_.flexWords(a);
         if (!fw.empty()) {
             // The communication region's words, minus what we hold.
-            InlineVec<std::pair<Addr, WordMask>,
-                      ChunkVec::capacity()> masks;
+            InlineVec<std::pair<Addr, WordMask>, Payload::maxChunks>
+                masks;
             auto add = [&](Addr line, unsigned w) {
                 if (readable_at(line, w))
                     return;
@@ -179,7 +180,7 @@ DenovoL1::requestBloomCopy(Addr line_addr)
 }
 
 void
-DenovoL1::sendLoadRequest(Addr critical, const ChunkVec &wanted)
+DenovoL1::sendLoadRequest(Addr critical, const Payload &wanted)
 {
     const Addr cla = lineAddr(critical);
     const bool bypass = cfg_.respBypass && regions_.isBypass(critical);
@@ -204,7 +205,7 @@ DenovoL1::sendLoadRequest(Addr critical, const ChunkVec &wanted)
                 [&](const LineChunk &c) {
                     return params_.topo.memChannel(c.line);
                 },
-                [&](unsigned ch, ChunkVec group) {
+                [&](unsigned ch, Payload &&group) {
                     Message rd;
                     rd.kind = MsgKind::MemRead;
                     rd.src = l1Ep(id_);
@@ -233,7 +234,7 @@ DenovoL1::sendLoadRequest(Addr critical, const ChunkVec &wanted)
         [&](const LineChunk &c) {
             return params_.topo.homeSlice(c.line);
         },
-        [&](unsigned slice, ChunkVec group) {
+        [&](unsigned slice, Payload &&group) {
             Message req;
             req.kind = MsgKind::DnLoadReq;
             req.src = l1Ep(id_);
@@ -422,7 +423,9 @@ DenovoL1::barrierRelease(const std::vector<RegionId> &inv_regions)
 void
 DenovoL1::installResponse(Message &msg)
 {
-    for (auto &chunk : msg.chunks) {
+    for (unsigned i = 0; i < msg.chunks.size(); ++i) {
+        const LineChunk &chunk = msg.chunks[i];
+        const auto refs = msg.chunks.lineRefs(i);
         if (chunk.mask.empty())
             continue;
         DenovoL1Line &cl = ensureSlot(chunk.line);
@@ -436,8 +439,8 @@ DenovoL1::installResponse(Message &msg)
                 continue;
             if (!cl.regWords.test(w) && !cl.validWords.test(w)) {
                 cl.validWords.set(w);
-                cl.memRef[w] = chunk.memRef[w];
-                memProf_.addRef(chunk.memRef[w]);
+                cl.memRef[w] = refs[w];
+                memProf_.addRef(refs[w]);
             }
         }
         // Update load-MSHR timing for this line.
@@ -450,7 +453,7 @@ DenovoL1::installResponse(Message &msg)
     }
 
     // Complete whatever waiters this response satisfied.
-    InlineVec<Addr, ChunkVec::capacity() + 1> lines;
+    InlineVec<Addr, Payload::maxChunks + 1> lines;
     for (const auto &chunk : msg.chunks)
         lines.push_back(chunk.line);
     lines.push_back(msg.line);
@@ -536,7 +539,7 @@ DenovoL1::scheduleRetry(Addr line_addr)
         }
         LineChunk chunk(line_addr);
         chunk.want = need;
-        ChunkVec wanted;
+        Payload wanted;
         wanted.push_back(chunk);
         const Addr first_word = m.waiters.front().first * bytesPerWord;
         sendLoadRequest(first_word, wanted);
@@ -568,11 +571,13 @@ DenovoL1::handleFwdLoadReq(const Message &msg)
     resp.cls = TrafficClass::Load;
     resp.ctl = CtlType::RespCtl;
     if (!supplied.empty()) {
-        LineChunk chunk(la, supplied);
+        // Registered words not yet valid here carry no instance.
+        std::array<InstId, wordsPerLine> refs;
+        refs.fill(invalidInst);
         for (unsigned w = 0; w < wordsPerLine; ++w)
-            if (supplied.test(w) && src->validWords.test(w))
-                chunk.memRef[w] = src->memRef[w];
-        resp.chunks.push_back(chunk);
+            if (src->validWords.test(w))
+                refs[w] = src->memRef[w];
+        resp.chunks.push_back(LineChunk(la, supplied), refs);
     }
     net_.send(std::move(resp));
 }
@@ -749,12 +754,8 @@ DenovoL1::handle(Message msg)
         handleRecall(msg);
         break;
       case MsgKind::BloomCopyResp: {
-        BloomImage img{};
-        for (std::size_t i = 0; i < img.size() && i < msg.blob.size();
-             ++i) {
-            img[i] = msg.blob[i];
-        }
-        bloom_.installImage(msg.src.idx, msg.aux, img);
+        bloom_.installImage(msg.src.idx, msg.aux,
+                            msg.chunks.raw<BloomImage>());
         bloomCopyPending_.erase(
             static_cast<Addr>(msg.src.idx) * params_.bloomFilters +
             msg.aux);

@@ -106,11 +106,11 @@ class DenovoL1 : public L1Cache
     void missLoad(Addr a, LoadCallback done);
 
     /** Compose the wanted word set (Flex-aware) for a missing word. */
-    ChunkVec composeWanted(Addr a);
+    Payload composeWanted(Addr a);
 
     /** Route a composed request: via the L2 slices or straight to the
      *  memory controllers when the Bloom shadow proves it safe. */
-    void sendLoadRequest(Addr critical, const ChunkVec &wanted);
+    void sendLoadRequest(Addr critical, const Payload &wanted);
 
     void requestBloomCopy(Addr line_addr);
 

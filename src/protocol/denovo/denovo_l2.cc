@@ -62,7 +62,7 @@ DenovoL2::nack(Endpoint to, MsgKind orig, Addr line_addr, WordMask mask)
 }
 
 void
-DenovoL2::sendLoadResp(CoreId to, ChunkVec chunks, Tick t_mc,
+DenovoL2::sendLoadResp(CoreId to, Payload &&chunks, Tick t_mc,
                        Tick t_mem)
 {
     Message resp;
@@ -118,7 +118,7 @@ DenovoL2::handleLoadReq(Message &msg)
     const CoreId requester = msg.requester;
     const bool bypass = msg.flag;
 
-    ChunkVec resp_chunks;
+    Payload resp_chunks;
     InlineVec<OwnerWords, maxWordsPerMsg * wordsPerLine> forwards;
 
     for (const auto &chunk : msg.chunks) {
@@ -145,17 +145,15 @@ DenovoL2::handleLoadReq(Message &msg)
 
         if (!from_l2.empty()) {
             // L2 reuse: these words' residency paid off.
-            LineChunk rc(la, from_l2);
             prof_.respUsed(cl->prof, from_l2);
             for (unsigned w = 0; w < wordsPerLine; ++w) {
                 if (!from_l2.test(w))
                     continue;
                 if (cl->memRef[w] != invalidInst)
                     memProf_.used(cl->memRef[w]);
-                rc.memRef[w] = cl->memRef[w];
                 ++wordHits_;
             }
-            resp_chunks.push_back(std::move(rc));
+            resp_chunks.push_back(LineChunk(la, from_l2), cl->memRef);
         }
 
         if (!missing.empty()) {
@@ -280,7 +278,9 @@ DenovoL2::startMemFetch(Addr line_addr, WordMask missing, CoreId requester,
 void
 DenovoL2::handleMemData(Message &msg)
 {
-    for (auto &chunk : msg.chunks) {
+    for (unsigned i = 0; i < msg.chunks.size(); ++i) {
+        const LineChunk &chunk = msg.chunks[i];
+        const auto refs = msg.chunks.lineRefs(i);
         const Addr la = chunk.line;
         DenovoL2Line *cl = array_.find(la);
         panic_if(!cl, "MemData for unallocated DeNovo L2 line");
@@ -295,8 +295,8 @@ DenovoL2::handleMemData(Message &msg)
         cl->validWords |= install;
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (install.test(w)) {
-                cl->memRef[w] = chunk.memRef[w];
-                memProf_.addRef(chunk.memRef[w]);
+                cl->memRef[w] = refs[w];
+                memProf_.addRef(refs[w]);
             }
         }
 
@@ -310,12 +310,8 @@ DenovoL2::handleMemData(Message &msg)
             if (waiter.core == mshr.directTo)
                 continue; // the MC already delivered to this L1
             const WordMask serve = waiter.want & cl->validWords;
-            ChunkVec cs;
-            LineChunk rc(la, serve);
-            for (unsigned w = 0; w < wordsPerLine; ++w)
-                if (serve.test(w))
-                    rc.memRef[w] = cl->memRef[w];
-            cs.push_back(std::move(rc));
+            Payload cs;
+            cs.push_back(LineChunk(la, serve), cl->memRef);
             // Demand-fill forward: no respUsed (not L2 reuse).
             sendLoadResp(waiter.core, std::move(cs), msg.tMcArrive,
                          msg.tMemDone);
@@ -376,9 +372,9 @@ DenovoL2::handleReg(Message &msg)
     // victim dies; defer until the recall completes.
     auto rit = recalls_.find(la);
     if (rit != recalls_.end()) {
-        Message copy = msg;
-        rit->second.conts.push_back(
-            [this, copy]() mutable { handle(copy); });
+        rit->second.conts.push_back([this, m = std::move(msg)]() mutable {
+            handle(std::move(m));
+        });
         return;
     }
 
@@ -400,9 +396,8 @@ DenovoL2::handleReg(Message &msg)
                 return;
             }
             if (slot->valid) {
-                Message copy = msg;
-                recallVictim(*slot, [this, copy]() mutable {
-                    handle(copy);
+                recallVictim(*slot, [this, m = std::move(msg)]() mutable {
+                    handle(std::move(m));
                 });
                 return;
             }
@@ -437,8 +432,9 @@ DenovoL2::handleReg(Message &msg)
             return;
         }
         if (slot->valid) {
-            Message copy = msg;
-            recallVictim(*slot, [this, copy]() mutable { handle(copy); });
+            recallVictim(*slot, [this, m = std::move(msg)]() mutable {
+                handle(std::move(m));
+            });
             return;
         }
         array_.resetTo(*slot, la);
@@ -496,8 +492,9 @@ DenovoL2::handleWb(Message &msg)
     if (!cl) {
         DenovoL2Line *slot = array_.victimFor(la);
         if (slot && slot->valid) {
-            Message copy = msg;
-            recallVictim(*slot, [this, copy]() mutable { handle(copy); });
+            recallVictim(*slot, [this, m = std::move(msg)]() mutable {
+                handle(std::move(m));
+            });
             return;
         }
         if (!slot) {
@@ -677,8 +674,7 @@ DenovoL2::handleBloomReq(const Message &msg)
     resp.cls = TrafficClass::Overhead;
     resp.ctl = CtlType::OhBloom;
     resp.aux = idx;
-    resp.blob.assign(img.begin(), img.end());
-    resp.rawWords = bloomEntries / 8 / bytesPerWord; // 64 B image
+    resp.chunks.setRaw(img); // the 64-byte image: 16 raw words
     net_.send(std::move(resp));
 }
 

@@ -172,7 +172,7 @@ class DenovoL2 : public MessageHandler
     void progressRecall(Addr victim_line);
     void finishVictim(Addr victim_line);
 
-    void sendLoadResp(CoreId to, ChunkVec chunks, Tick t_mc = 0,
+    void sendLoadResp(CoreId to, Payload &&chunks, Tick t_mc = 0,
                       Tick t_mem = 0);
     void sendRegInvs(const LineOwners &invs);
     void nack(Endpoint to, MsgKind orig, Addr line_addr, WordMask mask);

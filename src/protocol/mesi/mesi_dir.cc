@@ -54,9 +54,7 @@ MesiDir::sendDataFromL2(const MesiDirLine &cl, CoreId requester,
     resp.aux = acks;
     resp.tMcArrive = t_mc;
     resp.tMemDone = t_mem;
-    LineChunk chunk(cl.line, cl.validWords);
-    chunk.memRef = cl.memRef;
-    resp.chunks.push_back(chunk);
+    resp.chunks.push_back(LineChunk(cl.line, cl.validWords), cl.memRef);
 
     net_.sendAfter(params_.l2Latency, std::move(resp));
 }
@@ -65,7 +63,9 @@ void
 MesiDir::installWords(const Message &msg, MesiDirLine &cl,
                       bool track_arrivals)
 {
-    for (const auto &chunk : msg.chunks) {
+    for (unsigned i = 0; i < msg.chunks.size(); ++i) {
+        const LineChunk &chunk = msg.chunks[i];
+        const auto refs = msg.chunks.lineRefs(i);
         panic_if(chunk.line != cl.line, "chunk for wrong line");
         const WordMask newer_words = chunk.mask & chunk.dirty;
         if (track_arrivals) {
@@ -88,8 +88,8 @@ MesiDir::installWords(const Message &msg, MesiDirLine &cl,
             }
             if (!cl.validWords.test(w) || newer) {
                 cl.validWords.set(w);
-                cl.memRef[w] = chunk.memRef[w];
-                memProf_.addRef(chunk.memRef[w]);
+                cl.memRef[w] = refs[w];
+                memProf_.addRef(refs[w]);
             }
             if (newer)
                 cl.dirtyWords.set(w);
@@ -98,7 +98,7 @@ MesiDir::installWords(const Message &msg, MesiDirLine &cl,
 }
 
 void
-MesiDir::handleGetS(const Message &msg)
+MesiDir::handleGetS(Message &msg)
 {
     const Addr la = msg.line;
     if (txns_.count(la)) {
@@ -147,7 +147,7 @@ MesiDir::handleGetS(const Message &msg)
 }
 
 void
-MesiDir::handleGetX(const Message &msg)
+MesiDir::handleGetX(Message &msg)
 {
     const Addr la = msg.line;
     if (txns_.count(la)) {
@@ -496,7 +496,7 @@ MesiDir::recallVictim(MesiDirLine &victim, std::function<void()> cont)
 }
 
 void
-MesiDir::startFetch(const Message &msg)
+MesiDir::startFetch(Message &msg)
 {
     const Addr la = msg.line;
     MesiDirLine *slot = array_.victimFor(la);
@@ -507,8 +507,9 @@ MesiDir::startFetch(const Message &msg)
     if (slot->valid) {
         // Evict (recall) the victim first, then retry the request via
         // the normal dispatch path.
-        Message copy = msg;
-        recallVictim(*slot, [this, copy]() mutable { handle(copy); });
+        recallVictim(*slot, [this, m = std::move(msg)]() mutable {
+            handle(std::move(m));
+        });
         return;
     }
 

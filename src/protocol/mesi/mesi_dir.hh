@@ -87,8 +87,8 @@ class MesiDir : public MessageHandler
 
     void nack(const Message &msg);
 
-    void handleGetS(const Message &msg);
-    void handleGetX(const Message &msg);
+    void handleGetS(Message &msg);
+    void handleGetX(Message &msg);
     void handleUpgrade(const Message &msg);
     void handlePutX(Message &msg);
     void handlePutS(const Message &msg);
@@ -97,7 +97,7 @@ class MesiDir : public MessageHandler
     void handleInvAck(const Message &msg);
 
     /** Begin a memory fetch, evicting a victim first if needed. */
-    void startFetch(const Message &msg);
+    void startFetch(Message &msg);
 
     /** Kick off the recall of @p victim; @p cont runs once freed. */
     void recallVictim(MesiDirLine &victim, std::function<void()> cont);

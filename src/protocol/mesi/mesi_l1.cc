@@ -253,15 +253,17 @@ MesiL1::installData(Message &msg, Mshr &m)
     // outstanding (synthetic hot-set streams), a later install in the
     // same set must not evict a line whose MSHR still awaits acks.
     cl.busy = true;
-    for (auto &chunk : msg.chunks) {
+    for (unsigned i = 0; i < msg.chunks.size(); ++i) {
+        const LineChunk &chunk = msg.chunks[i];
+        const auto refs = msg.chunks.lineRefs(i);
         panic_if(chunk.line != msg.line, "MESI data spans lines");
         prof_.arrive(cl.prof, chunk.mask, msg.cls, msg.hops);
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!chunk.mask.test(w))
                 continue;
             cl.validWords.set(w);
-            cl.memRef[w] = chunk.memRef[w];
-            memProf_.addRef(chunk.memRef[w]);
+            cl.memRef[w] = refs[w];
+            memProf_.addRef(refs[w]);
         }
         cl.dirtyWords |= chunk.dirty & chunk.mask;
     }
@@ -346,8 +348,7 @@ MesiL1::maybeComplete(Addr line_addr)
         ub.ctl = CtlType::RespCtl;
         LineChunk chunk(line_addr, cl->validWords);
         chunk.dirty = cl->dirtyWords;
-        chunk.memRef = cl->memRef;
-        ub.chunks.push_back(chunk);
+        ub.chunks.push_back(chunk, cl->memRef);
     } else {
         ub.kind = MsgKind::Unblock;
         ub.cls = TrafficClass::Overhead;
@@ -398,12 +399,11 @@ MesiL1::respondToFwd(const Message &msg, bool exclusive)
     resp.ctl = CtlType::RespCtl;
     resp.aux = 0; // no invalidation acks to wait for
     LineChunk chunk(msg.line, src->validWords);
-    chunk.memRef = src->memRef;
     if (exclusive) {
         // Ownership (and writeback responsibility) transfers.
         chunk.dirty = src->dirtyWords;
     }
-    resp.chunks.push_back(chunk);
+    resp.chunks.push_back(chunk, src->memRef);
     net_.send(std::move(resp));
 
     if (!exclusive) {
@@ -421,8 +421,7 @@ MesiL1::respondToFwd(const Message &msg, bool exclusive)
             copy.ctl = CtlType::RespCtl;
             LineChunk l2chunk(msg.line, src->validWords);
             l2chunk.dirty = src->dirtyWords;
-            l2chunk.memRef = src->memRef;
-            copy.chunks.push_back(l2chunk);
+            copy.chunks.push_back(l2chunk, src->memRef);
             net_.send(std::move(copy));
         }
         if (!from_buffer && cl->valid && cl->mesi != MesiState::I) {
@@ -477,8 +476,7 @@ MesiL1::handleInv(const Message &msg)
             resp.aux = 1;
             LineChunk chunk(msg.line, buf.validWords);
             chunk.dirty = buf.dirtyWords;
-            chunk.memRef = buf.memRef;
-            resp.chunks.push_back(chunk);
+            resp.chunks.push_back(chunk, buf.memRef);
             net_.send(std::move(resp));
             evictBuf_.erase(eb);
             return;
@@ -501,8 +499,7 @@ MesiL1::handleInv(const Message &msg)
         resp.aux = 1; // recall response, not a spontaneous PutX
         LineChunk chunk(msg.line, cl->validWords);
         chunk.dirty = cl->dirtyWords;
-        chunk.memRef = cl->memRef;
-        resp.chunks.push_back(chunk);
+        resp.chunks.push_back(chunk, cl->memRef);
         net_.send(std::move(resp));
         invalidateLine(*cl);
         return;

@@ -7,16 +7,22 @@
  * A message is one network packet: one control flit plus up to four
  * 16-byte data flits (at most 64 bytes of payload, per Section 4.2).
  * Payload words are carried in per-line chunks so that DeNovo Flex
- * responses can mix words from different cache lines in one packet.
+ * responses can mix words from different cache lines in one packet,
+ * and a message is sized by that bound: 16 chunks of 16 bytes plus
+ * one 16-slot word array.
  */
 
 #ifndef WASTESIM_PROTOCOL_MESSAGE_HH
 #define WASTESIM_PROTOCOL_MESSAGE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <new>
+#include <type_traits>
 
-#include "common/inline_vec.hh"
+#include "common/log.hh"
 #include "common/topology.hh"
 #include "common/types.hh"
 #include "common/word_mask.hh"
@@ -125,7 +131,11 @@ enum class MsgKind : unsigned char
 /** Printable name of a message kind. */
 const char *msgKindName(MsgKind k);
 
-/** Payload fragment: words of one cache line. */
+/**
+ * Payload fragment: words of one cache line.  The instance ids of the
+ * carried words live in the enclosing Payload, not here, so a chunk
+ * is only its line and its three word selections.
+ */
 struct LineChunk
 {
     Addr line = 0;                      //!< line byte address
@@ -134,68 +144,273 @@ struct LineChunk
     /** Request-side word selection (wanted words / dirty-on-chip
      *  filter); carried in the control flit, never payload. */
     WordMask want;
-    /** Memory-profiler instance carried per word (propagates with
-     *  copies so the Fig. 4.3 refcounting can follow them). */
-    std::array<InstId, wordsPerLine> memRef;
 
-    LineChunk() { memRef.fill(invalidInst); }
+    LineChunk() = default;
 
     explicit LineChunk(Addr l, WordMask m = WordMask::none())
         : line(l), mask(m)
     {
-        memRef.fill(invalidInst);
     }
 };
 
+static_assert(sizeof(LineChunk) <= 16,
+              "LineChunk grew: it is copied into every payload slot");
+static_assert(std::is_trivially_copyable_v<LineChunk>,
+              "Payload copies chunks as bytes");
+
 /**
- * Payload chunk list, stored inline.  A packet carries at most
+ * What one packet carries: its line chunks plus one 32-bit slot per
+ * payload word, stored inline.  A packet carries at most
  * maxWordsPerMsg payload words (four 16-byte data flits, Section
  * 4.2), and every chunk names at least one word — either payload
- * (mask) or request-side selection (want) — so the chunk count is
- * bounded by the same constant and never needs heap storage.
+ * (mask) or request-side selection (want) — so both the chunk count
+ * and the slot count are bounded by that constant.
+ *
+ * The slots hold either the memory-profiler instance of each chunk
+ * word (Fig. 4.3 refcounting follows them across copies) or, when
+ * the payload has no chunks, a raw image such as a 64-byte Bloom
+ * filter.  Instance ids are kept in payload order: chunk order
+ * first, then ascending word order inside each chunk's mask, so a
+ * chunk's ids start after the popcounts of the masks before it.  A
+ * word carried without an instance keeps an invalidInst slot.
+ * Chunks are appended whole and never edited in place, which keeps
+ * masks and slots in step; caches trade ids with a payload as
+ * line-indexed arrays (push_back(c, refs) and lineRefs()).
  */
-using ChunkVec = InlineVec<LineChunk, maxWordsPerMsg>;
+class Payload
+{
+  public:
+    /** Chunk capacity (one word per chunk at the least). */
+    static constexpr unsigned maxChunks = maxWordsPerMsg;
 
-/** Opaque payload blob (Bloom filter images; 64 bytes). */
-using BlobVec = InlineVec<std::uint64_t, 8>;
+    using const_iterator = const LineChunk *;
 
-/** One network packet. */
+    Payload() = default;
+
+    /** Copies only the chunks and slots in use. */
+    Payload(const Payload &o) { copyFrom(o); }
+
+    Payload &
+    operator=(const Payload &o)
+    {
+        if (this != &o)
+            copyFrom(o);
+        return *this;
+    }
+
+    unsigned size() const { return nChunks_; }
+    bool empty() const { return nChunks_ == 0; }
+    const_iterator begin() const { return chunks(); }
+    const_iterator end() const { return chunks() + nChunks_; }
+    const LineChunk &operator[](unsigned i) const { return chunks()[i]; }
+    const LineChunk &front() const { return chunks()[0]; }
+
+    const LineChunk &
+    at(unsigned i) const
+    {
+        panic_if(i >= nChunks_, "payload chunk %u out of range", i);
+        return chunks()[i];
+    }
+
+    /** Payload words: chunk words, or the raw image's words. */
+    unsigned words() const { return nWords_; }
+
+    /** Words of a raw image (zero whenever chunks are present). */
+    unsigned rawWords() const { return empty() ? nWords_ : 0; }
+
+    /** Append @p c; its payload words carry no instance. */
+    void
+    push_back(const LineChunk &c)
+    {
+        const unsigned first = reserve(c);
+        std::fill_n(words_.begin() + first, c.mask.count(), invalidInst);
+    }
+
+    /** Append @p c; payload word w carries instance @p refs[w]. */
+    void
+    push_back(const LineChunk &c,
+              const std::array<InstId, wordsPerLine> &refs)
+    {
+        unsigned slot = reserve(c);
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            if (c.mask.test(w))
+                words_[slot++] = refs[w];
+    }
+
+    void
+    emplace_back(Addr line, WordMask mask = WordMask::none())
+    {
+        push_back(LineChunk(line, mask));
+    }
+
+    /** Append chunk @p i of @p from together with its instances. */
+    void
+    appendFrom(const Payload &from, unsigned i)
+    {
+        const LineChunk &c = from[i];
+        const unsigned first = reserve(c);
+        std::copy_n(from.words_.begin() + from.firstSlot(i),
+                    c.mask.count(), words_.begin() + first);
+    }
+
+    /** Chunk @p i's instances by line word, the inverse of
+     *  push_back(c, refs): payload word w reads the instance it
+     *  carries, every other word invalidInst. */
+    std::array<InstId, wordsPerLine>
+    lineRefs(unsigned i) const
+    {
+        std::array<InstId, wordsPerLine> refs;
+        refs.fill(invalidInst);
+        const WordMask mask = chunks()[i].mask;
+        unsigned slot = firstSlot(i);
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            if (mask.test(w))
+                refs[w] = words_[slot++];
+        return refs;
+    }
+
+    /** Drop every chunk matching @p pred, with its instances.
+     *  @return the number of chunks dropped. */
+    template <typename Pred>
+    unsigned
+    eraseIf(Pred pred)
+    {
+        unsigned kept = 0, out = 0, in = 0;
+        for (unsigned i = 0; i < nChunks_; ++i) {
+            const LineChunk c = chunks()[i];
+            const unsigned n = c.mask.count();
+            if (!pred(c)) {
+                chunks()[kept++] = c;
+                std::copy_n(words_.begin() + in, n, words_.begin() + out);
+                out += n;
+            }
+            in += n;
+        }
+        const unsigned dropped = nChunks_ - kept;
+        nChunks_ = static_cast<std::uint8_t>(kept);
+        nWords_ = static_cast<std::uint8_t>(out);
+        return dropped;
+    }
+
+    /** Carry the bytes of @p image as a raw payload (no chunks). */
+    template <typename T>
+    void
+    setRaw(const T &image)
+    {
+        static_assert(std::is_trivially_copyable_v<T> &&
+                          sizeof(T) % bytesPerWord == 0 &&
+                          sizeof(T) <= maxWordsPerMsg * bytesPerWord,
+                      "raw payload must be whole words of one packet");
+        panic_if(!empty(), "raw payload alongside line chunks");
+        std::memcpy(words_.data(), &image, sizeof(T));
+        nWords_ = sizeof(T) / bytesPerWord;
+    }
+
+    /** The raw image set by setRaw(). */
+    template <typename T>
+    T
+    raw() const
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        panic_if(rawWords() * bytesPerWord != sizeof(T),
+                 "raw payload of %u words read as %zu bytes",
+                 rawWords(), sizeof(T));
+        T image;
+        std::memcpy(&image, words_.data(), sizeof(T));
+        return image;
+    }
+
+  private:
+    /** Append @p c's header. @return its first word's slot. */
+    unsigned
+    reserve(const LineChunk &c)
+    {
+        panic_if(nChunks_ == maxChunks, "payload already holds %u chunks",
+                 maxChunks);
+        panic_if(empty() && nWords_ > 0,
+                 "line chunk appended to a raw payload");
+        const unsigned first = nWords_;
+        panic_if(first + c.mask.count() > maxWordsPerMsg,
+                 "payload exceeds %u words", maxWordsPerMsg);
+        ::new (chunkBytes_ + nChunks_++ * sizeof(LineChunk)) LineChunk(c);
+        nWords_ = static_cast<std::uint8_t>(first + c.mask.count());
+        return first;
+    }
+
+    /** Slot of chunk @p i's first payload word: the payload words of
+     *  the chunks before it. */
+    unsigned
+    firstSlot(unsigned i) const
+    {
+        unsigned slot = 0;
+        for (unsigned j = 0; j < i; ++j)
+            slot += chunks()[j].mask.count();
+        return slot;
+    }
+
+    void
+    copyFrom(const Payload &o)
+    {
+        nChunks_ = o.nChunks_;
+        nWords_ = o.nWords_;
+        std::memcpy(chunkBytes_, o.chunkBytes_,
+                    nChunks_ * sizeof(LineChunk));
+        std::memcpy(words_.data(), o.words_.data(),
+                    nWords_ * sizeof(std::uint32_t));
+    }
+
+    LineChunk *
+    chunks()
+    {
+        return std::launder(reinterpret_cast<LineChunk *>(chunkBytes_));
+    }
+
+    const LineChunk *
+    chunks() const
+    {
+        return std::launder(
+            reinterpret_cast<const LineChunk *>(chunkBytes_));
+    }
+
+    /** Storage is left uninitialized: a message is built, copied and
+     *  moved for every packet, and only the slots in use are read. */
+    alignas(LineChunk) unsigned char chunkBytes_[maxChunks *
+                                                 sizeof(LineChunk)];
+    std::array<std::uint32_t, maxWordsPerMsg> words_;
+    std::uint8_t nChunks_ = 0;
+    std::uint8_t nWords_ = 0;
+};
+
+static_assert(sizeof(InstId) == sizeof(std::uint32_t),
+              "payload slots hold instance ids and raw words alike");
+
+/** One network packet.  Fields are ordered so that no padding sits
+ *  between them. */
 struct Message
 {
     MsgKind kind = MsgKind::GetS;
+    TrafficClass cls = TrafficClass::Overhead;
+    CtlType ctl = CtlType::OhNack;
+    bool flag = false;          //!< protocol-specific (e.g. bypass)
+    CoreId requester = 0;       //!< original requester (for forwards)
     Endpoint src, dst;
     Addr line = 0;              //!< primary line address
     WordMask mask;              //!< request / ack word mask
-    ChunkVec chunks;            //!< data payload (empty = control)
-
-    CoreId requester = 0;       //!< original requester (for forwards)
-    TrafficClass cls = TrafficClass::Overhead;
-    CtlType ctl = CtlType::OhNack;
-    BlobVec blob;               //!< opaque raw payload (Bloom images)
-    bool flag = false;          //!< protocol-specific (e.g. bypass)
+    std::uint16_t hops = 0;     //!< filled in by the network
     unsigned aux = 0;           //!< protocol-specific small payload
-    std::uint64_t txnId = 0;    //!< transaction id for matching
-
-    /** Non-cache-word payload (e.g. a Bloom filter image), in words.
-     *  Charged entirely to the control bucket of @ref ctl. */
-    unsigned rawWords = 0;
-
-    unsigned hops = 0;          //!< filled in by the network
     Tick sentAt = 0;            //!< filled in by the network
 
     // Memory-latency attribution (Fig. 5.2 ToMC / Mem / FromMC).
     Tick tMcArrive = 0;         //!< request arrival at the MC
     Tick tMemDone = 0;          //!< DRAM completion at the MC
 
-    /** Total payload words across chunks plus raw payload. */
-    unsigned
-    words() const
-    {
-        unsigned n = rawWords;
-        for (const auto &c : chunks)
-            n += c.mask.count();
-        return n;
-    }
+    /** Data payload (no chunks and no words = control only).  A raw
+     *  image (e.g. a Bloom filter) is charged entirely to the
+     *  control bucket of @ref ctl. */
+    Payload chunks;
+
+    /** Payload words: chunk words plus raw words. */
+    unsigned words() const { return chunks.words(); }
 
     /** Data flits needed for the payload. */
     unsigned
@@ -208,13 +423,18 @@ struct Message
     unsigned totalFlits() const { return 1 + dataFlits(); }
 };
 
+static_assert(sizeof(Message) <= 400,
+              "Message grew: every in-flight packet and every parked "
+              "retry holds one");
+
 /** Anything that can receive messages from the network. */
 class MessageHandler
 {
   public:
     virtual ~MessageHandler() = default;
 
-    /** Deliver @p msg; called by the network at arrival time. */
+    /** Deliver @p msg; called by the network at arrival time, which
+     *  moves the message out of its pool slot into @p msg. */
     virtual void handle(Message msg) = 0;
 };
 

@@ -301,8 +301,10 @@ TEST(AllocFree, WriteCombineSteadyState)
 
 TEST(AllocFree, MessageCopyAndMove)
 {
+    // A full payload: as many chunks as a packet carries words.
     Message m = makeDataMessage(0, 5);
-    for (unsigned i = 1; i < ChunkVec::capacity(); ++i)
+    m.chunks = Payload();
+    for (unsigned i = 0; i < Payload::maxChunks; ++i)
         m.chunks.emplace_back(0x8000 + i * bytesPerLine,
                               WordMask::single(i % wordsPerLine));
 
@@ -314,7 +316,7 @@ TEST(AllocFree, MessageCopyAndMove)
     const std::size_t after = g_news;
     EXPECT_EQ(after - before, 0u)
         << "Message copy/move allocated despite inline payload";
-    EXPECT_EQ(moved.chunks.size(), ChunkVec::capacity());
+    EXPECT_EQ(moved.chunks.size(), Payload::maxChunks);
 }
 
 TEST(AllocFree, CacheArrayPaysForLinesHeld)
@@ -372,15 +374,17 @@ TEST(AllocFree, FftMesh16RunHighWater)
     // Whole MESI runs of FFT on 16x16.  Every memory instance is
     // created in warm-up, before the epoch, so none keeps a profiler
     // record or a line-head entry, only a 2-byte copy count.  The
-    // message pool is a deque, so it grows without holding an old and
-    // a new array of 1,456-byte messages at once.  Cache arrays hold
-    // storage only for way groups their sets have filled, and each
-    // word's waste-profiler state lives in its line.  The live high
-    // water is 11.2 MB at scale 1 and 12.1 MB at scale 2 (x86-64,
-    // glibc usable sizes), bounded with about 10% margin.  With a
-    // word-profiler line table per cache it was 13.0 and 14.5 MB, with
-    // every cache line allocated up front 29.1 and 29.5 MB, and with a
-    // vector message pool 32.3 and 33.7 MB.
+    // message pool is a deque of 392-byte messages, so it grows
+    // without holding an old and a new array at once; it peaks at
+    // 3,459 slots (1.4 MB) at scale 1.  Cache arrays hold storage
+    // only for way groups their sets have filled, and each word's
+    // waste-profiler state lives in its line.  The live high water is
+    // 7.5 MB at scale 1 and 8.8 MB at scale 2 (x86-64, glibc usable
+    // sizes), bounded with about 10% margin.  With 1,456-byte
+    // messages it was 11.2 and 12.1 MB, with a word-profiler line
+    // table per cache 13.0 and 14.5 MB, with every cache line
+    // allocated up front 29.1 and 29.5 MB, and with a vector message
+    // pool 32.3 and 33.7 MB.
     for (const unsigned scale : {1u, 2u}) {
         const auto wl =
             makeBenchmark(BenchmarkName::FFT, scale, Topology(16, 16));
@@ -396,7 +400,7 @@ TEST(AllocFree, FftMesh16RunHighWater)
         }
         EXPECT_GT(instances, 100'000u * scale);
         const double mb = (g_livePeak - base) / 1e6;
-        EXPECT_LE(mb, 13.3) << "FFT MESI run on 16x16 at scale " << scale
+        EXPECT_LE(mb, 9.7) << "FFT MESI run on 16x16 at scale " << scale
                             << " held " << mb
                             << " MB of live heap at its peak";
     }

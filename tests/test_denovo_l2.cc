@@ -369,8 +369,8 @@ TEST(DenovoL2Unit, BloomCopyRespondsWithImage)
 
     const Message *resp = h.l1s[4].last(MsgKind::BloomCopyResp);
     ASSERT_NE(resp, nullptr);
-    EXPECT_EQ(resp->rawWords, 16u); // a 64-byte image
-    EXPECT_FALSE(resp->blob.empty());
+    EXPECT_EQ(resp->chunks.rawWords(), 16u); // a 64-byte image
+    EXPECT_EQ(resp->chunks.raw<BloomImage>(), h.l2->bloom().image(0));
 }
 
 } // namespace wastesim

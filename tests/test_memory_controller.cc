@@ -113,8 +113,8 @@ TEST(MemoryController, DualDelivery)
     ASSERT_EQ(h.l1sink.received.size(), 1u);
     // One instance per word, shared between the two copies.
     EXPECT_EQ(h.prof.numInstances(), 16u);
-    EXPECT_EQ(h.l1sink.received[0].chunks[0].memRef,
-              h.l2sink.received[0].chunks[0].memRef);
+    EXPECT_EQ(h.l1sink.received[0].chunks.lineRefs(0),
+              h.l2sink.received[0].chunks.lineRefs(0));
 }
 
 TEST(MemoryController, BypassGoesToL1Only)

@@ -185,7 +185,7 @@ TEST(Network, RawBlobChargedAsControl)
     Message m = ctlMsg(l2Ep(5), l1Ep(0), TrafficClass::Overhead,
                        CtlType::OhBloom);
     m.kind = MsgKind::BloomCopyResp;
-    m.rawWords = 16; // a 64-byte Bloom image
+    m.chunks.setRaw(std::array<std::uint32_t, 16>{}); // a 64-byte image
     net.send(std::move(m));
     eq.run();
 
