@@ -22,33 +22,37 @@ class StreamWorkload : public Workload
   public:
     explicit StreamWorkload(bool mark_bypass)
     {
-        const Addr bytes = 256 * 1024;
-        base_ = alloc(bytes);
+        base_ = alloc(bytes_);
         Region r;
         r.name = "stream";
         r.base = base_;
-        r.size = bytes;
+        r.size = bytes_;
         r.bypass = mark_bypass;
         id_ = regions_.add(r);
-
-        // Stream the region once per core slab per iteration.
-        for (unsigned iter = 0; iter < 2; ++iter) {
-            if (iter == 1)
-                epochAll();
-            const Addr per_core = bytes / numTiles;
-            for (CoreId c = 0; c < numTiles; ++c)
-                for (Addr off = 0; off < per_core;
-                     off += bytesPerWord) {
-                    load(c, base_ + c * per_core + off);
-                }
-            barrierAll({});
-        }
     }
 
     std::string name() const override { return "stream"; }
     std::string inputDesc() const override { return "256 KB stream"; }
 
+    Phases
+    generate(TraceSink &out) const override
+    {
+        // Stream the region once per core slab per iteration.
+        for (unsigned iter = 0; iter < 2; ++iter) {
+            if (iter == 1)
+                out.epochAll();
+            const Addr per_core = bytes_ / numTiles;
+            for (CoreId c = 0; c < numTiles; ++c)
+                for (Addr off = 0; off < per_core;
+                     off += bytesPerWord) {
+                    out.load(c, base_ + c * per_core + off);
+                }
+            co_await out.barrierAll();
+        }
+    }
+
   private:
+    static constexpr Addr bytes_ = 256 * 1024;
     Addr base_;
     RegionId id_;
 };

@@ -48,14 +48,19 @@ class ParticlePipeline : public Workload
         table.bypass = true;
         table.stream = true;
         tableId_ = regions_.add(table);
-
-        generate(); // warm-up iteration
-        epochAll();
-        generate(); // measured iteration
     }
 
     std::string name() const override { return "particle-pipeline"; }
     std::string inputDesc() const override { return "custom demo"; }
+
+    /** Each run streams this, one barrier phase at a time. */
+    Phases
+    generate(TraceSink &out) const override
+    {
+        co_await iteration(out); // warm-up iteration
+        out.epochAll();
+        co_await iteration(out); // measured iteration
+    }
 
   private:
     Addr
@@ -64,8 +69,8 @@ class ParticlePipeline : public Workload
         return particleBase_ + (p * 24 + f) * bytesPerWord;
     }
 
-    void
-    generate()
+    Phases
+    iteration(TraceSink &out) const
     {
         const unsigned per_core = nParticles_ / numTiles;
 
@@ -74,22 +79,22 @@ class ParticlePipeline : public Workload
             for (unsigned i = 0; i < per_core; ++i) {
                 const unsigned p = c * per_core + i;
                 for (unsigned f = 0; f < 4; ++f)
-                    load(c, field(p, f));
+                    out.load(c, field(p, f));
                 for (unsigned f = 4; f < 8; ++f)
-                    store(c, field(p, f));
-                work(c, 4);
+                    out.store(c, field(p, f));
+                out.work(c, 4);
             }
         }
-        barrierAll({particlesId_});
+        co_await out.barrierAll(particlesId_);
 
         // Phase 2: stream the lookup table (each core a slice).
         const Addr words_per_core = tableWords_ / numTiles;
         for (CoreId c = 0; c < numTiles; ++c) {
             for (Addr w = 0; w < words_per_core; w += 2)
-                load(c, tableBase_ +
-                            (c * words_per_core + w) * bytesPerWord);
+                out.load(c, tableBase_ +
+                                (c * words_per_core + w) * bytesPerWord);
         }
-        barrierAll({});
+        co_await out.barrierAll();
 
         // Phase 3: read the next core's particle positions.
         for (CoreId c = 0; c < numTiles; ++c) {
@@ -97,11 +102,11 @@ class ParticlePipeline : public Workload
             for (unsigned i = 0; i < per_core; i += 4) {
                 const unsigned p = n * per_core + i;
                 for (unsigned f = 0; f < 4; ++f)
-                    load(c, field(p, f));
-                work(c, 2);
+                    out.load(c, field(p, f));
+                out.work(c, 2);
             }
         }
-        barrierAll({particlesId_});
+        co_await out.barrierAll(particlesId_);
     }
 
     unsigned nParticles_;

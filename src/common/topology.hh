@@ -29,9 +29,9 @@ namespace wastesim
 class Topology
 {
   public:
-    /** Mesh dimension cap: keeps linkFlits_ (numTiles^2 counters) and
-     *  sharer vectors sane.  Public so file loaders can reject
-     *  out-of-range geometry with an error instead of a fatal(). */
+    /** Mesh dimension cap: keeps sharer vectors sane.  Public so
+     *  file loaders can reject out-of-range geometry with an error
+     *  instead of a fatal(). */
     static constexpr unsigned maxDim = 64;
 
     /** The paper's system: 4x4 mesh, MCs on the four corner tiles. */

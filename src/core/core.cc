@@ -6,10 +6,9 @@ namespace wastesim
 {
 
 Core::Core(CoreId id, EventQueue &eq, L1Cache &l1, Barrier &barrier,
-           const Trace &trace, Hooks hooks)
-    : id_(id), eq_(eq), l1_(l1), barrier_(barrier),
-      cursor_(trace.cursor()),
-      hooks_(std::move(hooks))
+           TraceSource &source, Hooks hooks)
+    : id_(id), eq_(eq), l1_(l1), barrier_(barrier), source_(source),
+      cursor_(source.cursor(id)), hooks_(std::move(hooks))
 {
 }
 
@@ -49,7 +48,7 @@ Core::attribute(const MemTiming &t)
 void
 Core::next()
 {
-    if (cursor_.done()) {
+    if (cursor_.done() && !source_.advance(id_)) {
         done_ = true;
         if (hooks_.onDone)
             hooks_.onDone(id_);
@@ -90,7 +89,7 @@ Core::next()
         const unsigned idx = op.arg;
         l1_.drainWrites([this, t0, idx] {
             barrier_.arrive(id_, [this, t0, idx] {
-                const BarrierInfo &bi = hooks_.barrierInfo(idx);
+                const BarrierInfo &bi = source_.barrier(idx);
                 l1_.barrierRelease(bi.selfInvalidate);
                 time_.sync += static_cast<double>(eq_.now() - t0);
                 eq_.schedule(1, [this] { next(); });

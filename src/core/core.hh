@@ -65,12 +65,12 @@ class Core
         std::function<void()> onEpoch;
         /** Called when this core finishes its trace. */
         std::function<void(CoreId)> onDone;
-        /** Self-invalidation region set per barrier index. */
-        std::function<const BarrierInfo &(unsigned)> barrierInfo;
     };
 
+    /** Runs core @p id's ops of @p source, which also supplies each
+     *  barrier's self-invalidation set. */
     Core(CoreId id, EventQueue &eq, L1Cache &l1, Barrier &barrier,
-         const Trace &trace, Hooks hooks);
+         TraceSource &source, Hooks hooks);
 
     /** Kick off execution (schedules the first op). */
     void start();
@@ -90,7 +90,8 @@ class Core
     EventQueue &eq_;
     L1Cache &l1_;
     Barrier &barrier_;
-    Trace::Cursor cursor_;
+    TraceSource &source_;
+    Trace::Cursor &cursor_;
     Hooks hooks_;
 
     std::size_t pc_ = 0;

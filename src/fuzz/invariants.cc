@@ -40,15 +40,9 @@ void
 workloadOpCounts(const Workload &wl, std::uint64_t &loads,
                  std::uint64_t &stores)
 {
-    loads = stores = 0;
-    for (const Trace &t : wl.traces()) {
-        for (const Op &op : t) {
-            if (op.type == Op::Type::Load)
-                ++loads;
-            else if (op.type == Op::Type::Store)
-                ++stores;
-        }
-    }
+    const OpCounts &n = wl.opCounts();
+    loads = n.loads;
+    stores = n.stores;
 }
 
 void
@@ -95,7 +89,7 @@ checkSystemInvariants(const System &sys, const Workload &wl,
         rep.add("noc.link-conservation", "noc.link.total",
                 static_cast<double>(p.flitHopsCharged),
                 static_cast<double>(p.linkFlitsTotal),
-                "per-link matrix sum vs flits x hops charged at "
+                "per-link counter sum vs flits x hops charged at "
                 "injection (whole run)");
 
     if (p.msgPoolFree != p.msgPoolSlots)

@@ -79,7 +79,8 @@ struct InvariantReport
     std::string describe() const;
 };
 
-/** Count Load/Store trace ops across all cores of @p wl. */
+/** Load/Store trace ops across all cores of @p wl
+ *  (Workload::opCounts(), cached per workload). */
 void workloadOpCounts(const Workload &wl, std::uint64_t &loads,
                       std::uint64_t &stores);
 

@@ -120,6 +120,41 @@ class Mesh
         unsigned dstX_, dstY_;
     };
 
+    /**
+     * A tile's output ports, in ascending order of the tile each
+     * leads to: north (-dimX), west (-1), ejection (the tile itself),
+     * east (+1) and south (+dimX).  On a one-column mesh the vertical
+     * links lead to -1 and +1, so they take the west and east slots.
+     */
+    static constexpr unsigned numPorts = 5;
+
+    /** Port of tile @p a whose link leads to @p b, a neighbor of
+     *  @p a or @p a itself (the ejection link). */
+    static unsigned
+    portTo(NodeId a, NodeId b)
+    {
+        if (b == a)
+            return 2;
+        if (b == a + 1)
+            return 3;
+        if (b + 1 == a)
+            return 1;
+        return b > a ? 4 : 0;
+    }
+
+    /** Tile that port @p p of tile @p a leads to. */
+    NodeId
+    portTile(NodeId a, unsigned p) const
+    {
+        switch (p) {
+          case 0: return a - dimX_;
+          case 1: return a - 1;
+          case 2: return a;
+          case 3: return a + 1;
+          default: return a + dimX_;
+        }
+    }
+
     /** Start a route walk from @p a to @p b. */
     RouteWalker route(NodeId a, NodeId b) const
     {

@@ -18,8 +18,7 @@ Network::Network(EventQueue &eq, TrafficRecorder &traffic,
     : eq_(eq), traffic_(traffic), linkLatency_(link_latency),
       topo_(std::move(topo)), mesh_(topo_),
       handlers_(topo_.numFlatIds(), nullptr),
-      linkFlits_(static_cast<std::size_t>(topo_.numTiles()) *
-                     topo_.numTiles(),
+      linkFlits_(static_cast<std::size_t>(topo_.numTiles()) * Mesh::numPorts,
                  0)
 {
 }
@@ -95,15 +94,15 @@ Network::send(Message &&msg)
     // per-link accounting and the latency/flit-hop geometry can never
     // disagree.
     {
-        const unsigned tiles = topo_.numTiles();
+        constexpr unsigned ports = Mesh::numPorts;
         Mesh::RouteWalker walk =
             mesh_.route(msg.src.tile(topo_), msg.dst.tile(topo_));
         unsigned hops = 0;
         NodeId prev = walk.current();
         while (walk.advance()) {
             const NodeId cur = walk.current();
-            linkFlits_[static_cast<std::size_t>(prev) * tiles + cur] +=
-                total_flits;
+            linkFlits_[static_cast<std::size_t>(prev) * ports +
+                       Mesh::portTo(prev, cur)] += total_flits;
             prev = cur;
             ++hops;
         }
@@ -114,8 +113,8 @@ Network::send(Message &&msg)
         // messages, so totalLinkFlits() undercounts flitHopsCharged().
         if (!(plantBugEnabled() && hops >= 2))
 #endif
-            linkFlits_[static_cast<std::size_t>(prev) * tiles + prev] +=
-                total_flits;
+            linkFlits_[static_cast<std::size_t>(prev) * ports +
+                       Mesh::portTo(prev, prev)] += total_flits;
         msg.hops = static_cast<std::uint16_t>(hops + 1);
     }
 

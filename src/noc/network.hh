@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/topology.hh"
@@ -86,9 +87,10 @@ class Network
     std::uint64_t
     linkFlits(NodeId a, NodeId b) const
     {
-        return linkFlits_[static_cast<std::size_t>(a) *
-                              topo_.numTiles() +
-                          b];
+        if (mesh_.manhattan(a, b) > 1)
+            return 0;
+        return linkFlits_[static_cast<std::size_t>(a) * Mesh::numPorts +
+                          Mesh::portTo(a, b)];
     }
 
     /** Most-loaded link (hotspot detection). */
@@ -111,12 +113,21 @@ class Network
     std::size_t msgPoolSlots() const { return msgPool_.size(); }
     std::size_t msgPoolFreeSlots() const { return msgFree_.size(); }
 
-    /** The directed link-flit matrix (src * numTiles + dst); snapshot
-     *  source for the per-window heatmap dump. */
+    /** The per-link flit counters, ordered by (source tile,
+     *  destination tile); snapshot source for the per-window heatmap
+     *  dump.  Entries for ports without a link stay zero. */
     const std::vector<std::uint64_t> &
     linkFlitsSnapshot() const
     {
         return linkFlits_;
+    }
+
+    /** Source and destination tile of linkFlitsSnapshot()[@p i]. */
+    std::pair<NodeId, NodeId>
+    linkEnds(std::size_t i) const
+    {
+        const auto src = static_cast<NodeId>(i / Mesh::numPorts);
+        return {src, mesh_.portTile(src, i % Mesh::numPorts)};
     }
 
   private:
@@ -140,7 +151,7 @@ class Network
     std::uint64_t msgsSent_ = 0;
     std::uint64_t flitHopsCharged_ = 0;
     std::vector<MessageHandler *> handlers_;
-    /** Directed per-link flit counters, indexed a*numTiles+b. */
+    /** Flits per output link: tile a's port p at a*numPorts+p. */
     std::vector<std::uint64_t> linkFlits_;
 
     /** In-flight message pool: slots recycled through a free list so

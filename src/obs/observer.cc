@@ -65,22 +65,17 @@ SimObserver::heatmapWindow(Tick end)
     if (!linkSnapshot)
         return;
     const std::vector<std::uint64_t> cur = linkSnapshot();
-    // The matrix is square; its side is the tile count.
-    std::size_t tiles = 0;
-    while (tiles * tiles < cur.size())
-        ++tiles;
     for (std::size_t i = 0; i < cur.size(); ++i) {
         const std::uint64_t delta =
             cur[i] - (i < prevLinks_.size() ? prevLinks_[i] : 0);
         if (delta == 0)
             continue;
+        const auto [src, dst] = linkEnds(i);
         heatmapCsv_ +=
             std::to_string(heatmapIdx_) + "," +
             std::to_string(heatmapStart_) + "," +
-            std::to_string(end) + "," +
-            std::to_string(i / tiles) + "," +
-            std::to_string(i % tiles) + "," +
-            std::to_string(delta) + "\n";
+            std::to_string(end) + "," + std::to_string(src) + "," +
+            std::to_string(dst) + "," + std::to_string(delta) + "\n";
     }
     prevLinks_ = cur;
     heatmapStart_ = end;

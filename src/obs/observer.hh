@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -80,15 +81,17 @@ class SimObserver
     Tick now() const;
 
     // --- per-link heatmap -------------------------------------------------
-    /** Snapshot provider: the Network's directed link-flit matrix
-     *  (row-major, src * numTiles + dst).  Installed by System. */
+    /** Snapshot provider: the Network's per-link flit counters, in
+     *  (src, dst) order, and the tiles each counter's link joins.
+     *  Installed by System. */
     std::function<std::vector<std::uint64_t>()> linkSnapshot;
+    std::function<std::pair<NodeId, NodeId>(std::size_t)> linkEnds;
 
     /** Baseline the heatmap at window start (after linkSnapshot is
      *  installed). */
     void heatmapBegin(Tick start);
 
-    /** Close a heatmap window at @p end: diff the link matrix against
+    /** Close a heatmap window at @p end: diff the link counters against
      *  the previous snapshot and append non-zero deltas as CSV. */
     void heatmapWindow(Tick end);
 

@@ -151,22 +151,7 @@ runSweep(const std::vector<BenchmarkName> &benches,
          const std::vector<ProtocolName> &protocols, unsigned scale,
          SimParams params)
 {
-    // Single-job sweeps stream one workload at a time (the old
-    // serial behavior) so peak memory stays at one trace; parallel
-    // sweeps materialize everything so rows can run concurrently.
-    if (effectiveSweepJobs(benches.size() * protocols.size()) <= 1) {
-        Sweep sweep;
-        for (ProtocolName p : protocols)
-            sweep.protoNames.emplace_back(protocolName(p));
-        for (BenchmarkName b : benches) {
-            auto wl = makeBenchmark(b, scale, params.topo);
-            const Sweep row = runSweep({wl.get()}, protocols, params);
-            sweep.benchNames.push_back(row.benchNames.at(0));
-            sweep.results.push_back(row.results.at(0));
-        }
-        return sweep;
-    }
-
+    // A Workload is a description; each run generates its own ops.
     std::vector<std::unique_ptr<Workload>> built;
     built.reserve(benches.size());
     for (BenchmarkName b : benches)

@@ -109,10 +109,9 @@ Sweep runSweep(const std::vector<const Workload *> &workloads,
  * Run the full paper grid: all nine protocols over the given
  * benchmarks (defaults to all six).
  *
- * All benchmark workloads are materialized up front so their rows
- * can run concurrently; on memory-constrained machines (or at large
- * scales) set $WASTESIM_JOBS=1 to bound the number of simultaneous
- * System instances.
+ * Rows may run concurrently; on memory-constrained machines (or at
+ * large scales) set $WASTESIM_JOBS=1 to bound the number of
+ * simultaneous System instances.
  */
 Sweep runSweep(const std::vector<BenchmarkName> &benches,
                const std::vector<ProtocolName> &protocols,

@@ -546,19 +546,14 @@ SweepEngine::run(CellCache &cache)
         return sweeps;
     }
 
-    // Workloads are materialized once per (topology, benchmark) and
-    // released as soon as their last pending cell completes, bounding
-    // peak memory at large meshes.
+    // Workloads are built once per (topology, benchmark) and shared
+    // by that slot's cells; each run streams its own ops, so a
+    // Workload holds no trace.
     const std::size_t num_slots = num_topos * num_benches;
-    std::vector<std::shared_ptr<const Workload>> workloads(num_slots);
+    std::vector<std::unique_ptr<Workload>> workloads(num_slots);
     std::vector<std::unique_ptr<std::once_flag>> built(num_slots);
-    std::vector<std::atomic<std::size_t>> remaining(num_slots);
     for (auto &f : built)
         f = std::make_unique<std::once_flag>();
-    for (std::size_t flat : pending) {
-        const SweepCell c = spec_.cellAt(flat);
-        ++remaining[c.topoIdx * num_benches + c.benchIdx];
-    }
 
     const unsigned jobs = effectiveSweepJobs(pending.size());
 
@@ -681,8 +676,6 @@ SweepEngine::run(CellCache &cache)
             });
             r = runOne(spec_.protocols[c.protoIdx], *workloads[slot],
                        spec_.paramsFor(c.topoIdx));
-            if (--remaining[slot] == 0)
-                workloads[slot].reset();
         }
 
         sweeps[c.topoIdx].results[c.benchIdx][c.protoIdx] = r;

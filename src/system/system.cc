@@ -33,7 +33,7 @@ System::System(ProtocolName protocol, const Workload &workload,
                SimParams params, unsigned threads)
     : protocolName_(protocol), cfg_(ProtocolConfig::make(protocol)),
       params_(std::move(params)), workload_(workload),
-      barrier_(params_.topo.numTiles())
+      barrier_(params_.topo.numTiles()), source_(workload)
 {
     const Topology &topo = params_.topo;
     const unsigned tiles = topo.numTiles();
@@ -88,10 +88,9 @@ System::System(ProtocolName protocol, const Workload &workload,
     }
 
     // The first core to reach an Epoch op marks the window; warm-up
-    // instances before it then keep only a copy count.
-    const auto &traces = workload_.traces();
-    if (std::any_of(traces.begin(), traces.end(),
-                    [](const Trace &t) { return t.hasEpoch(); }))
+    // instances before it then keep only a copy count.  The ops are
+    // not generated yet, so the workload states whether one comes.
+    if (workload_.hasEpoch())
         memProf_.expectEpoch();
 
     // Memory system.
@@ -119,12 +118,8 @@ System::System(ProtocolName protocol, const Workload &workload,
             ++coresDone_;
             lastDone_ = eq_.now();
         };
-        hooks.barrierInfo = [this](unsigned idx) -> const BarrierInfo & {
-            return workload_.barriers().at(idx);
-        };
         cores_.push_back(std::make_unique<Core>(
-            c, eq_, *l1Ifaces_[c], barrier_, workload_.traces()[c],
-            std::move(hooks)));
+            c, eq_, *l1Ifaces_[c], barrier_, source_, std::move(hooks)));
     }
 }
 
@@ -145,6 +140,10 @@ System::onEpoch()
 {
     if (epochMarked_)
         return;
+    panic_if(!workload_.hasEpoch(),
+             "workload '%s' states it has no Epoch op, but core ops "
+             "hold one",
+             workload_.name().c_str());
     epochMarked_ = true;
     epochStart_ = eq_.now();
 
@@ -228,13 +227,21 @@ System::run(Tick max_ticks)
     if (!coresDone()) {
         for (CoreId c = 0; c < params_.topo.numTiles(); ++c) {
             if (!cores_[c]->done()) {
-                warn("core %u stuck at op %zu of %zu", c,
-                     cores_[c]->opsExecuted(),
-                     workload_.traces()[c].size());
+                warn("core %u stuck at op %zu, %zu ops before the end "
+                     "of trace window %u",
+                     c, cores_[c]->opsExecuted(), source_.opsHeld(c),
+                     source_.windows());
             }
         }
         panic("event queue drained with cores unfinished (deadlock)");
     }
+    // Every core has read its stream to the end, so its counts spare
+    // a later opCounts() (the invariant checks) a second generation.
+    workload_.keepOpCounts(source_);
+    panic_if(workload_.hasEpoch() && !epochMarked_,
+             "workload '%s' states it has an Epoch op, but no core ran "
+             "one",
+             workload_.name().c_str());
 
     RunResult r;
     r.protocol = protocolName(protocolName_);
@@ -368,6 +375,7 @@ System::registerObservables(SimObserver &o)
     if (!o.cfg.heatmapOut.empty()) {
         Network *net = net_.get();
         o.linkSnapshot = [net] { return net->linkFlitsSnapshot(); };
+        o.linkEnds = [net](std::size_t i) { return net->linkEnds(i); };
     }
 
     if (o.cfg.sampleWindow == 0)

@@ -98,7 +98,7 @@ struct SystemProbe
     std::size_t msgPoolFree = 0;    //!< free-listed slots (== size when idle)
     std::size_t eqPending = 0;      //!< events still queued
     std::size_t eqOverflow = 0;     //!< overflow-heap residue
-    std::uint64_t linkFlitsTotal = 0; //!< sum of the per-link matrix
+    std::uint64_t linkFlitsTotal = 0; //!< sum of the per-link counters
     std::uint64_t flitHopsCharged = 0; //!< flits x hops at injection
 };
 
@@ -174,6 +174,7 @@ class System
     std::vector<std::unique_ptr<MemoryController>> mcs_;
 
     Barrier barrier_;
+    TraceSource source_;
     std::vector<std::unique_ptr<Core>> cores_;
 
     bool epochMarked_ = false;

@@ -607,11 +607,14 @@ cmdRecord(Args args)
     auto wl = makeBenchmark(bench, scale, topo.make());
     TraceRecorder rec(out);
     fatal_if(!rec.record(*wl), "record: %s", rec.error().c_str());
-    std::printf("recorded %s (%s) to %s: %zu ops, %zu regions, "
-                "%zu barriers\n",
+    std::printf("recorded %s (%s) to %s: %llu ops, %zu regions, "
+                "%llu barriers\n",
                 wl->name().c_str(), wl->inputDesc().c_str(),
-                out.c_str(), wl->totalOps(),
-                wl->regions().numRegions(), wl->barriers().size());
+                out.c_str(),
+                static_cast<unsigned long long>(rec.written().totalOps),
+                wl->regions().numRegions(),
+                static_cast<unsigned long long>(
+                    rec.written().numBarriers));
     return 0;
 }
 
@@ -655,8 +658,8 @@ cmdReplay(Args args)
     }
     fatal_if(!wl, "replay: %s", err.c_str());
     std::printf("loaded %s: %zu ops, %zu regions, %zu barriers\n",
-                trace_path.c_str(), wl->totalOps(),
-                wl->regions().numRegions(), wl->barriers().size());
+                trace_path.c_str(), wl->whole().totalOps(),
+                wl->regions().numRegions(), wl->whole().barriers.size());
 
     const Sweep s = runSweep({wl.get()}, protocols, params);
     printRunTable(s);
@@ -1560,13 +1563,13 @@ cmdInfo(Args args)
     std::printf("input:     %s\n", wl->inputDesc().c_str());
     std::printf("topology:  %s (%u MCs)\n", wl->topo().describe().c_str(),
                 wl->topo().numMemCtrls());
-    std::printf("ops:       %zu across %u cores\n", wl->totalOps(),
-                wl->numCores());
-    const double trace_bytes = static_cast<double>(wl->traceBytes());
+    const std::size_t ops = wl->whole().totalOps();
+    std::printf("ops:       %zu across %u cores\n", ops, wl->numCores());
+    const double trace_bytes = static_cast<double>(wl->whole().bytes());
     std::printf("trace mem: %.2f MB (%.2f B/op)\n",
                 trace_bytes / (1024.0 * 1024.0),
-                wl->totalOps() ? trace_bytes / wl->totalOps() : 0.0);
-    std::printf("barriers:  %zu\n", wl->barriers().size());
+                ops ? trace_bytes / ops : 0.0);
+    std::printf("barriers:  %zu\n", wl->whole().barriers.size());
     std::printf("regions:   %zu\n", wl->regions().numRegions());
     for (std::size_t i = 0; i < wl->regions().numRegions(); ++i) {
         const Region &r =

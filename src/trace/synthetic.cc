@@ -84,7 +84,7 @@ SyntheticWorkload::SyntheticWorkload(const SynthParams &p,
                     params_.hotProbability <= 1)),
              "synthetic: hotFraction must lie in (0, 1] and "
              "hotProbability in [0, 1]");
-    build();
+    layout();
 }
 
 std::string
@@ -96,7 +96,7 @@ SyntheticWorkload::name() const
 }
 
 void
-SyntheticWorkload::build()
+SyntheticWorkload::layout()
 {
     const SynthParams &p = params_;
 
@@ -104,27 +104,26 @@ SyntheticWorkload::build()
 
     const unsigned cores = numCores();
 
-    std::vector<Addr> privBase(cores);
-    std::vector<RegionId> privRegion(cores);
+    privBase_.resize(cores);
     for (CoreId c = 0; c < cores; ++c) {
-        privBase[c] = alloc(p.privateBytes);
+        privBase_[c] = alloc(p.privateBytes);
         Region r;
         r.name = "synth.priv." + std::to_string(c);
-        r.base = privBase[c];
+        r.base = privBase_[c];
         r.size = p.privateBytes;
-        privRegion[c] = regions_.add(std::move(r));
+        regions_.add(std::move(r));
     }
 
-    std::vector<Addr> sharedBase(p.sharedRegions);
-    std::vector<RegionId> sharedRegion(p.sharedRegions);
+    sharedBase_.resize(p.sharedRegions);
+    sharedRegion_.resize(p.sharedRegions);
     for (unsigned i = 0; i < p.sharedRegions; ++i) {
-        sharedBase[i] = alloc(p.regionBytes);
+        sharedBase_[i] = alloc(p.regionBytes);
         Region r;
         r.name = "synth.shared." + std::to_string(i);
-        r.base = sharedBase[i];
+        r.base = sharedBase_[i];
         r.size = p.regionBytes;
         r.bypass = p.bypassShared;
-        sharedRegion[i] = regions_.add(std::move(r));
+        sharedRegion_[i] = regions_.add(std::move(r));
     }
 
     // --- sharing clusters --------------------------------------------------
@@ -134,20 +133,28 @@ SyntheticWorkload::build()
     // one cluster (= sharingDegree cores) touching it.
     const unsigned numClusters =
         std::max(1u, cores / p.sharingDegree);
-    std::vector<std::vector<unsigned>> clusterRegions(numClusters);
+    clusterRegions_.resize(numClusters);
     for (unsigned i = 0; i < p.sharedRegions; ++i)
-        clusterRegions[i % numClusters].push_back(i);
+        clusterRegions_[i % numClusters].push_back(i);
     // Clusters left without a region (more clusters than regions)
     // fall back to the full region set.
     std::vector<unsigned> allRegions(p.sharedRegions);
     for (unsigned i = 0; i < p.sharedRegions; ++i)
         allRegions[i] = i;
-    for (auto &regs : clusterRegions)
+    for (auto &regs : clusterRegions_)
         if (regs.empty())
             regs = allRegions;
+}
 
-    auto clusterOf = [&](CoreId c) {
-        return (c / p.sharingDegree) % numClusters;
+Phases
+SyntheticWorkload::generate(TraceSink &out) const
+{
+    const SynthParams &p = params_;
+    const unsigned cores = numCores();
+
+    auto clusterOf = [&](CoreId c) -> const std::vector<unsigned> & {
+        return clusterRegions_[(c / p.sharingDegree) %
+                               clusterRegions_.size()];
     };
 
     // --- deterministic per-core streams ------------------------------------
@@ -196,13 +203,13 @@ SyntheticWorkload::build()
 
     for (CoreId c = 0; c < cores; ++c) {
         for (Addr off = 0; off < p.privateBytes; off += bytesPerLine)
-            load(c, privBase[c] + off);
-        for (unsigned i : clusterRegions[clusterOf(c)])
+            out.load(c, privBase_[c] + off);
+        for (unsigned i : clusterOf(c))
             for (Addr off = 0; off < p.regionBytes; off += bytesPerLine)
-                load(c, sharedBase[i] + off);
+                out.load(c, sharedBase_[i] + off);
     }
-    barrierAll({});
-    epochAll();
+    co_await out.barrierAll();
+    out.epochAll();
 
     // --- measured phases ---------------------------------------------------
 
@@ -220,40 +227,38 @@ SyntheticWorkload::build()
                 bool is_shared = rng[c].chance(p.sharedFraction);
                 unsigned region_idx = 0;
                 if (is_shared) {
-                    const auto &regs = clusterRegions[clusterOf(c)];
+                    const auto &regs = clusterOf(c);
                     region_idx = regs[rng[c].below(regs.size())];
                     const Addr w =
                         pickWord(c, sharedWords,
                                  sharedCursor[c][region_idx]);
-                    addr = sharedBase[region_idx] + w * bytesPerWord;
+                    addr = sharedBase_[region_idx] + w * bytesPerWord;
                 } else {
                     const Addr w = pickWord(c, privWords,
                                             privCursor[c]);
-                    addr = privBase[c] + w * bytesPerWord;
+                    addr = privBase_[c] + w * bytesPerWord;
                 }
 
                 if (rng[c].chance(p.readFraction)) {
-                    load(c, addr);
+                    out.load(c, addr);
                 } else {
-                    store(c, addr);
+                    out.store(c, addr);
                     if (is_shared)
-                        written.insert(sharedRegion[region_idx]);
+                        written.insert(sharedRegion_[region_idx]);
                 }
-                work(c, p.workCycles);
+                out.work(c, p.workCycles);
             }
         }
 
-        barrierAll(std::vector<RegionId>(written.begin(),
-                                         written.end()));
+        co_await out.barrierAll(std::vector<RegionId>(written.begin(),
+                                                      written.end()));
     }
 }
 
 std::unique_ptr<Workload>
 makeSynthetic(const SynthParams &p, Topology topo)
 {
-    auto wl = std::make_unique<SyntheticWorkload>(p, std::move(topo));
-    wl->trimTraces();
-    return wl;
+    return std::make_unique<SyntheticWorkload>(p, std::move(topo));
 }
 
 namespace

@@ -9,7 +9,7 @@
  * the axes the paper's waste and traffic results are sensitive to.
  *
  * Generation is bit-reproducible: the same SynthParams always produce
- * the same Workload, so synthetic scenarios can be recorded, replayed
+ * the same ops, so synthetic scenarios can be recorded, replayed
  * and compared across protocols like any benchmark.
  */
 
@@ -82,13 +82,19 @@ class SyntheticWorkload : public Workload
 
     std::string name() const override;
     std::string inputDesc() const override { return params_.describe(); }
+    Phases generate(TraceSink &out) const override;
 
     const SynthParams &params() const { return params_; }
 
   private:
-    void build();
+    /** Allocate the private and shared regions; form the clusters. */
+    void layout();
 
     SynthParams params_;
+    std::vector<Addr> privBase_;      //!< per core
+    std::vector<Addr> sharedBase_;    //!< per shared region
+    std::vector<RegionId> sharedRegion_;
+    std::vector<std::vector<unsigned>> clusterRegions_;
 };
 
 /** Convenience factory mirroring makeBenchmark(). */

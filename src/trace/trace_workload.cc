@@ -16,6 +16,7 @@ TraceRecorder::record(const Workload &wl)
         return false;
     }
 
+    const WholeTraces whole = materialize(wl);
     TraceWriter w(os);
 
     TraceHeader h;
@@ -27,15 +28,16 @@ TraceRecorder::record(const Workload &wl)
     h.name = wl.name();
     h.inputDesc = wl.inputDesc();
     h.numRegions = wl.regions().numRegions();
-    h.numBarriers = wl.barriers().size();
-    h.totalOps = wl.totalOps();
+    h.numBarriers = whole.barriers.size();
+    h.totalOps = whole.totalOps();
     w.writeHeader(h);
+    written_ = h;
 
     for (std::size_t i = 0; i < wl.regions().numRegions(); ++i)
         w.writeRegion(wl.regions().region(static_cast<RegionId>(i)));
-    for (const BarrierInfo &b : wl.barriers())
+    for (const BarrierInfo &b : whole.barriers)
         w.writeBarrier(b);
-    for (const Trace &t : wl.traces())
+    for (const Trace &t : whole.traces)
         w.writeTrace(t);
     w.writeTrailer();
 
@@ -128,13 +130,13 @@ TraceWorkload::loadAnyTopology(const std::string &path,
         wl->regions_.add(std::move(reg));
     }
 
-    wl->barriers_.resize(h.numBarriers);
-    for (auto &b : wl->barriers_)
+    wl->whole_.barriers.resize(h.numBarriers);
+    for (auto &b : wl->whole_.barriers)
         if (!r.readBarrier(b, h.numRegions))
             return set_err(path + ": " + r.error());
 
     std::uint64_t total_ops = 0;
-    for (auto &t : wl->traces_) {
+    for (auto &t : wl->whole_.traces) {
         if (!r.readTrace(t, h.numBarriers))
             return set_err(path + ": " + r.error());
         t.trim();

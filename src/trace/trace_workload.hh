@@ -18,12 +18,13 @@
 #include <memory>
 #include <string>
 
+#include "trace/trace_io.hh"
 #include "workload/workload.hh"
 
 namespace wastesim
 {
 
-/** Writes Workloads to trace files. */
+/** Writes Workloads to trace files, draining a stream of each. */
 class TraceRecorder
 {
   public:
@@ -35,13 +36,17 @@ class TraceRecorder
 
     const std::string &error() const { return error_; }
 
+    /** The header of the last trace record() wrote. */
+    const TraceHeader &written() const { return written_; }
+
   private:
     std::string path_;
     std::string error_;
+    TraceHeader written_;
 };
 
-/** A Workload deserialized from a trace file. */
-class TraceWorkload : public Workload
+/** A Workload deserialized from a trace file, held whole. */
+class TraceWorkload : public HeldWorkload
 {
   public:
     /**
@@ -79,7 +84,9 @@ class TraceWorkload : public Workload
     const std::string &path() const { return path_; }
 
   private:
-    explicit TraceWorkload(Topology topo) : Workload(std::move(topo)) {}
+    explicit TraceWorkload(Topology topo) : HeldWorkload(std::move(topo))
+    {
+    }
 
     std::string name_;
     std::string inputDesc_;

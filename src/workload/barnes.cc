@@ -62,8 +62,6 @@ class BarnesWorkload : public Workload
         nodes.strideWords = strideWords;
         nodes.usedFields = {0, 1, 2, 3, 4, 5, 6, 7};
         nodeId_ = regions_.add(nodes);
-
-        build();
     }
 
     std::string name() const override { return "barnes"; }
@@ -97,18 +95,18 @@ class BarnesWorkload : public Workload
 
     /** Sequentialized tree build: core 0 writes tree-only fields. */
     void
-    treeBuild()
+    treeBuild(TraceSink &out) const
     {
         for (unsigned n = 0; n < nNodes_; ++n) {
             for (unsigned f = 8; f < 14; ++f)
-                store(0, nodeField(n, f));
-            store(0, nodeField(n, 6));
-            store(0, nodeField(n, 7));
-            work(0, 2);
+                out.store(0, nodeField(n, f));
+            out.store(0, nodeField(n, 6));
+            out.store(0, nodeField(n, 7));
+            out.work(0, 2);
         }
         for (unsigned b = 0; b < nBodies_; ++b) {
             for (unsigned f = 22; f < 26; ++f)
-                store(0, bodyField(b, f));
+                out.store(0, bodyField(b, f));
         }
     }
 
@@ -122,7 +120,7 @@ class BarnesWorkload : public Workload
 
     /** Force phase: irregular traversal per body. */
     void
-    forces(std::uint64_t seed)
+    forces(TraceSink &out, std::uint64_t seed) const
     {
         for (CoreId c = 0; c < numCores(); ++c) {
             Rng rng(seed ^ (0x9e3779b9ULL * (c + 1)));
@@ -137,63 +135,63 @@ class BarnesWorkload : public Workload
                         static_cast<unsigned>(rng.below(span) %
                                               nNodes_);
                     for (unsigned f = 0; f < 8; ++f)
-                        load(c, nodeField(n, f));
-                    work(c, 4);
+                        out.load(c, nodeField(n, f));
+                    out.work(c, 4);
                 }
                 // A few nearby bodies interact directly.
                 for (unsigned v = 0; v < 4; ++v) {
                     const unsigned o = static_cast<unsigned>(
                         rng.below(nBodies_));
                     for (unsigned f = 0; f < 8; ++f)
-                        load(c, bodyField(o, f));
-                    work(c, 4);
+                        out.load(c, bodyField(o, f));
+                    out.work(c, 4);
                 }
                 // Accumulate into our own acceleration.
                 for (unsigned f = 14; f < 20; ++f)
-                    store(c, bodyField(b, f));
-                work(c, 8);
+                    out.store(c, bodyField(b, f));
+                out.work(c, 8);
             }
         }
     }
 
     /** Update phase: integrate positions/velocities. */
     void
-    update()
+    update(TraceSink &out) const
     {
         for (CoreId c = 0; c < numCores(); ++c) {
             for (unsigned b = bodyStart(c); b < bodyStart(c + 1);
                  ++b) {
                 for (unsigned f = 14; f < 20; ++f)
-                    load(c, bodyField(b, f));
+                    out.load(c, bodyField(b, f));
                 for (unsigned f = 8; f < 14; ++f) {
-                    load(c, bodyField(b, f));
-                    store(c, bodyField(b, f));
+                    out.load(c, bodyField(b, f));
+                    out.store(c, bodyField(b, f));
                 }
                 for (unsigned f = 2; f < 8; ++f)
-                    store(c, bodyField(b, f));
-                work(c, 6);
+                    out.store(c, bodyField(b, f));
+                out.work(c, 6);
             }
         }
     }
 
-    void
-    iteration(std::uint64_t seed)
+    Phases
+    iteration(TraceSink &out, std::uint64_t seed) const
     {
-        treeBuild();
-        barrierAll({nodeId_, bodyId_});
-        forces(seed);
-        barrierAll({bodyId_});
-        update();
-        barrierAll({bodyId_});
+        treeBuild(out);
+        co_await out.barrierAll(nodeId_, bodyId_);
+        forces(out, seed);
+        co_await out.barrierAll(bodyId_);
+        update(out);
+        co_await out.barrierAll(bodyId_);
     }
 
-    void
-    build()
+    Phases
+    generate(TraceSink &out) const override
     {
         // Iterative: one warm-up iteration, one measured (Table 4.2).
-        iteration(0x5eedULL);
-        epochAll();
-        iteration(0xf00dULL);
+        co_await iteration(out, 0x5eedULL);
+        out.epochAll();
+        co_await iteration(out, 0xf00dULL);
     }
 
     unsigned nBodies_, nNodes_;

@@ -49,8 +49,6 @@ class FftWorkload : public Workload
         dst.size = bytes;
         dst.bypass = true;
         dstId_ = regions_.add(dst);
-
-        build();
     }
 
     std::string name() const override { return "FFT"; }
@@ -83,35 +81,35 @@ class FftWorkload : public Workload
             static_cast<std::uint64_t>(rows_) * c / numCores());
     }
 
-    void
-    readElem(CoreId core, Addr a)
+    static void
+    readElem(TraceSink &out, CoreId core, Addr a)
     {
         for (unsigned w = 0; w < elemWords; ++w)
-            load(core, a + w * bytesPerWord);
+            out.load(core, a + w * bytesPerWord);
     }
 
-    void
-    writeElem(CoreId core, Addr a)
+    static void
+    writeElem(TraceSink &out, CoreId core, Addr a)
     {
         for (unsigned w = 0; w < elemWords; ++w)
-            store(core, a + w * bytesPerWord);
+            out.store(core, a + w * bytesPerWord);
     }
 
     /** Transpose from @p from into @p to, rows partitioned by core. */
     void
-    transpose(Addr from, Addr to)
+    transpose(TraceSink &out, Addr from, Addr to) const
     {
         for (CoreId core = 0; core < numCores(); ++core) {
             for (unsigned r = rowStart(core); r < rowStart(core + 1);
                  ++r) {
                 for (unsigned c = 0; c < cols_; ++c) {
-                    readElem(core, elemAddr(from, r, c));
+                    readElem(out, core, elemAddr(from, r, c));
                     // The destination is written column-major: the
                     // classic strided, fully-overwriting pattern.
-                    writeElem(core,
+                    writeElem(out, core,
                               elemAddr(to, c % rows_,
                                        (c / rows_) * rows_ + r));
-                    work(core, 1);
+                    out.work(core, 1);
                 }
             }
         }
@@ -119,40 +117,40 @@ class FftWorkload : public Workload
 
     /** In-place row FFT pass: read a row, compute, overwrite it. */
     void
-    rowFft(Addr base)
+    rowFft(TraceSink &out, Addr base) const
     {
         for (CoreId core = 0; core < numCores(); ++core) {
             for (unsigned r = rowStart(core); r < rowStart(core + 1);
                  ++r) {
                 for (unsigned c = 0; c < cols_; ++c)
-                    readElem(core, elemAddr(base, r, c));
-                work(core, cols_ * 2);
+                    readElem(out, core, elemAddr(base, r, c));
+                out.work(core, cols_ * 2);
                 for (unsigned c = 0; c < cols_; ++c)
-                    writeElem(core, elemAddr(base, r, c));
+                    writeElem(out, core, elemAddr(base, r, c));
             }
         }
     }
 
-    void
-    build()
+    Phases
+    generate(TraceSink &out) const override
     {
         // Warm-up: FFT is not iterative, so one core touches the
         // major data structures (Section 4.3) — one word per line.
         const Addr bytes =
             static_cast<Addr>(rows_) * cols_ * elemWords * bytesPerWord;
         for (Addr off = 0; off < bytes; off += bytesPerLine) {
-            load(0, srcBase_ + off);
-            load(0, dstBase_ + off);
+            out.load(0, srcBase_ + off);
+            out.load(0, dstBase_ + off);
         }
-        barrierAll({});
-        epochAll();
+        co_await out.barrierAll();
+        out.epochAll();
 
-        transpose(srcBase_, dstBase_);
-        barrierAll({dstId_});
-        rowFft(dstBase_);
-        barrierAll({dstId_});
-        transpose(dstBase_, srcBase_);
-        barrierAll({srcId_});
+        transpose(out, srcBase_, dstBase_);
+        co_await out.barrierAll(dstId_);
+        rowFft(out, dstBase_);
+        co_await out.barrierAll(dstId_);
+        transpose(out, dstBase_, srcBase_);
+        co_await out.barrierAll(srcId_);
     }
 
     unsigned rows_, cols_;

@@ -54,8 +54,6 @@ class FluidWorkload : public Workload
         ghosts.size = static_cast<Addr>(numCores()) * ghostCells *
                       cellWords * bytesPerWord;
         ghostId_ = regions_.add(ghosts);
-
-        build();
     }
 
     std::string name() const override { return "fluidanimate"; }
@@ -127,7 +125,7 @@ class FluidWorkload : public Workload
 
     template <typename Fn>
     void
-    forOwnCells(CoreId c, Fn &&fn)
+    forOwnCells(CoreId c, Fn &&fn) const
     {
         for (unsigned z = 0; z < gz_; ++z)
             for (unsigned y = 0; y < gy_; ++y)
@@ -136,8 +134,8 @@ class FluidWorkload : public Workload
                         fn(x, y, z);
     }
 
-    void
-    iteration()
+    Phases
+    iteration(TraceSink &out) const
     {
         // 1. Clear accumulators: written without being read.
         for (CoreId c = 0; c < numCores(); ++c) {
@@ -145,10 +143,10 @@ class FluidWorkload : public Workload
                 const unsigned cell = cellIndex(x, y, z);
                 const unsigned occ = occupancy(cell);
                 for (unsigned s = 0; s < occ; ++s)
-                    store(c, cellField(cell, 3, s)); // dens
+                    out.store(c, cellField(cell, 3, s)); // dens
             });
         }
-        barrierAll({cellsId_});
+        co_await out.barrierAll(cellsId_);
 
         // 2. Ghost exchange: read neighbor-tile border cells, write
         //    private ghost copies.
@@ -165,13 +163,13 @@ class FluidWorkload : public Workload
                 const unsigned ncell = cellIndex(nx, ny, z);
                 const unsigned occ = occupancy(ncell);
                 for (unsigned s = 0; s < occ; ++s) {
-                    load(c, cellField(ncell, 0, s));
-                    store(c, ghostField(c, g, 0, s));
+                    out.load(c, cellField(ncell, 0, s));
+                    out.store(c, ghostField(c, g, 0, s));
                 }
                 ++g;
             });
         }
-        barrierAll({ghostId_});
+        co_await out.barrierAll(ghostId_);
 
         // 3. Density: stencil over own + neighbor cells' positions.
         for (CoreId c = 0; c < numCores(); ++c) {
@@ -179,7 +177,7 @@ class FluidWorkload : public Workload
                 const unsigned cell = cellIndex(x, y, z);
                 const unsigned occ = occupancy(cell);
                 for (unsigned s = 0; s < occ; ++s)
-                    load(c, cellField(cell, 0, s));
+                    out.load(c, cellField(cell, 0, s));
                 // Three neighbors in the unblocked X-Y-Z traversal.
                 const unsigned nbs[3][3] = {
                     {x > 0 ? x - 1 : x, y, z},
@@ -190,16 +188,16 @@ class FluidWorkload : public Workload
                         cellIndex(nb[0], nb[1], nb[2]);
                     const unsigned nocc = occupancy(ncell);
                     for (unsigned s = 0; s < nocc; ++s)
-                        load(c, cellField(ncell, 0, s));
+                        out.load(c, cellField(ncell, 0, s));
                 }
                 for (unsigned s = 0; s < occ; ++s) {
-                    load(c, cellField(cell, 3, s));
-                    store(c, cellField(cell, 3, s));
+                    out.load(c, cellField(cell, 3, s));
+                    out.store(c, cellField(cell, 3, s));
                 }
-                work(c, 8);
+                out.work(c, 8);
             });
         }
-        barrierAll({cellsId_});
+        co_await out.barrierAll(cellsId_);
 
         // 4. Force: read p/v and densities, accumulate accelerations.
         for (CoreId c = 0; c < numCores(); ++c) {
@@ -207,21 +205,21 @@ class FluidWorkload : public Workload
                 const unsigned cell = cellIndex(x, y, z);
                 const unsigned occ = occupancy(cell);
                 for (unsigned s = 0; s < occ; ++s) {
-                    load(c, cellField(cell, 0, s));
-                    load(c, cellField(cell, 1, s));
-                    load(c, cellField(cell, 3, s));
+                    out.load(c, cellField(cell, 0, s));
+                    out.load(c, cellField(cell, 1, s));
+                    out.load(c, cellField(cell, 3, s));
                 }
                 const unsigned ncell =
                     cellIndex(x > 0 ? x - 1 : x, y, z);
                 const unsigned nocc = occupancy(ncell);
                 for (unsigned s = 0; s < nocc; ++s)
-                    load(c, cellField(ncell, 0, s));
+                    out.load(c, cellField(ncell, 0, s));
                 for (unsigned s = 0; s < occ; ++s)
-                    store(c, cellField(cell, 2, s)); // a
-                work(c, 8);
+                    out.store(c, cellField(cell, 2, s)); // a
+                out.work(c, 8);
             });
         }
-        barrierAll({cellsId_});
+        co_await out.barrierAll(cellsId_);
 
         // 5. Advance: read accelerations, overwrite p and v (the
         //    read-then-overwrite pattern bypass targets).
@@ -230,22 +228,22 @@ class FluidWorkload : public Workload
                 const unsigned cell = cellIndex(x, y, z);
                 const unsigned occ = occupancy(cell);
                 for (unsigned s = 0; s < occ; ++s) {
-                    load(c, cellField(cell, 2, s));
-                    store(c, cellField(cell, 0, s));
-                    store(c, cellField(cell, 1, s));
+                    out.load(c, cellField(cell, 2, s));
+                    out.store(c, cellField(cell, 0, s));
+                    out.store(c, cellField(cell, 1, s));
                 }
-                work(c, 4);
+                out.work(c, 4);
             });
         }
-        barrierAll({cellsId_});
+        co_await out.barrierAll(cellsId_);
     }
 
-    void
-    build()
+    Phases
+    generate(TraceSink &out) const override
     {
-        iteration(); // warm-up
-        epochAll();
-        iteration(); // measured
+        co_await iteration(out); // warm-up
+        out.epochAll();
+        co_await iteration(out); // measured
     }
 
     unsigned gx_, gy_, gz_, nCells_;

@@ -67,8 +67,6 @@ class KdTreeWorkload : public Workload
         nodes.base = nodeBase_;
         nodes.size = static_cast<Addr>(nEdges_) * bytesPerWord;
         nodeId_ = regions_.add(nodes);
-
-        build();
     }
 
     std::string name() const override { return "kD-tree"; }
@@ -99,8 +97,8 @@ class KdTreeWorkload : public Workload
     }
 
     /** One SAH sweep over a third of the edge array. */
-    void
-    iteration(unsigned iter, std::uint64_t seed)
+    Phases
+    iteration(TraceSink &out, unsigned iter, std::uint64_t seed) const
     {
         const unsigned span = nEdges_ / 3;
         const unsigned e0 = iter * span;
@@ -115,37 +113,37 @@ class KdTreeWorkload : public Workload
                 const unsigned e = e0 + c * per_core + i;
                 // Stream the edge's used fields.
                 for (unsigned f = 0; f < 4; ++f)
-                    load(c, edgeField(e, f));
+                    out.load(c, edgeField(e, f));
                 // Random triangle lookup: the phase's used fields...
                 const unsigned t =
                     static_cast<unsigned>(rng.below(nTris_));
                 for (unsigned f = 0; f < 6; ++f)
-                    load(c, triField(t, f));
+                    out.load(c, triField(t, f));
                 // ...plus a dynamically chosen pointer pair.
                 if (rng.chance(0.5)) {
                     const unsigned pair =
                         6 + 2 * static_cast<unsigned>(rng.below(3));
-                    load(c, triField(t, pair));
-                    load(c, triField(t, pair + 1));
+                    out.load(c, triField(t, pair));
+                    out.load(c, triField(t, pair + 1));
                 }
                 // Append the classification to the node output.
-                store(c, nodeBase_ +
-                             static_cast<Addr>(node_cursor++) *
-                                 bytesPerWord);
-                work(c, 3);
+                out.store(c, nodeBase_ +
+                                 static_cast<Addr>(node_cursor++) *
+                                     bytesPerWord);
+                out.work(c, 3);
             }
         }
-        barrierAll({nodeId_});
+        co_await out.barrierAll(nodeId_);
     }
 
-    void
-    build()
+    Phases
+    generate(TraceSink &out) const override
     {
         // One warm-up iteration, three measured (Section 4.3).
-        iteration(0, 0x5eedULL);
-        epochAll();
+        co_await iteration(out, 0, 0x5eedULL);
+        out.epochAll();
         for (unsigned it = 0; it < 3; ++it)
-            iteration(it, 0xbee5ULL + it);
+            co_await iteration(out, it, 0xbee5ULL + it);
     }
 
     unsigned nTris_, nEdges_;

@@ -44,8 +44,6 @@ class LuWorkload : public Workload
                 blockRegion_[i * nb_ + j] = regions_.add(r);
             }
         }
-
-        build();
     }
 
     std::string name() const override { return "LU"; }
@@ -88,84 +86,85 @@ class LuWorkload : public Workload
     }
 
     void
-    readBlock(CoreId c, unsigned i, unsigned j)
+    readBlock(TraceSink &out, CoreId c, unsigned i, unsigned j) const
     {
         for (unsigned w = 0; w < blockWords; ++w)
-            load(c, blockBase(i, j) + w * bytesPerWord);
+            out.load(c, blockBase(i, j) + w * bytesPerWord);
     }
 
     void
-    rmwBlock(CoreId c, unsigned i, unsigned j)
+    rmwBlock(TraceSink &out, CoreId c, unsigned i, unsigned j) const
     {
         for (unsigned w = 0; w < blockWords; ++w) {
-            load(c, blockBase(i, j) + w * bytesPerWord);
-            store(c, blockBase(i, j) + w * bytesPerWord);
+            out.load(c, blockBase(i, j) + w * bytesPerWord);
+            out.store(c, blockBase(i, j) + w * bytesPerWord);
         }
     }
 
     /** Factor the diagonal block: only its lower triangle is touched,
      *  so the upper-triangular words become Evict waste. */
     void
-    factorDiag(CoreId c, unsigned k)
+    factorDiag(TraceSink &out, CoreId c, unsigned k) const
     {
         for (unsigned bi = 0; bi < blockDim; ++bi) {
             for (unsigned bj = 0; bj <= bi; ++bj) {
                 for (unsigned w = 0; w < elemWords; ++w) {
-                    load(c, blockElem(k, k, bi, bj) + w * bytesPerWord);
-                    store(c, blockElem(k, k, bi, bj) + w * bytesPerWord);
+                    out.load(c, blockElem(k, k, bi, bj) + w * bytesPerWord);
+                    out.store(c,
+                              blockElem(k, k, bi, bj) + w * bytesPerWord);
                 }
             }
-            work(c, blockDim);
+            out.work(c, blockDim);
         }
     }
 
-    void
-    build()
+    Phases
+    generate(TraceSink &out) const override
     {
         // Warm-up (non-iterative): core 0 touches the matrix, one
         // word per line.
         const Addr bytes = static_cast<Addr>(n_) * n_ * elemWords *
                            bytesPerWord;
         for (Addr off = 0; off < bytes; off += bytesPerLine)
-            load(0, base_ + off);
-        barrierAll({});
-        epochAll();
+            out.load(0, base_ + off);
+        co_await out.barrierAll();
+        out.epochAll();
 
         for (unsigned k = 0; k < nb_; ++k) {
             // 1. Factor the diagonal block.
-            factorDiag(ownerOf(k, k), k);
-            barrierAll({blockRegion_[k * nb_ + k]});
+            factorDiag(out, ownerOf(k, k), k);
+            co_await out.barrierAll(blockRegion_[k * nb_ + k]);
 
             // 2. Perimeter blocks: read the diagonal, update own.
             std::vector<RegionId> inv;
             for (unsigned i = k + 1; i < nb_; ++i) {
                 const CoreId c1 = ownerOf(i, k);
-                readBlock(c1, k, k);
-                rmwBlock(c1, i, k);
-                work(c1, blockDim * blockDim);
+                readBlock(out, c1, k, k);
+                rmwBlock(out, c1, i, k);
+                out.work(c1, blockDim * blockDim);
                 inv.push_back(blockRegion_[i * nb_ + k]);
 
                 const CoreId c2 = ownerOf(k, i);
-                readBlock(c2, k, k);
-                rmwBlock(c2, k, i);
-                work(c2, blockDim * blockDim);
+                readBlock(out, c2, k, k);
+                rmwBlock(out, c2, k, i);
+                out.work(c2, blockDim * blockDim);
                 inv.push_back(blockRegion_[k * nb_ + i]);
             }
-            barrierAll(inv);
+            co_await out.barrierAll(inv);
 
             // 3. Interior updates: A[i][j] -= A[i][k] * A[k][j].
             inv.clear();
             for (unsigned i = k + 1; i < nb_; ++i) {
                 for (unsigned j = k + 1; j < nb_; ++j) {
                     const CoreId c = ownerOf(i, j);
-                    readBlock(c, i, k);
-                    readBlock(c, k, j);
-                    rmwBlock(c, i, j);
-                    work(c, blockDim * blockDim);
+                    readBlock(out, c, i, k);
+                    readBlock(out, c, k, j);
+                    rmwBlock(out, c, i, j);
+                    out.work(c, blockDim * blockDim);
                     inv.push_back(blockRegion_[i * nb_ + j]);
                 }
             }
-            barrierAll(inv);
+            co_await out.barrierAll(inv);
         }
     }
 

@@ -62,8 +62,6 @@ class RadixWorkload : public Workload
         glob.base = globalBase_;
         glob.size = static_cast<Addr>(radix_) * bytesPerWord;
         globId_ = regions_.add(glob);
-
-        build();
     }
 
     std::string name() const override { return "radix"; }
@@ -100,8 +98,8 @@ class RadixWorkload : public Workload
     }
 
     /** One counting-sort pass over (from -> to). */
-    void
-    pass(Addr from, Addr to, std::uint64_t seed)
+    Phases
+    pass(TraceSink &out, Addr from, Addr to, std::uint64_t seed) const
     {
         const unsigned cores = numCores();
 
@@ -134,20 +132,20 @@ class RadixWorkload : public Workload
             const Addr k0 = keyStart(c);
             const Addr per_core = keyStart(c + 1) - k0;
             for (Addr i = 0; i < per_core; ++i) {
-                load(c, keyAddr(from, k0 + i));
-                work(c, 1);
+                out.load(c, keyAddr(from, k0 + i));
+                out.work(c, 1);
                 if (i % 4 == 0) {
                     // Local histogram update (private, L1-resident).
                     const Addr h = histBase_ +
                                    (static_cast<Addr>(c) * radix_ +
                                     i % radix_) *
                                        bytesPerWord;
-                    load(c, h);
-                    store(c, h);
+                    out.load(c, h);
+                    out.store(c, h);
                 }
             }
         }
-        barrierAll({histId_});
+        co_await out.barrierAll(histId_);
 
         // Phase 2: global histogram: each core reduces its digit
         // range across all cores' local histograms.
@@ -155,16 +153,16 @@ class RadixWorkload : public Workload
             for (unsigned d = digitStart(c); d < digitStart(c + 1);
                  ++d) {
                 for (CoreId o = 0; o < cores; ++o) {
-                    load(c, histBase_ +
-                                (static_cast<Addr>(o) * radix_ + d) *
-                                    bytesPerWord);
+                    out.load(c, histBase_ +
+                                    (static_cast<Addr>(o) * radix_ + d) *
+                                        bytesPerWord);
                 }
-                store(c, globalBase_ + static_cast<Addr>(d) *
-                                           bytesPerWord);
-                work(c, 4);
+                out.store(c, globalBase_ + static_cast<Addr>(d) *
+                                               bytesPerWord);
+                out.work(c, 4);
             }
         }
-        barrierAll({globId_, histId_});
+        co_await out.barrierAll(globId_, histId_);
 
         // Phase 3: permutation — scattered writes over up to 1024
         // open buckets per core.
@@ -173,24 +171,24 @@ class RadixWorkload : public Workload
             const Addr k0 = keyStart(c);
             const Addr per_core = keyStart(c + 1) - k0;
             for (Addr i = 0; i < per_core; ++i) {
-                load(c, keyAddr(from, k0 + i));
+                out.load(c, keyAddr(from, k0 + i));
                 const unsigned d =
                     static_cast<unsigned>(rng.below(radix_));
-                store(c, keyAddr(to, cursor[c][d]++));
-                work(c, 1);
+                out.store(c, keyAddr(to, cursor[c][d]++));
+                out.work(c, 1);
             }
         }
-        barrierAll({from == srcBase_ ? dstId_ : srcId_});
+        co_await out.barrierAll(from == srcBase_ ? dstId_ : srcId_);
     }
 
-    void
-    build()
+    Phases
+    generate(TraceSink &out) const override
     {
         // Warm-up iteration (radix is iterative), then measure one
         // full pass streaming the bypassed key array.
-        pass(dstBase_, srcBase_, 0xabcdefULL);
-        epochAll();
-        pass(srcBase_, dstBase_, 0x123457ULL);
+        co_await pass(out, dstBase_, srcBase_, 0xabcdefULL);
+        out.epochAll();
+        co_await pass(out, srcBase_, dstBase_, 0x123457ULL);
     }
 
     Addr nKeys_;

@@ -6,6 +6,13 @@
  * consumes (regions, communication regions, bypass hints,
  * self-invalidation sets).
  *
+ * A Workload is a description: topology, region table and generator
+ * parameters.  Its generator is a coroutine that stops after each
+ * barrier, and each run streams it through its own TraceSource, which
+ * holds one barrier phase of every core's trace at a time.  Workloads
+ * held whole in memory (HeldWorkload: a loaded trace file, a test
+ * script) are one-window streams.
+ *
  * This substitutes for the paper's Simics full-system runs: the
  * measured quantities (traffic, waste, stall breakdowns) are
  * functions of the address stream, layout and synchronization, all of
@@ -15,8 +22,13 @@
 #ifndef WASTESIM_WORKLOAD_WORKLOAD_HH
 #define WASTESIM_WORKLOAD_WORKLOAD_HH
 
+#include <concepts>
+#include <coroutine>
 #include <cstdlib>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,8 +79,10 @@ struct Op
  *
  * A Trace is append-only and read forward only: a Cursor decodes it
  * from the start, and range-for yields each Op by value.  There is
- * no random access.  The encoding is canonical, so two traces hold
- * the same ops exactly when their bytes are equal.
+ * no random access.  A trace may be one window of a longer stream
+ * (restart()); its first delta is then from the address the previous
+ * window ended at.  The encoding is canonical, so two traces hold
+ * the same ops exactly when their bytes and delta bases are equal.
  */
 class Trace
 {
@@ -84,6 +98,9 @@ class Trace
 
         /** True once every op has been decoded. */
         bool done() const { return left_ == 0; }
+
+        /** Ops not yet decoded. */
+        std::size_t left() const { return left_; }
 
         /** Decode the next op; requires !done(). */
         Op
@@ -108,7 +125,10 @@ class Trace
 
       private:
         friend class Trace;
-        Cursor(const unsigned char *p, std::size_t n) : p_(p), left_(n) {}
+        Cursor(const unsigned char *p, std::size_t n, Addr base)
+            : p_(p), left_(n), addr_(base)
+        {
+        }
 
         const unsigned char *p_ = nullptr;
         std::size_t left_ = 0; //!< ops not yet decoded
@@ -150,7 +170,10 @@ class Trace
     Trace(Trace &&o) noexcept
         : buf_(std::exchange(o.buf_, nullptr)),
           len_(std::exchange(o.len_, 0)), cap_(std::exchange(o.cap_, 0)),
-          ops_(std::exchange(o.ops_, 0)), last_(std::exchange(o.last_, 0)),
+          ops_(std::exchange(o.ops_, 0)),
+          loads_(std::exchange(o.loads_, 0)),
+          stores_(std::exchange(o.stores_, 0)),
+          base_(std::exchange(o.base_, 0)), last_(std::exchange(o.last_, 0)),
           hasEpoch_(std::exchange(o.hasEpoch_, false))
     {
     }
@@ -161,6 +184,9 @@ class Trace
         std::swap(len_, o.len_);
         std::swap(cap_, o.cap_);
         std::swap(ops_, o.ops_);
+        std::swap(loads_, o.loads_);
+        std::swap(stores_, o.stores_);
+        std::swap(base_, o.base_);
         std::swap(last_, o.last_);
         std::swap(hasEpoch_, o.hasEpoch_);
         return *this;
@@ -184,6 +210,8 @@ class Trace
         *p++ = static_cast<unsigned char>(op.type);
         std::uint64_t v = op.arg;
         if (op.type == Op::Type::Load || op.type == Op::Type::Store) {
+            loads_ += op.type == Op::Type::Load;
+            stores_ += op.type == Op::Type::Store;
             const std::uint64_t d = op.addr - last_;
             last_ = op.addr;
             v = (d << 1) ^ static_cast<std::uint64_t>(
@@ -203,6 +231,10 @@ class Trace
     /** Number of ops. */
     std::size_t size() const { return ops_; }
 
+    /** Number of Load ops and of Store ops. */
+    std::size_t loads() const { return loads_; }
+    std::size_t stores() const { return stores_; }
+
     /** True if the trace holds an Epoch op. */
     bool hasEpoch() const { return hasEpoch_; }
 
@@ -212,7 +244,27 @@ class Trace
     /** Release the growth slack once the trace is complete. */
     void trim();
 
-    Cursor cursor() const { return Cursor(buf_, ops_); }
+    /**
+     * Drop every op but keep the buffer and the address-delta chain:
+     * the next op is encoded relative to the last one dropped, so the
+     * bytes of successive restarts concatenate to one trace's.
+     */
+    void
+    restart()
+    {
+        len_ = 0;
+        ops_ = 0;
+        loads_ = 0;
+        stores_ = 0;
+        base_ = last_;
+        hasEpoch_ = false;
+    }
+
+    /** Append @p next, which must have been written after this trace's
+     *  last op (its delta base is this trace's last address). */
+    void append(const Trace &next);
+
+    Cursor cursor() const { return Cursor(buf_, ops_, base_); }
     Iterator begin() const { return Iterator(cursor(), 0); }
     Iterator end() const { return Iterator(Cursor{}, ops_); }
 
@@ -225,6 +277,8 @@ class Trace
     std::size_t len_ = 0;          //!< bytes written
     std::size_t cap_ = 0;          //!< bytes allocated
     std::size_t ops_ = 0;
+    std::size_t loads_ = 0, stores_ = 0;
+    Addr base_ = 0;                //!< address the first delta is from
     Addr last_ = 0;                //!< previous Load/Store address
     bool hasEpoch_ = false;
 };
@@ -237,51 +291,122 @@ struct BarrierInfo
     std::vector<RegionId> selfInvalidate;
 };
 
-/** A fully generated benchmark instance. */
-class Workload
+/** Every core's whole trace and every barrier of one run. */
+struct WholeTraces
 {
-  public:
-    virtual ~Workload() = default;
+    std::vector<Trace> traces;
+    std::vector<BarrierInfo> barriers;
 
-    /** Benchmark name as used in the figures. */
-    virtual std::string name() const = 0;
-
-    /** Input-size description (Table 4.2). */
-    virtual std::string inputDesc() const = 0;
-
-    const RegionTable &regions() const { return regions_; }
-    const std::vector<Trace> &traces() const { return traces_; }
-    const std::vector<BarrierInfo> &barriers() const { return barriers_; }
-
-    /** Topology the workload was generated for. */
-    const Topology &topo() const { return topo_; }
-
-    /** Cores the workload drives (== topo().numTiles()). */
-    unsigned
-    numCores() const
-    {
-        return static_cast<unsigned>(traces_.size());
-    }
-
-    /** Total ops across all cores (reporting). */
+    /** Ops across all cores. */
     std::size_t totalOps() const;
 
     /** Bytes allocated for all cores' traces. */
-    std::size_t traceBytes() const;
+    std::size_t bytes() const;
+};
 
-    /** Release every trace's growth slack; the generator factories
-     *  call it once, after generation. */
-    void trimTraces();
+/**
+ * A workload generator: a coroutine that appends ops to a TraceSink
+ * and suspends at each `co_await out.barrierAll(...)`, so whoever
+ * resumes it holds one barrier phase at a time.  A generator may
+ * `co_await` a helper that is itself a Phases coroutine; a barrier in
+ * the helper suspends the whole chain, and the next resume continues
+ * inside the helper.
+ */
+class [[nodiscard]] Phases
+{
+  public:
+    struct promise_type;
+    using Handle = std::coroutine_handle<promise_type>;
 
-  protected:
-    explicit Workload(Topology topo = Topology{})
-        : topo_(std::move(topo)), traces_(topo_.numTiles())
+    struct promise_type
     {
+        Phases
+        get_return_object()
+        {
+            return Phases(Handle::from_promise(*this));
+        }
+        std::suspend_always initial_suspend() noexcept { return {}; }
+
+        /** A finished helper continues its caller; the root stops. */
+        struct Return
+        {
+            bool await_ready() noexcept { return false; }
+            std::coroutine_handle<>
+            await_suspend(Handle h) noexcept
+            {
+                promise_type &p = h.promise();
+                if (!p.caller)
+                    return std::noop_coroutine();
+                p.root->leaf = p.caller;
+                return p.caller;
+            }
+            void await_resume() noexcept {}
+        };
+        Return final_suspend() noexcept { return {}; }
+        void return_void() {}
+        void unhandled_exception() { std::terminate(); }
+
+        Handle caller;             //!< generator awaiting this helper
+        promise_type *root = this; //!< outermost generator
+        Handle leaf;               //!< root only: innermost running one
+    };
+
+    Phases(Phases &&o) noexcept : h_(std::exchange(o.h_, {})) {}
+    Phases &operator=(Phases &&) = delete;
+    ~Phases()
+    {
+        if (h_)
+            h_.destroy();
     }
 
-    // --- helpers for generators ---
+    /** Run to the next barrier or the end; false once finished. */
+    bool
+    resume()
+    {
+        if (!h_.done())
+            h_.promise().leaf.resume();
+        return !h_.done();
+    }
 
-    /** Append an op to core @p c's trace. */
+    /** Awaiting a helper runs it in place of its caller. */
+    auto
+    operator co_await() && noexcept
+    {
+        struct Call
+        {
+            Handle helper;
+            bool await_ready() noexcept { return false; }
+            Handle
+            await_suspend(Handle caller) noexcept
+            {
+                promise_type &p = helper.promise();
+                p.caller = caller;
+                p.root = caller.promise().root;
+                p.root->leaf = helper;
+                return helper;
+            }
+            void await_resume() noexcept {}
+        };
+        return Call{h_};
+    }
+
+  private:
+    explicit Phases(Handle h) : h_(h) { h.promise().leaf = h; }
+
+    Handle h_;
+};
+
+/**
+ * Where a generator writes: one Trace per core plus the barriers of
+ * the phase being generated.  A TraceSource owns it and empties it
+ * before each phase; each core's address-delta chain carries over, so
+ * the phases' bytes concatenate to the whole trace's.
+ */
+class TraceSink
+{
+  public:
+    explicit TraceSink(unsigned cores) : traces_(cores) {}
+
     void
     load(CoreId c, Addr a)
     {
@@ -301,11 +426,157 @@ class Workload
             traces_[c].push_back(Op{Op::Type::Work, 0, cycles});
     }
 
-    /** Insert a barrier for every core. */
-    void barrierAll(std::vector<RegionId> self_invalidate = {});
-
     /** Insert the measurement-epoch marker for every core. */
     void epochAll();
+
+    /** Insert a barrier for every core; `co_await` the result to end
+     *  the phase there. */
+    [[nodiscard]] std::suspend_always
+    barrierAll(std::vector<RegionId> self_invalidate);
+
+    /** barrierAll() over the regions listed.  (g++ 12 rejects a
+     *  braced list inside a co_await expression.) */
+    template <std::convertible_to<RegionId>... Ids>
+    [[nodiscard]] std::suspend_always
+    barrierAll(Ids... self_invalidate)
+    {
+        return barrierAll(std::vector<RegionId>{self_invalidate...});
+    }
+
+    /** Present @p whole, which must outlive the phase, as this phase. */
+    void lend(const WholeTraces &whole) { lent_ = &whole; }
+
+  private:
+    friend class TraceSource;
+
+    std::vector<Trace> traces_;
+    std::vector<BarrierInfo> barriers_; //!< this phase's barriers
+    std::uint32_t firstBarrier_ = 0;    //!< Op::arg of barriers_[0]
+    const WholeTraces *lent_ = nullptr;
+};
+
+/** Load and Store counts of a whole run, and its total op count. */
+struct OpCounts
+{
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t ops = 0;
+};
+
+class Workload;
+
+/**
+ * One run's stream of trace windows, where a window is one barrier
+ * phase of every core.  Each System owns one: its cores read their
+ * window through cursor(c) and call advance(c) when it runs dry.  By
+ * then every core has passed the barrier that ends the window, so the
+ * source generates the next one into the same per-core buffers.  It
+ * keeps only the BarrierInfos the current window references.
+ */
+class TraceSource
+{
+  public:
+    explicit TraceSource(const Workload &wl);
+    TraceSource(const TraceSource &) = delete;
+    TraceSource &operator=(const TraceSource &) = delete;
+
+    /** Core @p c's position in its current window. */
+    Trace::Cursor &cursor(CoreId c) { return cursors_[c]; }
+
+    /**
+     * Core @p c's cursor ran dry: point it at its next window,
+     * generating that window if @p c is the first core to need it.
+     * Panics if another core still holds ops of the current window.
+     * @return false once @p c's stream has ended.
+     */
+    bool advance(CoreId c);
+
+    /** Ops @p c has not yet read from the windows generated so far. */
+    std::size_t opsHeld(CoreId c) const;
+
+    /** Generate the next window; false once the stream has ended.
+     *  Whole-stream readers (materialize(), opCounts()) use this. */
+    bool next();
+
+    /** Core @p c's current window. */
+    const Trace &window(CoreId c) const;
+
+    /** The current window's barriers, in Op::arg order. */
+    std::span<const BarrierInfo> barriers() const;
+
+    /** What happens at barrier @p idx; it must be in the window. */
+    const BarrierInfo &barrier(std::uint32_t idx) const;
+
+    /** Windows generated so far. */
+    std::uint32_t windows() const { return windows_; }
+
+    /** Op counts of the windows generated so far. */
+    const OpCounts &counts() const { return counts_; }
+
+    /** True once the stream's last window has been generated. */
+    bool ended() const { return genDone_; }
+
+    /** High-water mark of the bytes allocated for the windows. */
+    std::size_t peakBytes() const { return peakBytes_; }
+
+  private:
+    TraceSink sink_;
+    Phases gen_;
+    bool genDone_ = false; //!< the current window is the last
+    std::uint32_t windows_ = 0;
+    OpCounts counts_; //!< of the windows generated so far
+    std::size_t peakBytes_ = 0;
+    std::vector<Trace::Cursor> cursors_;
+    std::vector<std::uint32_t> held_; //!< window each cursor reads
+};
+
+/**
+ * A benchmark instance: its topology, region table and generator
+ * parameters.  A Workload is immutable once built, and several
+ * threads may stream one at once: every TraceSource runs its own
+ * generate() coroutine, which keeps all generation state.
+ */
+class Workload
+{
+  public:
+    virtual ~Workload() = default;
+
+    /** Benchmark name as used in the figures. */
+    virtual std::string name() const = 0;
+
+    /** Input-size description (Table 4.2). */
+    virtual std::string inputDesc() const = 0;
+
+    /** Whether the ops hold an Epoch marker.  Stated before any op is
+     *  generated; a run that disagrees panics. */
+    virtual bool hasEpoch() const { return true; }
+
+    /** Append this workload's ops to @p out, suspending at each
+     *  barrier.  Called once per TraceSource. */
+    virtual Phases generate(TraceSink &out) const = 0;
+
+    const RegionTable &regions() const { return regions_; }
+
+    /** Topology the workload was generated for. */
+    const Topology &topo() const { return topo_; }
+
+    /** Cores the workload drives (== topo().numTiles()). */
+    unsigned numCores() const { return topo_.numTiles(); }
+
+    /** Load, Store and total op counts; the first call streams the
+     *  workload once, unless keepOpCounts() came first, and later
+     *  calls return the cached counts. */
+    const OpCounts &opCounts() const;
+
+    /** Cache the counts of @p src, a stream of this workload, if it
+     *  has ended, so that opCounts() need not stream it again. */
+    void keepOpCounts(const TraceSource &src) const;
+
+    /** Total ops across all cores (reporting). */
+    std::size_t totalOps() const { return opCounts().ops; }
+
+  protected:
+    explicit Workload(Topology topo = Topology{}) : topo_(std::move(topo)) {}
 
     /** Allocate @p bytes of address space, line aligned. */
     Addr
@@ -318,9 +589,38 @@ class Workload
 
     Topology topo_;
     RegionTable regions_;
-    std::vector<Trace> traces_;
-    std::vector<BarrierInfo> barriers_;
     Addr nextAddr_ = 1u << 20; //!< keep address 0 unused
+
+  private:
+    mutable std::once_flag countsOnce_;
+    mutable OpCounts counts_;
+};
+
+/** Drain a fresh stream of @p wl into whole traces (record, tests). */
+WholeTraces materialize(const Workload &wl);
+
+/**
+ * A workload whose whole traces are held in memory: loaded from a
+ * file, or scripted by a test.  Its stream is one window.
+ */
+class HeldWorkload : public Workload
+{
+  public:
+    /** True if any core's trace holds an Epoch op. */
+    bool hasEpoch() const override;
+
+    Phases generate(TraceSink &out) const override;
+
+    const WholeTraces &whole() const { return whole_; }
+
+  protected:
+    explicit HeldWorkload(Topology topo = Topology{})
+        : Workload(std::move(topo))
+    {
+        whole_.traces.resize(topo_.numTiles());
+    }
+
+    WholeTraces whole_;
 };
 
 /** The six benchmarks of Table 4.2. */

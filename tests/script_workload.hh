@@ -13,21 +13,54 @@
 namespace wastesim
 {
 
-/** A workload scripted by hand in a test. */
-class ScriptWorkload : public Workload
+/** A workload scripted by hand in a test: a one-window stream. */
+class ScriptWorkload : public HeldWorkload
 {
   public:
     std::string name() const override { return "script"; }
     std::string inputDesc() const override { return "scripted"; }
 
     using Workload::alloc;
-    using Workload::barrierAll;
-    using Workload::epochAll;
-    using Workload::load;
-    using Workload::store;
-    using Workload::work;
+
+    void
+    load(CoreId c, Addr a)
+    {
+        whole_.traces[c].push_back(Op{Op::Type::Load, a, 0});
+    }
+
+    void
+    store(CoreId c, Addr a)
+    {
+        whole_.traces[c].push_back(Op{Op::Type::Store, a, 0});
+    }
+
+    void
+    work(CoreId c, std::uint32_t cycles)
+    {
+        if (cycles > 0)
+            whole_.traces[c].push_back(Op{Op::Type::Work, 0, cycles});
+    }
+
+    void
+    epochAll()
+    {
+        for (Trace &t : whole_.traces)
+            t.push_back(Op{Op::Type::Epoch, 0, 0});
+    }
+
+    void
+    barrierAll(std::vector<RegionId> self_invalidate)
+    {
+        std::vector<CoreId> all(numCores());
+        for (CoreId c = 0; c < numCores(); ++c)
+            all[c] = c;
+        barrierFor(all, std::move(self_invalidate));
+    }
 
     RegionTable &regionTable() { return regions_; }
+
+    /** The traces and barriers themselves, for raw ops. */
+    WholeTraces &script() { return whole_; }
 
     /** Every core ends with a final barrier (keeps drains clean). */
     void finish() { barrierAll({}); }
@@ -35,12 +68,14 @@ class ScriptWorkload : public Workload
     /** A barrier that only @p cores arrive at; unless they are all
      *  cores it can never release (for deadlock tests). */
     void
-    barrierFor(const std::vector<CoreId> &cores)
+    barrierFor(const std::vector<CoreId> &cores,
+               std::vector<RegionId> self_invalidate = {})
     {
-        const auto idx = static_cast<std::uint32_t>(barriers_.size());
-        barriers_.push_back(BarrierInfo{});
+        const auto idx =
+            static_cast<std::uint32_t>(whole_.barriers.size());
+        whole_.barriers.push_back(BarrierInfo{std::move(self_invalidate)});
         for (CoreId c : cores)
-            traces_[c].push_back(Op{Op::Type::Barrier, 0, idx});
+            whole_.traces[c].push_back(Op{Op::Type::Barrier, 0, idx});
     }
 };
 

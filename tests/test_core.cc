@@ -83,10 +83,12 @@ struct CoreHarness
     EventQueue eq;
     FakeL1 l1{eq};
     Barrier barrier{1}; // single-core barrier releases immediately
-    Trace trace;
-    std::vector<BarrierInfo> infos;
+    ScriptWorkload wl;
+    Trace &trace = wl.script().traces[0];
+    std::vector<BarrierInfo> &infos = wl.script().barriers;
     bool done = false;
 
+    std::unique_ptr<TraceSource> source;
     std::unique_ptr<Core> core;
 
     void
@@ -94,10 +96,8 @@ struct CoreHarness
     {
         Core::Hooks hooks;
         hooks.onDone = [this](CoreId) { done = true; };
-        hooks.barrierInfo = [this](unsigned i) -> const BarrierInfo & {
-            return infos.at(i);
-        };
-        core = std::make_unique<Core>(0, eq, l1, barrier, trace,
+        source = std::make_unique<TraceSource>(wl);
+        core = std::make_unique<Core>(0, eq, l1, barrier, *source,
                                       std::move(hooks));
         core->start();
         eq.run();
@@ -177,18 +177,13 @@ TEST(Core, SyncTimeMeasuredAcrossCores)
     EventQueue eq;
     FakeL1 l1a(eq), l1b(eq);
     Barrier barrier(2);
-    Trace ta, tb;
-    ta.push_back(Op{Op::Type::Barrier, 0, 0});
-    tb.push_back(Op{Op::Type::Work, 0, 200});
-    tb.push_back(Op{Op::Type::Barrier, 0, 0});
-    std::vector<BarrierInfo> infos{BarrierInfo{}};
+    ScriptWorkload wl;
+    wl.work(1, 200);
+    wl.barrierFor({0, 1});
+    TraceSource source(wl);
 
-    Core::Hooks hooks;
-    hooks.barrierInfo = [&](unsigned i) -> const BarrierInfo & {
-        return infos.at(i);
-    };
-    Core a(0, eq, l1a, barrier, ta, hooks);
-    Core b(1, eq, l1b, barrier, tb, hooks);
+    Core a(0, eq, l1a, barrier, source, {});
+    Core b(1, eq, l1b, barrier, source, {});
     a.start();
     b.start();
     eq.run();
@@ -202,16 +197,13 @@ TEST(Core, EpochHookFires)
     EventQueue eq;
     FakeL1 l1(eq);
     Barrier barrier(1);
-    Trace t;
-    t.push_back(Op{Op::Type::Epoch, 0, 0});
+    ScriptWorkload wl;
+    wl.script().traces[0].push_back(Op{Op::Type::Epoch, 0, 0});
+    TraceSource source(wl);
     bool epoch = false;
     Core::Hooks hooks;
     hooks.onEpoch = [&] { epoch = true; };
-    hooks.barrierInfo = [](unsigned) -> const BarrierInfo & {
-        static BarrierInfo bi;
-        return bi;
-    };
-    Core c(0, eq, l1, barrier, t, std::move(hooks));
+    Core c(0, eq, l1, barrier, source, std::move(hooks));
     c.start();
     eq.run();
     EXPECT_TRUE(epoch);

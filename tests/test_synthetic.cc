@@ -20,7 +20,7 @@ bool
 tracesIdentical(const Workload &a, const Workload &b)
 {
     // The trace encoding is canonical: equal bytes mean equal ops.
-    return a.traces() == b.traces();
+    return materialize(a).traces == materialize(b).traces;
 }
 
 } // namespace
@@ -60,19 +60,20 @@ TEST_P(SynthPatterns, WellFormed)
     p.pattern = GetParam();
     p.opsPerCore = 1000;
     auto wl = makeSynthetic(p);
+    const WholeTraces whole = materialize(*wl);
 
-    ASSERT_EQ(wl->traces().size(), numTiles);
+    ASSERT_EQ(whole.traces.size(), numTiles);
 
     // Same barrier sequence on every core; exactly one epoch.
     std::vector<std::uint32_t> seq0;
-    for (const auto &op : wl->traces()[0])
+    for (const auto &op : whole.traces[0])
         if (op.type == Op::Type::Barrier)
             seq0.push_back(op.arg);
     EXPECT_EQ(seq0.size(), 1 + p.phases); // warm-up + per-phase
     for (CoreId c = 0; c < numTiles; ++c) {
         std::vector<std::uint32_t> seq;
         unsigned epochs = 0;
-        for (const auto &op : wl->traces()[c]) {
+        for (const auto &op : whole.traces[c]) {
             if (op.type == Op::Type::Barrier)
                 seq.push_back(op.arg);
             epochs += op.type == Op::Type::Epoch;
@@ -82,7 +83,7 @@ TEST_P(SynthPatterns, WellFormed)
     }
 
     // Every access is word aligned and inside a declared region.
-    for (const auto &t : wl->traces()) {
+    for (const auto &t : whole.traces) {
         for (const auto &op : t) {
             if (op.type != Op::Type::Load &&
                 op.type != Op::Type::Store)
@@ -93,7 +94,7 @@ TEST_P(SynthPatterns, WellFormed)
     }
 
     // Barrier self-invalidation references real regions.
-    for (const auto &b : wl->barriers())
+    for (const auto &b : whole.barriers)
         for (RegionId id : b.selfInvalidate)
             EXPECT_LT(id, wl->regions().numRegions());
 }
@@ -118,7 +119,7 @@ TEST(Synthetic, ReadFractionShapesTheMix)
 
     auto count = [](const Workload &wl, Op::Type t) {
         std::size_t n = 0;
-        for (const auto &tr : wl.traces())
+        for (const auto &tr : materialize(wl).traces)
             for (const auto &op : tr)
                 n += op.type == t;
         return n;
@@ -141,11 +142,12 @@ TEST(Synthetic, SharingDegreePartitionsRegions)
     p.opsPerCore = 2000;
     p.sharedFraction = 1.0;
     auto wl = makeSynthetic(p);
+    const WholeTraces whole = materialize(*wl);
 
     std::vector<std::set<RegionId>> touched(numTiles);
     bool past_epoch[numTiles] = {};
     for (CoreId c = 0; c < numTiles; ++c) {
-        for (const auto &op : wl->traces()[c]) {
+        for (const auto &op : whole.traces[c]) {
             if (op.type == Op::Type::Epoch)
                 past_epoch[c] = true;
             if (!past_epoch[c])
@@ -192,7 +194,8 @@ TEST(Synthetic, HotSetConcentratesAccesses)
 
     std::size_t hot = 0, total = 0;
     bool past_epoch = false;
-    for (const auto &op : wl->traces()[0]) {
+    const WholeTraces whole = materialize(*wl);
+    for (const auto &op : whole.traces[0]) {
         if (op.type == Op::Type::Epoch)
             past_epoch = true;
         if (!past_epoch || (op.type != Op::Type::Load &&

@@ -140,6 +140,111 @@ TEST(System, DeadlockIsDetectedNotHung)
         "deadlock");
 }
 
+namespace
+{
+
+/** A script whose stated epoch is fixed, whatever its ops hold. */
+class StatedEpochWorkload : public ScriptWorkload
+{
+  public:
+    explicit StatedEpochWorkload(bool stated) : stated_(stated) {}
+    bool hasEpoch() const override { return stated_; }
+
+  private:
+    bool stated_;
+};
+
+} // namespace
+
+TEST(System, StatedEpochMustMatchTheOps)
+{
+    // System decides whether the memory profiler waits for an epoch
+    // before any op is generated; a workload that misstates it panics.
+    StatedEpochWorkload none(false);
+    const Addr a = none.alloc(4096);
+    none.load(0, a);
+    none.epochAll();
+    none.finish();
+    EXPECT_DEATH(
+        {
+            System sys(ProtocolName::MESI, none, SimParams::scaled());
+            sys.run();
+        },
+        "states it has no Epoch op");
+
+    StatedEpochWorkload some(true);
+    some.load(0, some.alloc(4096));
+    some.finish();
+    EXPECT_DEATH(
+        {
+            System sys(ProtocolName::DeNovo, some, SimParams::scaled());
+            sys.run();
+        },
+        "states it has an Epoch op");
+}
+
+namespace
+{
+
+/** Two barrier phases per core; generate() counts its calls. */
+class CountedStream : public Workload
+{
+  public:
+    CountedStream() : base_(alloc(4096)) {}
+    std::string name() const override { return "counted"; }
+    std::string inputDesc() const override { return "two phases"; }
+
+    Phases
+    generate(TraceSink &out) const override
+    {
+        ++generated;
+        for (CoreId c = 0; c < numCores(); ++c) {
+            out.load(c, base_ + c * bytesPerLine);
+            out.store(c, base_ + c * bytesPerLine);
+        }
+        out.epochAll();
+        co_await out.barrierAll();
+        for (CoreId c = 0; c < numCores(); ++c)
+            out.load(c, base_ + c * bytesPerLine + bytesPerWord);
+    }
+
+    mutable unsigned generated = 0;
+
+  private:
+    Addr base_;
+};
+
+} // namespace
+
+TEST(System, FinishedRunKeepsItsOpCounts)
+{
+    // The invariant checks ask for op counts after a run; the run's
+    // own stream already counted them, so they cost no second pass.
+    CountedStream wl;
+    System sys(ProtocolName::MESI, wl, SimParams::scaled());
+    sys.run();
+    EXPECT_EQ(wl.generated, 1u);
+    const OpCounts &n = wl.opCounts();
+    EXPECT_EQ(wl.generated, 1u) << "opCounts() streamed the workload again";
+    const std::uint64_t cores = wl.numCores();
+    EXPECT_EQ(n.loads, 2 * cores);
+    EXPECT_EQ(n.stores, cores);
+    EXPECT_EQ(n.ops, 5 * cores); // plus an Epoch and a Barrier each
+
+    // A lent trace counts the same way as a generated one.
+    ScriptWorkload script;
+    const Addr a = script.alloc(4096);
+    script.load(0, a);
+    script.store(1, a);
+    script.work(1, 7);
+    script.load(1, a + bytesPerWord);
+    script.finish();
+    const OpCounts &m = script.opCounts();
+    EXPECT_EQ(m.loads, 2u);
+    EXPECT_EQ(m.stores, 1u);
+    EXPECT_EQ(m.ops, 4u + script.numCores()); // finish(): a Barrier each
+}
+
 TEST(System, MemoryWordCountsMatchProfiler)
 {
     auto wl = makeRandomWorkload(14, 2, 100);

@@ -159,7 +159,7 @@ TEST(Topology, WorkloadsSizeToTopology)
          {Topology(2, 2), Topology(4, 4), Topology(8, 2)}) {
         const auto wl = makeSynthetic(smokeParams(), topo);
         EXPECT_EQ(wl->numCores(), topo.numTiles());
-        EXPECT_EQ(wl->traces().size(), topo.numTiles());
+        EXPECT_EQ(materialize(*wl).traces.size(), topo.numTiles());
         for (BenchmarkName b : allBenchmarks) {
             const auto bench = makeBenchmark(b, 1, topo);
             EXPECT_EQ(bench->numCores(), topo.numTiles());

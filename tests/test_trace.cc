@@ -58,16 +58,17 @@ expectWorkloadsEqual(const Workload &a, const Workload &b)
     }
 
     // Barriers.
-    ASSERT_EQ(a.barriers().size(), b.barriers().size());
-    for (std::size_t i = 0; i < a.barriers().size(); ++i)
-        EXPECT_EQ(a.barriers()[i].selfInvalidate,
-                  b.barriers()[i].selfInvalidate);
+    const WholeTraces wa = materialize(a), wb = materialize(b);
+    ASSERT_EQ(wa.barriers.size(), wb.barriers.size());
+    for (std::size_t i = 0; i < wa.barriers.size(); ++i)
+        EXPECT_EQ(wa.barriers[i].selfInvalidate,
+                  wb.barriers[i].selfInvalidate);
 
     // Per-core op streams, bit-identical.
-    ASSERT_EQ(a.traces().size(), b.traces().size());
-    for (CoreId c = 0; c < a.traces().size(); ++c) {
-        const Trace &ta = a.traces()[c];
-        const Trace &tb = b.traces()[c];
+    ASSERT_EQ(wa.traces.size(), wb.traces.size());
+    for (CoreId c = 0; c < wa.traces.size(); ++c) {
+        const Trace &ta = wa.traces[c];
+        const Trace &tb = wb.traces[c];
         ASSERT_EQ(ta.size(), tb.size()) << "core " << c;
         std::size_t i = 0;
         for (auto ia = ta.begin(), ib = tb.begin(); ia != ta.end();
@@ -543,7 +544,7 @@ TEST(TraceEncoding, RecordsWhetherItHoldsAnEpoch)
 
     // Every generated benchmark marks its measurement window.
     const auto wl = makeBenchmark(BenchmarkName::LU, 1);
-    for (const Trace &core : wl->traces())
+    for (const Trace &core : materialize(*wl).traces)
         EXPECT_TRUE(core.hasEpoch());
 }
 
