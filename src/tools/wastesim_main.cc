@@ -2,36 +2,10 @@
  * @file
  * `wastesim` — the command-line front end to the simulator.
  *
- *   wastesim record  --bench NAME [--scale N] --out FILE
- *       build a Table-4.2 benchmark and serialize it as a trace file
- *   wastesim replay  --trace FILE [--protocol P ...]
- *       replay a trace through protocol variants and print results
- *   wastesim synth   [--preset NAME | --seed N --pattern P ...]
- *       generate a synthetic scenario; run it, or save it as a trace
- *   wastesim sweep   [--scale N] [--report NAME ...]
- *       run the full 9-protocol grid (per-cell disk cache) over one
- *       mesh or a --mesh-list, optionally as one shard of N processes
- *   wastesim report  [--report NAME ...] [--format table|json|csv]
- *       render any figure straight from a sweep cache, without
- *       re-simulating; includes the MC placement study and the
- *       metric-schema dump (--schema)
- *   wastesim merge   --out FILE CACHE...
- *       combine partial (sharded) sweep caches into one
- *   wastesim cell    --bench B --protocol P --out FILE ...
- *       compute one sweep cell and write a checksummed result file
- *       (the worker half of `sweep --supervise`)
- *   wastesim fuzz    [--seed N] [--runs N] [--time-budget SEC]
- *       [--minimize] [--corpus DIR] ...
- *       seeded scenario fuzzing under the runtime invariant checker;
- *       each scenario runs in a crash-isolated worker process
- *   wastesim fuzzone --scenario LINE --out FILE ...
- *       check one encoded scenario and write a checksummed verdict
- *       (the worker half of `fuzz`)
- *   wastesim info    --trace FILE
- *       print a trace file's header, regions and op counts
- *
- * Run `wastesim help` for the full option list.  All simulations use
- * the scaled Table-4.1 hierarchy (SimParams::scaled()) unless
+ * Each subcommand's flags are declared once, in the table commands()
+ * builds: one parser walks it, and `wastesim help` and
+ * `wastesim <command> --help` are printed from it.  All simulations
+ * use the scaled Table-4.1 hierarchy (SimParams::scaled()) unless
  * --full-size is given.
  */
 
@@ -39,13 +13,17 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hh"
@@ -70,223 +48,96 @@ using namespace wastesim;
 namespace
 {
 
-/** Print the usage text to @p out; returns the exit code for a
- *  command line that could not be parsed. */
-int
-usage(const char *prog, std::FILE *out = stderr)
+/**
+ * Parse @p v, the value of @p flag, as a T: a string, a finite
+ * double, or an unsigned integer that fits T.  A bool is a switch,
+ * true when given.  Fatal when @p v is malformed.
+ */
+template <class T>
+T
+parse(const char *flag, const std::string &v)
 {
-    std::fprintf(
-        out,
-        "usage: %s <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  record  --bench NAME [--scale N] [--mesh WxH] [--mcs N]\n"
-        "          [--mc-tiles T,T,...] --out FILE\n"
-        "          serialize a Table-4.2 benchmark to a trace file\n"
-        "  replay  --trace FILE [--protocol P ...] [--mesh WxH]\n"
-        "          [--mcs N] [--mc-tiles T,T,...] [--full-size]\n"
-        "          replay a trace through protocols (default: all 9)\n"
-        "          on the trace's recorded topology (topology flags\n"
-        "          override, and must then match)\n"
-        "  synth   [--preset hotset64|all2all|mc-corner]\n"
-        "          [--seed N] [--pattern stride|random|hotset]\n"
-        "          [--ops N] [--phases N] [--regions N]\n"
-        "          [--region-bytes N] [--private-bytes N]\n"
-        "          [--sharing-degree N] [--read-frac F]\n"
-        "          [--shared-frac F] [--stride W] [--hot-frac F]\n"
-        "          [--hot-prob F] [--work N] [--bypass]\n"
-        "          [--mesh WxH] [--mcs N] [--mc-tiles T,T,...]\n"
-        "          [--out FILE | --protocol P ... | --full-size]\n"
-        "          generate a synthetic scenario; save or simulate it\n"
-        "          (--preset first; later flags refine the preset)\n"
-        "  sweep   [--scale N] [--report NAME ...] [--mesh WxH |\n"
-        "          --mesh-list WxH,WxH,...] [--mcs N]\n"
-        "          [--mc-tiles T,T,...] [--shard I/N] [--cache FILE]\n"
-        "          [--jobs N] [--format table|json|csv] [--full-size]\n"
-        "          [--progress] [--supervise N] [--max-retries N]\n"
-        "          [--retry-backoff-ms N] [--cell-deadline-ms N]\n"
-        "          [--retry-quarantined]\n"
-        "          [--fault-inject crash:P,hang:P,corrupt:P]\n"
-        "          [--fault-seed N]\n"
-        "          full 9-protocol x 6-benchmark grid over every\n"
-        "          listed mesh, against a per-cell disk cache that\n"
-        "          only computes missing cells — finished cells are\n"
-        "          persisted immediately, so a killed run resumes\n"
-        "          (reports: fig5.1a b c d, fig5.2, fig5.3a b c,\n"
-        "          overhead, headline, paper, energy; default:\n"
-        "          fig5.1a + headline; --shard I/N runs the\n"
-        "          deterministic 1/N grid slice and writes a\n"
-        "          partial cache for `merge`;\n"
-        "          --jobs N sizes the simulation thread pool,\n"
-        "          overriding $WASTESIM_JOBS; --progress prints a\n"
-        "          heartbeat with RSS, ETA; flags stalled cells; in a\n"
-        "          sweep --timeline traces wall-clock cell\n"
-        "          lifecycles, not sim time; --supervise N computes\n"
-        "          cells on N crash-isolated worker processes with\n"
-        "          retry/backoff, per-cell deadlines and poison-cell\n"
-        "          quarantine — SIGINT drains gracefully, and\n"
-        "          --fault-inject exercises the failure paths with\n"
-        "          seeded deterministic faults)\n"
-        "  report  [--report NAME ...] [--format table|json|csv]\n"
-        "          [--mesh WxH | --mesh-list ...] [--mcs N]\n"
-        "          [--mc-tiles T,T,...] [--scale N] [--cache FILE]\n"
-        "          [--jobs N] [--compute-missing]\n"
-        "          [--retry-quarantined] [--schema]\n"
-        "          [--full-size] [--in FILE] [--baseline FILE]\n"
-        "          [--tolerance F]\n"
-        "          render figures from a sweep cache without\n"
-        "          re-simulating (all sweep reports, plus\n"
-        "          `placement`: the curated MC-placement study of\n"
-        "          one mesh, and --schema: the metric schema +\n"
-        "          fingerprint; --compute-missing simulates cache\n"
-        "          holes instead of failing; `timeline` renders a\n"
-        "          sampler JSON (--in) as a windowed time series;\n"
-        "          `bench` renders a BENCH_*.json (--in) and exits 1\n"
-        "          when any rate falls more than --tolerance (0.25)\n"
-        "          below --baseline; quarantined cells render as\n"
-        "          annotated holes — --retry-quarantined recomputes\n"
-        "          them with --compute-missing instead)\n"
-        "  merge   [--skip-bad] --out FILE CACHE...\n"
-        "          combine partial sweep caches (from --shard runs)\n"
-        "          into one; the result is byte-identical to an\n"
-        "          unsharded sweep's cache; a corrupt cell fails the\n"
-        "          merge naming the cell and byte offset, unless\n"
-        "          --skip-bad salvages the intact cells around it\n"
-        "  cell    --bench B --protocol P --out FILE [--scale N]\n"
-        "          [--mesh WxH] [--mc-tiles T,T,...] [--full-size]\n"
-        "          [--fault-inject SPEC --fault-seed N\n"
-        "          --fault-attempt K]\n"
-        "          compute one sweep cell; used internally by\n"
-        "          `sweep --supervise` worker processes\n"
-        "  fuzz    [--seed N] [--runs N] [--time-budget SEC]\n"
-        "          [--minimize] [--corpus DIR] [--report FILE]\n"
-        "          [--no-replay] [--max-ticks N] [--deadline-ms N]\n"
-        "          [--minimize-tests N]\n"
-        "          draw N seeded random-but-valid scenarios (mesh,\n"
-        "          MC placement, protocol, DRAM timings, synthetic\n"
-        "          workload mix) and run each under the runtime\n"
-        "          invariant checker — conservation laws plus\n"
-        "          run-twice replay determinism; every scenario runs\n"
-        "          in a crash-isolated worker with a deadline, so a\n"
-        "          crash or hang is captured in the report (with its\n"
-        "          one-line reproducer) instead of killing the\n"
-        "          campaign; --minimize delta-debugs each failure to\n"
-        "          a near-minimal scenario; --corpus DIR emits the\n"
-        "          minimized anomalies as regression .scn files;\n"
-        "          exits nonzero on any violation or crash\n"
-        "  fuzzone --scenario LINE --out FILE [--max-ticks N]\n"
-        "          [--no-replay]\n"
-        "          check one encoded scenario and write a checksummed\n"
-        "          verdict file; the worker half of `fuzz`, and the\n"
-        "          in-process way to debug one reported scenario\n"
-        "  info    --trace FILE\n"
-        "          describe a trace file\n"
-        "\n"
-        "topology: --mesh WxH sets the mesh (default 4x4); --mcs N\n"
-        "the memory-controller count (default: one per corner);\n"
-        "--mc-tiles T,T,... places controllers on explicit tiles\n"
-        "(edge vs center vs diagonal placement studies)\n"
-        "\n"
-        "observability (every command): --debug-flags F,F,... enables\n"
-        "sim-time tracing (flags: mesi denovo noc dram queue sweep\n"
-        "supervisor;\n"
-        "`all` enables everything), windowed by --debug-start T and\n"
-        "--debug-end T; --sample-window N samples registered counters\n"
-        "every N ticks into --sample-out FILE (default\n"
-        "wastesim_samples_%%p_%%b.json; %%p/%%b expand to protocol /\n"
-        "benchmark); --timeline FILE writes a Chrome trace-event JSON\n"
-        "(chrome://tracing, Perfetto); --heatmap FILE writes per-link\n"
-        "NoC flit counts per window as CSV; -v/-vv raise log\n"
-        "verbosity (status / debug) independently of --debug-flags,\n"
-        "which traces regardless of verbosity once enabled\n"
-        "\n"
-        "benchmarks:",
-        prog);
-    for (BenchmarkName b : allBenchmarks)
-        std::fprintf(out, " %s", benchmarkName(b));
-    std::fprintf(out, "\nprotocols: ");
-    for (ProtocolName p : allProtocols)
-        std::fprintf(out, " %s", protocolName(p));
-    std::fprintf(out, "\n");
-    return 2;
-}
-
-/** Argument cursor with typed accessors; calls fatal() on misuse. */
-class Args
-{
-  public:
-    /** @p prog names the binary in the usage text. */
-    Args(const char *prog, int argc, char **argv)
-        : prog_(prog), argc_(argc), argv_(argv)
-    {
-    }
-
-    bool done() const { return i_ >= argc_; }
-
-    /** The next option; --help or -h prints the usage and exits 0. */
-    std::string
-    next()
-    {
-        fatal_if(done(), "missing argument");
-        std::string a = argv_[i_++];
-        if (a == "--help" || a == "-h") {
-            usage(prog_, stdout);
-            std::exit(0);
-        }
-        return a;
-    }
-
-    std::string
-    value(const std::string &flag)
-    {
-        fatal_if(done(), "%s needs a value", flag.c_str());
-        return argv_[i_++];
-    }
-
-    std::uint64_t
-    uvalue(const std::string &flag,
-           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-    {
-        const std::string v = value(flag);
+    if constexpr (std::is_same_v<T, std::string>) {
+        return v;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return true;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        char *end = nullptr;
+        const double r = std::strtod(v.c_str(), &end);
+        // strtod also reads "nan" and "inf"; NaN passes every range
+        // check, since each of its comparisons is false.
+        fatal_if(end == v.c_str() || *end != '\0' || !std::isfinite(r),
+                 "%s needs a finite number, got '%s'", flag, v.c_str());
+        return r;
+    } else {
+        const unsigned long long max = std::numeric_limits<T>::max();
         char *end = nullptr;
         errno = 0;
         const unsigned long long r = std::strtoull(v.c_str(), &end, 10);
         // strtoull silently wraps negatives; reject them explicitly.
         fatal_if(end == v.c_str() || *end != '\0' ||
-                     v.find('-') != std::string::npos ||
-                     errno == ERANGE || r > max,
+                     v.find('-') != std::string::npos || errno == ERANGE ||
+                     r > max,
                  "%s needs an unsigned integer in [0, %llu], got '%s'",
-                 flag.c_str(), static_cast<unsigned long long>(max),
-                 v.c_str());
-        return r;
+                 flag, max, v.c_str());
+        return static_cast<T>(r);
     }
+}
 
-    /** uvalue() bounded to 32 bits (the common `unsigned` knobs). */
-    unsigned
-    u32value(const std::string &flag)
-    {
-        return static_cast<unsigned>(
-            uvalue(flag, std::numeric_limits<std::uint32_t>::max()));
-    }
+/** Stores @p v, the value of @p flag (empty for a switch). */
+using Setter = std::function<void(const char *flag, const std::string &v)>;
 
-    double
-    fvalue(const std::string &flag)
-    {
-        const std::string v = value(flag);
-        char *end = nullptr;
-        const double r = std::strtod(v.c_str(), &end);
-        fatal_if(end == v.c_str() || *end != '\0',
-                 "%s needs a number, got '%s'", flag.c_str(),
-                 v.c_str());
-        return r;
-    }
-
-  private:
-    const char *prog_;
-    int argc_;
-    char **argv_;
-    int i_ = 0;
+/** One flag of a command's table; the parser and the help read it. */
+struct Flag
+{
+    const char *name;    //!< "--mesh"; a name without a leading '-'
+                         //!< takes the positional arguments
+    const char *metavar; //!< the value's placeholder; nullptr: a switch
+    const char *help;    //!< its line in `<command> --help`
+    Setter set;
+    bool required = false;
+    const char *needs = nullptr; //!< a flag this one is invalid without
 };
+
+constexpr bool Required = true;
+
+using Flags = std::vector<Flag>;
+
+Flags
+operator+(Flags a, const Flags &b)
+{
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+/** @p flags, each valid only together with the flag @p other. */
+Flags
+needing(const char *other, Flags flags)
+{
+    for (Flag &f : flags)
+        f.needs = other;
+    return flags;
+}
+
+/** A setter that parses the value as a T into @p dst. */
+template <class T>
+Setter
+store(T &dst)
+{
+    return [&dst](const char *flag, const std::string &v) {
+        dst = parse<T>(flag, v);
+    };
+}
+
+/** A switch's setter: sets @p dst to @p value. */
+template <class T>
+Setter
+assign(T &dst, std::type_identity_t<T> value)
+{
+    return [&dst, value](const char *, const std::string &) {
+        dst = value;
+    };
+}
 
 /** Compact per-protocol result table for replay/synth runs. */
 void
@@ -322,58 +173,16 @@ printRunTable(const Sweep &s)
     }
 }
 
-/** Shared protocol-list parsing: --protocol may repeat. */
-void
-parseProtocol(const std::string &v, std::vector<ProtocolName> &out)
-{
-    ProtocolName p;
-    fatal_if(!protocolFromName(v, p), "unknown protocol '%s'",
-             v.c_str());
-    out.push_back(p);
-}
-
-std::vector<ProtocolName>
-defaultProtocols()
-{
-    return {allProtocols, allProtocols + numProtocols};
-}
-
 /**
- * Deferred --mesh / --mcs / --mc-tiles parsing: flags are collected
- * while walking the argument list and applied once at the end, so
- * their position relative to --full-size (which replaces the whole
- * SimParams) does not matter.
+ * The --mesh / --mcs / --mc-tiles values.  They are applied only after
+ * every flag is parsed, so their position relative to --full-size
+ * (which replaces the whole SimParams) does not matter.
  */
 struct TopoArgs
 {
     unsigned meshX = 0, meshY = 0;  //!< 0 = not given
     unsigned mcs = 0;               //!< 0 = default placement
     std::vector<NodeId> mcTiles;    //!< explicit placement (--mc-tiles)
-
-    /** Consume @p a if it is a topology flag. */
-    bool
-    tryParse(const std::string &a, Args &args)
-    {
-        if (a == "--mesh") {
-            const std::string v = args.value(a);
-            fatal_if(!Topology::parseMesh(v, meshX, meshY),
-                     "%s needs a WxH mesh spec (e.g. 4x4), got '%s'",
-                     a.c_str(), v.c_str());
-        } else if (a == "--mcs") {
-            mcs = args.u32value(a);
-        } else if (a == "--mc-tiles") {
-            const std::string v = args.value(a);
-            std::vector<NodeId> tiles;
-            fatal_if(!Topology::parseTileList(v, tiles),
-                     "%s needs comma-separated tile ids below %u, got "
-                     "'%s'",
-                     a.c_str(), maxTiles, v.c_str());
-            mcTiles = std::move(tiles);
-        } else {
-            return false;
-        }
-        return true;
-    }
 
     /** True when any topology flag was given. */
     bool
@@ -382,24 +191,64 @@ struct TopoArgs
         return meshX != 0 || mcs != 0 || !mcTiles.empty();
     }
 
-    /** The requested topology (paper default when nothing given). */
+    /**
+     * The requested topology as a refinement of @p base (the paper
+     * default, or a synth preset's curated topology): --mesh overrides
+     * its dims, --mcs/--mc-tiles its placement, and whatever was not
+     * overridden survives from @p base.
+     */
     Topology
-    make() const
+    make(const Topology &base = Topology{}) const
     {
         fatal_if(mcs != 0 && !mcTiles.empty(),
                  "--mcs and --mc-tiles are mutually exclusive");
-        const unsigned x = meshX == 0 ? meshDim : meshX;
-        const unsigned y = meshX == 0 ? meshDim : meshY;
+        const unsigned x = meshX != 0 ? meshX : base.meshX();
+        const unsigned y = meshX != 0 ? meshY : base.meshY();
         if (!mcTiles.empty())
             return Topology(x, y, mcTiles);
-        if (meshX == 0 && mcs == 0)
-            return Topology{};
-        return Topology(x, y, mcs);
+        if (mcs != 0)
+            return Topology(x, y, mcs);
+        if (meshX == 0)
+            return base;
+        // Mesh overridden, placement not: a CURATED placement carries
+        // over when its tiles fit the new mesh (mc-corner's tile 0
+        // stays the story at any size), but a base that simply used
+        // its mesh's default placement must get the NEW mesh's
+        // default — the old mesh's corner tile ids land on arbitrary
+        // tiles of a bigger mesh.
+        std::vector<NodeId> tiles = base.memCtrlTiles();
+        const bool curated =
+            tiles != Topology(base.meshX(), base.meshY()).memCtrlTiles();
+        const bool fits =
+            std::all_of(tiles.begin(), tiles.end(),
+                        [&](NodeId t) { return t < x * y; });
+        return curated && fits ? Topology(x, y, std::move(tiles))
+                               : Topology(x, y);
     }
-
-    /** Install into @p params (after all flags are parsed). */
-    void apply(SimParams &params) const { params.topo = make(); }
 };
+
+Flags
+topoFlags(TopoArgs &t)
+{
+    return {
+        {"--mesh", "WxH", "mesh size (default 4x4)",
+         [&t](const char *flag, const std::string &v) {
+             fatal_if(!Topology::parseMesh(v, t.meshX, t.meshY),
+                      "%s needs a WxH mesh spec (e.g. 4x4), got '%s'",
+                      flag, v.c_str());
+         }},
+        {"--mcs", "N", "memory-controller count (default: one per corner)",
+         store(t.mcs)},
+        {"--mc-tiles", "T,T,...",
+         "put the memory controllers on these tiles (placement studies)",
+         [&t](const char *flag, const std::string &v) {
+             fatal_if(!Topology::parseTileList(v, t.mcTiles),
+                      "%s needs comma-separated tile ids below %u, got "
+                      "'%s'",
+                      flag, maxTiles, v.c_str());
+         }},
+    };
+}
 
 /** Slurp a small text file; fatal when unreadable. */
 std::string
@@ -417,21 +266,10 @@ readTextFile(const char *cmd, const std::string &path)
 }
 
 /**
- * Observability options, accepted uniformly by every subcommand:
- *
- *   --debug-flags A,B,...  enable named trace flags (to stderr)
- *   --debug-start T        first tick traces may fire (default 0)
- *   --debug-end T          first tick traces go silent again
- *   --sample-window N      sample registered counters every N ticks
- *   --sample-out FILE      sampler JSON path (%p protocol, %b bench)
- *   --timeline FILE        trace-event JSON (sim time; for sweep: the
- *                          wall-clock cell lifecycle)
- *   --heatmap FILE         per-window per-link flit CSV (%p/%b)
- *   -v / -vv               raise log verbosity (inform/debug)
- *
- * Precedence: -v/-vv drive inform()/warn() only; --debug-flags is an
- * independent channel (tracing works at -q and stays off at -vv
- * unless flags are named explicitly).
+ * The observability flags every command accepts.  -v/-vv drive
+ * inform()/warn() only; --debug-flags is an independent channel
+ * (tracing works at -q and stays off at -vv unless flags are named
+ * explicitly).
  */
 struct ObsCli
 {
@@ -443,33 +281,6 @@ struct ObsCli
     std::string timelineOut;
     std::string heatmapOut;
     int verbosity = 1;
-
-    /** Consume @p a if it is an observability flag. */
-    bool
-    tryParse(const std::string &a, Args &args)
-    {
-        if (a == "--debug-flags")
-            debugFlags = args.value(a);
-        else if (a == "--debug-start")
-            debugStart = args.uvalue(a);
-        else if (a == "--debug-end")
-            debugEnd = args.uvalue(a);
-        else if (a == "--sample-window")
-            sampleWindow = args.uvalue(a);
-        else if (a == "--sample-out")
-            sampleOut = args.value(a);
-        else if (a == "--timeline")
-            timelineOut = args.value(a);
-        else if (a == "--heatmap")
-            heatmapOut = args.value(a);
-        else if (a == "-v")
-            verbosity = 2;
-        else if (a == "-vv")
-            verbosity = 3;
-        else
-            return false;
-        return true;
-    }
 
     /**
      * Validate and install into the process-wide state.  @p
@@ -504,15 +315,93 @@ struct ObsCli
     }
 };
 
-/** The --jobs flag of sweep and report: sizes the simulation thread
- *  pool, overriding $WASTESIM_JOBS. */
-void
-setJobs(const char *cmd, unsigned jobs)
+Flags
+obsFlags(ObsCli &o)
 {
-    fatal_if(jobs < 1 || jobs > 1024,
-             "%s: --jobs needs a value in [1, 1024]", cmd);
-    setSweepJobs(jobs);
+    return {
+        {"--debug-flags", "F,F,...",
+         "sim-time tracing to stderr (flag names: `wastesim help`)",
+         store(o.debugFlags)},
+        {"--debug-start", "T", "first tick tracing may fire (default 0)",
+         store(o.debugStart)},
+        {"--debug-end", "T", "first tick tracing goes silent again",
+         store(o.debugEnd)},
+        {"--sample-window", "N", "sample the counters every N ticks",
+         store(o.sampleWindow)},
+        {"--sample-out", "FILE",
+         "sampler JSON (default wastesim_samples_%p_%b.json; %p/%b "
+         "expand to protocol/benchmark)",
+         store(o.sampleOut)},
+        {"--timeline", "FILE",
+         "Chrome trace-event JSON of sim time (in a sweep: of wall-clock "
+         "cell lifecycles)",
+         store(o.timelineOut)},
+        {"--heatmap", "FILE",
+         "per-link NoC flit counts per sample window, as CSV (%p/%b)",
+         store(o.heatmapOut)},
+        {"-v", nullptr, "status log lines", assign(o.verbosity, 2)},
+        {"-vv", nullptr, "status and debug log lines",
+         assign(o.verbosity, 3)},
+    };
 }
+
+/** Every command's flag values; each command's table binds the ones
+ *  it accepts. */
+struct Opts
+{
+    std::string bench, trace, out, cache, meshList;
+    unsigned scale = 1;
+    bool fullSize = false;
+    std::vector<ProtocolName> protocols;
+    std::vector<std::string> reports;
+    ReportFormat format = ReportFormat::Table;
+    bool retryQuarantined = false;
+    std::string faultSpec;
+    std::uint64_t faultSeed = 0;
+    TopoArgs topo;
+    ObsCli obs;
+
+    // synth
+    std::string preset;
+    SynthParams synth;    //!< the preset's parameters, or the defaults
+    Topology presetTopo;  //!< the preset's curated topology
+    /** The parameter flags, applied after the preset (which is derived
+     *  from the final topology) so that they win in any order. */
+    std::vector<std::function<void(SynthParams &)>> tuners;
+
+    // sweep
+    unsigned shard = 0, numShards = 1;
+    unsigned progressMs = 0;
+    unsigned supervise = 0;
+    SupervisorConfig sup; //!< retry, backoff and deadline of --supervise
+
+    // report
+    bool schema = false, computeMissing = false;
+    std::string in, baseline;
+    double tolerance = 0.25;
+
+    // merge
+    std::vector<std::string> inputs;
+    bool skipBad = false;
+
+    // cell
+    std::string cellProtocol;
+    unsigned faultAttempt = 0;
+
+    // fuzz, fuzzone
+    FuzzOptions fuzz;
+    std::string fuzzReport, scenario;
+
+    /** The simulated system: --full-size, then the topology flags as
+     *  a refinement of @p base. */
+    SimParams
+    simParams(const Topology &base = Topology{}) const
+    {
+        SimParams p = fullSize ? SimParams{} : SimParams::scaled();
+        p.topo = topo.make(base);
+        return p;
+    }
+};
 
 /** Sweep-cache path resolution shared by sweep and report:
  *  --cache FILE beats $WASTESIM_CACHE beats the default. */
@@ -577,40 +466,29 @@ topologyAxis(const char *cmd, const TopoArgs &topo,
     return topologies;
 }
 
-int
-cmdRecord(Args args)
+std::vector<ProtocolName>
+protocolsOrAll(const std::vector<ProtocolName> &given)
 {
-    std::string bench_name, out;
-    unsigned scale = 1;
-    TopoArgs topo;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--bench")
-            bench_name = args.value(a);
-        else if (a == "--scale")
-            scale = args.u32value(a);
-        else if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
-        } else
-            fatal("record: unknown option '%s'", a.c_str());
-    }
-    obs.apply("record");
-    fatal_if(bench_name.empty(), "record: --bench is required");
-    fatal_if(out.empty(), "record: --out is required");
+    if (!given.empty())
+        return given;
+    return {allProtocols, allProtocols + numProtocols};
+}
 
+int
+cmdRecord(const Opts &o)
+{
+    o.obs.apply("record");
     BenchmarkName bench;
-    fatal_if(!benchmarkFromName(bench_name, bench),
-             "record: unknown benchmark '%s'", bench_name.c_str());
+    fatal_if(!benchmarkFromName(o.bench, bench),
+             "record: unknown benchmark '%s'", o.bench.c_str());
 
-    auto wl = makeBenchmark(bench, scale, topo.make());
-    TraceRecorder rec(out);
+    auto wl = makeBenchmark(bench, o.scale, o.topo.make());
+    TraceRecorder rec(o.out);
     fatal_if(!rec.record(*wl), "record: %s", rec.error().c_str());
     std::printf("recorded %s (%s) to %s: %llu ops, %zu regions, "
                 "%llu barriers\n",
                 wl->name().c_str(), wl->inputDesc().c_str(),
-                out.c_str(),
+                o.out.c_str(),
                 static_cast<unsigned long long>(rec.written().totalOps),
                 wl->regions().numRegions(),
                 static_cast<unsigned long long>(
@@ -619,183 +497,58 @@ cmdRecord(Args args)
 }
 
 int
-cmdReplay(Args args)
+cmdReplay(const Opts &o)
 {
-    std::string trace_path;
-    std::vector<ProtocolName> protocols;
-    SimParams params = SimParams::scaled();
-    TopoArgs topo;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--trace")
-            trace_path = args.value(a);
-        else if (a == "--protocol")
-            parseProtocol(args.value(a), protocols);
-        else if (a == "--full-size")
-            params = SimParams{};
-        else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
-        } else
-            fatal("replay: unknown option '%s'", a.c_str());
-    }
-    obs.apply("replay");
-    fatal_if(trace_path.empty(), "replay: --trace is required");
-    if (protocols.empty())
-        protocols = defaultProtocols();
+    o.obs.apply("replay");
+    SimParams params = o.simParams();
 
     // Traces are self-describing: without explicit topology flags
     // the replay runs on the recorded geometry instead of forcing the
     // user to re-type what the header already knows.
     std::string err;
     std::unique_ptr<TraceWorkload> wl;
-    if (topo.given()) {
-        topo.apply(params);
-        wl = TraceWorkload::load(trace_path, params.topo, &err);
+    if (o.topo.given()) {
+        wl = TraceWorkload::load(o.trace, params.topo, &err);
     } else {
-        wl = TraceWorkload::loadAnyTopology(trace_path, &err);
+        wl = TraceWorkload::loadAnyTopology(o.trace, &err);
         if (wl)
             params.topo = wl->topo();
     }
     fatal_if(!wl, "replay: %s", err.c_str());
     std::printf("loaded %s: %zu ops, %zu regions, %zu barriers\n",
-                trace_path.c_str(), wl->whole().totalOps(),
+                o.trace.c_str(), wl->whole().totalOps(),
                 wl->regions().numRegions(), wl->whole().barriers.size());
 
-    const Sweep s = runSweep({wl.get()}, protocols, params);
+    const Sweep s =
+        runSweep({wl.get()}, protocolsOrAll(o.protocols), params);
     printRunTable(s);
     return 0;
 }
 
 int
-cmdSynth(Args args)
+cmdSynth(const Opts &o)
 {
-    SynthParams sp;
-    std::string out, presetName;
-    std::vector<ProtocolName> protocols;
-    SimParams params = SimParams::scaled();
-    TopoArgs topo;
-    Topology presetTopo;
-    bool full_size = false, have_preset = false;
-    ObsCli obs;
-    // Preset parameters are derived from the FINAL topology (--mesh
-    // may refine the preset's curated mesh), so parameter flags are
-    // collected as deferred tuners and applied after the preset.
-    std::vector<std::function<void(SynthParams &)>> tuners;
-    auto tune = [&tuners](auto value, auto member) {
-        tuners.push_back([value, member](SynthParams &p) {
-            p.*member = value;
-        });
-    };
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--preset") {
-            presetName = args.value(a);
-            fatal_if(!synthPresetFromName(presetName, sp, presetTopo),
-                     "synth: unknown preset '%s' (hotsetN, all2all, "
-                     "mc-corner)",
-                     presetName.c_str());
-            have_preset = true;
-        } else if (a == "--seed")
-            tune(args.uvalue(a), &SynthParams::seed);
-        else if (a == "--pattern") {
-            const std::string v = args.value(a);
-            SynthParams::Pattern pattern;
-            fatal_if(!SynthParams::patternFromName(v, pattern),
-                     "synth: unknown pattern '%s' (stride, random, "
-                     "hotset)",
-                     v.c_str());
-            tune(pattern, &SynthParams::pattern);
-        } else if (a == "--ops")
-            tune(args.u32value(a), &SynthParams::opsPerCore);
-        else if (a == "--phases")
-            tune(args.u32value(a), &SynthParams::phases);
-        else if (a == "--regions")
-            tune(args.u32value(a), &SynthParams::sharedRegions);
-        else if (a == "--region-bytes")
-            tune(args.u32value(a), &SynthParams::regionBytes);
-        else if (a == "--private-bytes")
-            tune(args.u32value(a), &SynthParams::privateBytes);
-        else if (a == "--sharing-degree")
-            tune(args.u32value(a), &SynthParams::sharingDegree);
-        else if (a == "--read-frac")
-            tune(args.fvalue(a), &SynthParams::readFraction);
-        else if (a == "--shared-frac")
-            tune(args.fvalue(a), &SynthParams::sharedFraction);
-        else if (a == "--stride")
-            tune(args.u32value(a), &SynthParams::strideWords);
-        else if (a == "--hot-frac")
-            tune(args.fvalue(a), &SynthParams::hotFraction);
-        else if (a == "--hot-prob")
-            tune(args.fvalue(a), &SynthParams::hotProbability);
-        else if (a == "--work")
-            tune(args.u32value(a), &SynthParams::workCycles);
-        else if (a == "--bypass")
-            tune(true, &SynthParams::bypassShared);
-        else if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (a == "--protocol")
-            parseProtocol(args.value(a), protocols);
-        else if (a == "--full-size") {
-            params = SimParams{};
-            full_size = true;
-        } else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
-        } else
-            fatal("synth: unknown option '%s'", a.c_str());
-    }
-    obs.apply("synth");
-
-    fatal_if(!out.empty() && (!protocols.empty() || full_size),
+    o.obs.apply("synth");
+    fatal_if(!o.out.empty() && (!o.protocols.empty() || o.fullSize),
              "synth: --out saves a trace without simulating; it "
              "cannot be combined with --protocol or --full-size "
              "(save the trace, then `replay` it)");
     // A preset carries its curated topology; explicit topology flags
-    // refine it rather than resetting to the 4x4 default: --mesh
-    // overrides the dims, --mcs/--mc-tiles the placement, and
-    // whatever was not overridden survives from the preset.
-    if (have_preset) {
-        const unsigned x =
-            topo.meshX != 0 ? topo.meshX : presetTopo.meshX();
-        const unsigned y =
-            topo.meshX != 0 ? topo.meshY : presetTopo.meshY();
-        fatal_if(topo.mcs != 0 && !topo.mcTiles.empty(),
-                 "--mcs and --mc-tiles are mutually exclusive");
-        if (!topo.mcTiles.empty()) {
-            params.topo = Topology(x, y, topo.mcTiles);
-        } else if (topo.mcs != 0) {
-            params.topo = Topology(x, y, topo.mcs);
-        } else if (topo.meshX == 0) {
-            params.topo = presetTopo;
-        } else {
-            // Mesh overridden, placement not: a CURATED placement
-            // carries over when its tiles fit the new mesh
-            // (mc-corner's tile 0 stays the story at any size), but a
-            // preset that simply used its mesh's default placement
-            // must get the NEW mesh's default — the old mesh's corner
-            // tile ids land on arbitrary tiles of a bigger mesh.
-            std::vector<NodeId> mcs = presetTopo.memCtrlTiles();
-            const bool curated =
-                mcs != Topology(presetTopo.meshX(), presetTopo.meshY())
-                           .memCtrlTiles();
-            const bool fits =
-                std::all_of(mcs.begin(), mcs.end(),
-                            [&](NodeId t) { return t < x * y; });
-            params.topo = curated && fits
-                              ? Topology(x, y, std::move(mcs))
-                              : Topology(x, y);
-        }
-    } else {
-        topo.apply(params);
-    }
+    // refine it rather than resetting to the 4x4 default.
+    const bool have_preset = !o.preset.empty();
+    const SimParams params =
+        o.simParams(have_preset ? o.presetTopo : Topology{});
 
     // Presets are topology-aware: with the final geometry known,
     // derive the preset's parameters for it (sharing degree, region
     // sizes scale with the tile count), then apply explicit parameter
     // flags on top so they always win.
+    SynthParams sp = o.synth;
     if (have_preset)
-        fatal_if(!synthPresetFor(presetName, params.topo, sp),
+        fatal_if(!synthPresetFor(o.preset, params.topo, sp),
                  "synth: preset '%s' has no topology-derived form",
-                 presetName.c_str());
-    for (const auto &t : tuners)
+                 o.preset.c_str());
+    for (const auto &t : o.tuners)
         t(sp);
 
     auto wl = makeSynthetic(sp, params.topo);
@@ -803,16 +556,15 @@ cmdSynth(Args args)
                 wl->name().c_str(), params.topo.describe().c_str(),
                 wl->inputDesc().c_str(), wl->totalOps());
 
-    if (!out.empty()) {
-        TraceRecorder rec(out);
+    if (!o.out.empty()) {
+        TraceRecorder rec(o.out);
         fatal_if(!rec.record(*wl), "synth: %s", rec.error().c_str());
-        std::printf("saved trace to %s\n", out.c_str());
+        std::printf("saved trace to %s\n", o.out.c_str());
         return 0;
     }
 
-    if (protocols.empty())
-        protocols = defaultProtocols();
-    const Sweep s = runSweep({wl.get()}, protocols, params);
+    const Sweep s =
+        runSweep({wl.get()}, protocolsOrAll(o.protocols), params);
     printRunTable(s);
     return 0;
 }
@@ -832,17 +584,6 @@ renderReport(const std::string &r, const Sweep &s,
              "unknown report '%s'", r.c_str());
     f.context = context;
     return renderFigure(f, fmt);
-}
-
-/** Shared --format parsing. */
-ReportFormat
-parseFormat(const std::string &flag, const std::string &v)
-{
-    ReportFormat fmt = ReportFormat::Table;
-    fatal_if(!reportFormatFromName(v, fmt),
-             "%s needs table, json or csv, got '%s'", flag.c_str(),
-             v.c_str());
-    return fmt;
 }
 
 /**
@@ -913,61 +654,29 @@ emitFigureTexts(const std::vector<std::string> &texts,
  * crashes, hangs or corrupts its own output on demand.
  */
 int
-cmdCell(Args args)
+cmdCell(const Opts &o)
 {
-    std::string bench_name, proto_name, out, faultSpecStr;
-    unsigned scale = 1;
-    std::uint64_t faultSeed = 0;
-    unsigned faultAttempt = 0;
-    SimParams params = SimParams::scaled();
-    TopoArgs topo;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--bench")
-            bench_name = args.value(a);
-        else if (a == "--protocol")
-            proto_name = args.value(a);
-        else if (a == "--scale")
-            scale = args.u32value(a);
-        else if (a == "--full-size")
-            params = SimParams{};
-        else if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (a == "--fault-inject")
-            faultSpecStr = args.value(a);
-        else if (a == "--fault-seed")
-            faultSeed = args.uvalue(a);
-        else if (a == "--fault-attempt")
-            faultAttempt = args.u32value(a);
-        else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
-        } else
-            fatal("cell: unknown option '%s'", a.c_str());
-    }
-    obs.apply("cell");
+    o.obs.apply("cell");
     // Workers share the parent's stderr; status chatter from dozens
     // of children would drown the supervisor's own reporting.
-    if (obs.verbosity <= 1)
+    if (o.obs.verbosity <= 1)
         logVerbosity = 0;
-    fatal_if(bench_name.empty(), "cell: --bench is required");
-    fatal_if(proto_name.empty(), "cell: --protocol is required");
-    fatal_if(out.empty(), "cell: --out is required");
 
     BenchmarkName bench;
-    fatal_if(!benchmarkFromName(bench_name, bench),
-             "cell: unknown benchmark '%s'", bench_name.c_str());
+    fatal_if(!benchmarkFromName(o.bench, bench),
+             "cell: unknown benchmark '%s'", o.bench.c_str());
     ProtocolName proto;
-    fatal_if(!protocolFromName(proto_name, proto),
-             "cell: unknown protocol '%s'", proto_name.c_str());
+    fatal_if(!protocolFromName(o.cellProtocol, proto),
+             "cell: unknown protocol '%s'", o.cellProtocol.c_str());
     FaultSpec faults;
-    if (!faultSpecStr.empty()) {
+    if (!o.faultSpec.empty()) {
         std::string err;
-        fatal_if(!FaultSpec::parse(faultSpecStr, faults, &err),
+        fatal_if(!FaultSpec::parse(o.faultSpec, faults, &err),
                  "cell: %s", err.c_str());
     }
-    topo.apply(params);
+    const SimParams params = o.simParams();
 
-    const std::string cell_id = sweepConfigTag(scale, params) +
+    const std::string cell_id = sweepConfigTag(o.scale, params) +
                                 ",bench=" + benchmarkName(bench) +
                                 ",proto=" + protocolName(proto);
 
@@ -975,7 +684,7 @@ cmdCell(Args args)
     // worker never gets as far as producing a result, exactly like a
     // real SIGSEGV or livelock would behave.
     const FaultKind fate =
-        faultDraw(faults, faultSeed, cell_id, faultAttempt);
+        faultDraw(faults, o.faultSeed, cell_id, o.faultAttempt);
     switch (fate) {
       case FaultKind::CrashSegv:
         std::raise(SIGSEGV);
@@ -992,130 +701,51 @@ cmdCell(Args args)
         break;
     }
 
-    const RunResult r = runOne(proto, bench, scale, params);
+    const RunResult r = runOne(proto, bench, o.scale, params);
     std::string bytes = formatWorkerOutput(cell_id, r);
     if (fate == FaultKind::Corrupt)
-        corruptWorkerOutput(bytes, faultSeed, faultAttempt);
+        corruptWorkerOutput(bytes, o.faultSeed, o.faultAttempt);
 
-    fatal_if(!writeHandoff(out, bytes), "cell: cannot write '%s'",
-             out.c_str());
+    fatal_if(!writeHandoff(o.out, bytes), "cell: cannot write '%s'",
+             o.out.c_str());
     return 0;
 }
 
 int
-cmdSweep(Args args)
+cmdSweep(const Opts &o)
 {
-    unsigned scale = 1;
-    SimParams params = SimParams::scaled();
-    std::vector<std::string> reports;
-    TopoArgs topo;
-    std::string meshListSpec, cachePath;
-    unsigned shard = 0, numShards = 1;
-    unsigned progressMs = 0;
-    unsigned supervise = 0;
-    unsigned maxRetries = 3, backoffMs = 200, deadlineMs = 0;
-    std::string faultSpecStr;
-    std::uint64_t faultSeed = 0;
-    bool retryQuarantined = false, full_size = false;
-    ReportFormat fmt = ReportFormat::Table;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--scale")
-            scale = args.u32value(a);
-        else if (a == "--report")
-            reports.push_back(args.value(a));
-        else if (a == "--format")
-            fmt = parseFormat(a, args.value(a));
-        else if (a == "--mesh-list")
-            meshListSpec = args.value(a);
-        else if (a == "--shard") {
-            const std::string v = args.value(a);
-            const std::size_t slash = v.find('/');
-            char *end = nullptr;
-            unsigned long i = 0, n = 0;
-            if (slash != std::string::npos && slash > 0) {
-                i = std::strtoul(v.c_str(), &end, 10);
-                const bool i_ok = end == v.c_str() + slash;
-                n = std::strtoul(v.c_str() + slash + 1, &end, 10);
-                fatal_if(!i_ok || end != v.c_str() + v.size() ||
-                             n == 0 || i >= n || n > 4096,
-                         "sweep: --shard needs I/N with I < N, got "
-                         "'%s'",
-                         v.c_str());
-            } else {
-                fatal("sweep: --shard needs I/N (e.g. 0/4), got '%s'",
-                      v.c_str());
-            }
-            shard = static_cast<unsigned>(i);
-            numShards = static_cast<unsigned>(n);
-        } else if (a == "--cache")
-            cachePath = args.value(a);
-        else if (a == "--jobs")
-            setJobs("sweep", args.u32value(a));
-        else if (a == "--full-size") {
-            params = SimParams{};
-            full_size = true;
-        } else if (a == "--progress")
-            progressMs = 5000;
-        else if (a == "--supervise") {
-            supervise = args.u32value(a);
-            fatal_if(supervise < 1 || supervise > 256,
-                     "sweep: --supervise needs a worker count in "
-                     "[1, 256]");
-        } else if (a == "--max-retries")
-            maxRetries = args.u32value(a);
-        else if (a == "--retry-backoff-ms")
-            backoffMs = args.u32value(a);
-        else if (a == "--cell-deadline-ms")
-            deadlineMs = args.u32value(a);
-        else if (a == "--retry-quarantined")
-            retryQuarantined = true;
-        else if (a == "--fault-inject")
-            faultSpecStr = args.value(a);
-        else if (a == "--fault-seed")
-            faultSeed = args.uvalue(a);
-        else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
-        } else
-            fatal("sweep: unknown option '%s'", a.c_str());
-    }
     FaultSpec faults;
-    if (!faultSpecStr.empty()) {
+    if (!o.faultSpec.empty()) {
         std::string fault_err;
-        fatal_if(!FaultSpec::parse(faultSpecStr, faults, &fault_err),
+        fatal_if(!FaultSpec::parse(o.faultSpec, faults, &fault_err),
                  "sweep: %s", fault_err.c_str());
     }
-    // Faults only make sense where a crash is isolated to one worker
-    // process; injecting them into the threaded engine would take
-    // down the whole sweep, which is exactly the failure mode the
-    // supervisor exists to prevent.
-    fatal_if(faults.any() && supervise == 0,
-             "sweep: --fault-inject needs --supervise N (faults "
-             "crash worker processes, not the sweep itself)");
     // In a sweep, --timeline means the wall-clock cell-lifecycle
     // trace (the engine's view), not a per-simulation sim-time trace:
     // cells run concurrently and would race on one sim-time file.
-    obs.apply("sweep", /*sim_timeline=*/false);
-    if (reports.empty())
-        reports = {"fig5.1a", "headline"};
+    o.obs.apply("sweep", /*sim_timeline=*/false);
+    const std::vector<std::string> reports =
+        o.reports.empty() ? std::vector<std::string>{"fig5.1a", "headline"}
+                          : o.reports;
+    const ReportFormat fmt = o.format;
     // inform() status lines share stdout with the reports; in the
     // structured formats they would corrupt the JSON/CSV stream.
     if (fmt != ReportFormat::Table)
         logVerbosity = 0;
-    topo.apply(params);
+    const SimParams params = o.simParams();
 
     std::vector<Topology> topologies =
-        topologyAxis("sweep", topo, meshListSpec, params);
+        topologyAxis("sweep", o.topo, o.meshList, params);
 
-    const std::string path = resolveCachePath(cachePath);
+    const std::string path = resolveCachePath(o.cache);
     const bool no_cache = std::getenv("WASTESIM_NO_CACHE") != nullptr;
     // A shard's only product is its partial cache file; running one
     // with the cache disabled would discard every result.
-    fatal_if(numShards > 1 && no_cache,
+    fatal_if(o.numShards > 1 && no_cache,
              "sweep: --shard writes a partial cache; unset "
              "WASTESIM_NO_CACHE to run sharded");
 
-    SweepSpec spec = SweepSpec::fullGrid(scale, params);
+    SweepSpec spec = SweepSpec::fullGrid(o.scale, params);
     spec.topologies = std::move(topologies);
 
     CellCache cache;
@@ -1131,26 +761,23 @@ cmdSweep(Args args)
     std::size_t cellsTotal, cellsHit, cellsComputed, cellsQuarantined;
     std::size_t numRetries = 0, numKills = 0;
     bool was_interrupted;
-    if (supervise > 0) {
-        SupervisorConfig cfg;
-        cfg.workers = supervise;
-        cfg.maxRetries = maxRetries;
-        cfg.backoffBaseMs = backoffMs;
-        cfg.deadlineMs = deadlineMs;
-        cfg.faultSeed = faultSeed;
+    if (o.supervise > 0) {
+        SupervisorConfig cfg = o.sup;
+        cfg.workers = o.supervise;
+        cfg.faultSeed = o.faultSeed;
         cfg.faults = faults;
-        cfg.retryQuarantined = retryQuarantined;
-        cfg.progressMs = progressMs;
+        cfg.retryQuarantined = o.retryQuarantined;
+        cfg.progressMs = o.progressMs;
         if (!no_cache)
             cfg.autosavePath = path;
-        cfg.timelinePath = obs.timelineOut;
-        cfg.shard = shard;
-        cfg.numShards = numShards;
+        cfg.timelinePath = o.obs.timelineOut;
+        cfg.shard = o.shard;
+        cfg.numShards = o.numShards;
         // The worker must rebuild the exact SimParams of this parent;
         // topology travels per cell, scale and the full-size switch
         // travel here.
-        cfg.workerParamArgs = {"--scale", std::to_string(scale)};
-        if (full_size)
+        cfg.workerParamArgs = {"--scale", std::to_string(o.scale)};
+        if (o.fullSize)
             cfg.workerParamArgs.push_back("--full-size");
         SweepSupervisor sup(spec, cfg);
         sweeps = sup.run(cache);
@@ -1163,8 +790,8 @@ cmdSweep(Args args)
         was_interrupted = sup.interrupted();
     } else {
         SweepEngine engine(spec);
-        if (numShards > 1)
-            engine.setShard(shard, numShards);
+        if (o.numShards > 1)
+            engine.setShard(o.shard, o.numShards);
         // Partial-cache resume: every finished cell is persisted
         // immediately (atomic rename), so a killed shard restarts
         // from its completed cells instead of recomputing the slice —
@@ -1172,9 +799,9 @@ cmdSweep(Args args)
         // write.
         if (!no_cache)
             engine.setAutosave(path);
-        engine.setProgress(progressMs);
-        engine.setTimeline(obs.timelineOut);
-        engine.setRetryQuarantined(retryQuarantined);
+        engine.setProgress(o.progressMs);
+        engine.setTimeline(o.obs.timelineOut);
+        engine.setRetryQuarantined(o.retryQuarantined);
         engine.setStopCheck([] { return drainRequestCount() > 0; });
         sweeps = engine.run(cache);
         cellsTotal = engine.cellsTotal();
@@ -1208,13 +835,13 @@ cmdSweep(Args args)
         return 130;
     }
 
-    if (numShards > 1) {
+    if (o.numShards > 1) {
         // A shard owns a grid slice, so its Sweeps are partial; the
         // cache file is the product.  Reports come after `merge`.
         std::printf("shard %u/%u: partial cache written to %s; run "
                     "`wastesim merge` over all shards, then `sweep "
                     "--cache MERGED` for reports\n",
-                    shard, numShards, path.c_str());
+                    o.shard, o.numShards, path.c_str());
         return 0;
     }
 
@@ -1232,61 +859,11 @@ cmdSweep(Args args)
  * computing them through report saves the five `sweep` invocations).
  */
 int
-cmdReport(Args args)
+cmdReport(const Opts &o)
 {
-    unsigned scale = 1;
-    SimParams params = SimParams::scaled();
-    std::vector<std::string> reports;
-    TopoArgs topo;
-    std::string meshListSpec, cachePath;
-    std::string inPath, baselinePath;
-    double tolerance = 0.25;
-    ReportFormat fmt = ReportFormat::Table;
-    bool schema = false, compute_missing = false;
-    bool retry_quarantined = false;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--scale")
-            scale = args.u32value(a);
-        else if (a == "--report")
-            reports.push_back(args.value(a));
-        else if (a == "--format")
-            fmt = parseFormat(a, args.value(a));
-        else if (a == "--mesh-list")
-            meshListSpec = args.value(a);
-        else if (a == "--cache")
-            cachePath = args.value(a);
-        else if (a == "--jobs")
-            setJobs("report", args.u32value(a));
-        else if (a == "--full-size")
-            params = SimParams{};
-        else if (a == "--schema")
-            schema = true;
-        else if (a == "--compute-missing")
-            compute_missing = true;
-        else if (a == "--retry-quarantined")
-            retry_quarantined = true;
-        else if (a == "--in")
-            inPath = args.value(a);
-        else if (a == "--baseline")
-            baselinePath = args.value(a);
-        else if (a == "--tolerance") {
-            const std::string v = args.value(a);
-            char *end = nullptr;
-            tolerance = std::strtod(v.c_str(), &end);
-            fatal_if(end != v.c_str() + v.size() || tolerance < 0 ||
-                         tolerance >= 1,
-                     "report: --tolerance needs a fraction in "
-                     "[0, 1), got '%s'",
-                     v.c_str());
-        } else if (topo.tryParse(a, args) || obs.tryParse(a, args)) {
-        } else
-            fatal("report: unknown option '%s'", a.c_str());
-    }
-    obs.apply("report");
+    o.obs.apply("report");
 
-    if (schema) {
+    if (o.schema) {
         // The machine-readable metric schema: fingerprint first, one
         // line per metric.  CI diffs this against a committed
         // reference so schema drift is always a deliberate change.
@@ -1298,11 +875,13 @@ cmdReport(Args args)
         return 0;
     }
 
-    if (reports.empty())
-        reports = {"fig5.1a", "headline"};
+    const std::vector<std::string> reports =
+        o.reports.empty() ? std::vector<std::string>{"fig5.1a", "headline"}
+                          : o.reports;
+    const ReportFormat fmt = o.format;
     if (fmt != ReportFormat::Table)
         logVerbosity = 0;
-    topo.apply(params);
+    const SimParams params = o.simParams();
 
     // The placement study is a multi-sweep report, and the
     // observability reports (timeline, bench) render from --in files
@@ -1320,14 +899,14 @@ cmdReport(Args args)
         else
             single.push_back(r);
     }
-    fatal_if((want_timeline || want_bench) && inPath.empty(),
+    fatal_if((want_timeline || want_bench) && o.in.empty(),
              "report: the %s report reads a JSON file; pass --in FILE",
              want_timeline ? "timeline" : "bench");
     fatal_if(want_timeline && want_bench,
              "report: timeline and bench read different --in formats; "
              "request them in separate invocations");
 
-    const std::string path = resolveCachePath(cachePath);
+    const std::string path = resolveCachePath(o.cache);
     // WASTESIM_NO_CACHE means the same as for `sweep`: neither serve
     // from nor write the cache file (with --compute-missing the whole
     // grid is then simulated and the results discarded after use).
@@ -1336,17 +915,17 @@ cmdReport(Args args)
     if (!no_cache)
         loadCacheSalvage("report", cache, path);
 
-    fatal_if(placement && !meshListSpec.empty(),
+    fatal_if(placement && !o.meshList.empty(),
              "report: the placement study sweeps placements of one "
              "mesh; use --mesh, not --mesh-list");
     // The study compares the curated placements, which would silently
     // override an explicit MC request.
-    fatal_if(placement && (topo.mcs != 0 || !topo.mcTiles.empty()),
+    fatal_if(placement && (o.topo.mcs != 0 || !o.topo.mcTiles.empty()),
              "report: the placement study uses its curated MC "
              "placements; --mcs/--mc-tiles cannot be combined with "
              "it");
     const std::vector<Topology> topologies =
-        topologyAxis("report", topo, meshListSpec, params);
+        topologyAxis("report", o.topo, o.meshList, params);
 
     // Assemble a grid of fully cached cells (or, with
     // --compute-missing, simulate the holes and persist them).
@@ -1358,18 +937,18 @@ cmdReport(Args args)
             const std::string key = spec.cellKey(spec.cellAt(i));
             if (cache.has(key))
                 continue;
-            if (!retry_quarantined && cache.isQuarantined(key))
+            if (!o.retryQuarantined && cache.isQuarantined(key))
                 ++quarantined;
             else
                 ++missing;
         }
-        fatal_if(missing > 0 && !compute_missing,
+        fatal_if(missing > 0 && !o.computeMissing,
                  "report: %zu of %zu cells are not in %s; run "
                  "`wastesim sweep` with the same topology flags "
                  "first, or pass --compute-missing to simulate them",
                  missing, spec.numCells(), path.c_str());
         SweepEngine engine(spec);
-        engine.setRetryQuarantined(retry_quarantined);
+        engine.setRetryQuarantined(o.retryQuarantined);
         // The per-cell autosave persists the full cache as it grows;
         // the last cell's write is the final state, no explicit save.
         if (missing > 0 && !no_cache)
@@ -1391,7 +970,7 @@ cmdReport(Args args)
     std::vector<std::string> texts;
 
     if (!single.empty()) {
-        SweepSpec spec = SweepSpec::fullGrid(scale, params);
+        SweepSpec spec = SweepSpec::fullGrid(o.scale, params);
         spec.topologies = topologies;
         const std::vector<Sweep> sweeps = assemble(spec);
         texts = renderSweepReports(single, spec, sweeps, fmt);
@@ -1400,7 +979,7 @@ cmdReport(Args args)
     if (placement) {
         const auto placements = curatedMcPlacements(
             params.topo.meshX(), params.topo.meshY());
-        SweepSpec spec = SweepSpec::fullGrid(scale, params);
+        SweepSpec spec = SweepSpec::fullGrid(o.scale, params);
         spec.topologies.clear();
         std::vector<std::string> names;
         for (const auto &[name, t] : placements) {
@@ -1419,14 +998,14 @@ cmdReport(Args args)
     int rc = 0;
 
     if (want_timeline) {
-        const std::string text = readTextFile("report", inPath);
+        const std::string text = readTextFile("report", o.in);
         SampleData data;
         std::string err;
         fatal_if(!sampleDataFromJson(text, data, &err),
                  "report: '%s' is not a sampler JSON file: %s",
-                 inPath.c_str(), err.c_str());
+                 o.in.c_str(), err.c_str());
         Figure f = buildTimelineFigure(data);
-        f.context = inPath;
+        f.context = o.in;
         std::string rendered = renderFigure(f, fmt);
         if (fmt == ReportFormat::Table)
             rendered += "\n";
@@ -1436,22 +1015,21 @@ cmdReport(Args args)
     if (want_bench) {
         JsonValue current;
         std::string err;
-        fatal_if(!jsonParse(readTextFile("report", inPath), current,
-                            &err),
-                 "report: cannot parse '%s': %s", inPath.c_str(),
+        fatal_if(!jsonParse(readTextFile("report", o.in), current, &err),
+                 "report: cannot parse '%s': %s", o.in.c_str(),
                  err.c_str());
         JsonValue baseline;
-        const bool have_base = !baselinePath.empty();
+        const bool have_base = !o.baseline.empty();
         if (have_base)
-            fatal_if(!jsonParse(readTextFile("report", baselinePath),
+            fatal_if(!jsonParse(readTextFile("report", o.baseline),
                                 baseline, &err),
                      "report: cannot parse '%s': %s",
-                     baselinePath.c_str(), err.c_str());
+                     o.baseline.c_str(), err.c_str());
         bool regressed = false;
         Figure f = buildBenchFigure(
-            current, have_base ? &baseline : nullptr, tolerance,
+            current, have_base ? &baseline : nullptr, o.tolerance,
             regressed);
-        f.context = inPath;
+        f.context = o.in;
         std::string rendered = renderFigure(f, fmt);
         if (fmt == ReportFormat::Table)
             rendered += "\n";
@@ -1461,7 +1039,7 @@ cmdReport(Args args)
                          "report: bench regression: at least one "
                          "rate fell more than %.0f%% below the "
                          "baseline\n",
-                         tolerance * 100.0);
+                         o.tolerance * 100.0);
             rc = 1;
         }
     }
@@ -1471,27 +1049,10 @@ cmdReport(Args args)
 }
 
 int
-cmdMerge(Args args)
+cmdMerge(const Opts &o)
 {
-    std::string out;
-    std::vector<std::string> inputs;
-    bool skip_bad = false;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (a == "--skip-bad")
-            skip_bad = true;
-        else if (obs.tryParse(a, args)) {
-        } else if (!a.empty() && a[0] == '-')
-            fatal("merge: unknown option '%s'", a.c_str());
-        else
-            inputs.push_back(a);
-    }
-    obs.apply("merge");
-    fatal_if(out.empty(), "merge: --out is required");
-    fatal_if(inputs.empty(), "merge: no input caches given");
+    o.obs.apply("merge");
+    fatal_if(o.inputs.empty(), "merge: no input caches given");
 
     // Strict by default: a damaged shard cache is an error naming the
     // first bad cell and its byte offset, because silently thinning a
@@ -1499,10 +1060,10 @@ cmdMerge(Args args)
     // opts into salvage: intact cells are kept, dropped ones listed.
     CellCache merged;
     std::size_t dropped = 0;
-    for (const std::string &in : inputs) {
+    for (const std::string &in : o.inputs) {
         CellCache part;
         CacheLoadReport rep;
-        const CacheLoadMode mode = skip_bad ? CacheLoadMode::Salvage
+        const CacheLoadMode mode = o.skipBad ? CacheLoadMode::Salvage
                                             : CacheLoadMode::Strict;
         if (!part.load(in, rep, mode)) {
             fatal("merge: cannot read sweep cache '%s': %s "
@@ -1526,39 +1087,27 @@ cmdMerge(Args args)
         std::printf("merged %s (%zu cells)\n", in.c_str(),
                     part.size());
     }
-    fatal_if(!merged.save(out), "merge: cannot write '%s'",
-             out.c_str());
+    fatal_if(!merged.save(o.out), "merge: cannot write '%s'",
+             o.out.c_str());
     std::printf("wrote %zu cells", merged.size());
     if (merged.numQuarantined() > 0)
         std::printf(" + %zu quarantine record(s)",
                     merged.numQuarantined());
     if (dropped > 0)
         std::printf(" (%zu corrupt cell(s) skipped)", dropped);
-    std::printf(" to %s\n", out.c_str());
+    std::printf(" to %s\n", o.out.c_str());
     return 0;
 }
 
 int
-cmdInfo(Args args)
+cmdInfo(const Opts &o)
 {
-    std::string trace_path;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--trace")
-            trace_path = args.value(a);
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("info: unknown option '%s'", a.c_str());
-    }
-    obs.apply("info");
-    fatal_if(trace_path.empty(), "info: --trace is required");
-
+    o.obs.apply("info");
     std::string err;
-    auto wl = TraceWorkload::loadAnyTopology(trace_path, &err);
+    auto wl = TraceWorkload::loadAnyTopology(o.trace, &err);
     fatal_if(!wl, "info: %s", err.c_str());
 
-    std::printf("trace:     %s\n", trace_path.c_str());
+    std::printf("trace:     %s\n", o.trace.c_str());
     std::printf("workload:  %s\n", wl->name().c_str());
     std::printf("input:     %s\n", wl->inputDesc().c_str());
     std::printf("topology:  %s (%u MCs)\n", wl->topo().describe().c_str(),
@@ -1591,55 +1140,28 @@ cmdInfo(Args args)
  * line into `fuzzone`).
  */
 int
-cmdFuzz(Args args)
+cmdFuzz(const Opts &o)
 {
-    FuzzOptions opts;
-    std::string reportPath;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--seed")
-            opts.seed = args.uvalue(a);
-        else if (a == "--runs")
-            opts.runs = args.uvalue(a);
-        else if (a == "--time-budget")
-            opts.timeBudgetSec = args.fvalue(a);
-        else if (a == "--minimize")
-            opts.minimize = true;
-        else if (a == "--corpus")
-            opts.corpusDir = args.value(a);
-        else if (a == "--report")
-            reportPath = args.value(a);
-        else if (a == "--no-replay")
-            opts.checkReplay = false;
-        else if (a == "--max-ticks")
-            opts.maxTicks = args.uvalue(a);
-        else if (a == "--deadline-ms")
-            opts.deadlineMs = args.u32value(a);
-        else if (a == "--minimize-tests")
-            opts.minimizeMaxTests = args.u32value(a);
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("fuzz: unknown option '%s'", a.c_str());
-    }
-    obs.apply("fuzz");
-    fatal_if(opts.timeBudgetSec < 0, "fuzz: --time-budget must be >= 0");
+    o.obs.apply("fuzz");
+    fatal_if(o.fuzz.timeBudgetSec < 0,
+             "fuzz: --time-budget must be >= 0");
 
     // SIGINT drains: finish the in-flight scenario, then report what
     // ran instead of losing the campaign.
     installDrainHandlers();
 
-    FuzzCampaign campaign(std::move(opts));
+    FuzzCampaign campaign(o.fuzz);
     const FuzzReport rep = campaign.run();
     const std::string text = rep.toText();
     std::fputs(text.c_str(), stdout);
-    if (!reportPath.empty()) {
-        std::FILE *f = std::fopen(reportPath.c_str(), "wb");
-        fatal_if(!f, "fuzz: cannot write '%s'", reportPath.c_str());
+    if (!o.fuzzReport.empty()) {
+        std::FILE *f = std::fopen(o.fuzzReport.c_str(), "wb");
+        fatal_if(!f, "fuzz: cannot write '%s'", o.fuzzReport.c_str());
         const bool ok = std::fwrite(text.data(), 1, text.size(), f) ==
                         text.size();
         std::fclose(f);
-        fatal_if(!ok, "fuzz: short write to '%s'", reportPath.c_str());
+        fatal_if(!ok, "fuzz: short write to '%s'",
+                 o.fuzzReport.c_str());
     }
     return rep.clean() ? 0 : 1;
 }
@@ -1648,33 +1170,442 @@ cmdFuzz(Args args)
  *  worker half of `fuzz` (kept as a public subcommand so a reported
  *  scenario line is directly replayable). */
 int
-cmdFuzzone(Args args)
+cmdFuzzone(const Opts &o)
 {
-    std::string line, out;
-    Tick maxTicks = FuzzOptions{}.maxTicks;
-    bool checkReplay = true;
-    ObsCli obs;
-    while (!args.done()) {
-        const std::string a = args.next();
-        if (a == "--scenario")
-            line = args.value(a);
-        else if (a == "--out" || a == "-o")
-            out = args.value(a);
-        else if (a == "--max-ticks")
-            maxTicks = args.uvalue(a);
-        else if (a == "--no-replay")
-            checkReplay = false;
-        else if (obs.tryParse(a, args)) {
-        } else
-            fatal("fuzzone: unknown option '%s'", a.c_str());
-    }
-    obs.apply("fuzzone");
+    o.obs.apply("fuzzone");
     // Workers share the campaign's stderr; keep them quiet unless -v.
-    if (obs.verbosity <= 1)
+    if (o.obs.verbosity <= 1)
         logVerbosity = 0;
-    fatal_if(line.empty(), "fuzzone: --scenario is required");
-    fatal_if(out.empty(), "fuzzone: --out is required");
-    return fuzzWorkerMain(line, out, maxTicks, checkReplay);
+    return fuzzWorkerMain(o.scenario, o.out, o.fuzz.maxTicks,
+                          o.fuzz.checkReplay);
+}
+
+/** One subcommand: its flag table and the function that runs it. */
+struct Command
+{
+    const char *name;
+    const char *summary; //!< its line in `wastesim help`
+    Flags flags;
+    int (*run)(const Opts &);
+};
+
+/** Every subcommand, its flags bound to the fields of @p o. */
+std::vector<Command>
+commands(Opts &o)
+{
+    // The flags several commands accept, each declared once.
+    const Flags topo = topoFlags(o.topo), obs = obsFlags(o.obs);
+    const Flag bench{"--bench", "NAME", "Table-4.2 benchmark",
+                     store(o.bench), Required};
+    const Flag trace{"--trace", "FILE", "trace file to read",
+                     store(o.trace), Required};
+    const auto out = [&o](const char *help, bool required = Required) {
+        return Flag{"--out", "FILE", help, store(o.out), required};
+    };
+    const Flag scale{"--scale", "N", "benchmark input scale (default 1)",
+                     store(o.scale)};
+    const Flag fullSize{"--full-size", nullptr,
+                        "simulate the full Table-4.1 hierarchy, not the "
+                        "scaled one",
+                        store(o.fullSize)};
+    const Flag protocols{
+        "--protocol", "P", "protocol to run; repeatable (default: all 9)",
+        [&o](const char *, const std::string &v) {
+            ProtocolName p;
+            fatal_if(!protocolFromName(v, p), "unknown protocol '%s'",
+                     v.c_str());
+            o.protocols.push_back(p);
+        }};
+    const Flag reports{"--report", "NAME",
+                       "figure to render; repeatable (default: fig5.1a "
+                       "and headline)",
+                       [&o](const char *, const std::string &v) {
+                           o.reports.push_back(v);
+                       }};
+    const Flag format{
+        "--format", "table|json|csv", "output format (default table)",
+        [&o](const char *flag, const std::string &v) {
+            fatal_if(!reportFormatFromName(v, o.format),
+                     "%s needs table, json or csv, got '%s'", flag,
+                     v.c_str());
+        }};
+    const Flag meshList{"--mesh-list", "WxH,WxH,...",
+                        "one grid per listed mesh (not with --mesh)",
+                        store(o.meshList)};
+    const Flag cache{"--cache", "FILE",
+                     "sweep cache (default $WASTESIM_CACHE, else "
+                     "wastesim_sweep.cache)",
+                     store(o.cache)};
+    const auto jobs = [](const char *cmd) {
+        return Flag{"--jobs", "N",
+                    "simulation threads, overriding $WASTESIM_JOBS",
+                    [cmd](const char *flag, const std::string &v) {
+                        const unsigned n = parse<unsigned>(flag, v);
+                        fatal_if(n < 1 || n > 1024,
+                                 "%s: --jobs needs a value in [1, 1024]",
+                                 cmd);
+                        setSweepJobs(n);
+                    }};
+    };
+    const Flag retryQuarantined{
+        "--retry-quarantined", nullptr,
+        "recompute quarantined cells instead of leaving them as holes",
+        store(o.retryQuarantined)};
+    const Flags faults = {
+        {"--fault-inject", "crash:P,hang:P,corrupt:P",
+         "seeded deterministic faults in the worker processes",
+         store(o.faultSpec)},
+        {"--fault-seed", "N", "seed of the fault draws (default 0)",
+         store(o.faultSeed)},
+    };
+    const Flags checks = {
+        {"--max-ticks", "N", "tick limit of each run (default 5e8)",
+         store(o.fuzz.maxTicks)},
+        {"--no-replay", nullptr, "skip the run-twice determinism check",
+         assign(o.fuzz.checkReplay, false)},
+    };
+    // A synth parameter flag is applied after the preset, whatever
+    // its position.
+    const auto tune = [&o]<class T>(const char *name, const char *metavar,
+                                    const char *help, T SynthParams::*member) {
+        return Flag{name, metavar, help,
+                    [&o, member](const char *flag, const std::string &v) {
+                        o.tuners.push_back(
+                            [member, x = parse<T>(flag, v)](
+                                SynthParams &p) { p.*member = x; });
+                    }};
+    };
+
+    return {
+        {"record", "serialize a Table-4.2 benchmark to a trace file",
+         Flags{bench, scale, out("trace file to write")} + topo + obs,
+         cmdRecord},
+        {"replay",
+         "replay a trace through protocols on its recorded topology "
+         "(topology flags override it, and must then match)",
+         Flags{trace, protocols, fullSize} + topo + obs, cmdReplay},
+        {"synth",
+         "generate a synthetic scenario; simulate it, or save it as a "
+         "trace",
+         Flags{
+             {"--preset", "NAME",
+              "hotsetN, all2all or mc-corner; the other flags refine it",
+              [&o](const char *, const std::string &v) {
+                  fatal_if(!synthPresetFromName(v, o.synth, o.presetTopo),
+                           "synth: unknown preset '%s' (hotsetN, all2all, "
+                           "mc-corner)",
+                           v.c_str());
+                  o.preset = v;
+              }},
+             tune("--seed", "N", "random seed", &SynthParams::seed),
+             {"--pattern", "stride|random|hotset", "access pattern",
+              [&o](const char *, const std::string &v) {
+                  SynthParams::Pattern pattern;
+                  fatal_if(!SynthParams::patternFromName(v, pattern),
+                           "synth: unknown pattern '%s' (stride, random, "
+                           "hotset)",
+                           v.c_str());
+                  o.tuners.push_back(
+                      [pattern](SynthParams &p) { p.pattern = pattern; });
+              }},
+             tune("--ops", "N", "memory accesses per core",
+                  &SynthParams::opsPerCore),
+             tune("--phases", "N", "barrier-delimited compute phases",
+                  &SynthParams::phases),
+             tune("--regions", "N", "shared regions",
+                  &SynthParams::sharedRegions),
+             tune("--region-bytes", "N", "bytes per shared region",
+                  &SynthParams::regionBytes),
+             tune("--private-bytes", "N", "bytes of each core's own arena",
+                  &SynthParams::privateBytes),
+             tune("--sharing-degree", "N", "cores sharing each region",
+                  &SynthParams::sharingDegree),
+             tune("--read-frac", "F", "loads / (loads + stores)",
+                  &SynthParams::readFraction),
+             tune("--shared-frac", "F", "share of accesses to shared regions",
+                  &SynthParams::sharedFraction),
+             tune("--stride", "W", "stride pattern's step, in words",
+                  &SynthParams::strideWords),
+             tune("--hot-frac", "F", "hotset pattern's hot share of the data",
+                  &SynthParams::hotFraction),
+             tune("--hot-prob", "F", "hotset pattern's hot-access probability",
+                  &SynthParams::hotProbability),
+             tune("--work", "N", "compute cycles between accesses",
+                  &SynthParams::workCycles),
+             tune("--bypass", nullptr, "mark the shared regions L2-bypass",
+                  &SynthParams::bypassShared),
+             out("save the trace instead of simulating it", !Required),
+             protocols, fullSize} +
+             topo + obs,
+         cmdSynth},
+        {"sweep",
+         "run the 9-protocol x 6-benchmark grid of every listed mesh "
+         "against a per-cell disk cache that resumes a killed run",
+         Flags{scale, reports, format, meshList,
+               {"--shard", "I/N",
+                "run the I-th 1/N slice of the grid into a partial cache "
+                "for `merge`",
+                [&o](const char *, const std::string &v) {
+                    const std::size_t slash = v.find('/');
+                    char *end = nullptr;
+                    unsigned long i = 0, n = 0;
+                    if (slash != std::string::npos && slash > 0) {
+                        i = std::strtoul(v.c_str(), &end, 10);
+                        const bool i_ok = end == v.c_str() + slash;
+                        n = std::strtoul(v.c_str() + slash + 1, &end, 10);
+                        fatal_if(!i_ok || end != v.c_str() + v.size() ||
+                                     n == 0 || i >= n || n > 4096,
+                                 "sweep: --shard needs I/N with I < N, "
+                                 "got '%s'",
+                                 v.c_str());
+                    } else {
+                        fatal("sweep: --shard needs I/N (e.g. 0/4), got "
+                              "'%s'",
+                              v.c_str());
+                    }
+                    o.shard = static_cast<unsigned>(i);
+                    o.numShards = static_cast<unsigned>(n);
+                }},
+               cache, jobs("sweep"), fullSize,
+               {"--progress", nullptr,
+                "5 s heartbeat with RSS and ETA; flags stalled cells",
+                assign(o.progressMs, 5000)},
+               {"--supervise", "N",
+                "compute cells on N crash-isolated worker processes, "
+                "with retries, deadlines and quarantine",
+                [&o](const char *flag, const std::string &v) {
+                    o.supervise = parse<unsigned>(flag, v);
+                    fatal_if(o.supervise < 1 || o.supervise > 256,
+                             "sweep: --supervise needs a worker count in "
+                             "[1, 256]");
+                }},
+               retryQuarantined} +
+             // Retries and faults exist only where a crash is isolated
+             // to one worker process; the threaded engine would ignore
+             // the former and be taken down by the latter.
+             needing("--supervise",
+                     Flags{{"--max-retries", "N",
+                            "retries of a failed cell (default 3)",
+                            store(o.sup.maxRetries)},
+                           {"--retry-backoff-ms", "N",
+                            "first retry delay, doubling (default 200)",
+                            store(o.sup.backoffBaseMs)},
+                           {"--cell-deadline-ms", "N",
+                            "per-cell deadline (default: adaptive)",
+                            store(o.sup.deadlineMs)}} +
+                         faults) +
+             topo + obs,
+         cmdSweep},
+        {"report",
+         "render figures from a sweep cache without simulating; also "
+         "`placement`, `timeline` and `bench`",
+         Flags{reports, format, meshList, scale, cache, jobs("report"),
+               fullSize,
+               {"--compute-missing", nullptr,
+                "simulate missing cells instead of failing",
+                store(o.computeMissing)},
+               retryQuarantined,
+               {"--schema", nullptr,
+                "print the metric schema and its fingerprint",
+                store(o.schema)},
+               {"--in", "FILE",
+                "`timeline`: a sampler JSON; `bench`: a BENCH_*.json",
+                store(o.in)},
+               {"--baseline", "FILE",
+                "`bench`: the BENCH_*.json to compare with",
+                store(o.baseline)},
+               {"--tolerance", "F",
+                "`bench`: exit 1 when a rate falls more than F below "
+                "--baseline (default 0.25)",
+                [&o](const char *flag, const std::string &v) {
+                    o.tolerance = parse<double>(flag, v);
+                    fatal_if(o.tolerance < 0 || o.tolerance >= 1,
+                             "report: --tolerance needs a fraction in "
+                             "[0, 1), got '%s'",
+                             v.c_str());
+                }}} +
+             topo + obs,
+         cmdReport},
+        {"merge",
+         "combine partial sweep caches (from --shard runs) into one, "
+         "byte-identical to an unsharded sweep's",
+         Flags{out("merged cache to write"),
+               {"--skip-bad", nullptr,
+                "salvage the intact cells around corrupt ones instead of "
+                "failing",
+                store(o.skipBad)},
+               {"CACHE...", nullptr, "the partial caches to merge",
+                [&o](const char *, const std::string &v) {
+                    o.inputs.push_back(v);
+                }}} +
+             obs,
+         cmdMerge},
+        {"cell",
+         "compute one sweep cell into a checksummed result file (the "
+         "worker of `sweep --supervise`)",
+         Flags{bench,
+               {"--protocol", "P", "protocol to run", store(o.cellProtocol),
+                Required},
+               out("result file to write"), scale, fullSize} +
+             faults +
+             Flags{{"--fault-attempt", "K",
+                    "attempt number in the fault draw (default 0)",
+                    store(o.faultAttempt)}} +
+             topo + obs,
+         cmdCell},
+        {"fuzz",
+         "check seeded random scenarios under the runtime invariant "
+         "checker; exits 1 on any violation or crash",
+         Flags{{"--seed", "N", "campaign seed (default 1)",
+                store(o.fuzz.seed)},
+               {"--runs", "N", "scenarios to draw (default 100)",
+                store(o.fuzz.runs)},
+               {"--time-budget", "SEC",
+                "stop drawing after SEC seconds (default 0: no limit)",
+                store(o.fuzz.timeBudgetSec)},
+               {"--minimize", nullptr,
+                "delta-debug each failure to a near-minimal scenario",
+                store(o.fuzz.minimize)},
+               {"--corpus", "DIR",
+                "write the minimized anomalies as regression .scn files",
+                store(o.fuzz.corpusDir)},
+               {"--report", "FILE", "also write the report to FILE",
+                store(o.fuzzReport)},
+               {"--deadline-ms", "N",
+                "deadline of each scenario's worker (default 120000)",
+                store(o.fuzz.deadlineMs)},
+               {"--minimize-tests", "N",
+                "runs each minimization may spend (default 64)",
+                store(o.fuzz.minimizeMaxTests)}} +
+             checks + obs,
+         cmdFuzz},
+        {"fuzzone",
+         "check one encoded scenario into a checksummed verdict file (the "
+         "worker of `fuzz`)",
+         Flags{{"--scenario", "LINE", "the scenario's one-line encoding",
+                store(o.scenario), Required},
+               out("verdict file to write")} +
+             checks + obs,
+         cmdFuzzone},
+        {"info", "print a trace file's header, regions and op counts",
+         Flags{trace} + obs, cmdInfo},
+    };
+}
+
+/** True for the table entry that takes the positional arguments. */
+bool
+positional(const Flag &f)
+{
+    return f.name[0] != '-';
+}
+
+/** A flag as help shows it: its name and value placeholder. */
+std::string
+spelling(const Flag &f)
+{
+    return f.metavar ? std::string(f.name) + " " + f.metavar : f.name;
+}
+
+/** `name --required VALUE... [options] POSITIONAL`. */
+std::string
+synopsis(const Command &c)
+{
+    std::string s = c.name, rest;
+    for (const Flag &f : c.flags) {
+        if (positional(f))
+            rest = " " + spelling(f);
+        else if (f.required)
+            s += " " + spelling(f);
+    }
+    return s + " [options]" + rest;
+}
+
+/** One line per flag; a long spelling pushes its help to the next. */
+void
+printFlags(std::FILE *out, const Flags &flags)
+{
+    for (const Flag &f : flags) {
+        const std::string s = spelling(f);
+        std::fprintf(out, "  %-22s%s%s\n", s.c_str(),
+                     s.size() < 22 ? " " : "\n                         ",
+                     f.help);
+    }
+}
+
+/** `wastesim help`: every command's synopsis and summary, the shared
+ *  flag groups and the names the flags take. */
+void
+printUsage(const char *prog, const std::vector<Command> &cmds, Opts &o,
+           std::FILE *out)
+{
+    std::fprintf(out,
+                 "usage: %s <command> [options]\n\n"
+                 "commands (`<command> --help` lists all its flags):\n",
+                 prog);
+    for (const Command &c : cmds)
+        std::fprintf(out, "  %s\n      %s\n", synopsis(c).c_str(),
+                     c.summary);
+    std::fprintf(out, "\ntopology flags:\n");
+    printFlags(out, topoFlags(o.topo));
+    std::fprintf(out, "\nobservability flags:\n");
+    printFlags(out, obsFlags(o.obs));
+    std::fprintf(out, "\nbenchmarks:");
+    for (BenchmarkName b : allBenchmarks)
+        std::fprintf(out, " %s", benchmarkName(b));
+    std::fprintf(out, "\nprotocols: ");
+    for (ProtocolName p : allProtocols)
+        std::fprintf(out, " %s", protocolName(p));
+    std::fprintf(out, "\nreports:   ");
+    for (const std::string &r : reportNames())
+        std::fprintf(out, " %s", r.c_str());
+    std::fprintf(out, " (report only: placement timeline bench)\n"
+                      "debug flags: %s\n",
+                 debug::flagList().c_str());
+}
+
+/**
+ * Parse @p argv, the @p argc words after the command name, into the
+ * fields @p c's table binds.  --help or -h in place of a flag prints
+ * the command's help and exits 0; an unknown option, a missing value,
+ * a missing required flag or a flag without the one it needs is fatal.
+ */
+void
+parseFlags(const char *prog, const Command &c, int argc, char **argv)
+{
+    const auto find = [&c](const std::string &a) -> const Flag * {
+        for (const Flag &f : c.flags)
+            if (a == f.name ||
+                (positional(f) && (a.empty() || a[0] != '-')))
+                return &f;
+        return nullptr;
+    };
+    std::set<std::string> seen;
+    for (int i = 0; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--help" || a == "-h") {
+            std::printf("usage: %s %s\n\n%s\n\n", prog,
+                        synopsis(c).c_str(), c.summary);
+            printFlags(stdout, c.flags);
+            std::exit(0);
+        }
+        const Flag *f = find(a);
+        fatal_if(!f, "%s: unknown option '%s'", c.name, a.c_str());
+        if (positional(*f)) {
+            f->set(f->name, a);
+        } else {
+            fatal_if(f->metavar && i + 1 == argc, "%s needs a value",
+                     f->name);
+            f->set(f->name, f->metavar ? argv[++i] : "");
+        }
+        seen.insert(f->name);
+    }
+    for (const Flag &f : c.flags) {
+        fatal_if(f.required && !seen.count(f.name), "%s: %s is required",
+                 c.name, f.name);
+        fatal_if(f.needs && seen.count(f.name) && !seen.count(f.needs),
+                 "%s: %s needs %s", c.name, f.name,
+                 spelling(*find(f.needs)).c_str());
+    }
 }
 
 } // namespace
@@ -1682,37 +1613,22 @@ cmdFuzzone(Args args)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage(argv[0]);
-
-    const std::string cmd = argv[1];
     logVerbosity = 1;
-    Args rest(argv[0], argc - 2, argv + 2);
-
-    if (cmd == "record")
-        return cmdRecord(rest);
-    if (cmd == "replay")
-        return cmdReplay(rest);
-    if (cmd == "synth")
-        return cmdSynth(rest);
-    if (cmd == "sweep")
-        return cmdSweep(rest);
-    if (cmd == "report")
-        return cmdReport(rest);
-    if (cmd == "merge")
-        return cmdMerge(rest);
-    if (cmd == "cell")
-        return cmdCell(rest);
-    if (cmd == "fuzz")
-        return cmdFuzz(rest);
-    if (cmd == "fuzzone")
-        return cmdFuzzone(rest);
-    if (cmd == "info")
-        return cmdInfo(rest);
-    if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-        usage(argv[0], stdout);
+    Opts o;
+    const std::vector<Command> cmds = commands(o);
+    const std::string name = argc < 2 ? "" : argv[1];
+    if (name == "help" || name == "--help" || name == "-h") {
+        printUsage(argv[0], cmds, o, stdout);
         return 0;
     }
-    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-    return usage(argv[0]);
+    for (const Command &c : cmds) {
+        if (name == c.name) {
+            parseFlags(argv[0], c, argc - 2, argv + 2);
+            return c.run(o);
+        }
+    }
+    if (argc >= 2)
+        std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+    printUsage(argv[0], cmds, o, stderr);
+    return 2;
 }
