@@ -26,7 +26,7 @@ struct Sweep
 
     /**
      * Quarantine annotations: holes[b][p] carries the failure reason
-     * of a cell that has no result (the supervisor gave up on it).
+     * of a cell that has no result (a process slot gave up on it).
      * Empty string — or an unsized vector, for sweeps produced by
      * paths without quarantine support — means data is present.  The
      * figure builders render hole cells as "-" instead of erroring.

@@ -1,41 +1,41 @@
 /**
  * @file
- * Fault-tolerant sweep supervisor: runs a SweepSpec on a WorkerPool
- * (worker_pool.hh) whose workers are re-exec'd `wastesim cell`
- * children computing one grid cell at a time.
+ * Process slots of the sweep loop: what `sweep --supervise N` adds
+ * to SweepEngine::run (sweep_engine.hh), and the `wastesim cell`
+ * worker's side of the hand-off.
  *
- * The threaded SweepEngine shares one address space, so a SIGSEGV,
- * OOM kill or abort() in any single cell takes down the whole sweep
- * and every in-flight result with it.  The supervisor trades a few
- * milliseconds of exec overhead per cell for crash isolation.  The
- * pool spawns, deadline-kills and reaps the workers and verifies
- * their checksummed hand-off files; the supervisor keeps the policy:
+ * A thread slot shares the engine's address space, so a SIGSEGV, OOM
+ * kill or abort() in one cell takes down the whole sweep.  A process
+ * slot instead runs a re-exec'd `wastesim cell` child on a WorkerPool
+ * (worker_pool.hh) and trades a few milliseconds of exec overhead per
+ * cell for crash isolation.  The pool spawns, deadline-kills and
+ * reaps the workers and verifies their checksummed hand-off files;
+ * the engine's one loop adds the policy only a process slot needs,
+ * since only a process slot can fail:
  *
  *  - **Crash isolation**: a dying worker loses exactly one cell; the
- *    supervisor logs the wait status and reschedules.
- *  - **Hard deadlines**: the stall detector promoted from warning to
- *    kill — a cell exceeding the explicit `--cell-deadline-ms`, or 4x
- *    the median completed-cell time once enough samples exist, is
- *    SIGKILLed and treated as a failure.
+ *    loop logs the wait status and reschedules it.
+ *  - **Hard deadlines**: a cell exceeding the explicit deadlineMs,
+ *    or 4x the median finished cell (at least 30 s) once three cells
+ *    have finished, is SIGKILLed and counts as a failure.
  *  - **Retry with backoff**: failed cells are retried up to
  *    maxRetries times with exponential backoff plus deterministic
- *    jitter (seeded per cell/attempt, so reruns behave identically).
+ *    jitter (seeded per cell and attempt, so reruns behave alike).
  *  - **Poison-cell quarantine**: a cell that exhausts its retries is
  *    recorded in the CellCache with its attempt count and last
- *    failure reason; reports render it as an annotated hole instead
- *    of erroring, and only `--retry-quarantined` re-runs it.
+ *    failure reason; reports render it as an annotated hole, and only
+ *    `--retry-quarantined` re-runs it.
  *  - **Checksummed hand-off**: workers echo their cell key inside the
  *    CRC-covered payload, so a corrupt or mismatched output file is
- *    detected and counts as a failure — never silently cached.
- *  - **Graceful drain**: the first SIGINT/SIGTERM stops spawning and
- *    lets in-flight workers finish (their cells autosave as usual;
- *    workers ignore the terminal's SIGINT); a second signal kills the
- *    remaining workers immediately.
+ *    detected and counts as a failure, never cached.
+ *
+ * Workers ignore the terminal's SIGINT/SIGTERM; draining is the
+ * loop's job, for both slot kinds.
  *
  * A seeded fault-injection harness (FaultSpec) exercises every one of
  * these paths deterministically: workers draw their fate from
- * hash(seed, cell key, attempt) and crash/hang/corrupt themselves on
- * demand, so tests and CI can prove that a faulty supervised sweep
+ * hash(seed, cell key, attempt) and crash, hang or corrupt themselves
+ * on demand, so tests and CI can prove that a faulty supervised sweep
  * converges to a cache byte-identical to a fault-free run.
  */
 
@@ -46,8 +46,7 @@
 #include <string>
 #include <vector>
 
-#include "system/sweep_engine.hh"
-#include "system/worker_pool.hh"
+#include "system/runner.hh"
 
 namespace wastesim
 {
@@ -101,10 +100,12 @@ constexpr const char *cellOutputMagic = "wastesim-cell-v1";
  * with cellOutputMagic) around this payload:
  *
  *   <cell key>\n
+ *   <kernel events executed>\n
  *   <RunResult block>
  *
  * The echoed key lets the parent verify the child simulated the
- * configuration it was asked for.
+ * configuration it was asked for; the event count, which the cache
+ * format leaves out, feeds the sweep heartbeat's events/sec.
  */
 std::string formatWorkerOutput(const std::string &cell_id,
                                const RunResult &r);
@@ -121,73 +122,35 @@ bool parseWorkerOutput(const std::string &payload,
                        const std::string &expect_cell_id,
                        RunResult &out, std::string *err);
 
-/** Supervisor knobs; the defaults match the CLI defaults. */
+/** The process slots of a sweep (SweepEngine::setSupervise); the
+ *  defaults match the CLI defaults. */
 struct SupervisorConfig
 {
-    unsigned workers = 2;       //!< concurrent worker processes
-    unsigned maxRetries = 3;    //!< retries after the first failure
+    /** Concurrent worker processes; 0 (the default) computes cells
+     *  on thread slots instead. */
+    unsigned workers = 0;
+    unsigned maxRetries = 3;      //!< retries after the first failure
     unsigned backoffBaseMs = 200; //!< first retry delay (doubles)
-    /** Explicit per-cell hard deadline; 0 enables the adaptive one
-     *  (stallKillFactor x median completed cell, floored at
-     *  minAdaptiveDeadlineMs, once 3 cells completed). */
+    /** Explicit per-cell hard deadline; 0 adapts it to 4x the median
+     *  finished cell, at least 30 s, once 3 cells have finished. */
     unsigned deadlineMs = 0;
-    double stallKillFactor = 4.0;
-    unsigned minAdaptiveDeadlineMs = 30000;
     std::uint64_t faultSeed = 0;
-    FaultSpec faults;           //!< forwarded to workers
-    bool retryQuarantined = false;
-    unsigned progressMs = 0;    //!< heartbeat period; 0 = off
-    std::string autosavePath;   //!< cache persisted per cell; "" = off
-    std::string timelinePath;   //!< worker-lane trace JSON; "" = off
+    FaultSpec faults; //!< forwarded to workers
     /** Worker binary; empty resolves /proc/self/exe (re-exec). */
     std::string program;
-    /** Extra args fixing the simulation parameters the topology flags
-     *  do not cover (--scale N, --full-size); built by the CLI so the
-     *  child bit-reproduces the parent's SweepSpec. */
-    std::vector<std::string> workerParamArgs;
-    unsigned shard = 0;
-    unsigned numShards = 1;
+    /** Arguments appended to every worker's command line: the
+     *  simulation parameters the topology flags do not cover
+     *  (--scale N, --full-size), so the child bit-reproduces the
+     *  parent's SweepSpec, and the per-run observability flags. */
+    std::vector<std::string> workerArgs;
 };
 
-/**
- * Runs a SweepSpec like SweepEngine::run, but on child processes.
- * The final cache is byte-identical to an engine run of the same spec
- * (same cells, same canonical serialization); only the failure
- * handling differs.
- */
-class SweepSupervisor
-{
-  public:
-    SweepSupervisor(SweepSpec spec, SupervisorConfig cfg);
-
-    /** Serve hits, spawn workers for misses, retry/quarantine
-     *  failures.  Returns figure-ordered Sweeps with quarantined
-     *  cells annotated as holes. */
-    std::vector<Sweep> run(CellCache &cache);
-
-    std::size_t cellsTotal() const { return statTotal_; }
-    std::size_t cellsHit() const { return statHit_; }
-    std::size_t cellsComputed() const { return statComputed_; }
-    std::size_t cellsQuarantined() const { return statQuarantined_; }
-    /** Failed attempts that were rescheduled. */
-    std::size_t retries() const { return statRetries_; }
-    /** Workers killed for exceeding their deadline. */
-    std::size_t deadlineKills() const { return statKills_; }
-    /** True when a drain signal cut the run short. */
-    bool interrupted() const { return interrupted_; }
-
-  private:
-    SweepSpec spec_;
-    SupervisorConfig cfg_;
-
-    std::size_t statTotal_ = 0;
-    std::size_t statHit_ = 0;
-    std::size_t statComputed_ = 0;
-    std::size_t statQuarantined_ = 0;
-    std::size_t statRetries_ = 0;
-    std::size_t statKills_ = 0;
-    bool interrupted_ = false;
-};
+/** Delay before retrying a cell whose attempt @p failed_attempt
+ *  (0-based) failed: backoffBaseMs doubling per attempt, with jitter
+ *  drawn deterministically from (faultSeed, cell, attempt). */
+std::uint64_t retryBackoffMs(const SupervisorConfig &cfg,
+                             const std::string &cell_id,
+                             unsigned failed_attempt);
 
 } // namespace wastesim
 

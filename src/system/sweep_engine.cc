@@ -3,13 +3,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -17,6 +20,7 @@
 #include "common/log.hh"
 #include "obs/debug.hh"
 #include "obs/timeline.hh"
+#include "system/worker_pool.hh"
 
 namespace wastesim
 {
@@ -48,6 +52,17 @@ residentMb()
     return resident * static_cast<double>(sysconf(_SC_PAGESIZE)) / 1e6;
 }
 
+/** A cell running past this many times the median finished cell is
+ *  stalled: a thread slot warns, a process slot is killed. */
+constexpr double stallFactor = 4.0;
+
+/** The adaptive deadline never kills a worker sooner than this. */
+constexpr double minAdaptiveDeadlineMs = 30000;
+
+/** How long the sweep loop waits for a completion before it polls
+ *  the stop check, the heartbeat and the worker processes again. */
+constexpr std::chrono::milliseconds loopTick{15};
+
 /** One-line form of a quarantine reason (the record is line-framed). */
 std::string
 sanitizeReason(std::string reason)
@@ -56,36 +71,6 @@ sanitizeReason(std::string reason)
         if (c == '\n' || c == '\r')
             c = ' ';
     return reason;
-}
-
-/**
- * Write @p bytes to @p path through a per-process staging file
- * renamed over the target: readers (and crashes) only ever observe a
- * complete file.  Concurrent writers to one path must not interleave
- * in one temp file — last rename wins, but every rename installs a
- * self-consistent cache.
- */
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream os(tmp, std::ios::binary);
-        if (!os)
-            return false;
-        os << bytes;
-        if (!os) {
-            os.close();
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -313,7 +298,19 @@ CellCache::save(const std::string &path) const
 bool
 CellCache::saveAtomic(const std::string &path) const
 {
-    return writeFileAtomic(path, serialized());
+    // A per-process staging file: concurrent writers to one path
+    // never interleave in one temp file, and every rename installs a
+    // complete cache.
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    if (!save(tmp)) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    return true;
 }
 
 bool
@@ -493,22 +490,26 @@ planSweep(const SweepSpec &spec, const CellCache &cache,
 std::vector<Sweep>
 SweepEngine::run(CellCache &cache)
 {
-    const std::size_t num_topos = spec_.topologies.size();
+    using Clock = std::chrono::steady_clock;
     const std::size_t num_benches = spec_.benches.size();
 
-    // Wall-clock observation (lifecycle timeline + progress monitor).
+    // Wall-clock observation: the lifecycle timeline and heartbeat.
     const bool want_timeline = !timelinePath_.empty();
     Timeline timeline;
-    const auto sweep_t0 = std::chrono::steady_clock::now();
-    auto now_us = [&sweep_t0] {
-        return std::chrono::duration<double, std::micro>(
-                   std::chrono::steady_clock::now() - sweep_t0)
+    const auto t0 = Clock::now();
+    auto now_us = [&t0] {
+        return std::chrono::duration<double, std::micro>(Clock::now() -
+                                                         t0)
             .count();
     };
-    auto cell_label = [&](const SweepCell &c) {
+    auto label = [&](const SweepCell &c) {
         return std::string(protocolName(spec_.protocols[c.protoIdx])) +
                "/" + benchmarkName(spec_.benches[c.benchIdx]) + "@" +
                spec_.topologies[c.topoIdx].describe();
+    };
+    auto mark = [&](const std::string &what, unsigned lane) {
+        if (want_timeline)
+            timeline.instant("sweep", what, now_us(), 1, lane);
     };
     auto save_timeline = [&] {
         if (want_timeline && !timeline.save(timelinePath_))
@@ -523,246 +524,361 @@ SweepEngine::run(CellCache &cache)
     SweepPlan plan = planSweep(
         spec_, cache, owned, retryQuarantined_,
         [&](const SweepCell &c, bool hit) {
-            if (want_timeline)
-                timeline.instant("sweep",
-                                 (hit ? "hit " : "quarantined ") +
-                                     cell_label(c),
-                                 now_us(), 1, 999);
+            mark((hit ? "hit " : "quarantined ") + label(c), 999);
         });
     std::vector<Sweep> sweeps = std::move(plan.sweeps);
-    const std::vector<std::size_t> pending = std::move(plan.pending);
     statTotal_ = owned.size();
     statHit_ = plan.hits;
     statQuarantined_ = plan.quarantined;
-    statComputed_ = 0;
+    statComputed_ = statRetries_ = statKills_ = 0;
     interrupted_ = false;
+    const bool procs = sup_.workers > 0;
+    const unsigned num_slots =
+        procs ? sup_.workers : effectiveSweepJobs(plan.pending.size());
     DPRINTF_NT(Sweep,
                "shard %u/%u: %zu cells, %zu cached, %zu quarantined, "
-               "%zu to run",
+               "%zu to run on %u %s slots",
                shard_, numShards_, statTotal_, statHit_,
-               statQuarantined_, pending.size());
-    if (pending.empty()) {
+               statQuarantined_, plan.pending.size(), num_slots,
+               procs ? "process" : "thread");
+    if (plan.pending.empty()) {
         save_timeline();
         return sweeps;
     }
 
-    // Workloads are built once per (topology, benchmark) and shared
-    // by that slot's cells; each run streams its own ops, so a
-    // Workload holds no trace.
-    const std::size_t num_slots = num_topos * num_benches;
-    std::vector<std::unique_ptr<Workload>> workloads(num_slots);
-    std::vector<std::unique_ptr<std::once_flag>> built(num_slots);
-    for (auto &f : built)
-        f = std::make_unique<std::once_flag>();
-
-    const unsigned jobs = effectiveSweepJobs(pending.size());
-
-    // Progress/stall state, shared with the monitor thread.  A cell's
-    // lifetime is tracked on its worker's slot; completed durations
-    // feed the median the stall detector compares against.
-    struct InFlight
+    // A cell attempt, and the slot computing one.
+    struct Task
     {
         std::size_t flat = 0;
-        double startUs = 0;
-        bool active = false;
-        bool warned = false;
+        unsigned attempt = 0; //!< 0-based; only process slots retry
     };
-    std::mutex progressMutex;
-    std::condition_variable progressCv;
-    std::vector<InFlight> inFlight(std::max(1u, jobs));
-    std::vector<double> cellDurationsUs;
-    std::size_t completedCells = 0;
-    std::uint64_t eventsDone = 0;
-    bool sweepDone = false;
-    const bool track_cells = progressMs_ != 0 || want_timeline;
+    struct Slot
+    {
+        Task task;
+        double startUs = 0;
+        bool busy = false;
+        bool warned = false; //!< its stall warning was printed
+        std::thread thread;  //!< a thread slot's computation
+    };
+    std::deque<Task> ready;
+    for (std::size_t flat : plan.pending)
+        ready.push_back(Task{flat, 0});
+    std::deque<std::pair<Clock::time_point, Task>> delayed;
+    std::vector<Slot> slots(num_slots);
+    std::optional<WorkerPool> pool;
+    if (procs)
+        pool.emplace(num_slots, sup_.program, cellOutputMagic);
+    if (want_timeline)
+        for (unsigned i = 0; i < num_slots; ++i)
+            timeline.threadName(1, i, "worker " + std::to_string(i));
 
-    if (want_timeline) {
-        for (unsigned w = 0; w < std::max(1u, jobs); ++w)
-            timeline.threadName(1, w, "worker " + std::to_string(w));
-    }
+    // Thread slots post their results here; the loop waits on it.
+    std::mutex postMutex;
+    std::condition_variable postCv;
+    std::vector<std::pair<unsigned, RunResult>> posted;
+    // Workloads are built once per (topology, benchmark) and shared
+    // by that pair's cells; each run streams its own ops, so a
+    // Workload holds no trace.
+    std::vector<std::unique_ptr<Workload>> workloads(
+        spec_.topologies.size() * num_benches);
 
-    std::thread monitor;
-    if (progressMs_ != 0) {
-        monitor = std::thread([&] {
-            std::unique_lock<std::mutex> lk(progressMutex);
-            while (!sweepDone) {
-                progressCv.wait_for(
-                    lk, std::chrono::milliseconds(progressMs_));
-                if (sweepDone)
-                    break;
-                const double elapsed_us = now_us();
-                const double elapsed_s = elapsed_us / 1e6;
-                const double eps =
-                    elapsed_s > 0 ? eventsDone / elapsed_s : 0;
-                std::string eta = "n/a";
-                if (completedCells > 0) {
-                    // Completed cells per wall second already folds in
-                    // the worker parallelism.
-                    const double rate = completedCells / elapsed_s;
-                    const double eta_s =
-                        (pending.size() - completedCells) / rate;
-                    char buf[32];
-                    std::snprintf(buf, sizeof(buf), "%.0fs", eta_s);
-                    eta = buf;
-                }
-                std::fprintf(stderr,
-                             "sweep: %zu/%zu cells done, %.3g "
-                             "events/sec, rss %.0f MB, eta %s\n",
-                             statHit_ + completedCells, statTotal_,
-                             eps, residentMb(), eta.c_str());
+    const std::size_t to_run = ready.size();
+    std::size_t remaining = to_run;
+    std::vector<double> durationsUs;
+    std::uint64_t events = 0;
+    long workerPeakKb = 0;
+    bool autosaveWarned = false;
 
-                if (cellDurationsUs.size() >= 3) {
-                    std::vector<double> d = cellDurationsUs;
-                    const std::size_t mid = d.size() / 2;
-                    std::nth_element(d.begin(), d.begin() + mid,
-                                     d.end());
-                    const double median_us = d[mid];
-                    for (InFlight &f : inFlight) {
-                        if (!f.active || f.warned)
-                            continue;
-                        const double run_us = elapsed_us - f.startUs;
-                        if (run_us > 4 * median_us) {
-                            f.warned = true;
-                            warn("sweep cell '%s' running %.1fs "
-                                 "(median cell %.1fs): possible stall",
-                                 spec_.cellKey(spec_.cellAt(f.flat))
-                                     .c_str(),
-                                 run_us / 1e6, median_us / 1e6);
-                        }
-                    }
-                }
-            }
-        });
-    }
+    // Incremental resume: every finished cell lands on disk at once,
+    // so killing this process loses at most the in-flight cells.  The
+    // full-file rewrite is deliberate: a cell is at least tens of
+    // milliseconds of simulation while serializing a realistic cache
+    // (<1 MB) is ~1 ms, and rewriting whole files is what keeps every
+    // on-disk state a complete, loadable cache.
+    auto autosave = [&] {
+        if (!autosave_.empty() && !cache.saveAtomic(autosave_) &&
+            !autosaveWarned) {
+            autosaveWarned = true;
+            warn("could not autosave sweep cache to %s",
+                 autosave_.c_str());
+        }
+    };
 
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> computedCount{0};
-    std::atomic<bool> stopped{false};
-    std::mutex cacheMutex;
+    // The stall rule's yardstick: the median finished cell, once
+    // three have finished.
+    auto median_us = [&] {
+        if (durationsUs.size() < 3)
+            return std::numeric_limits<double>::infinity();
+        std::vector<double> d = durationsUs;
+        const std::size_t mid = d.size() / 2;
+        std::nth_element(d.begin(), d.begin() + mid, d.end());
+        return d[mid];
+    };
+    // A process slot's hard deadline: the explicit one, else the
+    // stall rule promoted to a kill.
+    auto deadline_ms = [&]() -> double {
+        if (sup_.deadlineMs > 0)
+            return sup_.deadlineMs;
+        return std::max(stallFactor * median_us() / 1e3,
+                        minAdaptiveDeadlineMs);
+    };
 
-    // Autosave plumbing: the cache is snapshotted to a string under
-    // cacheMutex (memory-only, fast) but written to disk outside it,
-    // so workers never queue behind each other's file I/O.  The
-    // sequence number keeps a late writer from regressing the file to
-    // an older snapshot; failures warn once, not once per cell.
-    std::mutex autosaveMutex;
-    std::uint64_t autosaveSeq = 0;     // guarded by cacheMutex
-    std::uint64_t autosaveWritten = 0; // guarded by autosaveMutex
-    std::atomic<bool> autosaveWarned{false};
+    auto worker_args = [&](const SweepCell &c, unsigned attempt,
+                           const std::string &out) {
+        const Topology &topo = spec_.topologies[c.topoIdx];
+        std::string tiles;
+        for (NodeId n : topo.memCtrlTiles()) {
+            if (!tiles.empty())
+                tiles += ",";
+            tiles += std::to_string(n);
+        }
+        std::vector<std::string> args{
+            "cell",
+            "--mesh",
+            std::to_string(topo.meshX()) + "x" +
+                std::to_string(topo.meshY()),
+            "--mc-tiles",
+            tiles,
+            "--bench",
+            benchmarkName(spec_.benches[c.benchIdx]),
+            "--protocol",
+            protocolName(spec_.protocols[c.protoIdx]),
+            "--out",
+            out,
+        };
+        args.insert(args.end(), sup_.workerArgs.begin(),
+                    sup_.workerArgs.end());
+        if (sup_.faults.any()) {
+            args.push_back("--fault-inject");
+            args.push_back(sup_.faults.describe());
+            args.push_back("--fault-seed");
+            args.push_back(std::to_string(sup_.faultSeed));
+            args.push_back("--fault-attempt");
+            args.push_back(std::to_string(attempt));
+        }
+        return args;
+    };
 
-    auto run_cell = [&](std::size_t flat, unsigned wid) {
-        const SweepCell c = spec_.cellAt(flat);
+    auto start = [&](unsigned i, const Task &t) {
+        Slot &s = slots[i];
+        const SweepCell c = spec_.cellAt(t.flat);
+        s.task = t;
+        s.startUs = now_us();
+        s.busy = true;
+        s.warned = false;
+        if (pool) {
+            const pid_t pid =
+                pool->spawn(i, worker_args(c, t.attempt, pool->outPath(i)));
+            inform("worker %u: running %s (attempt %u, pid %d)", i,
+                   label(c).c_str(), t.attempt + 1,
+                   static_cast<int>(pid));
+            DPRINTF_NT(Supervisor, "spawn pid %d slot %u attempt %u: %s",
+                       static_cast<int>(pid), i, t.attempt + 1,
+                       label(c).c_str());
+            return;
+        }
         inform("running %s on %s (%s)",
                protocolName(spec_.protocols[c.protoIdx]),
                benchmarkName(spec_.benches[c.benchIdx]),
                spec_.topologies[c.topoIdx].describe().c_str());
-
-        const double cell_start = now_us();
-        if (track_cells) {
-            std::lock_guard<std::mutex> lk(progressMutex);
-            inFlight[wid] = InFlight{flat, cell_start, true, false};
+        const Workload *wl = nullptr;
+        if (!compute_) {
+            auto &w = workloads[c.topoIdx * num_benches + c.benchIdx];
+            if (!w)
+                w = makeBenchmark(spec_.benches[c.benchIdx], spec_.scale,
+                                  spec_.topologies[c.topoIdx]);
+            wl = w.get();
         }
+        s.thread = std::thread([&, i, c, wl] {
+            RunResult r =
+                wl ? runOne(spec_.protocols[c.protoIdx], *wl,
+                            spec_.paramsFor(c.topoIdx))
+                   : compute_(spec_, c);
+            std::lock_guard<std::mutex> lk(postMutex);
+            posted.emplace_back(i, std::move(r));
+            postCv.notify_one();
+        });
+    };
 
-        RunResult r;
-        if (compute_) {
-            r = compute_(spec_, c);
-        } else {
-            const std::size_t slot =
-                c.topoIdx * num_benches + c.benchIdx;
-            std::call_once(*built[slot], [&] {
-                workloads[slot] = makeBenchmark(
-                    spec_.benches[c.benchIdx], spec_.scale,
-                    spec_.topologies[c.topoIdx]);
-            });
-            r = runOne(spec_.protocols[c.protoIdx], *workloads[slot],
-                       spec_.paramsFor(c.topoIdx));
-        }
-
+    auto finish = [&](unsigned i, const RunResult &r) {
+        Slot &s = slots[i];
+        s.busy = false;
+        const SweepCell c = spec_.cellAt(s.task.flat);
         sweeps[c.topoIdx].results[c.benchIdx][c.protoIdx] = r;
-        ++computedCount;
+        sweeps[c.topoIdx].holes[c.benchIdx][c.protoIdx].clear();
+        cache.put(spec_.cellKey(c), r);
+        ++statComputed_;
+        --remaining;
+        events += r.eventsExecuted;
+        const double end_us = now_us();
+        durationsUs.push_back(end_us - s.startUs);
+        if (want_timeline)
+            timeline.complete("sweep", label(c), s.startUs,
+                              end_us - s.startUs, 1, i);
+        DPRINTF_NT(Sweep, "slot %u finished %s in %.1f ms", i,
+                   label(c).c_str(), (end_us - s.startUs) / 1e3);
+        autosave();
+    };
 
-        const double cell_end = now_us();
-        DPRINTF_NT(Sweep, "worker %u finished %s in %.1f ms", wid,
-                   cell_label(c).c_str(),
-                   (cell_end - cell_start) / 1e3);
-        if (want_timeline) {
-            timeline.complete("sweep", cell_label(c), cell_start,
-                              cell_end - cell_start, 1, wid);
+    // A process slot's failed attempt: retry it after a backoff, or
+    // quarantine the cell once its retries are spent.
+    auto fail = [&](unsigned i, const std::string &reason) {
+        Slot &s = slots[i];
+        s.busy = false;
+        const Task t = s.task;
+        const SweepCell c = spec_.cellAt(t.flat);
+        const std::string key = spec_.cellKey(c);
+        if (t.attempt < sup_.maxRetries) {
+            ++statRetries_;
+            const std::uint64_t delay =
+                retryBackoffMs(sup_, key, t.attempt);
+            warn("cell '%s' attempt %u/%u failed (%s); retrying in "
+                 "%llu ms",
+                 key.c_str(), t.attempt + 1, sup_.maxRetries + 1,
+                 reason.c_str(), static_cast<unsigned long long>(delay));
+            delayed.emplace_back(
+                Clock::now() + std::chrono::milliseconds(delay),
+                Task{t.flat, t.attempt + 1});
+            mark("retry " + label(c) + " (" + reason + ")", i);
+            return;
         }
-        if (track_cells) {
-            std::lock_guard<std::mutex> lk(progressMutex);
-            inFlight[wid].active = false;
-            cellDurationsUs.push_back(cell_end - cell_start);
-            ++completedCells;
-            eventsDone += r.eventsExecuted;
-        }
+        cache.quarantine(key, t.attempt + 1, reason);
+        sweeps[c.topoIdx].holes[c.benchIdx][c.protoIdx] = reason;
+        ++statQuarantined_;
+        --remaining;
+        warn("cell '%s' QUARANTINED after %u attempts (last failure: "
+             "%s); reports will render it as a hole",
+             key.c_str(), t.attempt + 1, reason.c_str());
+        mark("quarantine " + label(c) + " (" + reason + ")", i);
+        autosave();
+    };
 
-        // Incremental resume: every finished cell lands on disk
-        // immediately, so killing this process loses at most the
-        // in-flight simulations.  The full-file rewrite per cell is
-        // deliberate: a cell is at least tens of milliseconds of
-        // simulation while serializing a realistic cache (<1 MB) is
-        // ~1 ms, and rewriting whole files is what keeps every
-        // on-disk state a complete, loadable cache.
-        std::string snapshot;
-        std::uint64_t seq = 0;
-        {
-            std::lock_guard<std::mutex> lock(cacheMutex);
-            cache.put(spec_.cellKey(c), r);
-            if (!autosave_.empty()) {
-                snapshot = cache.serialized();
-                seq = ++autosaveSeq;
-            }
+    auto lastBeat = Clock::now();
+    auto heartbeat = [&] {
+        if (progressMs_ == 0 ||
+            Clock::now() - lastBeat < std::chrono::milliseconds(progressMs_))
+            return;
+        lastBeat = Clock::now();
+        const double elapsed_s = now_us() / 1e6;
+        const std::size_t finished = to_run - remaining;
+        std::string eta = "n/a";
+        if (finished > 0) {
+            // Finished cells per wall second already fold in the
+            // slot parallelism.
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.0fs",
+                          remaining * elapsed_s / finished);
+            eta = buf;
         }
-        if (seq != 0) {
-            std::lock_guard<std::mutex> lock(autosaveMutex);
-            if (seq > autosaveWritten) {
-                if (writeFileAtomic(autosave_, snapshot))
-                    autosaveWritten = seq;
-                else if (!autosaveWarned.exchange(true))
-                    warn("could not autosave sweep cache to %s",
-                         autosave_.c_str());
+        char procs_info[96] = "";
+        if (pool)
+            std::snprintf(procs_info, sizeof(procs_info),
+                          ", %zu retries, %zu deadline kills, worker "
+                          "peak rss %ld MB",
+                          statRetries_, statKills_, workerPeakKb / 1024);
+        std::fprintf(stderr,
+                     "sweep: %zu/%zu cells done, %.3g events/sec, rss "
+                     "%.0f MB, eta %s%s\n",
+                     statTotal_ - remaining, statTotal_,
+                     elapsed_s > 0 ? events / elapsed_s : 0.0,
+                     residentMb(), eta.c_str(), procs_info);
+        if (pool)
+            return; // a stalled worker meets its deadline instead
+        const double median = median_us();
+        for (Slot &s : slots) {
+            const double run_us = now_us() - s.startUs;
+            if (s.busy && !s.warned && run_us > stallFactor * median) {
+                s.warned = true;
+                warn("sweep cell '%s' running %.1fs (median cell "
+                     "%.1fs): possible stall",
+                     spec_.cellKey(spec_.cellAt(s.task.flat)).c_str(),
+                     run_us / 1e6, median / 1e6);
             }
         }
     };
 
-    auto worker = [&](unsigned wid) {
-        for (std::size_t i = next.fetch_add(1); i < pending.size();
-             i = next.fetch_add(1)) {
-            // Graceful drain: once the stop check fires, in-flight
-            // cells finish (their autosave flushed them already) and
-            // no new ones start.
-            if (stopCheck_ && stopCheck_()) {
-                stopped.store(true);
-                break;
+    while (remaining > 0) {
+        const int stop = stopCheck_ ? stopCheck_() : 0;
+        if (stop >= 2) {
+            const bool computing =
+                std::any_of(slots.begin(), slots.end(),
+                            [](const Slot &s) { return s.busy; });
+            if (!pool && computing) {
+                // A thread cannot be cancelled, and every finished
+                // cell is on disk already.
+                save_timeline();
+                std::fprintf(stderr, "sweep: stopped with cells still "
+                                     "computing; completed cells are "
+                                     "saved\n");
+                std::fflush(nullptr);
+                std::_Exit(130);
             }
-            run_cell(pending[i], wid);
+            pool.reset(); // kills and reaps every worker
+            interrupted_ = true;
+            break;
         }
-    };
 
-    if (jobs <= 1) {
-        worker(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker, t);
-        for (auto &t : pool)
-            t.join();
+        const auto now = Clock::now();
+        while (!delayed.empty() && delayed.front().first <= now) {
+            ready.push_back(delayed.front().second);
+            delayed.pop_front();
+        }
+        bool computing = false;
+        for (unsigned i = 0; i < num_slots; ++i) {
+            if (!slots[i].busy && stop == 0 && !ready.empty()) {
+                start(i, ready.front());
+                ready.pop_front();
+            }
+            computing |= slots[i].busy;
+        }
+        if (!computing && stop > 0) {
+            // Drained: nothing in flight, nothing may start.
+            interrupted_ = true;
+            break;
+        }
+
+        if (pool) {
+            const std::vector<WorkerExit> exits =
+                pool->poll(deadline_ms());
+            for (const WorkerExit &e : exits) {
+                workerPeakKb = std::max(workerPeakKb, e.maxRssKb);
+                const std::string key =
+                    spec_.cellKey(spec_.cellAt(slots[e.slot].task.flat));
+                if (e.deadlineKilled) {
+                    ++statKills_;
+                    warn("cell '%s' %s: killed its worker", key.c_str(),
+                         e.reason.c_str());
+                }
+                RunResult r;
+                std::string err;
+                if (!e.exitedWith(0))
+                    fail(e.slot, e.reason);
+                else if (!e.outputOk)
+                    fail(e.slot, "corrupt output: " + e.outputError);
+                else if (!parseWorkerOutput(e.payload, key, r, &err))
+                    fail(e.slot, "corrupt output: " + err);
+                else
+                    finish(e.slot, r);
+            }
+            if (exits.empty())
+                std::this_thread::sleep_for(loopTick);
+        } else {
+            std::vector<std::pair<unsigned, RunResult>> got;
+            {
+                std::unique_lock<std::mutex> lk(postMutex);
+                postCv.wait_for(lk, loopTick,
+                                [&] { return !posted.empty(); });
+                got.swap(posted);
+            }
+            for (auto &[i, r] : got) {
+                slots[i].thread.join();
+                finish(i, r);
+            }
+        }
+        heartbeat();
     }
 
-    if (progressMs_ != 0) {
-        {
-            std::lock_guard<std::mutex> lk(progressMutex);
-            sweepDone = true;
-        }
-        progressCv.notify_all();
-        monitor.join();
-    }
     save_timeline();
-
-    statComputed_ = computedCount.load();
-    interrupted_ = stopped.load();
     return sweeps;
 }
 

@@ -1,25 +1,31 @@
 /**
  * @file
- * Scale-out sweep engine: the (topology x benchmark x protocol) grid
- * as a flat cell list with an incremental per-cell result cache and
- * process-level sharding.
+ * The sweep loop: the (topology x benchmark x protocol) grid as a
+ * flat cell list with an incremental per-cell result cache,
+ * process-level sharding, and one scheduling loop whose slots compute
+ * cells on threads or on worker processes.
  *
- * runSweep() parallelizes one grid over one machine's threads with an
- * all-or-nothing disk cache; at 8x8 and 16x16 meshes the grid costs
- * orders of magnitude more than the paper's 4x4, so this engine
- * treats every (topology, benchmark, protocol) combination as an
- * independently cached, independently schedulable cell:
+ * At 8x8 and 16x16 meshes the grid costs orders of magnitude more
+ * than the paper's 4x4, so every (topology, benchmark, protocol)
+ * combination is an independently cached, independently schedulable
+ * cell:
  *
  *  - **Incremental cache** (CellCache): each cell is keyed by the
  *    full configuration fingerprint (sweepConfigTag + bench +
- *    protocol), so growing `--mesh-list` — or changing nothing —
- *    recomputes only the missing cells instead of invalidating the
- *    whole sweep.
+ *    protocol), so growing `--mesh-list`, or changing nothing,
+ *    recomputes only the missing cells instead of the whole sweep.
  *
- *  - **Dynamic work queue**: pending cells are ordered biggest-mesh
- *    first and pulled by a pool of worker threads (effectiveSweepJobs)
- *    from an atomic cursor, so a straggling 16x16 cell starts early
- *    instead of serializing the sweep tail.
+ *  - **One loop, two slot kinds**: SweepEngine::run plans the run
+ *    (planSweep), fills free slots from a ready queue ordered
+ *    biggest-mesh first (a straggling 16x16 cell starts early instead
+ *    of serializing the sweep tail), records each completion in the
+ *    Sweeps, the cache, the stats and the lifecycle timeline,
+ *    autosaves the cache, prints the heartbeat and applies the stop
+ *    check, all on the calling thread.  A thread slot (the default,
+ *    effectiveSweepJobs of them) computes its cell in this process;
+ *    a process slot (setSupervise, supervisor.hh) runs a
+ *    crash-isolated `wastesim cell` worker, and only process slots
+ *    retry, quarantine and deadline-kill, since only they can fail.
  *
  *  - **Sharding**: `setShard(i, N)` restricts the engine to the
  *    deterministic slice {cells | flat index % N == i}.  Each shard
@@ -31,8 +37,8 @@
  *  - **Integrity**: the v2 cache format carries a CRC-32 and byte
  *    length per cell block, so a corrupt or truncated cell is
  *    detected at load (and either reported or salvaged around) rather
- *    than silently served.  Poisoned cells — ones the supervisor gave
- *    up on — are recorded as quarantine entries with their failure
+ *    than silently served.  Poisoned cells (ones a process slot gave
+ *    up on) are recorded as quarantine entries with their failure
  *    reason, so reports can render them as annotated holes instead of
  *    erroring or re-running known-bad simulations.
  */
@@ -46,6 +52,7 @@
 #include <vector>
 
 #include "system/runner.hh"
+#include "system/supervisor.hh"
 
 namespace wastesim
 {
@@ -161,8 +168,7 @@ class CellCache
 
     /** The canonical file bytes (magic, counts, key-ordered cells,
      *  key-ordered quarantine records); what save()/saveAtomic()
-     *  write.  Snapshotting to a string lets the engine serialize
-     *  under its cache lock but perform the disk write outside it. */
+     *  write. */
     std::string serialized() const;
 
     /** Write all cells in canonical order; false on I/O error. */
@@ -225,7 +231,7 @@ class CellCache
 
     /** key -> serialized RunResult block (precision-17 text). */
     std::map<std::string, std::string> cells_;
-    /** key -> why the supervisor gave up on the cell. */
+    /** key -> why a process slot gave up on the cell. */
     std::map<std::string, CellFailure> quarantine_;
 };
 
@@ -242,10 +248,10 @@ struct SweepPlan
 };
 
 /**
- * The start shared by SweepEngine and SweepSupervisor: serve the
- * @p owned cells' cache hits, honor quarantine records (unless
- * @p retry_quarantined) and queue the rest.  @p on_served sees
- * every hit (true) or quarantined (false) cell.
+ * The start of a sweep run: serve the @p owned cells' cache hits,
+ * honor quarantine records (unless @p retry_quarantined) and queue
+ * the rest.  @p on_served sees every hit (true) or quarantined
+ * (false) cell.
  */
 SweepPlan planSweep(
     const SweepSpec &spec, const CellCache &cache,
@@ -254,7 +260,8 @@ SweepPlan planSweep(
 
 /**
  * Runs (a shard of) a SweepSpec against a CellCache: cached cells are
- * served, missing cells are computed on a worker pool and inserted.
+ * served, missing cells are computed on thread or process slots and
+ * inserted.
  */
 class SweepEngine
 {
@@ -270,29 +277,41 @@ class SweepEngine
      *  shard >= num_shards or num_shards == 0). */
     void setShard(unsigned shard, unsigned num_shards);
 
+    /** Compute thread slots' cells with @p fn instead of runOne. */
     void setCompute(CellFn fn) { compute_ = std::move(fn); }
 
     /**
+     * Compute cells on @p cfg.workers process slots (`--supervise
+     * N`) instead of effectiveSweepJobs() thread slots; workers == 0
+     * keeps thread slots.  Only a process slot can fail, so only
+     * process slots retry, quarantine and deadline-kill cells.
+     */
+    void setSupervise(SupervisorConfig cfg) { sup_ = std::move(cfg); }
+
+    /**
      * Partial-cache resume: persist the cache to @p path (atomic
-     * rename) after every computed cell, so a killed run resumes
+     * rename) after every finished cell, so a killed run resumes
      * from its completed cells instead of recomputing the slice.
      * Empty path (the default) disables autosaving.
      */
     void setAutosave(std::string path) { autosave_ = std::move(path); }
 
     /**
-     * Wall-clock progress heartbeat: every @p ms milliseconds a
-     * monitor thread reports done/total cells, aggregate events/sec
-     * and an ETA to stderr, and warns (once per cell, with its cache
-     * key) when an in-flight cell exceeds 4x the median completed
-     * cell time — the stall fingerprint.  0 disables the monitor.
+     * Wall-clock progress heartbeat: every @p ms milliseconds report
+     * done/total cells, aggregate events/sec, this process's resident
+     * set and an ETA to stderr, plus retries, deadline kills and the
+     * largest worker peak RSS under process slots.  A thread slot
+     * whose cell runs past 4x the median finished cell gets one
+     * warning naming its cache key, the stall fingerprint.  0 (the
+     * default) disables the heartbeat.
      */
     void setProgress(unsigned ms) { progressMs_ = ms; }
 
     /**
      * Write a wall-clock cell-lifecycle trace-event JSON to @p path
      * after the run: one complete event per computed cell on its
-     * worker's lane, plus instants for cache-served cells.
+     * slot's lane, plus instants for cache-served, retried and
+     * quarantined cells.
      */
     void setTimeline(std::string path)
     {
@@ -305,13 +324,15 @@ class SweepEngine
     void setRetryQuarantined(bool on) { retryQuarantined_ = on; }
 
     /**
-     * Cooperative cancellation (SIGINT/SIGTERM graceful drain): the
-     * predicate is polled between cells; once it returns true,
-     * workers finish their in-flight cell — whose autosave flushes it
-     * to disk — and stop pulling new ones.  interrupted() reports
-     * whether a run was cut short this way.
+     * Cooperative cancellation (the SIGINT/SIGTERM drain count): the
+     * loop polls @p fn.  At 1 no new cell starts and in-flight cells
+     * finish (each is recorded and autosaved as usual); at 2 or more
+     * process slots are killed and reaped at once, and since a thread
+     * slot cannot be cancelled, busy thread slots end the process
+     * with exit status 130.  Every finished cell is already on disk
+     * then.  interrupted() reports whether a run was cut short.
      */
-    void setStopCheck(std::function<bool()> fn)
+    void setStopCheck(std::function<int()> fn)
     {
         stopCheck_ = std::move(fn);
     }
@@ -336,8 +357,12 @@ class SweepEngine
     std::size_t cellsHit() const { return statHit_; }
     /** ...of which were simulated. */
     std::size_t cellsComputed() const { return statComputed_; }
-    /** ...of which were skipped as quarantined (holes). */
+    /** ...of which are quarantined holes. */
     std::size_t cellsQuarantined() const { return statQuarantined_; }
+    /** Failed process-slot attempts that were rescheduled. */
+    std::size_t retries() const { return statRetries_; }
+    /** Workers killed for exceeding their deadline. */
+    std::size_t deadlineKills() const { return statKills_; }
 
     /** True when the last run() was cut short by the stop check. */
     bool interrupted() const { return interrupted_; }
@@ -347,16 +372,19 @@ class SweepEngine
     unsigned shard_ = 0;
     unsigned numShards_ = 1;
     CellFn compute_;
+    SupervisorConfig sup_;
     std::string autosave_;
     unsigned progressMs_ = 0;
     std::string timelinePath_;
     bool retryQuarantined_ = false;
-    std::function<bool()> stopCheck_;
+    std::function<int()> stopCheck_;
 
     std::size_t statTotal_ = 0;
     std::size_t statHit_ = 0;
     std::size_t statComputed_ = 0;
     std::size_t statQuarantined_ = 0;
+    std::size_t statRetries_ = 0;
+    std::size_t statKills_ = 0;
     bool interrupted_ = false;
 };
 

@@ -16,7 +16,8 @@
  * Children ignore SIGINT/SIGTERM (set between fork and exec): a
  * terminal Ctrl-C reaches the whole process group, and draining is
  * the parent's job.  The first drain signal lets in-flight workers
- * finish; the second makes stopIfForced() kill and reap them all.
+ * finish; after the second, stopIfForced() or the pool's destructor
+ * kills and reaps them all.
  */
 
 #ifndef WASTESIM_SYSTEM_WORKER_POOL_HH
@@ -35,7 +36,7 @@ namespace wastesim
 
 /**
  * Cooperative SIGINT/SIGTERM drain, shared by the worker pool, the
- * fuzz campaign and the threaded sweep engine: installDrainHandlers()
+ * fuzz campaign and the sweep loop: installDrainHandlers()
  * routes both signals to a counter; drainRequestCount() reads it
  * (0 = run, 1 = drain — finish in-flight work, start nothing new,
  * >= 2 = stop now).

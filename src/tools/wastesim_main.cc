@@ -21,6 +21,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -96,7 +97,8 @@ struct Flag
     const char *help;    //!< its line in `<command> --help`
     Setter set;
     bool required = false;
-    const char *needs = nullptr; //!< a flag this one is invalid without
+    const char *needs = nullptr;    //!< a flag this one is invalid without
+    const char *excludes = nullptr; //!< a flag this one is invalid with
 };
 
 constexpr bool Required = true;
@@ -116,6 +118,15 @@ needing(const char *other, Flags flags)
 {
     for (Flag &f : flags)
         f.needs = other;
+    return flags;
+}
+
+/** @p flags, each invalid together with the flag @p other. */
+Flags
+excluding(const char *other, Flags flags)
+{
+    for (Flag &f : flags)
+        f.excludes = other;
     return flags;
 }
 
@@ -313,6 +324,28 @@ struct ObsCli
         cfg.timelineOut = sim_timeline ? timelineOut : std::string();
         cfg.heatmapOut = heatmapOut;
     }
+
+    /** The given per-run flags, for a `cell` worker of a sweep to
+     *  observe its run as a thread slot would.  --timeline stays
+     *  out: in a sweep it is the wall-clock cell lifecycle. */
+    std::vector<std::string>
+    workerArgs() const
+    {
+        std::vector<std::string> args;
+        const auto add = [&args](bool given, const char *flag,
+                                 const std::string &v) {
+            if (given)
+                args.insert(args.end(), {flag, v});
+        };
+        add(!debugFlags.empty(), "--debug-flags", debugFlags);
+        add(debugStart != 0, "--debug-start", std::to_string(debugStart));
+        add(debugEnd != ~Tick(0), "--debug-end", std::to_string(debugEnd));
+        add(sampleWindow != 0, "--sample-window",
+            std::to_string(sampleWindow));
+        add(!sampleOut.empty(), "--sample-out", sampleOut);
+        add(!heatmapOut.empty(), "--heatmap", heatmapOut);
+        return args;
+    }
 };
 
 Flags
@@ -372,13 +405,12 @@ struct Opts
     // sweep
     unsigned shard = 0, numShards = 1;
     unsigned progressMs = 0;
-    unsigned supervise = 0;
-    SupervisorConfig sup; //!< retry, backoff and deadline of --supervise
+    SupervisorConfig sup; //!< --supervise N, its retries and deadline
 
     // report
     bool schema = false, computeMissing = false;
     std::string in, baseline;
-    double tolerance = 0.25;
+    std::optional<double> tolerance; //!< unset: 0.25
 
     // merge
     std::vector<std::string> inputs;
@@ -641,9 +673,10 @@ emitFigureTexts(const std::vector<std::string> &texts,
 }
 
 /**
- * `wastesim cell` — the worker half of `sweep --supervise`: compute
- * exactly one (topology, benchmark, protocol) cell and write it as a
- * checksummed hand-off file (supervisor.hh documents the format).
+ * `wastesim cell` — the worker of a `sweep --supervise` process slot:
+ * compute exactly one (topology, benchmark, protocol) cell and write
+ * it as a checksummed hand-off file (supervisor.hh documents the
+ * format).
  * The cell key is recomputed here from the same flags the parent
  * passed, and echoed in the output, so a parent/child configuration
  * drift is caught as a key mismatch instead of a silently wrong
@@ -658,7 +691,7 @@ cmdCell(const Opts &o)
 {
     o.obs.apply("cell");
     // Workers share the parent's stderr; status chatter from dozens
-    // of children would drown the supervisor's own reporting.
+    // of children would drown the sweep's own reporting.
     if (o.obs.verbosity <= 1)
         logVerbosity = 0;
 
@@ -714,10 +747,10 @@ cmdCell(const Opts &o)
 int
 cmdSweep(const Opts &o)
 {
-    FaultSpec faults;
+    SupervisorConfig sup = o.sup;
     if (!o.faultSpec.empty()) {
         std::string fault_err;
-        fatal_if(!FaultSpec::parse(o.faultSpec, faults, &fault_err),
+        fatal_if(!FaultSpec::parse(o.faultSpec, sup.faults, &fault_err),
                  "sweep: %s", fault_err.c_str());
     }
     // In a sweep, --timeline means the wall-clock cell-lifecycle
@@ -752,79 +785,53 @@ cmdSweep(const Opts &o)
     if (!no_cache)
         loadCacheSalvage("sweep", cache, path);
 
+    SweepEngine engine(spec);
+    if (o.numShards > 1)
+        engine.setShard(o.shard, o.numShards);
+    // Partial-cache resume: every finished cell is persisted
+    // immediately (atomic rename), so a killed shard restarts from
+    // its completed cells instead of recomputing the slice; the
+    // autosave of the last cell doubles as the final cache write.
+    if (!no_cache)
+        engine.setAutosave(path);
+    engine.setProgress(o.progressMs);
+    engine.setTimeline(o.obs.timelineOut);
+    engine.setRetryQuarantined(o.retryQuarantined);
+    // A worker process must rebuild the exact SimParams of this
+    // parent (topology travels per cell, scale and the full-size
+    // switch here) and observe its run as a thread slot would.
+    sup.faultSeed = o.faultSeed;
+    sup.workerArgs = {"--scale", std::to_string(o.scale)};
+    if (o.fullSize)
+        sup.workerArgs.push_back("--full-size");
+    const std::vector<std::string> obs = o.obs.workerArgs();
+    sup.workerArgs.insert(sup.workerArgs.end(), obs.begin(), obs.end());
+    engine.setSupervise(sup);
     // Graceful drain: the first SIGINT/SIGTERM lets in-flight cells
-    // finish (each is autosaved as it completes), a second one stops
-    // immediately.  Shared by both execution paths.
+    // finish (each is autosaved as it completes) and starts no new
+    // one; a second one stops at once, killing the worker processes
+    // or, when threads are still computing, exiting with 130.
     installDrainHandlers();
-
-    std::vector<Sweep> sweeps;
-    std::size_t cellsTotal, cellsHit, cellsComputed, cellsQuarantined;
-    std::size_t numRetries = 0, numKills = 0;
-    bool was_interrupted;
-    if (o.supervise > 0) {
-        SupervisorConfig cfg = o.sup;
-        cfg.workers = o.supervise;
-        cfg.faultSeed = o.faultSeed;
-        cfg.faults = faults;
-        cfg.retryQuarantined = o.retryQuarantined;
-        cfg.progressMs = o.progressMs;
-        if (!no_cache)
-            cfg.autosavePath = path;
-        cfg.timelinePath = o.obs.timelineOut;
-        cfg.shard = o.shard;
-        cfg.numShards = o.numShards;
-        // The worker must rebuild the exact SimParams of this parent;
-        // topology travels per cell, scale and the full-size switch
-        // travel here.
-        cfg.workerParamArgs = {"--scale", std::to_string(o.scale)};
-        if (o.fullSize)
-            cfg.workerParamArgs.push_back("--full-size");
-        SweepSupervisor sup(spec, cfg);
-        sweeps = sup.run(cache);
-        cellsTotal = sup.cellsTotal();
-        cellsHit = sup.cellsHit();
-        cellsComputed = sup.cellsComputed();
-        cellsQuarantined = sup.cellsQuarantined();
-        numRetries = sup.retries();
-        numKills = sup.deadlineKills();
-        was_interrupted = sup.interrupted();
-    } else {
-        SweepEngine engine(spec);
-        if (o.numShards > 1)
-            engine.setShard(o.shard, o.numShards);
-        // Partial-cache resume: every finished cell is persisted
-        // immediately (atomic rename), so a killed shard restarts
-        // from its completed cells instead of recomputing the slice —
-        // the autosave of the last cell doubles as the final cache
-        // write.
-        if (!no_cache)
-            engine.setAutosave(path);
-        engine.setProgress(o.progressMs);
-        engine.setTimeline(o.obs.timelineOut);
-        engine.setRetryQuarantined(o.retryQuarantined);
-        engine.setStopCheck([] { return drainRequestCount() > 0; });
-        sweeps = engine.run(cache);
-        cellsTotal = engine.cellsTotal();
-        cellsHit = engine.cellsHit();
-        cellsComputed = engine.cellsComputed();
-        cellsQuarantined = engine.cellsQuarantined();
-        was_interrupted = engine.interrupted();
-    }
+    engine.setStopCheck(drainRequestCount);
+    const std::vector<Sweep> sweeps = engine.run(cache);
 
     // In the structured formats the status line must not pollute the
     // machine-readable stream.
     char extras[96] = "";
-    if (numRetries > 0 || numKills > 0 || cellsQuarantined > 0)
+    if (engine.retries() > 0 || engine.deadlineKills() > 0 ||
+        engine.cellsQuarantined() > 0)
         std::snprintf(extras, sizeof(extras),
                       ", %zu retries, %zu deadline kills, "
                       "%zu quarantined",
-                      numRetries, numKills, cellsQuarantined);
+                      engine.retries(), engine.deadlineKills(),
+                      engine.cellsQuarantined());
     std::fprintf(fmt == ReportFormat::Table ? stdout : stderr,
                  "sweep: %zu cells (%zu cached, %zu computed)%s%s\n",
-                 cellsTotal, cellsHit, cellsComputed, extras,
+                 engine.cellsTotal(), engine.cellsHit(),
+                 engine.cellsComputed(), extras,
                  no_cache ? " [cache disabled]" : "");
 
-    if (was_interrupted) {
+    if (engine.interrupted()) {
         // Completed cells are on disk (autosave); rerunning the same
         // command resumes from them.  The conventional SIGINT exit.
         std::fprintf(stderr,
@@ -862,6 +869,19 @@ int
 cmdReport(const Opts &o)
 {
     o.obs.apply("report");
+    // A gate step that forgets `--report bench` must not pass without
+    // comparing anything.
+    const auto asks = [&o](const char *r) {
+        return std::find(o.reports.begin(), o.reports.end(), r) !=
+               o.reports.end();
+    };
+    fatal_if(!o.in.empty() && !asks("timeline") && !asks("bench"),
+             "report: --in is read by the timeline and bench reports "
+             "only; pass --report timeline or --report bench");
+    fatal_if((!o.baseline.empty() || o.tolerance) && !asks("bench"),
+             "report: --%s is read by the bench report only; pass "
+             "--report bench",
+             o.baseline.empty() ? "tolerance" : "baseline");
 
     if (o.schema) {
         // The machine-readable metric schema: fingerprint first, one
@@ -1013,6 +1033,7 @@ cmdReport(const Opts &o)
     }
 
     if (want_bench) {
+        const double tolerance = o.tolerance.value_or(0.25);
         JsonValue current;
         std::string err;
         fatal_if(!jsonParse(readTextFile("report", o.in), current, &err),
@@ -1027,7 +1048,7 @@ cmdReport(const Opts &o)
                      o.baseline.c_str(), err.c_str());
         bool regressed = false;
         Figure f = buildBenchFigure(
-            current, have_base ? &baseline : nullptr, o.tolerance,
+            current, have_base ? &baseline : nullptr, tolerance,
             regressed);
         f.context = o.in;
         std::string rendered = renderFigure(f, fmt);
@@ -1039,7 +1060,7 @@ cmdReport(const Opts &o)
                          "report: bench regression: at least one "
                          "rate fell more than %.0f%% below the "
                          "baseline\n",
-                         o.tolerance * 100.0);
+                         tolerance * 100.0);
             rc = 1;
         }
     }
@@ -1369,20 +1390,24 @@ commands(Opts &o)
                cache, jobs("sweep"), fullSize,
                {"--progress", nullptr,
                 "5 s heartbeat with RSS and ETA; flags stalled cells",
-                assign(o.progressMs, 5000)},
-               {"--supervise", "N",
-                "compute cells on N crash-isolated worker processes, "
-                "with retries, deadlines and quarantine",
-                [&o](const char *flag, const std::string &v) {
-                    o.supervise = parse<unsigned>(flag, v);
-                    fatal_if(o.supervise < 1 || o.supervise > 256,
-                             "sweep: --supervise needs a worker count in "
-                             "[1, 256]");
-                }},
-               retryQuarantined} +
+                assign(o.progressMs, 5000)}} +
+             // The worker count replaces the thread count.
+             excluding("--jobs",
+                       Flags{{"--supervise", "N",
+                              "compute cells on N crash-isolated worker "
+                              "processes, with retries, deadlines and "
+                              "quarantine",
+                              [&o](const char *flag, const std::string &v) {
+                                  o.sup.workers = parse<unsigned>(flag, v);
+                                  fatal_if(o.sup.workers < 1 ||
+                                               o.sup.workers > 256,
+                                           "sweep: --supervise needs a "
+                                           "worker count in [1, 256]");
+                              }}}) +
+             Flags{retryQuarantined} +
              // Retries and faults exist only where a crash is isolated
-             // to one worker process; the threaded engine would ignore
-             // the former and be taken down by the latter.
+             // to one worker process; thread slots would ignore the
+             // former and be taken down by the latter.
              needing("--supervise",
                      Flags{{"--max-retries", "N",
                             "retries of a failed cell (default 3)",
@@ -1419,7 +1444,7 @@ commands(Opts &o)
                 "--baseline (default 0.25)",
                 [&o](const char *flag, const std::string &v) {
                     o.tolerance = parse<double>(flag, v);
-                    fatal_if(o.tolerance < 0 || o.tolerance >= 1,
+                    fatal_if(*o.tolerance < 0 || *o.tolerance >= 1,
                              "report: --tolerance needs a fraction in "
                              "[0, 1), got '%s'",
                              v.c_str());
@@ -1605,6 +1630,9 @@ parseFlags(const char *prog, const Command &c, int argc, char **argv)
         fatal_if(f.needs && seen.count(f.name) && !seen.count(f.needs),
                  "%s: %s needs %s", c.name, f.name,
                  spelling(*find(f.needs)).c_str());
+        fatal_if(f.excludes && seen.count(f.name) && seen.count(f.excludes),
+                 "%s: %s and %s are mutually exclusive", c.name,
+                 f.excludes, f.name);
     }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -267,6 +268,69 @@ TEST(Cli, SupervisorFlagsNeedSupervise)
                                   "WASTESIM_NO_CACHE=1"),
                               "needs --supervise N"))
             << flag;
+}
+
+TEST(Cli, SuperviseAndJobsAreExclusive)
+{
+    for (const char *flags : {"--supervise 2 --jobs 2", "--jobs 2 --supervise 2"})
+        EXPECT_TRUE(failsWith(run(std::string("sweep --mesh 2x2 ") + flags,
+                                  "WASTESIM_NO_CACHE=1"),
+                              "sweep: --jobs and --supervise are mutually "
+                              "exclusive"))
+            << flags;
+}
+
+TEST(Cli, ReportInputFlagsNeedAReportThatReadsThem)
+{
+    const std::string report = "report --cache " WASTESIM_SOURCE_DIR
+                               "/tests/golden/wastesim_sweep_4x4.cache ";
+    const std::string bench = WASTESIM_SOURCE_DIR "/BENCH_kernel.json";
+    EXPECT_TRUE(failsWith(run(report + "--report headline --baseline " +
+                              bench + " --tolerance 0.1 --in nosuch.json"),
+                          "report: --in is read by the timeline and bench "
+                          "reports only"));
+    EXPECT_TRUE(failsWith(run(report + "--report headline --baseline " +
+                              bench),
+                          "report: --baseline is read by the bench report "
+                          "only"));
+    EXPECT_TRUE(failsWith(run(report + "--report headline --tolerance 0.1"),
+                          "report: --tolerance is read by the bench report "
+                          "only"));
+    EXPECT_TRUE(failsWith(run("report --report timeline --in nosuch.json "
+                              "--tolerance 0.1"),
+                          "report: --tolerance is read by the bench report "
+                          "only"));
+}
+
+TEST(Cli, SupervisedSweepWritesTheSameSamplerFiles)
+{
+    // Per-run observability flags reach the worker processes: both
+    // slot kinds write the same sampler files, byte for byte.
+    namespace fs = std::filesystem;
+    auto samples = [](const std::string &dir, const std::string &slots) {
+        fs::remove_all(dir);
+        fs::create_directory(dir);
+        const Result r =
+            run("sweep --mesh 2x2 " + slots +
+                    " --report headline --sample-window 100000 "
+                    "--sample-out s_%p_%b.json",
+                "cd " + dir + " && WASTESIM_NO_CACHE=1");
+        EXPECT_EQ(r.status, 0) << r.out;
+        std::map<std::string, std::string> files;
+        for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
+            std::ifstream is(e.path(), std::ios::binary);
+            files[e.path().filename().string()] =
+                std::string(std::istreambuf_iterator<char>(is), {});
+        }
+        fs::remove_all(dir);
+        return files;
+    };
+    const auto threads = samples("cli_samples_threads", "--jobs 2");
+    const auto procs = samples("cli_samples_procs", "--supervise 2");
+    EXPECT_EQ(threads.size(), 54u);
+    EXPECT_TRUE(threads == procs)
+        << threads.size() << " files on threads, " << procs.size()
+        << " on worker processes";
 }
 
 TEST(Cli, CommandHelpListsOnlyItsOwnFlags)

@@ -1,14 +1,15 @@
 /**
- * Unit tests: the fault-tolerant sweep supervisor — CRC-32 cache
+ * Unit tests: the sweep engine's process slots — CRC-32 cache
  * integrity, fault-injection determinism, the worker hand-off format,
  * quarantine records, and real crash-isolated worker processes
  * (re-exec'd `wastesim cell`) converging to caches byte-identical to
- * the threaded engine's.
+ * thread slots'.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "common/crc32.hh"
 #include "system/supervisor.hh"
 #include "system/sweep_engine.hh"
+#include "system/worker_pool.hh"
 
 namespace wastesim
 {
@@ -66,15 +68,24 @@ tinySpec()
     return spec;
 }
 
-/** Supervisor config pointing at the freshly built CLI binary. */
+/** Process slots running the freshly built CLI binary. */
 SupervisorConfig
 workerConfig(unsigned workers = 2)
 {
     SupervisorConfig cfg;
     cfg.workers = workers;
     cfg.program = WASTESIM_BINARY_DIR "/wastesim";
-    cfg.workerParamArgs = {"--scale", "1"};
+    cfg.workerArgs = {"--scale", "1"};
     return cfg;
+}
+
+/** An engine computing @p spec on @p cfg's process slots. */
+SweepEngine
+supervised(const SweepSpec &spec, SupervisorConfig cfg)
+{
+    SweepEngine eng(spec);
+    eng.setSupervise(std::move(cfg));
+    return eng;
 }
 
 /** Deterministic fake cell result derived from the coordinates. */
@@ -202,14 +213,15 @@ TEST(FaultDraw, IsDeterministicPerCellAndAttempt)
 TEST(WorkerOutput, RoundTripsAndDetectsEveryKindOfDamage)
 {
     const SweepSpec spec = tinySpec();
-    const RunResult ref = fakeCell(spec, spec.cellAt(0));
+    RunResult ref = fakeCell(spec, spec.cellAt(0));
+    ref.eventsExecuted = 123456789;
     const std::string id = spec.cellKey(spec.cellAt(0));
     const std::string good = formatWorkerOutput(id, ref);
 
     TempPath tmp("worker_output.tmp");
     RunResult r;
     std::string err;
-    // The supervisor's read path: the pool's verified hand-off, then
+    // The sweep loop's read path: the pool's verified hand-off, then
     // the cell payload.
     auto load = [&](const std::string &path, const std::string &want) {
         std::string payload;
@@ -219,6 +231,8 @@ TEST(WorkerOutput, RoundTripsAndDetectsEveryKindOfDamage)
     writeBytes(tmp.path(), good);
     ASSERT_TRUE(load(tmp.path(), id)) << err;
     EXPECT_EQ(resultBlock(r), resultBlock(ref));
+    // The event count travels too, although the cache leaves it out.
+    EXPECT_EQ(r.eventsExecuted, ref.eventsExecuted);
 
     // Corruption: the CRC catches any payload flip.
     std::string bad = good;
@@ -467,20 +481,20 @@ TEST(Supervisor, FaultFreeRunMatchesEngineByteForByte)
     const Sweep ref = eng.run(engineCache).at(0);
 
     CellCache supCache;
-    SweepSupervisor sup(spec, workerConfig());
+    SweepEngine sup = supervised(spec, workerConfig());
     const Sweep got = sup.run(supCache).at(0);
     EXPECT_EQ(sup.cellsComputed(), spec.numCells());
     EXPECT_EQ(sup.retries(), 0u);
     EXPECT_FALSE(sup.interrupted());
 
-    // The supervised cache must be byte-identical to the threaded
-    // engine's: same cells, same canonical serialization.
+    // The supervised cache must be byte-identical to thread slots':
+    // same cells, same canonical serialization.
     EXPECT_EQ(engineCache.serialized(), supCache.serialized());
     for (unsigned p = 0; p < 2; ++p)
         EXPECT_EQ(got.results[0][p].cycles, ref.results[0][p].cycles);
 
     // A second supervised run over the same cache is all hits.
-    SweepSupervisor again(spec, workerConfig());
+    SweepEngine again = supervised(spec, workerConfig());
     again.run(supCache);
     EXPECT_EQ(again.cellsHit(), spec.numCells());
     EXPECT_EQ(again.cellsComputed(), 0u);
@@ -504,7 +518,7 @@ TEST(Supervisor, CrashingWorkersRetryAndConverge)
     cfg.backoffBaseMs = 10;
 
     CellCache supCache;
-    SweepSupervisor sup(spec, cfg);
+    SweepEngine sup = supervised(spec, cfg);
     sup.run(supCache);
     EXPECT_EQ(sup.cellsComputed(), spec.numCells());
     EXPECT_EQ(sup.cellsQuarantined(), 0u);
@@ -526,7 +540,7 @@ TEST(Supervisor, CorruptOutputIsDetectedNeverCached)
     cfg.backoffBaseMs = 10;
 
     CellCache supCache;
-    SweepSupervisor sup(spec, cfg);
+    SweepEngine sup = supervised(spec, cfg);
     sup.run(supCache);
     EXPECT_EQ(sup.cellsComputed(), spec.numCells());
     // Convergence to identical bytes proves no corrupt result was
@@ -548,7 +562,7 @@ TEST(Supervisor, PoisonCellsQuarantineThenHealWithRetryFlag)
 
     CellCache cache;
     {
-        SweepSupervisor sup(spec, cfg);
+        SweepEngine sup = supervised(spec, cfg);
         const Sweep s = sup.run(cache).at(0);
         EXPECT_EQ(sup.cellsComputed(), 0u);
         EXPECT_EQ(sup.cellsQuarantined(), spec.numCells());
@@ -563,7 +577,7 @@ TEST(Supervisor, PoisonCellsQuarantineThenHealWithRetryFlag)
 
     // Without --retry-quarantined the records are honored as holes.
     {
-        SweepSupervisor sup(spec, workerConfig());
+        SweepEngine sup = supervised(spec, workerConfig());
         const Sweep s = sup.run(cache).at(0);
         EXPECT_EQ(sup.cellsComputed(), 0u);
         EXPECT_EQ(sup.cellsQuarantined(), spec.numCells());
@@ -572,9 +586,8 @@ TEST(Supervisor, PoisonCellsQuarantineThenHealWithRetryFlag)
 
     // With it (and the faults gone) the cells heal, and the final
     // cache equals a never-faulted engine run's.
-    SupervisorConfig healCfg = workerConfig();
-    healCfg.retryQuarantined = true;
-    SweepSupervisor heal(spec, healCfg);
+    SweepEngine heal = supervised(spec, workerConfig());
+    heal.setRetryQuarantined(true);
     const Sweep s = heal.run(cache).at(0);
     EXPECT_EQ(heal.cellsComputed(), spec.numCells());
     EXPECT_EQ(s.numHoles(), 0u);
@@ -598,7 +611,7 @@ TEST(Supervisor, HungWorkersAreKilledAtTheDeadline)
     cfg.deadlineMs = 300;
 
     CellCache cache;
-    SweepSupervisor sup(spec, cfg);
+    SweepEngine sup = supervised(spec, cfg);
     const Sweep s = sup.run(cache).at(0);
     EXPECT_EQ(sup.deadlineKills(), 1u);
     EXPECT_EQ(sup.cellsQuarantined(), 1u);
@@ -614,17 +627,73 @@ TEST(Supervisor, AutosavePersistsCellsAsTheyComplete)
     const SweepSpec spec = tinySpec();
     TempPath tmp("supervisor_autosave.cache");
 
-    SupervisorConfig cfg = workerConfig();
-    cfg.autosavePath = tmp.path();
+    SweepEngine sup = supervised(spec, workerConfig());
+    sup.setAutosave(tmp.path());
     CellCache cache;
-    SweepSupervisor sup(spec, cfg);
     sup.run(cache);
 
     // The autosaved file holds the complete grid — a killed
-    // supervisor would have left every completed cell behind.
+    // supervised sweep would have left every completed cell behind.
     CellCache back;
     ASSERT_TRUE(back.load(tmp.path()));
     EXPECT_EQ(back.serialized(), cache.serialized());
+}
+
+TEST(Supervisor, HeartbeatAddsWorkerCounters)
+{
+    const SweepSpec spec = tinySpec();
+    SweepEngine sup = supervised(spec, workerConfig(1));
+    sup.setProgress(10);
+    CellCache cache;
+    testing::internal::CaptureStderr();
+    sup.run(cache);
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    // One heartbeat line for both slot kinds; process slots append
+    // their retries, kills and the largest reaped worker's peak RSS.
+    std::istringstream lines(err);
+    std::size_t beats = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("sweep: ", 0) != 0)
+            continue;
+        ++beats;
+        EXPECT_NE(line.find(" events/sec, rss "), std::string::npos)
+            << line;
+        EXPECT_NE(line.find(", 0 retries, 0 deadline kills, worker peak "
+                            "rss "),
+                  std::string::npos)
+            << line;
+    }
+    EXPECT_GT(beats, 0u) << err;
+    EXPECT_EQ(err.find("supervise:"), std::string::npos) << err;
+}
+
+TEST(Supervisor, ForcedStopKillsAndReapsWorkers)
+{
+    // Both workers hang; a second drain request must kill them at
+    // once instead of waiting for any deadline.
+    const SweepSpec spec = tinySpec();
+    SupervisorConfig cfg = workerConfig();
+    ASSERT_TRUE(FaultSpec::parse("hang:1.0", cfg.faults));
+    cfg.maxRetries = 0;
+    SweepEngine sup = supervised(spec, cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    sup.setStopCheck([t0] {
+        return std::chrono::steady_clock::now() - t0 >
+                       std::chrono::milliseconds(300)
+                   ? 2
+                   : 0;
+    });
+    CellCache cache;
+    const Sweep s = sup.run(cache).at(0);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
+    EXPECT_TRUE(sup.interrupted());
+    EXPECT_EQ(sup.cellsComputed(), 0u);
+    // A killed worker is not a failed cell: nothing is quarantined.
+    EXPECT_EQ(sup.cellsQuarantined(), 0u);
+    EXPECT_EQ(cache.numQuarantined(), 0u);
+    EXPECT_EQ(s.numHoles(), 0u);
 }
 
 } // namespace wastesim

@@ -480,6 +480,37 @@ TEST(SweepEngine, HeartbeatReportsResidentSet)
     EXPECT_GT(beats, 0u) << err;
 }
 
+TEST(SweepEngineDeathTest, SecondStopRequestEndsBusyThreadSlots)
+{
+    // A thread slot cannot be cancelled: a forced stop (a stop check
+    // of 2, the second Ctrl-C) while a cell computes ends the process
+    // with the SIGINT status at once, not after the cell finishes.
+    SweepSpec spec = smallSpec();
+    spec.topologies = {Topology(2, 2)};
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EXIT(
+        {
+            setSweepJobs(1);
+            SweepEngine eng(spec);
+            eng.setCompute([](const SweepSpec &s, const SweepCell &c) {
+                std::this_thread::sleep_for(std::chrono::seconds(60));
+                return fakeCell(s, c);
+            });
+            const auto start = std::chrono::steady_clock::now();
+            eng.setStopCheck([start] {
+                return std::chrono::steady_clock::now() - start >
+                               std::chrono::milliseconds(200)
+                           ? 2
+                           : 0;
+            });
+            CellCache cache;
+            eng.run(cache);
+        },
+        testing::ExitedWithCode(130), "stopped with cells still computing");
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(20));
+}
+
 TEST(SweepEngine, RealCellsMatchRunOne)
 {
     // Two real (tiny) simulations through the engine must equal the

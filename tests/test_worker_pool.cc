@@ -1,6 +1,6 @@
 /**
- * Unit tests: the crash-isolated worker pool shared by the sweep
- * supervisor and the fuzz campaign — the checksummed hand-off file,
+ * Unit tests: the crash-isolated worker pool shared by the sweep's
+ * process slots and the fuzz campaign — the checksummed hand-off file,
  * exit classification, the deadline kill, and signal handling (workers
  * ignore the terminal's SIGINT; a second drain signal kills them).
  */
